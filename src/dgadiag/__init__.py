@@ -41,7 +41,7 @@ from .io import (
     save_model,
     write_dataset,
 )
-from .itd import ItdResult, find_extrema, itd_decompose, itd_single_stage
+from .itd import ItdResult, find_extrema, itd_single_stage
 from .ranking import (
     CANONICAL_RANK_ORDER,
     AnovaResult,
@@ -83,7 +83,6 @@ __all__ = [
     "find_extrema",
     "generate_synthetic",
     "iec_ratio",
-    "itd_decompose",
     "itd_single_stage",
     "kfold_cv",
     "load_dataset",

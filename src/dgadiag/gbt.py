@@ -14,12 +14,19 @@ values; ties in gain resolve to the lowest feature index, then the lowest
 threshold, so training is fully deterministic.  The seed argument is
 recorded for provenance but unused: with no row/column subsampling there is
 nothing stochastic to drive.
+
+Each tree is a `Tree` of five preorder node arrays (feature, threshold,
+left, right, value).  The same arrays are what training builds, what
+prediction walks, and what `dgadiag.io` writes to the model file.
+Prediction walks one tree at a time over all rows and adds the trees in
+round, then class order, so logits are bit-identical to the values
+training accumulated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,25 +58,25 @@ class GbtConfig:
             raise ValueError("n_classes must be >= 2")
 
 
-@dataclass
-class TreeNode:
-    """Internal node (children set) or leaf (children None, weight set)."""
+class Tree(NamedTuple):
+    """One regression tree as node arrays in preorder; node 0 is the root.
 
-    feature: int = -1
-    threshold: float = 0.0
-    default_left: bool = True
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    weight: float = 0.0
+    A row at internal node i moves to `left[i]` when its `feature[i]` value
+    is below `threshold[i]` and to `right[i]` otherwise; both children sit
+    after i.  Leaves carry feature, left and right -1 and their weight in
+    `value`, which is 0.0 at internal nodes.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    feature: np.ndarray  # int64
+    threshold: np.ndarray  # float64
+    left: np.ndarray  # int64
+    right: np.ndarray  # int64
+    value: np.ndarray  # float64
 
 
 @dataclass
 class GbtModel:
-    trees: list[list[TreeNode]]  # [round][class]
+    trees: list[list[Tree]]  # [round][class]
     config: GbtConfig
     n_features: int
     class_order: tuple[FaultLabel, ...] = CLASS_ORDER
@@ -98,20 +105,26 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 def _build_tree(
     x: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: GbtConfig
-) -> TreeNode:
+) -> tuple[Tree, np.ndarray]:
+    """Grow one tree; also return the leaf value each row of `x` lands in."""
     eta = cfg.learning_rate
     lam = cfg.reg_lambda
+    nodes: list[tuple] = []  # (feature, threshold, left, right, value) in preorder
+    row_value = np.empty(x.shape[0], dtype=np.float64)
 
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
+    def grow(idx: np.ndarray, depth: int) -> int:
+        node = len(nodes)
         g_sum = float(g[idx].sum())
         h_sum = float(h[idx].sum())
-        leaf = TreeNode(weight=-eta * g_sum / (h_sum + lam))
+        weight = -eta * g_sum / (h_sum + lam)
+        nodes.append((-1, 0.0, -1, -1, weight))  # a leaf unless a split is kept
+        row_value[idx] = weight
         if (
             depth >= cfg.max_depth
             or idx.size < 2
             or h_sum < 2.0 * cfg.min_child_weight
         ):
-            return leaf
+            return node
 
         xs_node = x[idx]
         order = np.argsort(xs_node, axis=0, kind="stable")
@@ -140,39 +153,35 @@ def _build_tree(
         flat_best = int(np.argmax(gain_fm))
         feat, pos = divmod(flat_best, gain.shape[0])
         if not gain_fm.flat[flat_best] > 0.0:
-            return leaf
+            return node
 
         lo, hi = xs[pos, feat], xs[pos + 1, feat]
         threshold = 0.5 * lo + 0.5 * hi
         if threshold <= lo:  # adjacent floats: keep "< threshold" == "<= lo"
             threshold = hi
         mask = x[idx, feat] < threshold
-        return TreeNode(
-            feature=int(feat),
-            threshold=float(threshold),
-            default_left=True,
-            left=grow(idx[mask], depth + 1),
-            right=grow(idx[~mask], depth + 1),
-        )
+        left = grow(idx[mask], depth + 1)
+        right = grow(idx[~mask], depth + 1)
+        nodes[node] = (feat, float(threshold), left, right, 0.0)
+        return node
 
-    return grow(np.arange(x.shape[0], dtype=np.intp), 0)
+    grow(np.arange(x.shape[0], dtype=np.intp), 0)
+    return Tree(*map(np.array, zip(*nodes))), row_value
 
 
-def _tree_add_scores(node: TreeNode, x: np.ndarray, out: np.ndarray) -> None:
-    """Add the tree's leaf weights to `out` for every row of `x`."""
-    stack = [(node, np.arange(x.shape[0], dtype=np.intp))]
-    while stack:
-        nd, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if nd.is_leaf:
-            out[idx] += nd.weight
-            continue
-        col = x[idx, nd.feature]
-        finite = np.isfinite(col)
-        go_left = np.where(finite, col < nd.threshold, nd.default_left)
-        stack.append((nd.left, idx[go_left]))
-        stack.append((nd.right, idx[~go_left]))
+def _leaf_values(tree: Tree, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The leaf value each row of `x` reaches, one level of all rows per step;
+    `rows` is `np.arange(len(x))`."""
+    if tree.feature[0] < 0:  # a single leaf
+        return tree.value[0]
+    node = np.zeros(rows.size, dtype=np.intp)
+    feat = tree.feature[node]
+    while (internal := feat >= 0).any():
+        go_left = x[rows, feat] < tree.threshold[node]
+        child = np.where(go_left, tree.left[node], tree.right[node])
+        node = np.where(internal, child, node)
+        feat = tree.feature[node]
+    return tree.value[node]
 
 
 def train(
@@ -203,17 +212,15 @@ def train(
     onehot[np.arange(n), y_idx] = 1.0
 
     logits = np.full((n, n_classes), BASE_SCORE, dtype=np.float64)
-    rounds: list[list[TreeNode]] = []
+    rounds: list[list[Tree]] = []
     for _ in range(config.rounds):
         p = _softmax(logits)
         grad = p - onehot
         hess = p * (1.0 - p)
-        round_trees: list[TreeNode] = []
+        round_trees: list[Tree] = []
         for c in range(n_classes):
-            tree = _build_tree(x, grad[:, c], hess[:, c], config)
-            scores = np.zeros(n, dtype=np.float64)
-            _tree_add_scores(tree, x, scores)
-            logits[:, c] += scores
+            tree, row_value = _build_tree(x, grad[:, c], hess[:, c], config)
+            logits[:, c] += row_value
             round_trees.append(tree)
         rounds.append(round_trees)
 
@@ -228,7 +235,10 @@ def train(
 def predict_logits(
     model: GbtModel, x: np.ndarray, upto_round: int | None = None
 ) -> np.ndarray:
-    """Accumulated per-class logits for each row; optionally truncate rounds."""
+    """Accumulated per-class logits for each row; optionally truncate rounds.
+
+    Raises on a row of the wrong length or with a non-finite value.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected a 2-D feature matrix")
@@ -236,14 +246,15 @@ def predict_logits(
         raise ValueError(
             f"expected {model.n_features} features per row, got {x.shape[1]}"
         )
+    if not np.all(np.isfinite(x)):
+        raise ValueError("feature values must be finite")
     n_classes = model.config.n_classes
     logits = np.full((x.shape[0], n_classes), model.base_score, dtype=np.float64)
+    rows = np.arange(x.shape[0])
     rounds = model.trees if upto_round is None else model.trees[:upto_round]
     for round_trees in rounds:
         for c, tree in enumerate(round_trees):
-            scores = np.zeros(x.shape[0], dtype=np.float64)
-            _tree_add_scores(tree, x, scores)
-            logits[:, c] += scores
+            logits[:, c] += _leaf_values(tree, x, rows)
     return logits
 
 

@@ -8,7 +8,10 @@ Gas fields are non-negative decimals; label is one of PD/D1/D2/T1/T2/T3 or
 empty for unlabeled rows; a blank id is replaced by the file line number.
 Model files are versioned JSON documents carrying the boosting config, class
 order, the rank order and feature count the model was trained against, and
-the full tree ensemble.  All writes go through a temp file + rename so
+the full tree ensemble.  Format version 2 stores each tree as one dict of
+the five `Tree` node arrays (feature, threshold, left, right, value) as
+lists; `load_model` rejects any structure the prediction walk could index
+out of range or loop on.  All writes go through a temp file + rename so
 readers never observe partial output.
 """
 
@@ -26,10 +29,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import CLASS_ORDER, GAS_NAMES, FaultLabel, GasSample
-from .gbt import GbtConfig, GbtModel, TreeNode
+from .gbt import GbtConfig, GbtModel, Tree
 
 CSV_HEADER = ["id", "h2", "ch4", "c2h6", "c2h4", "c2h2", "label"]
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # Per-class log-uniform gas ranges (ppm) for the synthetic generator, chosen
 # so each class's draws land in its own Duval-triangle zone with probability
@@ -176,28 +179,51 @@ class ModelBundle:
     k: int
 
 
-def _node_to_json(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"leaf": node.weight}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "default_left": node.default_left,
-        "left": _node_to_json(node.left),
-        "right": _node_to_json(node.right),
-    }
+def _trees_from_json(doc_trees: list, cfg: GbtConfig, n_features: int) -> list[list[Tree]]:
+    """The [round][class] trees of a model document.
 
+    Raises ValueError on a tree count that does not match the config and on
+    any tree the prediction walk could index out of range or loop on.  All
+    trees are checked at once on their concatenated node arrays.
+    """
+    if len(doc_trees) != cfg.rounds or any(len(r) != cfg.n_classes for r in doc_trees):
+        raise ValueError(f"expected {cfg.rounds} rounds of {cfg.n_classes} trees")
+    flat = [obj for round_trees in doc_trees for obj in round_trees]
+    sizes = [len(obj["feature"]) for obj in flat]
+    if 0 in sizes:
+        raise ValueError("empty tree")
+    columns = []
+    for name in Tree._fields:
+        lists = [obj[name] for obj in flat]
+        column = np.array([v for values in lists for v in values])
+        index = name in ("feature", "left", "right")
+        if (
+            [len(values) for values in lists] != sizes
+            or column.ndim != 1
+            or column.dtype.kind not in ("i" if index else "if")
+        ):
+            raise ValueError(f"tree field {name!r} is not a number list as long as 'feature'")
+        columns.append(column.astype(np.int64 if index else np.float64))
+    feature, threshold, left, right, value = columns
+    if not (np.all(np.isfinite(threshold)) and np.all(np.isfinite(value))):
+        raise ValueError("non-finite threshold or leaf value")
 
-def _node_from_json(obj: dict) -> TreeNode:
-    if "leaf" in obj:
-        return TreeNode(weight=float(obj["leaf"]))
-    return TreeNode(
-        feature=int(obj["feature"]),
-        threshold=float(obj["threshold"]),
-        default_left=bool(obj["default_left"]),
-        left=_node_from_json(obj["left"]),
-        right=_node_from_json(obj["right"]),
-    )
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    internal = feature != -1
+    node = (np.arange(ends[-1]) - np.repeat(starts, sizes))[internal]
+    size = np.repeat(sizes, sizes)[internal]
+    if np.any((feature[internal] < 0) | (feature[internal] >= n_features)):
+        raise ValueError(f"feature index out of range 0..{n_features - 1}")
+    for child in (left[internal], right[internal]):
+        if np.any((child <= node) | (child >= size)):
+            raise ValueError("child index must point past its parent within the tree")
+
+    trees = [
+        Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b])
+        for a, b in zip(starts.tolist(), ends.tolist())
+    ]
+    return [trees[r : r + cfg.n_classes] for r in range(0, len(trees), cfg.n_classes)]
 
 
 def save_model(path, bundle: ModelBundle) -> None:
@@ -220,16 +246,20 @@ def save_model(path, bundle: ModelBundle) -> None:
         "base_score": bundle.model.base_score,
         "n_features": bundle.model.n_features,
         "trees": [
-            [_node_to_json(tree) for tree in round_trees]
+            [
+                {name: getattr(tree, name).tolist() for name in Tree._fields}
+                for tree in round_trees
+            ]
             for round_trees in bundle.model.trees
         ],
     }
-    _atomic_write_text(str(path), json.dumps(doc, indent=1) + "\n")
+    _atomic_write_text(str(path), json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 def load_model(path) -> ModelBundle:
-    """Parse a model file fully before constructing anything; corrupt or
-    version-mismatched files raise ValueError."""
+    """Parse and check a model file fully before constructing anything;
+    corrupt, version-mismatched or structurally invalid files raise
+    ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -239,19 +269,21 @@ def load_model(path) -> ModelBundle:
         version = doc["format_version"]
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(
-                f"{path}: unsupported format_version {version!r}, "
+                f"unsupported format_version {version!r}, "
                 f"expected {MODEL_FORMAT_VERSION}"
             )
         cfg = GbtConfig(**doc["config"])
         class_order = tuple(FaultLabel(name) for name in doc["class_order"])
-        trees = [
-            [_node_from_json(obj) for obj in round_trees]
-            for round_trees in doc["trees"]
-        ]
+        if len(class_order) != cfg.n_classes:
+            raise ValueError(f"{len(class_order)} class names for {cfg.n_classes} classes")
+        n_features = int(doc["n_features"])
+        k = int(doc["k"])
+        if n_features != k:
+            raise ValueError(f"n_features {n_features} differs from k {k}")
         model = GbtModel(
-            trees=trees,
+            trees=_trees_from_json(doc["trees"], cfg, n_features),
             config=cfg,
-            n_features=int(doc["n_features"]),
+            n_features=n_features,
             class_order=class_order,
             base_score=float(doc["base_score"]),
             seed=int(doc["seed"]),
@@ -261,7 +293,9 @@ def load_model(path) -> ModelBundle:
         return ModelBundle(
             model=model,
             rank_order=validate_rank_order(doc["rank_order"]),
-            k=int(doc["k"]),
+            k=k,
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

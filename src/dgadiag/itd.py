@@ -15,10 +15,6 @@ falling back to linear-in-t interpolation when the two knot values coincide.
 Endpoints are pinned (L = x there), so H vanishes at both ends.  A signal
 with fewer than three knots (constant or monotone) has no rotation
 component: L = x, H = 0.
-
-Iterating the stage on successive baselines peels off one rotation component
-per stage until the baseline is monotone; the input always equals the sum of
-the extracted components plus the final baseline.
 """
 
 from __future__ import annotations
@@ -116,26 +112,3 @@ def itd_single_stage(x: np.ndarray | list[float], alpha: float = 0.5) -> ItdResu
 
     prc = x - baseline
     return ItdResult(baseline=baseline, prc=prc, alpha=alpha, extrema=knots)
-
-
-def itd_decompose(
-    x: np.ndarray | list[float], max_stages: int, alpha: float = 0.5
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Peel rotation components off successive baselines.
-
-    Stops after `max_stages` stages or as soon as the current baseline has no
-    interior extrema (constant or monotone), whichever comes first.  Returns
-    (components, final_baseline); `x` equals their total sum exactly as
-    constructed.
-    """
-    if max_stages < 1:
-        raise ValueError(f"max_stages must be >= 1, got {max_stages}")
-    current = np.asarray(x, dtype=np.float64)
-    prcs: list[np.ndarray] = []
-    for _ in range(max_stages):
-        if len(find_extrema(current)) < 3:
-            break
-        stage = itd_single_stage(current, alpha=alpha)
-        prcs.append(stage.prc)
-        current = stage.baseline
-    return prcs, current

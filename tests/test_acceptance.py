@@ -9,6 +9,7 @@ stand in for them.
 
 import functools
 import math
+import os
 import subprocess
 import sys
 import time
@@ -226,12 +227,19 @@ def test_criterion_7_smote():
 def test_criterion_8_end_to_end(tmp_path):
     start = time.perf_counter()
 
+    # the subprocesses import the same dgadiag as this test, installed or not
+    src = os.path.dirname(os.path.dirname(dgadiag.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+
     def cli(*argv):
         proc = subprocess.run(
             [sys.executable, "-m", "dgadiag", *argv],
             capture_output=True,
             text=True,
             timeout=280,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout

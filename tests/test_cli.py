@@ -197,6 +197,21 @@ class TestFeaturesCommand:
 
 
 class TestExitCodes:
+    def test_invalid_model_is_validation_error(self, capsys, tmp_path, synth_csv):
+        path = tmp_path / "model.json"
+        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
+              "--model", str(path)] + FAST)
+        doc = json.loads(path.read_text())
+        doc["trees"][0][0]["feature"][0] = doc["n_features"]  # out of range
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, [
+            "diagnose", "--h2", "292", "--ch4", "346", "--c2h6", "32",
+            "--c2h4", "313", "--c2h2", "196", "--model", str(path),
+        ])
+        assert code == 1
+        assert err.startswith("error: ") and "model.json" in err
+        assert "Traceback" not in err
+
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run(capsys, ["rank", "--data", "/nonexistent/file.csv"])
         assert code == 2

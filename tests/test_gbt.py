@@ -1,7 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgadiag.core import CLASS_ORDER, FaultLabel
+from dgadiag.features import build_features
 from dgadiag.gbt import (
     GbtConfig,
     GbtModel,
@@ -11,9 +16,12 @@ from dgadiag.gbt import (
     predict_many,
     predict_proba,
     train,
+    _build_tree,
     _softmax,
     _as_class_indices,
 )
+from dgadiag.io import generate_synthetic
+from dgadiag.ranking import rank_params
 
 
 def test_config_defaults():
@@ -56,10 +64,9 @@ def test_two_class_1d_split_in_gap():
     y = [FaultLabel.PD] * 50 + [FaultLabel.D1] * 50
     model = train(x, y, GbtConfig(), seed=0)
 
-    root = model.trees[0][0]  # first round, first class
-    assert not root.is_leaf
-    assert root.feature == 0
-    assert neg.max() < root.threshold < pos.min()
+    tree = model.trees[0][0]  # first round, first class
+    assert tree.feature[0] == 0  # the root splits
+    assert neg.max() < tree.threshold[0] < pos.min()
 
     holdout = np.array([[-0.01], [-2.9], [0.01], [2.9]])
     expected = [FaultLabel.PD, FaultLabel.PD, FaultLabel.D1, FaultLabel.D1]
@@ -125,6 +132,15 @@ def test_non_finite_features():
         train(x, [FaultLabel.PD, FaultLabel.D1], GbtConfig(), seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_rows(bad):
+    model = GbtModel(trees=[], config=GbtConfig(), n_features=6)
+    rows = np.zeros((3, 6))
+    rows[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        predict_logits(model, rows)
+
+
 def test_training_log_loss_non_increasing():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(90, 6))
@@ -182,16 +198,16 @@ def test_tree_depth_bounded():
     cfg = GbtConfig(rounds=3, max_depth=3)
     model = train(x, y, cfg, seed=0)
 
-    def depth(node):
-        if node.is_leaf:
-            assert np.isfinite(node.weight)
+    def depth(tree, i):
+        if tree.feature[i] < 0:
+            assert np.isfinite(tree.value[i])
             return 0
-        assert 0 <= node.feature < x.shape[1]
-        return 1 + max(depth(node.left), depth(node.right))
+        assert 0 <= tree.feature[i] < x.shape[1]
+        return 1 + max(depth(tree, tree.left[i]), depth(tree, tree.right[i]))
 
     for round_trees in model.trees:
         for tree in round_trees:
-            assert depth(tree) <= cfg.max_depth
+            assert depth(tree, 0) <= cfg.max_depth
 
 
 def _brute_force_best_split(x, g, h, lam, gamma, mcw):
@@ -223,23 +239,76 @@ def test_root_split_matches_brute_force(seed):
     h = rng.uniform(0.05, 1.0, size=25)
     cfg = GbtConfig(rounds=1, max_depth=1, min_child_weight=0.3)
 
-    from dgadiag.gbt import _build_tree
-
-    root = _build_tree(x, g, h, cfg)
+    tree, row_value = _build_tree(x, g, h, cfg)
     oracle = _brute_force_best_split(
         x, g, h, cfg.reg_lambda, cfg.gamma, cfg.min_child_weight
     )
     if oracle is None:
-        assert root.is_leaf
+        assert tree.feature.tolist() == [-1]
+        assert np.array_equal(row_value, np.full(25, tree.value[0]))
         return
     _, feat, thr, mask = oracle
-    assert not root.is_leaf
-    assert root.feature == feat
-    assert root.threshold == pytest.approx(thr, rel=1e-12)
+    assert tree.feature.tolist() == [feat, -1, -1]
+    assert tree.threshold[0] == pytest.approx(thr, rel=1e-12)
+    left, right = tree.left[0], tree.right[0]
     eta, lam = cfg.learning_rate, cfg.reg_lambda
-    assert root.left.weight == pytest.approx(
+    assert tree.value[left] == pytest.approx(
         -eta * g[mask].sum() / (h[mask].sum() + lam), rel=1e-12
     )
-    assert root.right.weight == pytest.approx(
+    assert tree.value[right] == pytest.approx(
         -eta * g[~mask].sum() / (h[~mask].sum() + lam), rel=1e-12
+    )
+    assert np.array_equal(row_value, np.where(mask, tree.value[left], tree.value[right]))
+
+
+def _oracle_logits(model, x, upto_round=None):
+    """Plain per-row walk over the tree arrays, adding leaf values in
+    round, then class order."""
+    rounds = model.trees if upto_round is None else model.trees[:upto_round]
+    out = []
+    for row in x.tolist():
+        logits = [model.base_score] * model.config.n_classes
+        for round_trees in rounds:
+            for c, tree in enumerate(round_trees):
+                i = 0
+                while tree.feature[i] >= 0:
+                    below = row[tree.feature[i]] < tree.threshold[i]
+                    i = tree.left[i] if below else tree.right[i]
+                logits[c] += float(tree.value[i])
+        out.append(logits)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(6, 40),
+    d=st.integers(1, 5),
+    rounds=st.integers(1, 6),
+    max_depth=st.integers(1, 4),
+    discrete=st.booleans(),
+    upto_round=st.one_of(st.none(), st.integers(0, 7)),
+)
+def test_predict_logits_matches_per_row_walk(
+    seed, n, d, rounds, max_depth, discrete, upto_round
+):
+    rng = np.random.default_rng(seed)
+    if discrete:  # ties between rows and thresholds on the training grid
+        x = rng.integers(0, 4, size=(n + 10, d)).astype(np.float64)
+    else:
+        x = rng.normal(size=(n + 10, d))
+    y = [i % 3 for i in range(n)]
+    cfg = GbtConfig(rounds=rounds, max_depth=max_depth, min_child_weight=0.0)
+    model = train(x[:n], y, cfg, seed=seed)
+    got = predict_logits(model, x, upto_round=upto_round)
+    assert repr(got.tolist()) == repr(_oracle_logits(model, x, upto_round))
+
+
+def test_golden_logits_digest():
+    samples = generate_synthetic(11)
+    fm = build_features(samples, rank_params(samples), 24)
+    model = train(fm.x, fm.labels, seed=11)
+    text = repr(predict_logits(model, fm.x).tolist())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ef58380ab75cf867261e0fbe4ea79362123f1aa866a7d0cba69877a3532ae3d8"
     )

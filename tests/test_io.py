@@ -9,6 +9,7 @@ from dgadiag.features import build_features
 from dgadiag.gbt import GbtConfig, predict_proba_many, train
 from dgadiag.io import (
     DEFAULT_SYNTH_COUNTS,
+    MODEL_FORMAT_VERSION,
     ModelBundle,
     SYNTH_GAS_RANGES,
     generate_synthetic,
@@ -141,6 +142,58 @@ def _toy_bundle() -> ModelBundle:
     return ModelBundle(model=model, rank_order=order, k=20)
 
 
+def _split_tree(doc) -> dict:
+    """The first tree whose root splits."""
+    return next(
+        tree for round_trees in doc["trees"] for tree in round_trees
+        if tree["feature"][0] >= 0
+    )
+
+
+def _feature_out_of_range(doc):
+    _split_tree(doc)["feature"][0] = doc["n_features"]
+
+
+def _extra_tree_in_round(doc):
+    doc["trees"][0].append(doc["trees"][0][0])
+
+
+def _no_trees(doc):
+    doc["trees"] = []
+
+
+def _backward_child(doc):
+    _split_tree(doc)["right"][0] = 0
+
+
+def _nan_threshold(doc):
+    _split_tree(doc)["threshold"][0] = float("nan")
+
+
+def _unequal_lengths(doc):
+    _split_tree(doc)["value"].append(0.0)
+
+
+def _k_mismatch(doc):
+    doc["k"] = doc["n_features"] + 1
+
+
+def _short_class_order(doc):
+    doc["class_order"].pop()
+
+
+def _mutated_model(tmp_path, mutate):
+    """Save the toy model, apply `mutate` to its JSON document, and write
+    the result to model.json."""
+    source = tmp_path / "source.json"
+    save_model(source, _toy_bundle())
+    doc = json.loads(source.read_text())
+    mutate(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestModelPersistence:
     def test_round_trip_predictions(self, tmp_path):
         bundle = _toy_bundle()
@@ -184,6 +237,29 @@ class TestModelPersistence:
 
     def test_missing_key(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({"format_version": 1}))
+        path.write_text(json.dumps({"format_version": MODEL_FORMAT_VERSION}))
         with pytest.raises(ValueError, match="malformed"):
+            load_model(path)
+
+    def test_trees_are_flat_lists(self, tmp_path):
+        bundle = _toy_bundle()
+        path = tmp_path / "model.json"
+        save_model(path, bundle)
+        tree = json.loads(path.read_text())["trees"][0][0]
+        assert list(tree) == ["feature", "threshold", "left", "right", "value"]
+        assert tree["feature"] == bundle.model.trees[0][0].feature.tolist()
+
+    @pytest.mark.parametrize("mutate", [
+        _feature_out_of_range,
+        _extra_tree_in_round,
+        _no_trees,
+        _backward_child,
+        _nan_threshold,
+        _unequal_lengths,
+        _k_mismatch,
+        _short_class_order,
+    ])
+    def test_invalid_structure_rejected(self, tmp_path, mutate):
+        path = _mutated_model(tmp_path, mutate)
+        with pytest.raises(ValueError, match="model.json"):
             load_model(path)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dgadiag.itd import find_extrema, itd_decompose, itd_single_stage
+from dgadiag.itd import find_extrema, itd_single_stage
 
 signals = hnp.arrays(
     np.float64,
@@ -113,36 +113,3 @@ class TestSingleStageProperties:
         scale = max(1.0, float(np.max(np.abs(x))), abs(b))
         assert np.allclose(shifted.baseline, base.baseline + b, rtol=0, atol=1e-12 * scale)
         assert np.allclose(shifted.prc, base.prc, rtol=0, atol=1e-12 * scale)
-
-
-class TestDecompose:
-    def test_single_stage_equivalence(self):
-        x = np.random.default_rng(3).normal(size=30)
-        prcs, baseline = itd_decompose(x, max_stages=1)
-        single = itd_single_stage(x)
-        assert len(prcs) == 1
-        assert np.array_equal(prcs[0], single.prc)
-        assert np.array_equal(baseline, single.baseline)
-
-    def test_monotone_stops_with_no_components(self):
-        x = np.array([1.0, 2.0, 3.0, 10.0])
-        prcs, baseline = itd_decompose(x, max_stages=5)
-        assert prcs == []
-        assert np.array_equal(baseline, x)
-
-    def test_three_stage_reconstruction(self):
-        # each stage's split is exact by construction; the final summation
-        # only reintroduces rounding at machine epsilon scale
-        x = np.random.default_rng(4).normal(size=64)
-        prcs, baseline = itd_decompose(x, max_stages=3)
-        total = baseline + sum(prcs)
-        assert np.max(np.abs(x - total)) <= 5e-16
-
-    def test_stage_count_bounded(self):
-        x = np.random.default_rng(5).normal(size=64)
-        prcs, _ = itd_decompose(x, max_stages=3)
-        assert 1 <= len(prcs) <= 3
-
-    def test_invalid_stage_count(self):
-        with pytest.raises(ValueError):
-            itd_decompose([1.0, 2.0], max_stages=0)

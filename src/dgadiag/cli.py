@@ -9,12 +9,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .conventional import duval, iec_ratio, rogers
 from .core import CLASS_ORDER, GasSample, param_matrix
-from .evaluation import evaluate_model, kfold_cv, metrics, confusion, train_test_split
-from .features import build_features, optimal_k_search
+from .evaluation import confusion, fit_and_score, kfold_cv, metrics, train_test_split
+from .features import build_features, optimal_k_search, ranked_prefix
 from .gbt import GbtConfig, predict_many, train
 from .io import (
     DEFAULT_SYNTH_COUNTS,
@@ -154,6 +152,8 @@ def _report_json(report) -> dict:
 def cmd_evaluate(args) -> int:
     import json
 
+    if args.smote and args.cv is None:
+        raise ValueError("--smote requires --cv")
     samples = load_dataset(args.data)
     if any(s.label is None for s in samples):
         raise ValueError("evaluation requires labeled samples")
@@ -181,20 +181,16 @@ def cmd_evaluate(args) -> int:
             "pooled": _report_json(result.pooled),
         }
     elif args.holdout is not None:
-        train_part, test_part = train_test_split(samples, 1.0 - args.holdout, args.seed)
-        fm_train = build_features(train_part, bundle.rank_order, bundle.k)
-        fm_test = build_features(test_part, bundle.rank_order, bundle.k)
-        model = train(fm_train.x, fm_train.labels, bundle.model.config, seed=args.seed)
-        report = metrics(
-            confusion(fm_test.labels, predict_many(model, fm_test.x))
-        )
+        fm = build_features(samples, bundle.rank_order, bundle.k)
+        split = train_test_split(range(len(samples)), 1.0 - args.holdout, args.seed)
+        report = metrics(fit_and_score(fm, *split, bundle.model.config, args.seed))
         lines = _report_lines(
             report, f"holdout report (test fraction {args.holdout}):"
         )
         doc = {"mode": "holdout", "test_fraction": args.holdout, "report": _report_json(report)}
     else:
         fm = build_features(samples, bundle.rank_order, bundle.k)
-        report = evaluate_model(bundle.model, fm.x, fm.labels)
+        report = metrics(confusion(fm.labels, predict_many(bundle.model, fm.x)))
         lines = _report_lines(report, "report (model applied to the full file):")
         doc = {"mode": "apply", "report": _report_json(report)}
     sys.stdout.write("\n".join(lines) + "\n")
@@ -204,16 +200,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    gases = (args.h2, args.ch4, args.c2h6, args.c2h4, args.c2h2)
+    if args.data and any(v is not None for v in gases):
+        raise ValueError("give --data or the five gases, not both")
+    if not args.data and any(v is None for v in gases):
+        raise ValueError("provide --data or all five of --h2 --ch4 --c2h6 --c2h4 --c2h2")
     bundle = load_model(args.model)
-    if args.data:
-        samples = load_dataset(args.data)
-    else:
-        gases = (args.h2, args.ch4, args.c2h6, args.c2h4, args.c2h2)
-        if any(v is None for v in gases):
-            raise ValueError(
-                "provide --data or all five of --h2 --ch4 --c2h6 --c2h4 --c2h2"
-            )
-        samples = [GasSample(*gases, id="cli")]
+    samples = load_dataset(args.data) if args.data else [GasSample(*gases, id="cli")]
     fm = build_features(samples, bundle.rank_order, bundle.k)
     predicted = predict_many(bundle.model, fm.x)
     if args.compare:
@@ -250,16 +243,15 @@ def cmd_conventional(args) -> int:
 def cmd_decompose(args) -> int:
     samples = load_dataset(args.data)
     order = _rank_order_for(args, samples)
-    prefix = order[: args.k]
-    matrix = param_matrix(samples)
+    signals = ranked_prefix(samples, order, args.k)
     lines = ["id\tposition\tparam\tvalue\tbaseline\tprc"]
-    for i, s in enumerate(samples):
-        signal = np.array([matrix[i, num - 1] for num in prefix])
+    for s, signal in zip(samples, signals):
         res = itd_single_stage(signal)
-        for pos, num in enumerate(prefix, start=1):
+        columns = zip(order, signal, res.baseline, res.prc)
+        for pos, (num, value, baseline, prc) in enumerate(columns, start=1):
             lines.append(
-                f"{s.id}\t{pos}\t{num}\t{float(signal[pos - 1])!r}"
-                f"\t{float(res.baseline[pos - 1])!r}\t{float(res.prc[pos - 1])!r}"
+                f"{s.id}\t{pos}\t{num}\t{float(value)!r}"
+                f"\t{float(baseline)!r}\t{float(prc)!r}"
             )
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -14,7 +14,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import CLASS_ORDER, FaultLabel, GasSample
-from .gbt import GbtConfig, GbtModel, predict_many, train
+from .features import FeatureMatrix, build_features
+from .gbt import GbtConfig, predict_many, train
+from .ranking import rank_params
 
 
 @dataclass(frozen=True)
@@ -214,6 +216,28 @@ class CvResult:
         return self.pooled.macro_f1
 
 
+def fit_and_score(
+    fm: FeatureMatrix,
+    train_idx: Sequence[int],
+    test_idx: Sequence[int],
+    config: GbtConfig,
+    seed: int,
+    smote_seed: int | None = None,
+) -> ConfusionMatrix:
+    """Train on the rows `train_idx` of `fm` and count predictions on `test_idx`.
+
+    With a `smote_seed`, the training rows are oversampled by SMOTE first;
+    the test rows never are.
+    """
+    x_train = fm.x[train_idx]
+    y_train = [fm.labels[i] for i in train_idx]
+    if smote_seed is not None:
+        x_train, y_train = smote(x_train, y_train, seed=smote_seed)
+    model = train(x_train, y_train, config=config, seed=seed)
+    actual = [fm.labels[i] for i in test_idx]
+    return confusion(actual, predict_many(model, fm.x[test_idx]))
+
+
 def kfold_cv(
     dataset: Sequence[GasSample],
     folds: int = 5,
@@ -222,55 +246,33 @@ def kfold_cv(
     k: int = 24,
     config: GbtConfig = GbtConfig(),
     rank_order: Sequence[int] | None = None,
-    smote_neighbors: int = 5,
 ) -> CvResult:
     """Stratified k-fold cross-validation of the full feature+classifier
     pipeline.
 
     The parameter ranking is computed once on the whole dataset (or taken
-    from `rank_order`); features are rebuilt per sample and the classifier is
+    from `rank_order`); features are built once and the classifier is
     retrained per fold.  With `use_smote`, oversampling is applied to the
     training folds only, never the held-out fold.  Per-fold RNG streams are
     derived from (seed, fold index), so fold results do not depend on
     execution order.
     """
-    from .features import build_features
-    from .ranking import rank_params, validate_rank_order
-
     samples = list(dataset)
     if any(s.label is None for s in samples):
         raise ValueError("cross-validation requires labeled samples")
-    order = rank_params(samples) if rank_order is None else validate_rank_order(rank_order)
+    order = rank_params(samples) if rank_order is None else rank_order
     fm = build_features(samples, order, k)
-    labels = [s.label for s in samples]
 
-    fold_idx = stratified_folds(labels, folds, seed)
     fold_reports: list[EvalReport] = []
     pooled_counts = np.zeros((len(CLASS_ORDER), len(CLASS_ORDER)), dtype=np.int64)
-    for fold_no, test_idx in enumerate(fold_idx):
-        train_mask = np.ones(len(samples), dtype=bool)
-        train_mask[test_idx] = False
-        x_train = fm.x[train_mask]
-        y_train = [labels[i] for i in np.flatnonzero(train_mask)]
-        if use_smote:
-            fold_seed = int(np.random.SeedSequence([seed, fold_no]).generate_state(1)[0])
-            x_train, y_train = smote(
-                x_train, y_train, k_neighbors=smote_neighbors, seed=fold_seed
-            )
-        model = train(x_train, y_train, config=config, seed=seed)
-        predicted = predict_many(model, fm.x[test_idx])
-        actual = [labels[i] for i in test_idx]
-        cm = confusion(actual, predicted)
+    for fold_no, test_idx in enumerate(stratified_folds(fm.labels, folds, seed)):
+        train_idx = np.setdiff1d(np.arange(len(samples)), test_idx)
+        fold_seed = int(np.random.SeedSequence([seed, fold_no]).generate_state(1)[0])
+        cm = fit_and_score(
+            fm, train_idx, test_idx, config, seed, fold_seed if use_smote else None
+        )
         fold_reports.append(metrics(cm))
         pooled_counts += cm.counts
 
     pooled = metrics(ConfusionMatrix(counts=pooled_counts))
     return CvResult(fold_reports=fold_reports, pooled=pooled)
-
-
-def evaluate_model(
-    model: GbtModel, x: np.ndarray, labels: Sequence[FaultLabel]
-) -> EvalReport:
-    """Score a trained model on feature rows with known labels."""
-    predicted = predict_many(model, x)
-    return metrics(confusion(list(labels), predicted))

@@ -2,10 +2,11 @@
 
 A sample's feature row is built by laying out its parameter values in rank
 order (lowest skewness first), truncating to the first k, and taking the
-proper rotation component of that k-point sequence as the features.  The
-search sweeps k over a range, training and scoring the classifier on one
-fixed holdout split per candidate, and keeps the smallest k attaining the
-best accuracy.
+proper rotation component of that k-point sequence as the features.  ITD
+works on each row alone, so the rows of a sample do not depend on which
+other samples are built with it.  The search sweeps k over a range,
+training and scoring the classifier on one fixed holdout split per
+candidate, and keeps the smallest k attaining the best accuracy.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import N_PARAMS, FaultLabel, GasSample, param_vector
-from .gbt import GbtConfig, predict_many, train
+from .core import N_PARAMS, FaultLabel, GasSample, param_matrix
+from .gbt import GbtConfig
 from .itd import itd_single_stage
 from .ranking import validate_rank_order
 
@@ -41,13 +42,10 @@ class KSearchResult:
     seed: int
 
 
-def build_features(
-    samples: Sequence[GasSample],
-    rank_order: Sequence[int],
-    k: int,
-    alpha: float = 0.5,
-) -> FeatureMatrix:
-    """Rotation-component feature rows for `samples` at feature count `k`."""
+def ranked_prefix(
+    samples: Sequence[GasSample], rank_order: Sequence[int], k: int
+) -> np.ndarray:
+    """The (n, k) signals: each sample's parameters in rank order, first k."""
     if not samples:
         raise ValueError("empty sample list")
     order = validate_rank_order(rank_order)
@@ -56,20 +54,22 @@ def build_features(
     if not K_DEFAULT_MIN <= k <= K_DEFAULT_MAX:
         warnings.warn(
             f"k={k} outside the usual {K_DEFAULT_MIN}..{K_DEFAULT_MAX} range",
-            stacklevel=2,
+            stacklevel=3,
         )
-    prefix = order[:k]
-    rows = np.empty((len(samples), k), dtype=np.float64)
-    for i, sample in enumerate(samples):
-        pv = param_vector(sample)
-        signal = np.array([pv[num] for num in prefix], dtype=np.float64)
-        rows[i] = itd_single_stage(signal, alpha=alpha).prc
+    return param_matrix(samples)[:, np.array(order[:k]) - 1]
+
+
+def build_features(
+    samples: Sequence[GasSample], rank_order: Sequence[int], k: int
+) -> FeatureMatrix:
+    """Rotation-component feature rows for `samples` at feature count `k`."""
+    signals = ranked_prefix(samples, rank_order, k)
     return FeatureMatrix(
-        x=rows,
+        x=np.stack([itd_single_stage(row).prc for row in signals]),
         labels=[s.label for s in samples],
         ids=[s.id for s in samples],
         k=k,
-        rank_order=order,
+        rank_order=validate_rank_order(rank_order),
     )
 
 
@@ -88,24 +88,20 @@ def optimal_k_search(
     the curve isolates the effect of the feature count.  Ties for the best
     accuracy resolve to the smallest k.
     """
-    from .evaluation import train_test_split
+    from .evaluation import fit_and_score, train_test_split
 
     samples = list(samples)
     if any(s.label is None for s in samples):
         raise ValueError("feature-count search requires labeled samples")
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
-    order = validate_rank_order(rank_order)
 
-    train_samples, test_samples = train_test_split(samples, train_frac, split_seed)
+    train_idx, test_idx = train_test_split(range(len(samples)), train_frac, split_seed)
     curve: dict[int, float] = {}
     for k in range(k_min, k_max + 1):
-        fm_train = build_features(train_samples, order, k)
-        fm_test = build_features(test_samples, order, k)
-        model = train(fm_train.x, fm_train.labels, config=config, seed=split_seed)
-        predicted = predict_many(model, fm_test.x)
-        hits = sum(p == a for p, a in zip(predicted, fm_test.labels))
-        curve[k] = hits / len(test_samples)
+        fm = build_features(samples, rank_order, k)
+        cm = fit_and_score(fm, train_idx, test_idx, config, seed=split_seed)
+        curve[k] = cm.trace / cm.total
 
     best_k = min(curve, key=lambda k: (-curve[k], k))
     return KSearchResult(accuracy_curve=curve, best_k=best_k, seed=split_seed)

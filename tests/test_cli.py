@@ -153,6 +153,27 @@ class TestTrainDiagnoseEvaluate:
         assert code == 1
         assert "error" in err
 
+    def test_diagnose_rejects_data_with_gases(self, capsys, tmp_path, synth_csv):
+        model = str(tmp_path / "m.json")
+        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
+              "--model", model] + FAST)
+        code, out, err = run(capsys, ["diagnose", "--data", synth_csv, "--h2", "1",
+                                      "--model", model])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "not both" in err
+
+    @pytest.mark.parametrize("mode", [[], ["--holdout", "0.25"]])
+    def test_smote_requires_cv(self, capsys, tmp_path, synth_csv, mode):
+        model = str(tmp_path / "m.json")
+        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
+              "--model", model] + FAST)
+        code, out, err = run(capsys, ["evaluate", "--data", synth_csv, "--model", model,
+                                      "--smote"] + mode)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --smote requires --cv\n"
+
 
 class TestSearchK:
     def test_curve_and_best_k(self, capsys, tmp_path, synth_csv):
@@ -183,6 +204,23 @@ class TestDecompose:
             _, _, _, value, baseline, prc = line.split("\t")
             # repr round-trips, so the construction identity is exact
             assert float(value) - float(baseline) == float(prc)
+
+    @pytest.mark.parametrize("k", ["40", "-3", "1"])
+    def test_k_outside_2_to_37_rejected(self, capsys, tmp_path, table_csv, k):
+        out_path = tmp_path / "dec.tsv"
+        code, _, err = run(capsys, ["decompose", "--data", table_csv, "--k", k,
+                                    "--canonical", "--out", str(out_path)])
+        assert code == 1
+        assert err.startswith("error:") and "k must be in 2..37" in err
+        assert not out_path.exists()
+
+    def test_k_outside_usual_range_warns(self, capsys, tmp_path, table_csv):
+        out_path = str(tmp_path / "dec.tsv")
+        with pytest.warns(UserWarning, match="outside"):
+            code, _, _ = run(capsys, ["decompose", "--data", table_csv, "--k", "10",
+                                      "--canonical", "--out", out_path])
+        assert code == 0
+        assert len(open(out_path).read().strip().splitlines()) == 1 + 6 * 10
 
 
 class TestFeaturesCommand:

@@ -10,14 +10,10 @@ from .conventional import DuvalCoords, duval, duval_coords, iec_ratio, rogers
 from .core import (
     CLASS_ORDER,
     EPS_PPM,
-    Aggregates,
     DiagnosisOutcome,
     FaultLabel,
     GasSample,
-    ParamVector,
-    aggregates,
     param_matrix,
-    param_vector,
 )
 from .evaluation import (
     ConfusionMatrix,
@@ -54,7 +50,6 @@ from .ranking import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aggregates",
     "AnovaResult",
     "CANONICAL_RANK_ORDER",
     "CLASS_ORDER",
@@ -72,8 +67,6 @@ __all__ = [
     "ItdResult",
     "KSearchResult",
     "ModelBundle",
-    "ParamVector",
-    "aggregates",
     "anova_pvalue",
     "build_features",
     "canonical_rank_order",
@@ -91,7 +84,6 @@ __all__ = [
     "metrics",
     "optimal_k_search",
     "param_matrix",
-    "param_vector",
     "predict",
     "predict_many",
     "predict_proba",

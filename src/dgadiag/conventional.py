@@ -2,9 +2,9 @@
 
 Duval triangle zones over (%CH4, %C2H4, %C2H2), the Rogers four-ratio code
 table, and the IEC three-ratio code table.  All ratio denominators are
-clamped below at EPS_PPM, matching the parameter-vector convention, so the
-methods are total over valid samples (the Duval triangle alone requires a
-nonzero CH4 + C2H4 + C2H2 sum).
+clamped below at EPS_PPM, matching the parameter-matrix convention, so the
+methods are total over valid samples (the Duval triangle gives UD when CH4,
+C2H4 and C2H2 are all zero).
 
 Boundary conventions at zone edges are fixed by the inequality forms written
 in `_duval_zone` and the code functions; edge cases are exactly where these
@@ -59,7 +59,10 @@ def _duval_zone(pct_ch4: float, pct_c2h4: float, pct_c2h2: float) -> DiagnosisOu
 
 
 def duval(sample: GasSample) -> DiagnosisOutcome:
-    """Duval triangle diagnosis: one of the six faults or DT (mixed zone)."""
+    """Duval triangle diagnosis: one of the six faults, DT (mixed zone), or
+    UD when CH4 + C2H4 + C2H2 is zero and the triangle has no point."""
+    if sample.ch4 + sample.c2h4 + sample.c2h2 <= 0:
+        return DiagnosisOutcome.UD
     c = duval_coords(sample)
     return _duval_zone(c.pct_ch4, c.pct_c2h4, c.pct_c2h2)
 

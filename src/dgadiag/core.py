@@ -1,16 +1,15 @@
-"""Domain types for dissolved-gas samples and the 37-entry ratio parameter vector.
+"""Domain types for dissolved-gas samples and the 37 ratio parameters.
 
 Five dissolved gases are tracked per transformer oil sample: hydrogen (H2),
 methane (CH4), ethane (C2H6), ethylene (C2H4) and acetylene (C2H2), all in ppm.
 From them a fixed family of 37 parameters is derived: simple ratios, the raw
 concentrations, four aggregate sums, and ratios against those aggregates.
 Parameter numbering is 1-based throughout (persisted files record numbers
-1..37); see `param_vector` for the full listing.
+1..37); see `param_matrix` for the full listing.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,6 +18,9 @@ import numpy as np
 # Floor applied to every ratio denominator, in ppm.  Field datasets commonly
 # record "not detected" as 0.001 ppm; clamping keeps all 37 parameters finite.
 EPS_PPM = 1e-3
+# Ceiling on every gas concentration, in ppm: a million ppm is the whole
+# volume.  With EPS_PPM it bounds every single ratio by 1e9.
+MAX_PPM = 1e6
 
 
 class FaultLabel(Enum):
@@ -46,10 +48,10 @@ N_PARAMS = 37
 class DiagnosisOutcome(Enum):
     """Outcome alphabet of the rule-based ratio methods.
 
-    Extends the six fault classes with NF ("no fault") and UD ("undefined",
-    no matching ratio code), reachable only from the Rogers and IEC methods,
-    and DT (mixed discharge/thermal zone), reachable only from the Duval
-    triangle.
+    Extends the six fault classes with NF ("no fault", Rogers and IEC
+    only), UD ("undefined": no matching ratio code from Rogers or IEC, or a
+    zero CH4 + C2H4 + C2H2 sum in the Duval triangle) and DT (mixed
+    discharge/thermal zone, Duval only).
     """
 
     PD = "PD"
@@ -77,9 +79,9 @@ class GasSample:
 
     def __post_init__(self) -> None:
         for name, value in zip(GAS_NAMES, self.gases()):
-            if not math.isfinite(value) or value < 0:
+            if not 0 <= value <= MAX_PPM:
                 raise ValueError(
-                    f"gas {name} must be finite and >= 0, got {value!r}"
+                    f"gas {name} must be in 0..{MAX_PPM:g} ppm, got {value!r}"
                     + (f" (sample {self.id})" if self.id else "")
                 )
 
@@ -90,114 +92,44 @@ class GasSample:
 GAS_NAMES = ("h2", "ch4", "c2h6", "c2h4", "c2h2")
 
 
-@dataclass(frozen=True)
-class Aggregates:
-    """The four aggregate gas sums used as ratio denominators.
+def param_matrix(samples: list[GasSample]) -> np.ndarray:
+    """The (n, 37) matrix of derived parameters, one row per sample.
 
-    th  = H2 + CH4 + C2H6 + C2H4 + C2H2  (total)
-    thd = CH4 + C2H4 + C2H2
-    thh = H2 + C2H4 + C2H2
-    tch = CH4 + C2H6 + C2H4 + C2H2       (total hydrocarbons)
-    """
-
-    th: float
-    thd: float
-    thh: float
-    tch: float
-
-
-def aggregates(sample: GasSample) -> Aggregates:
-    """Compute the four aggregate sums for one sample."""
-    h2, ch4, c2h6, c2h4, c2h2 = sample.gases()
-    return Aggregates(
-        th=h2 + ch4 + c2h6 + c2h4 + c2h2,
-        thd=ch4 + c2h4 + c2h2,
-        thh=h2 + c2h4 + c2h2,
-        tch=ch4 + c2h6 + c2h4 + c2h2,
-    )
-
-
-@dataclass(frozen=True)
-class ParamVector:
-    """The 37 derived parameters of one sample, indexable by 1-based number."""
-
-    values: np.ndarray  # shape (37,); position i-1 holds parameter number i
-
-    def __getitem__(self, number: int) -> float:
-        if not 1 <= number <= N_PARAMS:
-            raise IndexError(f"parameter number must be in 1..{N_PARAMS}, got {number}")
-        return float(self.values[number - 1])
-
-    def __len__(self) -> int:
-        return N_PARAMS
-
-
-def param_vector(sample: GasSample) -> ParamVector:
-    """Compute the 37-entry parameter vector for one sample.
-
-    Numbering (1-based):
+    Column i-1 holds parameter number i (1-based):
       1-5   each gas / TH, in order H2, CH4, C2H6, C2H4, C2H2
       6-9   C2H2 / {H2, CH4, C2H6, C2H4}
       10-12 C2H4 / {H2, CH4, C2H6}
       13    (C2H4/H2) + (C2H4/CH4), i.e. parameter 10 + parameter 11
       14-18 the raw gases, same gas order as 1-5
-      19-22 TH, THD, THH, TCH
+      19-22 the aggregate sums:
+              TH  = H2 + CH4 + C2H6 + C2H4 + C2H2  (total)
+              THD = CH4 + C2H4 + C2H2
+              THH = H2 + C2H4 + C2H2
+              TCH = CH4 + C2H6 + C2H4 + C2H2       (total hydrocarbons)
       23-27 each gas / THD
       28-32 each gas / THH
       33-37 each gas / TCH
 
-    Every denominator is clamped below at EPS_PPM before dividing, so all
-    entries are finite even for all-zero samples.
+    Sums run left to right as written.  Every denominator is clamped below
+    at EPS_PPM before dividing, so all entries are finite even for all-zero
+    samples; with gases at most MAX_PPM no ratio exceeds 1e9 (twice
+    that for parameter 13).
     """
-    h2, ch4, c2h6, c2h4, c2h2 = sample.gases()
-    agg = aggregates(sample)
-
-    def over(num: float, den: float) -> float:
-        return num / max(den, EPS_PPM)
-
-    v = np.empty(N_PARAMS, dtype=np.float64)
-    v[0] = over(h2, agg.th)
-    v[1] = over(ch4, agg.th)
-    v[2] = over(c2h6, agg.th)
-    v[3] = over(c2h4, agg.th)
-    v[4] = over(c2h2, agg.th)
-    v[5] = over(c2h2, h2)
-    v[6] = over(c2h2, ch4)
-    v[7] = over(c2h2, c2h6)
-    v[8] = over(c2h2, c2h4)
-    v[9] = over(c2h4, h2)
-    v[10] = over(c2h4, ch4)
-    v[11] = over(c2h4, c2h6)
-    v[12] = v[9] + v[10]
-    v[13] = h2
-    v[14] = ch4
-    v[15] = c2h6
-    v[16] = c2h4
-    v[17] = c2h2
-    v[18] = agg.th
-    v[19] = agg.thd
-    v[20] = agg.thh
-    v[21] = agg.tch
-    v[22] = over(h2, agg.thd)
-    v[23] = over(ch4, agg.thd)
-    v[24] = over(c2h6, agg.thd)
-    v[25] = over(c2h4, agg.thd)
-    v[26] = over(c2h2, agg.thd)
-    v[27] = over(h2, agg.thh)
-    v[28] = over(ch4, agg.thh)
-    v[29] = over(c2h6, agg.thh)
-    v[30] = over(c2h4, agg.thh)
-    v[31] = over(c2h2, agg.thh)
-    v[32] = over(h2, agg.tch)
-    v[33] = over(ch4, agg.tch)
-    v[34] = over(c2h6, agg.tch)
-    v[35] = over(c2h4, agg.tch)
-    v[36] = over(c2h2, agg.tch)
-    return ParamVector(values=v)
-
-
-def param_matrix(samples: list[GasSample]) -> np.ndarray:
-    """Stack the parameter vectors of many samples into an (n, 37) array."""
     if not samples:
         raise ValueError("empty sample list")
-    return np.stack([param_vector(s).values for s in samples])
+    g = np.array([s.gases() for s in samples], dtype=np.float64)
+    h2, ch4, c2h6, c2h4, c2h2 = g.T
+    m = np.empty((len(samples), N_PARAMS))
+    m[:, 18] = h2 + ch4 + c2h6 + c2h4 + c2h2
+    m[:, 19] = ch4 + c2h4 + c2h2
+    m[:, 20] = h2 + c2h4 + c2h2
+    m[:, 21] = ch4 + c2h6 + c2h4 + c2h2
+    # over[:, j, i]: gas i over aggregate j (TH, THD, THH, TCH)
+    over = g[:, None, :] / np.maximum(m[:, 18:22, None], EPS_PPM)
+    m[:, 0:5] = over[:, 0]
+    m[:, 22:37] = over[:, 1:].reshape(-1, 15)
+    m[:, 5:9] = c2h2[:, None] / np.maximum(g[:, 0:4], EPS_PPM)
+    m[:, 9:12] = c2h4[:, None] / np.maximum(g[:, 0:3], EPS_PPM)
+    m[:, 12] = m[:, 9] + m[:, 10]
+    m[:, 13:18] = g
+    return m

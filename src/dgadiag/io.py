@@ -4,8 +4,9 @@ CSV schema (UTF-8, comma separator, dot decimal, header required):
 
     id,h2,ch4,c2h6,c2h4,c2h2,label
 
-Gas fields are non-negative decimals; label is one of PD/D1/D2/T1/T2/T3 or
-empty for unlabeled rows; a blank id is replaced by the file line number.
+Gas fields are decimals in 0..MAX_PPM (1e6 ppm); label is one of
+PD/D1/D2/T1/T2/T3 or empty for unlabeled rows; a blank id is replaced by the
+file line number.  Every malformed file raises ValueError naming the path.
 Model files are versioned JSON documents carrying the boosting config, class
 order, the rank order and feature count the model was trained against, and
 the full tree ensemble.  Format version 2 stores each tree as one dict of
@@ -19,11 +20,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass
 from importlib import resources
+from io import StringIO
 from typing import Sequence
 
 import numpy as np
@@ -74,50 +75,59 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _csv_rows(path):
+    """The records of a UTF-8 CSV file; a decoding or CSV syntax error
+    becomes a ValueError naming the path and line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def load_dataset(path) -> list[GasSample]:
     """Read gas samples from a CSV file; raises ValueError naming the first
     bad line."""
     samples: list[GasSample] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected header {CSV_HEADER}")
-        if [h.strip().lower() for h in header] != CSV_HEADER:
-            raise ValueError(f"{path}: bad header {header!r}, expected {CSV_HEADER}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
+    rows = _csv_rows(path)
+    try:
+        header = next(rows)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file, expected header {CSV_HEADER}")
+    if [h.strip().lower() for h in header] != CSV_HEADER:
+        raise ValueError(f"{path}: bad header {header!r}, expected {CSV_HEADER}")
+    for line_no, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(
+                f"{path}:{line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}"
+            )
+        sample_id = row[0].strip() or str(line_no)
+        gases = []
+        for name, text in zip(GAS_NAMES, row[1:6]):
+            try:
+                gases.append(float(text))
+            except ValueError:
                 raise ValueError(
-                    f"{path}:{line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}"
-                )
-            sample_id = row[0].strip() or str(line_no)
-            gases = []
-            for name, text in zip(GAS_NAMES, row[1:6]):
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{line_no}: gas {name} is not a number: {text!r}"
-                    ) from None
-                if not math.isfinite(value) or value < 0:
-                    raise ValueError(
-                        f"{path}:{line_no}: gas {name} must be finite and >= 0, got {text}"
-                    )
-                gases.append(value)
-            label_text = row[6].strip()
-            if label_text:
-                try:
-                    label = FaultLabel(label_text)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{line_no}: unknown label {label_text!r}"
-                    ) from None
-            else:
-                label = None
+                    f"{path}:{line_no}: gas {name} is not a number: {text!r}"
+                ) from None
+        label_text = row[6].strip()
+        try:
+            label = FaultLabel(label_text) if label_text else None
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: unknown label {label_text!r}") from None
+        try:
             samples.append(GasSample(*gases, label=label, id=sample_id))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
     return samples
 
 

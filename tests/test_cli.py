@@ -70,6 +70,27 @@ class TestConventional:
         code, out, _ = run(capsys, ["conventional", "--data", table_csv, "--method", "duval"])
         assert out.splitlines()[0] == "id\tactual\tduval"
 
+    def test_zero_triangle_row_does_not_abort_the_batch(self, capsys, tmp_path, synth_csv):
+        data = tmp_path / "zero.csv"
+        data.write_text(
+            "id,h2,ch4,c2h6,c2h4,c2h2,label\n"
+            "a,292,346,32,313,196,D2\n"
+            "z,100,0,50,0,0,\n"
+        )
+        code, out, err = run(capsys, ["conventional", "--data", str(data)])
+        assert (code, err) == (0, "")
+        rows = [line.split("\t") for line in out.strip().splitlines()]
+        assert rows[1:] == [["a", "D2", "D2", "UD", "UD"], ["z", "", "UD", "UD", "PD"]]
+
+        model = str(tmp_path / "m.json")
+        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
+              "--model", model] + FAST)
+        code, out, err = run(capsys, ["diagnose", "--data", str(data), "--model", model,
+                                      "--compare"])
+        assert (code, err) == (0, "")
+        header, _, zero = out.strip().splitlines()
+        assert dict(zip(header.split("\t"), zero.split("\t")))["duval"] == "UD"
+
 
 class TestSynth:
     def test_byte_reproducible(self, tmp_path, capsys):
@@ -254,6 +275,25 @@ class TestExitCodes:
         code, _, err = run(capsys, ["rank", "--data", "/nonexistent/file.csv"])
         assert code == 2
         assert "i/o error" in err
+
+    def test_gas_above_ceiling(self, capsys, tmp_path, synth_csv):
+        model = str(tmp_path / "m.json")
+        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
+              "--model", model] + FAST)
+        code, out, err = run(capsys, [
+            "diagnose", "--h2", "1e308", "--ch4", "1e308", "--c2h6", "1",
+            "--c2h4", "1", "--c2h2", "1", "--model", model,
+        ])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "h2" in err
+
+    def test_overlong_csv_field(self, capsys, tmp_path):
+        bad = tmp_path / "long.csv"
+        bad.write_text("id,h2,ch4,c2h6,c2h4,c2h2,label\n" + "x" * 200_000 + ",1,1,1,1,1,\n")
+        code, _, err = run(capsys, ["conventional", "--data", str(bad)])
+        assert code == 1
+        assert err.startswith("error: ") and "long.csv:2" in err
+        assert "Traceback" not in err
 
     def test_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -38,8 +38,11 @@ def test_duval_coords_sum_to_100():
 
 
 def test_duval_zero_triangle_sum():
+    # no point in the triangle: the diagnosis is undefined, the coordinates
+    # do not exist
+    assert duval(GasSample(100, 0, 50, 0, 0)) == DiagnosisOutcome.UD
     with pytest.raises(ValueError, match="duval undefined"):
-        duval(GasSample(100, 0, 50, 0, 0))
+        duval_coords(GasSample(100, 0, 50, 0, 0))
 
 
 def test_duval_zone_total_over_triangle():

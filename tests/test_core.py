@@ -2,72 +2,99 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgadiag.core import (
     EPS_PPM,
+    MAX_PPM,
     FaultLabel,
     GasSample,
-    aggregates,
     param_matrix,
-    param_vector,
 )
 
 ROW1 = GasSample(292, 346, 32, 313, 196)
 
 
+def _oracle_params(sample: GasSample) -> np.ndarray:
+    """The 37 parameters of one sample, one scalar Python operation at a
+    time, in the numbering of `param_matrix`."""
+    h2, ch4, c2h6, c2h4, c2h2 = sample.gases()
+    th = h2 + ch4 + c2h6 + c2h4 + c2h2
+    thd = ch4 + c2h4 + c2h2
+    thh = h2 + c2h4 + c2h2
+    tch = ch4 + c2h6 + c2h4 + c2h2
+
+    def over(num: float, den: float) -> float:
+        return num / max(den, EPS_PPM)
+
+    v = [over(g, th) for g in (h2, ch4, c2h6, c2h4, c2h2)]
+    v += [over(c2h2, den) for den in (h2, ch4, c2h6, c2h4)]
+    v += [over(c2h4, den) for den in (h2, ch4, c2h6)]
+    v += [v[9] + v[10]]
+    v += [h2, ch4, c2h6, c2h4, c2h2, th, thd, thh, tch]
+    for agg in (thd, thh, tch):
+        v += [over(g, agg) for g in (h2, ch4, c2h6, c2h4, c2h2)]
+    return np.array(v, dtype=np.float64)
+
+
+def params(sample: GasSample) -> np.ndarray:
+    """Row of `param_matrix` for one sample; parameter n is at index n - 1."""
+    return param_matrix([sample])[0]
+
+
 def test_aggregates_row1():
-    agg = aggregates(ROW1)
+    th, thd, thh, tch = params(ROW1)[18:22]
     # direct summation oracle
-    assert agg.th == 292 + 346 + 32 + 313 + 196 == 1179
-    assert agg.thd == 346 + 313 + 196 == 855
-    assert agg.thh == 292 + 313 + 196 == 801
-    assert agg.tch == 346 + 32 + 313 + 196 == 887
+    assert th == 292 + 346 + 32 + 313 + 196 == 1179
+    assert thd == 346 + 313 + 196 == 855
+    assert thh == 292 + 313 + 196 == 801
+    assert tch == 346 + 32 + 313 + 196 == 887
 
 
 def test_aggregates_zero_and_unit():
-    zero = aggregates(GasSample(0, 0, 0, 0, 0))
-    assert (zero.th, zero.thd, zero.thh, zero.tch) == (0, 0, 0, 0)
-    unit = aggregates(GasSample(1, 1, 1, 1, 1))
-    assert (unit.th, unit.thd, unit.thh, unit.tch) == (5, 3, 3, 4)
+    assert params(GasSample(0, 0, 0, 0, 0))[18:22].tolist() == [0, 0, 0, 0]
+    assert params(GasSample(1, 1, 1, 1, 1))[18:22].tolist() == [5, 3, 3, 4]
 
 
 def test_param_vector_row1():
-    pv = param_vector(ROW1)
-    assert pv[28] == pytest.approx(292 / 801, rel=1e-12)
-    assert pv[24] == pytest.approx(346 / 855, rel=1e-12)
+    pv = params(ROW1)
+    assert pv[28 - 1] == pytest.approx(292 / 801, rel=1e-12)
+    assert pv[24 - 1] == pytest.approx(346 / 855, rel=1e-12)
     # exact arithmetic gives 1.976542...; quoted hand value 1.97649 is a
     # rounding slip, covered by the tolerance
-    assert pv[13] == pytest.approx(313 / 292 + 313 / 346, rel=1e-12)
-    assert pv[13] == pytest.approx(1.9765, abs=1e-3)
+    assert pv[13 - 1] == pytest.approx(313 / 292 + 313 / 346, rel=1e-12)
+    assert pv[13 - 1] == pytest.approx(1.9765, abs=1e-3)
 
 
 def test_param_vector_equal_gases():
-    pv = param_vector(GasSample(1, 1, 1, 1, 1))
+    pv = params(GasSample(1, 1, 1, 1, 1))
     for number in range(1, 6):
-        assert pv[number] == pytest.approx(0.2)
+        assert pv[number - 1] == pytest.approx(0.2)
     for number in range(6, 13):
-        assert pv[number] == 1.0
-    assert pv[13] == 2.0
+        assert pv[number - 1] == 1.0
+    assert pv[13 - 1] == 2.0
 
 
 def test_param_vector_all_zero():
-    pv = param_vector(GasSample(0, 0, 0, 0, 0))
-    assert np.all(pv.values == 0.0)
+    assert np.all(params(GasSample(0, 0, 0, 0, 0)) == 0.0)
 
 
 def test_param_vector_raw_and_aggregate_entries():
-    pv = param_vector(ROW1)
-    assert [pv[n] for n in range(14, 19)] == [292, 346, 32, 313, 196]
-    agg = aggregates(ROW1)
-    assert [pv[n] for n in range(19, 23)] == [agg.th, agg.thd, agg.thh, agg.tch]
+    pv = params(ROW1)
+    assert pv[13:18].tolist() == [292, 346, 32, 313, 196]
+    assert pv[18:22].tolist() == [
+        292 + 346 + 32 + 313 + 196,
+        346 + 313 + 196,
+        292 + 313 + 196,
+        346 + 32 + 313 + 196,
+    ]
 
 
 def test_param_13_is_sum_of_10_and_11_exactly():
     for gases in [(292, 346, 32, 313, 196), (0.3, 7, 1, 2.5, 9), (0, 0, 0, 0, 0)]:
-        pv = param_vector(GasSample(*gases))
-        assert pv[13] == pv[10] + pv[11]
+        pv = params(GasSample(*gases))
+        assert pv[13 - 1] == pv[10 - 1] + pv[11 - 1]
 
 
 gas_values = st.floats(min_value=0.01, max_value=1e5)
@@ -78,8 +105,9 @@ gas_values = st.floats(min_value=0.01, max_value=1e5)
     st.floats(min_value=0.1, max_value=1e3),
 )
 def test_scale_equivariance(gases, c):
-    base = param_vector(GasSample(*gases)).values
-    scaled = param_vector(GasSample(*(g * c for g in gases))).values
+    c = min(c, 0.999 * MAX_PPM / max(gases))  # scaled gases stay below the ceiling
+    base = params(GasSample(*gases))
+    scaled = params(GasSample(*(g * c for g in gases)))
     ratio_idx = [n - 1 for n in list(range(1, 14)) + list(range(23, 38))]
     raw_idx = [n - 1 for n in range(14, 23)]
     assert np.allclose(scaled[ratio_idx], base[ratio_idx], rtol=1e-12, atol=0)
@@ -95,13 +123,13 @@ def test_gas_sample_validation():
         GasSample(0, 0, 0, 0, math.inf)
 
 
-def test_param_vector_indexing_bounds():
-    pv = param_vector(ROW1)
-    assert len(pv) == 37
-    with pytest.raises(IndexError):
-        pv[0]
-    with pytest.raises(IndexError):
-        pv[38]
+def test_gas_ceiling():
+    # a million ppm is the whole volume; one ulp more is rejected
+    assert params(GasSample(MAX_PPM, 0, 0, 0, 0))[0] == 1.0
+    with pytest.raises(ValueError, match="c2h4"):
+        GasSample(0, 0, 0, np.nextafter(MAX_PPM, math.inf), 0)
+    with pytest.raises(ValueError, match="h2"):
+        GasSample(1e308, 1e308, 1, 1, 1)
 
 
 def test_param_matrix_shape_and_empty():
@@ -114,10 +142,46 @@ def test_param_matrix_shape_and_empty():
 
 def test_denominator_clamp():
     # zero denominators divide by EPS_PPM instead of failing
-    pv = param_vector(GasSample(0, 0, 0, 0, 5))
-    assert pv[6] == 5 / EPS_PPM
-    assert math.isfinite(pv[6])
+    pv = params(GasSample(0, 0, 0, 0, 5))
+    assert pv[6 - 1] == 5 / EPS_PPM
+    assert math.isfinite(pv[6 - 1])
 
 
 def test_fault_label_canonical_order():
     assert [lbl.value for lbl in FaultLabel] == ["PD", "D1", "D2", "T1", "T2", "T3"]
+
+
+EDGE_PPM = [
+    0.0,
+    EPS_PPM,
+    float(np.nextafter(EPS_PPM, 0)),
+    float(np.nextafter(EPS_PPM, 1)),
+    5e-4,
+    1e-300,
+    5e-324,
+    1.0,
+    MAX_PPM,
+    float(np.nextafter(MAX_PPM, 0)),
+]
+edge_gas = st.one_of(
+    st.sampled_from(EDGE_PPM), st.floats(min_value=0.0, max_value=MAX_PPM)
+)
+edge_samples = st.lists(
+    st.tuples(edge_gas, edge_gas, edge_gas, edge_gas, edge_gas).map(
+        lambda g: GasSample(*g)
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_samples)
+def test_param_matrix_matches_scalar_oracle(samples):
+    got = param_matrix(samples)
+    expected = np.stack([_oracle_params(s) for s in samples])
+    assert got.shape == (len(samples), 37)
+    assert got.tobytes() == expected.tobytes()
+    ratios = np.delete(got, np.s_[12:22], axis=1)
+    assert np.all(ratios <= MAX_PPM / EPS_PPM)
+    assert np.all(got[:, 12] <= 2 * MAX_PPM / EPS_PPM)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dgadiag.core import FaultLabel, GasSample, param_vector
+from dgadiag.core import FaultLabel, GasSample, param_matrix
 from dgadiag.features import FeatureMatrix, build_features, optimal_k_search
 from dgadiag.gbt import GbtConfig
 from dgadiag.itd import itd_single_stage
@@ -20,8 +20,8 @@ def test_canonical_k24_prefix_drives_the_rows():
     assert order[:24] == CANONICAL_FIRST_24
     fm = build_features([ROW1], order, 24)
     # oracle: compose the stages by hand for this sample
-    pv = param_vector(ROW1)
-    signal = np.array([pv[num] for num in CANONICAL_FIRST_24])
+    pv = param_matrix([ROW1])[0]
+    signal = np.array([pv[num - 1] for num in CANONICAL_FIRST_24])
     expected = itd_single_stage(signal).prc
     assert np.array_equal(fm.x[0], expected)
 
@@ -32,8 +32,8 @@ def test_constant_prefix_gives_zero_row():
     sample = GasSample(1, 1, 1, 1, 1, id="c")
     order = canonical_rank_order()
     fm = build_features([sample], order, 24)
-    pv = param_vector(sample)
-    signal = np.array([pv[n] for n in order[:24]])
+    pv = param_matrix([sample])[0]
+    signal = np.array([pv[n - 1] for n in order[:24]])
     if np.all(signal == signal[0]):
         assert np.all(fm.x[0] == 0.0)
     # regardless, a genuinely constant signal must map to a zero row
@@ -46,8 +46,8 @@ def test_constant_prefix_gives_zero_row():
 def test_row1_k18():
     order = canonical_rank_order()
     fm = build_features([ROW1], order, 18)
-    pv = param_vector(ROW1)
-    signal = np.array([pv[num] for num in order[:18]])
+    pv = param_matrix([ROW1])[0]
+    signal = np.array([pv[num - 1] for num in order[:18]])
     assert np.array_equal(fm.x[0], itd_single_stage(signal).prc)
     assert fm.k == 18
     assert fm.labels == [FaultLabel.D2]

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dgadiag.conventional import duval
 from dgadiag.core import CLASS_ORDER, GasSample
@@ -77,6 +79,70 @@ class TestLoadDataset:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_dataset(tmp_path / "nope.csv")
+
+    def test_gas_above_ceiling_names_line(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("id,h2,ch4,c2h6,c2h4,c2h2,label\na,2e6,1,1,1,1,PD\n")
+        with pytest.raises(ValueError, match=r"big\.csv:2: gas h2"):
+            load_dataset(path)
+
+    def test_overlong_field_names_line(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(
+            "id,h2,ch4,c2h6,c2h4,c2h2,label\na,1,1,1,1,1,\n" + "x" * 200_000 + ",1,1,1,1,1,\n"
+        )
+        with pytest.raises(ValueError, match=r"long\.csv:3: field larger"):
+            load_dataset(path)
+
+    def test_non_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"id,h2,ch4,c2h6,c2h4,c2h2,label\na,1,1,1,1,1,\nb\xff,1,1,1,1,1,\n")
+        with pytest.raises(ValueError, match=r"latin1\.csv:3: not UTF-8"):
+            load_dataset(path)
+
+
+VALID_CSV = (
+    b"id,h2,ch4,c2h6,c2h4,c2h2,label\n"
+    b"a,292,346,32,313,196,D2\n"
+    b",34,8.6,70.3,3.1,0.001,\n"
+    b'"q,1",1e-3,0,5e5,1000000,0,T1\n'
+)
+csv_bytes = st.sampled_from(list(b'\x00",\n\r\xffe.-9') + [0x80, 0xC3])
+csv_edit = st.tuples(
+    st.sampled_from(["insert", "delete", "replace"]),
+    st.integers(min_value=0, max_value=len(VALID_CSV)),
+    st.one_of(
+        st.lists(csv_bytes, min_size=1, max_size=4).map(bytes),
+        # long runs reach past the csv module's 131,072-character field limit
+        st.tuples(csv_bytes, st.sampled_from([100, 131_072, 131_073, 140_000])).map(
+            lambda run: bytes([run[0]]) * run[1]
+        ),
+        st.binary(min_size=1, max_size=4),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(csv_edit, min_size=1, max_size=4))
+def test_mutated_csv_loads_or_raises_value_error(tmp_path, edits):
+    data = VALID_CSV
+    for kind, at, chunk in edits:
+        at = min(at, len(data))
+        if kind == "insert":
+            data = data[:at] + chunk + data[at:]
+        elif kind == "delete":
+            data = data[:at] + data[at + len(chunk) :]
+        else:
+            data = data[:at] + chunk + data[at + len(chunk) :]
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(data)
+    try:
+        samples = load_dataset(path)
+    except ValueError as exc:
+        assert str(exc).startswith(str(path))
+    else:
+        assert isinstance(samples, list)
+        assert all(isinstance(s, GasSample) for s in samples)
 
 
 class TestWriteDataset:

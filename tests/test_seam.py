@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgadiag.cli import main
-from dgadiag.core import FaultLabel, GasSample, param_vector
+from dgadiag.core import FaultLabel, GasSample, param_matrix
 from dgadiag.evaluation import confusion, fit_and_score, kfold_cv, train_test_split
 from dgadiag.features import build_features, optimal_k_search, ranked_prefix
 from dgadiag.gbt import GbtConfig, predict_many, train
@@ -98,9 +98,9 @@ class TestRankedPrefix:
         sample = GasSample(292, 346, 32, 313, 196, id="r1")
         order = canonical_rank_order()
         signals = ranked_prefix([sample], order, 24)
-        pv = param_vector(sample)
+        pv = param_matrix([sample])[0]
         assert signals.shape == (1, 24)
-        assert signals[0].tolist() == [pv[num] for num in order[:24]]
+        assert signals[0].tolist() == [pv[num - 1] for num in order[:24]]
 
 
 gas = st.floats(min_value=0.0, max_value=1e5, allow_nan=False)
@@ -130,7 +130,7 @@ def test_rows_do_not_depend_on_the_other_samples(samples, order, k, pick):
     assert part.tobytes() == whole[sub].tobytes()
     for s, row, whole_row in zip(samples, single, whole):
         assert row.tobytes() == whole_row.tobytes()
-        # reference: one parameter vector per sample, read number by number
-        pv = param_vector(s)
-        signal = np.array([pv[num] for num in order[:k]])
+        # reference: the parameters of this sample alone, read number by number
+        pv = param_matrix([s])[0]
+        signal = np.array([pv[num - 1] for num in order[:k]])
         assert whole_row.tobytes() == itd_single_stage(signal).prc.tobytes()

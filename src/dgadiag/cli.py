@@ -24,7 +24,7 @@ from .io import (
     save_model,
     write_dataset,
 )
-from .itd import itd_single_stage
+from .itd import itd_rows
 from .ranking import canonical_rank_order, rank_params, skewness
 
 
@@ -244,10 +244,10 @@ def cmd_decompose(args) -> int:
     samples = load_dataset(args.data)
     order = _rank_order_for(args, samples)
     signals = ranked_prefix(samples, order, args.k)
+    _, baselines, prcs = itd_rows(signals)
     lines = ["id\tposition\tparam\tvalue\tbaseline\tprc"]
-    for s, signal in zip(samples, signals):
-        res = itd_single_stage(signal)
-        columns = zip(order, signal, res.baseline, res.prc)
+    for s, signal, baseline_row, prc_row in zip(samples, signals, baselines, prcs):
+        columns = zip(order, signal, baseline_row, prc_row)
         for pos, (num, value, baseline, prc) in enumerate(columns, start=1):
             lines.append(
                 f"{s.id}\t{pos}\t{num}\t{float(value)!r}"

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import N_PARAMS, FaultLabel, GasSample, param_matrix
 from .gbt import GbtConfig
-from .itd import itd_single_stage
+from .itd import itd_rows
 from .ranking import validate_rank_order
 
 K_DEFAULT_MIN = 18
@@ -63,9 +63,9 @@ def build_features(
     samples: Sequence[GasSample], rank_order: Sequence[int], k: int
 ) -> FeatureMatrix:
     """Rotation-component feature rows for `samples` at feature count `k`."""
-    signals = ranked_prefix(samples, rank_order, k)
+    _, _, prc = itd_rows(ranked_prefix(samples, rank_order, k))
     return FeatureMatrix(
-        x=np.stack([itd_single_stage(row).prc for row in signals]),
+        x=prc,
         labels=[s.label for s in samples],
         ids=[s.id for s in samples],
         k=k,

@@ -15,6 +15,11 @@ threshold, so training is fully deterministic.  The seed argument is
 recorded for provenance but unused: with no row/column subsampling there is
 nothing stochastic to drive.
 
+`train` sorts each feature column once per call (a stable sort, so equal
+values keep row order).  Split search at a node filters that presort down
+to the node's rows instead of sorting them again, so ties between equal
+values still resolve by row index.
+
 Each tree is a `Tree` of five preorder node arrays (feature, threshold,
 left, right, value).  The same arrays are what training builds, what
 prediction walks, and what `dgadiag.io` writes to the model file.
@@ -104,13 +109,20 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _build_tree(
-    x: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: GbtConfig
+    x: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: GbtConfig, presort: np.ndarray
 ) -> tuple[Tree, np.ndarray]:
-    """Grow one tree; also return the leaf value each row of `x` lands in."""
+    """Grow one tree; also return the leaf value each row of `x` lands in.
+
+    `presort[j]` lists the row ids in ascending order of feature j, ties by
+    row id: `np.argsort(x.T, axis=1, kind="stable")`.
+    """
     eta = cfg.learning_rate
     lam = cfg.reg_lambda
+    n, n_feat = x.shape
+    cols = np.arange(n_feat)
+    in_node = np.zeros(n, dtype=bool)
     nodes: list[tuple] = []  # (feature, threshold, left, right, value) in preorder
-    row_value = np.empty(x.shape[0], dtype=np.float64)
+    row_value = np.empty(n, dtype=np.float64)
 
     def grow(idx: np.ndarray, depth: int) -> int:
         node = len(nodes)
@@ -126,11 +138,18 @@ def _build_tree(
         ):
             return node
 
-        xs_node = x[idx]
-        order = np.argsort(xs_node, axis=0, kind="stable")
-        xs = np.take_along_axis(xs_node, order, axis=0)
-        gs = g[idx][order]
-        hs = h[idx][order]
+        # Node rows in ascending value order per feature, ties by row id:
+        # `idx` is ascending, so filtering the stable presort gives what a
+        # stable argsort of x[idx] would.
+        if idx.size == n:
+            rows = presort.T
+        else:
+            in_node[idx] = True
+            rows = presort[in_node[presort]].reshape(n_feat, idx.size).T
+            in_node[idx] = False
+        xs = x[rows, cols]
+        gs = g[rows]
+        hs = h[rows]
         gl = np.cumsum(gs, axis=0)[:-1]
         hl = np.cumsum(hs, axis=0)[:-1]
         gr = g_sum - gl
@@ -165,7 +184,7 @@ def _build_tree(
         nodes[node] = (feat, float(threshold), left, right, 0.0)
         return node
 
-    grow(np.arange(x.shape[0], dtype=np.intp), 0)
+    grow(np.arange(n, dtype=np.intp), 0)
     return Tree(*map(np.array, zip(*nodes))), row_value
 
 
@@ -207,6 +226,7 @@ def train(
         raise ValueError("degenerate labels: need at least two classes")
 
     n, _ = x.shape
+    presort = np.argsort(x.T, axis=1, kind="stable")
     n_classes = config.n_classes
     onehot = np.zeros((n, n_classes), dtype=np.float64)
     onehot[np.arange(n), y_idx] = 1.0
@@ -219,7 +239,7 @@ def train(
         hess = p * (1.0 - p)
         round_trees: list[Tree] = []
         for c in range(n_classes):
-            tree, row_value = _build_tree(x, grad[:, c], hess[:, c], config)
+            tree, row_value = _build_tree(x, grad[:, c], hess[:, c], config, presort)
             logits[:, c] += row_value
             round_trees.append(tree)
         rounds.append(round_trees)

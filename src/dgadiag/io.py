@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -189,12 +190,15 @@ class ModelBundle:
     k: int
 
 
-def _trees_from_json(doc_trees: list, cfg: GbtConfig, n_features: int) -> list[list[Tree]]:
+def _trees_from_json(
+    doc_trees: list, cfg: GbtConfig, n_features: int, base_score: float
+) -> list[list[Tree]]:
     """The [round][class] trees of a model document.
 
-    Raises ValueError on a tree count that does not match the config and on
-    any tree the prediction walk could index out of range or loop on.  All
-    trees are checked at once on their concatenated node arrays.
+    Raises ValueError on a tree count that does not match the config, on
+    any tree the prediction walk could index out of range or loop on, and
+    on leaf values that could add up to a non-finite logit.  All trees are
+    checked at once on their concatenated node arrays.
     """
     if len(doc_trees) != cfg.rounds or any(len(r) != cfg.n_classes for r in doc_trees):
         raise ValueError(f"expected {cfg.rounds} rounds of {cfg.n_classes} trees")
@@ -220,6 +224,11 @@ def _trees_from_json(doc_trees: list, cfg: GbtConfig, n_features: int) -> list[l
 
     ends = np.cumsum(sizes)
     starts = ends - sizes
+    # a logit is base_score plus one leaf per tree of its class, so this
+    # bounds every logit
+    reach = abs(base_score) + sum(np.maximum.reduceat(np.abs(value), starts).tolist())
+    if not math.isfinite(reach):
+        raise ValueError("base_score and leaf values can add up to a non-finite logit")
     internal = feature != -1
     node = (np.arange(ends[-1]) - np.repeat(starts, sizes))[internal]
     size = np.repeat(sizes, sizes)[internal]
@@ -270,11 +279,14 @@ def load_model(path) -> ModelBundle:
     """Parse and check a model file fully before constructing anything;
     corrupt, version-mismatched or structurally invalid files raise
     ValueError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: corrupt model file: {exc}") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: corrupt model file: {exc}") from None
     try:
         version = doc["format_version"]
         if version != MODEL_FORMAT_VERSION:
@@ -290,12 +302,15 @@ def load_model(path) -> ModelBundle:
         k = int(doc["k"])
         if n_features != k:
             raise ValueError(f"n_features {n_features} differs from k {k}")
+        base_score = float(doc["base_score"])
+        if not math.isfinite(base_score):
+            raise ValueError(f"non-finite base_score {base_score!r}")
         model = GbtModel(
-            trees=_trees_from_json(doc["trees"], cfg, n_features),
+            trees=_trees_from_json(doc["trees"], cfg, n_features, base_score),
             config=cfg,
             n_features=n_features,
             class_order=class_order,
-            base_score=float(doc["base_score"]),
+            base_score=base_score,
             seed=int(doc["seed"]),
         )
         from .ranking import validate_rank_order
@@ -305,7 +320,7 @@ def load_model(path) -> ModelBundle:
             rank_order=validate_rank_order(doc["rank_order"]),
             k=k,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -31,13 +31,17 @@ def skewness(values: Sequence[float]) -> float:
     """Population Fisher-Pearson moment skewness g1 = m3 / m2^(3/2).
 
     Central moments use the 1/n normalization.  Constant input (m2 == 0)
-    returns 0 by convention.  Requires at least two values.
+    returns 0 by convention, and so do two values, which lie symmetric about
+    their mean (computed, m3 would be roundoff).  Requires at least two
+    values.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
         raise ValueError("insufficient data")
     if not np.all(np.isfinite(x)):
         raise ValueError("skewness requires finite values")
+    if x.size == 2:
+        return 0.0
     d = x - x.mean()
     scale = float(np.max(np.abs(d)))
     if scale == 0.0:

@@ -45,6 +45,18 @@ class TestRank:
         assert lines[0] == "position\tparam\tskewness"
         assert len(lines) == 38
 
+    def test_two_samples_rank_in_parameter_order(self, capsys, tmp_path):
+        two = tmp_path / "two.csv"
+        two.write_text(
+            "id,h2,ch4,c2h6,c2h4,c2h2,label\n"
+            "a,292,346,32,313,196,D2\n"
+            "b,34,8.6,70.3,3.1,0.001,T1\n"
+        )
+        code, out, _ = run(capsys, ["rank", "--data", str(two)])
+        assert code == 0
+        rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
+        assert rows == [[str(pos), str(pos), "0.0"] for pos in range(1, 38)]
+
     def test_requires_data_without_canonical(self, capsys):
         with pytest.raises(SystemExit):
             main(["rank"])
@@ -301,3 +313,32 @@ class TestExitCodes:
         code, _, err = run(capsys, ["rank", "--data", str(bad)])
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_base_score(self, capsys, tmp_path, synth_csv, bad):
+        path = tmp_path / "model.json"
+        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
+              "--model", str(path)] + FAST)
+        doc = json.loads(path.read_text())
+        doc["base_score"] = bad
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [
+            "diagnose", "--h2", "100", "--ch4", "10", "--c2h6", "5",
+            "--c2h4", "1", "--c2h2", "0.5", "--model", str(path),
+        ])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: ") and "base_score" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_model(self, capsys, tmp_path, synth_csv):
+        path = tmp_path / "model.json"
+        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
+              "--model", str(path)] + FAST)
+        path.write_bytes(path.read_bytes().replace(b'"PD"', b'"P\xffD"'))
+        code, out, err = run(capsys, [
+            "diagnose", "--h2", "100", "--ch4", "10", "--c2h6", "5",
+            "--c2h4", "1", "--c2h2", "0.5", "--model", str(path),
+        ])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: not UTF-8")
+        assert "Traceback" not in err

@@ -239,7 +239,7 @@ def test_root_split_matches_brute_force(seed):
     h = rng.uniform(0.05, 1.0, size=25)
     cfg = GbtConfig(rounds=1, max_depth=1, min_child_weight=0.3)
 
-    tree, row_value = _build_tree(x, g, h, cfg)
+    tree, row_value = _build_tree(x, g, h, cfg, _presort(x))
     oracle = _brute_force_best_split(
         x, g, h, cfg.reg_lambda, cfg.gamma, cfg.min_child_weight
     )
@@ -259,6 +259,129 @@ def test_root_split_matches_brute_force(seed):
         -eta * g[~mask].sum() / (h[~mask].sum() + lam), rel=1e-12
     )
     assert np.array_equal(row_value, np.where(mask, tree.value[left], tree.value[right]))
+
+
+def _presort(x):
+    return np.argsort(x.T, axis=1, kind="stable")
+
+
+def _oracle_build_tree(x, g, h, cfg):
+    """Reference: `_build_tree` with a stable argsort of the node's rows at
+    every node; returns the five node arrays and the per-row leaf values."""
+    eta = cfg.learning_rate
+    lam = cfg.reg_lambda
+    nodes = []
+    row_value = np.empty(x.shape[0], dtype=np.float64)
+
+    def grow(idx, depth):
+        node = len(nodes)
+        g_sum = float(g[idx].sum())
+        h_sum = float(h[idx].sum())
+        weight = -eta * g_sum / (h_sum + lam)
+        nodes.append((-1, 0.0, -1, -1, weight))
+        row_value[idx] = weight
+        if depth >= cfg.max_depth or idx.size < 2 or h_sum < 2.0 * cfg.min_child_weight:
+            return node
+        xs_node = x[idx]
+        order = np.argsort(xs_node, axis=0, kind="stable")
+        xs = np.take_along_axis(xs_node, order, axis=0)
+        gs = g[idx][order]
+        hs = h[idx][order]
+        gl = np.cumsum(gs, axis=0)[:-1]
+        hl = np.cumsum(hs, axis=0)[:-1]
+        gr = g_sum - gl
+        hr = h_sum - hl
+        gain = (
+            0.5
+            * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - g_sum * g_sum / (h_sum + lam))
+            - cfg.gamma
+        )
+        valid = (
+            (xs[1:] > xs[:-1])
+            & (hl >= cfg.min_child_weight)
+            & (hr >= cfg.min_child_weight)
+        )
+        gain = np.where(valid, gain, -np.inf)
+        gain_fm = np.ascontiguousarray(gain.T)
+        flat_best = int(np.argmax(gain_fm))
+        feat, pos = divmod(flat_best, gain.shape[0])
+        if not gain_fm.flat[flat_best] > 0.0:
+            return node
+        lo, hi = xs[pos, feat], xs[pos + 1, feat]
+        threshold = 0.5 * lo + 0.5 * hi
+        if threshold <= lo:
+            threshold = hi
+        mask = x[idx, feat] < threshold
+        left = grow(idx[mask], depth + 1)
+        right = grow(idx[~mask], depth + 1)
+        nodes[node] = (feat, float(threshold), left, right, 0.0)
+        return node
+
+    grow(np.arange(x.shape[0], dtype=np.intp), 0)
+    return [np.array(column) for column in zip(*nodes)], row_value
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    d=st.integers(1, 6),
+    max_depth=st.integers(1, 6),
+    min_child_weight=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    levels=st.sampled_from([None, 1, 2, 3, 5]),
+)
+def test_presorted_split_search_matches_per_node_argsort(
+    seed, n, d, max_depth, min_child_weight, levels
+):
+    rng = np.random.default_rng(seed)
+    if levels is None:
+        x = rng.normal(size=(n, d))
+    else:  # tie-heavy integer grid, with -0.0 beside 0.0
+        x = rng.integers(0, levels, size=(n, d)).astype(np.float64)
+        x[rng.random(size=(n, d)) < 0.2] = -0.0
+    g = rng.normal(size=n)
+    h = rng.uniform(0.01, 1.0, size=n)
+    if levels is not None:  # repeated gradients tie gains across thresholds
+        g = np.round(g)
+    cfg = GbtConfig(max_depth=max_depth, min_child_weight=min_child_weight)
+    tree, row_value = _build_tree(x, g, h, cfg, _presort(x))
+    oracle_arrays, oracle_value = _oracle_build_tree(x, g, h, cfg)
+    for got, want in zip(tree, oracle_arrays):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert row_value.tobytes() == oracle_value.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 80),
+    d=st.integers(1, 5),
+    rounds=st.integers(1, 4),
+    max_depth=st.integers(1, 5),
+    levels=st.sampled_from([None, 2, 3]),
+)
+def test_train_matches_per_node_argsort(seed, n, d, rounds, max_depth, levels):
+    rng = np.random.default_rng(seed)
+    if levels is None:
+        x = rng.normal(size=(n, d))
+    else:
+        x = rng.integers(0, levels, size=(n, d)).astype(np.float64)
+    y = rng.integers(0, 3, size=n)
+    y[:2] = [0, 1]
+    cfg = GbtConfig(rounds=rounds, max_depth=max_depth, min_child_weight=0.0)
+    model = train(x, y, cfg, seed=seed)
+    # the training loop of `train`, growing each tree with the oracle
+    onehot = np.zeros((n, cfg.n_classes))
+    onehot[np.arange(n), y] = 1.0
+    logits = np.full((n, cfg.n_classes), 0.5)
+    for round_trees in model.trees:
+        p = _softmax(logits)
+        grad, hess = p - onehot, p * (1.0 - p)
+        for c, tree in enumerate(round_trees):
+            arrays, row_value = _oracle_build_tree(x, grad[:, c], hess[:, c], cfg)
+            assert [a.tobytes() for a in tree] == [a.tobytes() for a in arrays]
+            logits[:, c] += row_value
 
 
 def _oracle_logits(model, x, upto_round=None):

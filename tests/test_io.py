@@ -1,4 +1,8 @@
+import copy
+import functools
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 from dgadiag.conventional import duval
 from dgadiag.core import CLASS_ORDER, GasSample
 from dgadiag.features import build_features
-from dgadiag.gbt import GbtConfig, predict_proba_many, train
+from dgadiag.gbt import GbtConfig, predict_logits, predict_proba_many, train
 from dgadiag.io import (
     DEFAULT_SYNTH_COUNTS,
     MODEL_FORMAT_VERSION,
@@ -248,6 +252,20 @@ def _short_class_order(doc):
     doc["class_order"].pop()
 
 
+def _nan_base_score(doc):
+    doc["base_score"] = float("nan")
+
+
+def _infinite_base_score(doc):
+    doc["base_score"] = float("inf")
+
+
+def _overflowing_leaves(doc):
+    # each leaf is finite, but a row reaching both sums to an infinite logit
+    for tree in doc["trees"][0][0], doc["trees"][1][0]:
+        tree["value"][-1] = 1e308
+
+
 def _mutated_model(tmp_path, mutate):
     """Save the toy model, apply `mutate` to its JSON document, and write
     the result to model.json."""
@@ -324,8 +342,73 @@ class TestModelPersistence:
         _unequal_lengths,
         _k_mismatch,
         _short_class_order,
+        _nan_base_score,
+        _infinite_base_score,
+        _overflowing_leaves,
     ])
     def test_invalid_structure_rejected(self, tmp_path, mutate):
         path = _mutated_model(tmp_path, mutate)
         with pytest.raises(ValueError, match="model.json"):
             load_model(path)
+
+    def test_non_utf8_names_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, _toy_bundle())
+        path.write_bytes(b"\xff" + path.read_bytes())
+        with pytest.raises(ValueError, match=r"model\.json: not UTF-8"):
+            load_model(path)
+
+    def test_deep_nesting_is_corrupt(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ValueError, match=r"model\.json: corrupt"):
+            load_model(path)
+
+
+@functools.cache
+def _toy_model_text() -> str:
+    """The saved toy model, trained once per session."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "toy.json")
+        save_model(path, _toy_bundle())
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+JSON_VALUES = [
+    None, True, False, 0, 1, -1, 2, 5, 20, 37, 2**63, 10**30, 0.5, -0.0,
+    1e-300, 1e308, -1e308, float("nan"), float("inf"), float("-inf"),
+    "", "PD", "2", [], [1], [[1]], {}, {"feature": [-1]},
+]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_model_loads_or_raises_value_error(tmp_path, data):
+    doc = json.loads(_toy_model_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        # walk down from the top, so that every level is mutated often
+        parent, key = doc, data.draw(st.sampled_from(list(doc)))
+        while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(st.booleans()):
+            parent = parent[key]
+            keys = list(parent) if isinstance(parent, dict) else range(len(parent))
+            key = data.draw(st.sampled_from(keys))
+        kind = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if kind == "replace":
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(JSON_VALUES)))
+        elif kind == "delete":
+            del parent[key]
+        elif isinstance(parent, list):  # one element more
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:  # the value again under an unknown key
+            parent[key + "_"] = copy.deepcopy(parent[key])
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    try:
+        bundle = load_model(path)
+    except ValueError as exc:
+        assert str(exc).startswith(str(path))
+        return
+    rows = np.random.default_rng(0).normal(scale=4.0, size=(8, bundle.model.n_features))
+    assert np.all(np.isfinite(predict_logits(bundle.model, rows)))
+    assert np.all(np.isfinite(predict_proba_many(bundle.model, rows)))

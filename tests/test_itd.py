@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dgadiag.itd import find_extrema, itd_single_stage
+from dgadiag.core import EPS_PPM, MAX_PPM
+from dgadiag.itd import find_extrema, itd_rows, itd_single_stage
 
 signals = hnp.arrays(
     np.float64,
@@ -113,3 +116,145 @@ class TestSingleStageProperties:
         scale = max(1.0, float(np.max(np.abs(x))), abs(b))
         assert np.allclose(shifted.baseline, base.baseline + b, rtol=0, atol=1e-12 * scale)
         assert np.allclose(shifted.prc, base.prc, rtol=0, atol=1e-12 * scale)
+
+
+def _oracle_find_extrema(x):
+    """Reference: the knot rule as a loop over runs of equal values."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.size
+    run_starts = [0]
+    for i in range(1, n):
+        if x[i] != x[run_starts[-1]]:
+            run_starts.append(i)
+    knots = [1]
+    for r in range(1, len(run_starts) - 1):
+        prev_v = x[run_starts[r - 1]]
+        cur_v = x[run_starts[r]]
+        next_v = x[run_starts[r + 1]]
+        if (cur_v > prev_v) != (next_v > cur_v):
+            idx = run_starts[r] + 1
+            if 1 < idx < n:
+                knots.append(idx)
+    if knots[-1] != n:
+        knots.append(n)
+    return knots
+
+
+def _oracle_itd(x, alpha=0.5):
+    """Reference: one ITD stage as loops over knots and segments; returns
+    (knots, baseline, prc)."""
+    x = np.asarray(x, dtype=np.float64)
+    knots = _oracle_find_extrema(x)
+    if len(knots) < 3:
+        baseline = x.copy()
+        return knots, baseline, x - baseline
+    tau = np.asarray(knots, dtype=np.intp) - 1
+    xk = x[tau]
+    m = tau.size
+    lk = np.empty(m, dtype=np.float64)
+    lk[0] = xk[0]
+    lk[-1] = xk[-1]
+    for k in range(1, m - 1):
+        frac = (tau[k] - tau[k - 1]) / (tau[k + 1] - tau[k - 1])
+        lk[k] = alpha * (xk[k - 1] + frac * (xk[k + 1] - xk[k - 1])) + (1.0 - alpha) * xk[k]
+    baseline = np.empty_like(x)
+    baseline[tau] = lk
+    for k in range(m - 1):
+        lo, hi = tau[k], tau[k + 1]
+        if hi - lo < 2:
+            continue
+        seg = slice(lo + 1, hi)
+        if xk[k + 1] != xk[k]:
+            slope = (lk[k + 1] - lk[k]) / (xk[k + 1] - xk[k])
+            baseline[seg] = lk[k] + slope * (x[seg] - xk[k])
+        else:
+            t = np.arange(lo + 1, hi, dtype=np.float64)
+            baseline[seg] = lk[k] + (lk[k + 1] - lk[k]) * (t - lo) / (hi - lo)
+    return knots, baseline, x - baseline
+
+
+# values the ranked parameter prefix takes: exact zeros, the ratio floor,
+# ratios up to MAX_PPM / EPS_PPM = 1e9, and neighbours one ulp apart
+_EDGE_VALUES = [
+    0.0, -0.0, 5e-324, 1e-300, EPS_PPM, 0.5, 1.0, 2.0, 3.0, MAX_PPM,
+    MAX_PPM / EPS_PPM, np.nextafter(MAX_PPM / EPS_PPM, 0.0), np.nextafter(1.0, 2.0),
+]
+
+
+@st.composite
+def _signal_rows(draw):
+    """An (n, k) matrix mixing random, tie-heavy, constant and monotone rows."""
+    k = draw(st.integers(2, 37))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["normal", "grid", "edge", "constant", "monotone", "ratios"]))
+        if kind == "normal":
+            row = rng.normal(size=k)
+        elif kind == "grid":  # plateaus of every length
+            row = rng.integers(0, draw(st.integers(1, 4)), size=k).astype(np.float64)
+        elif kind == "edge":
+            row = rng.choice(np.array(_EDGE_VALUES), size=k)
+        elif kind == "constant":
+            row = np.full(k, rng.choice(np.array(_EDGE_VALUES)))
+        elif kind == "monotone":
+            row = np.sort(rng.integers(0, 5, size=k).astype(np.float64))
+            if rng.random() < 0.5:
+                row = row[::-1].copy()
+        else:  # log-uniform magnitudes between 1e-12 and 1e9
+            row = np.exp(rng.uniform(np.log(1e-12), np.log(MAX_PPM / EPS_PPM), size=k))
+        rows.append(row)
+    return np.array(rows)
+
+
+def _with_fp_warnings(fn, *args):
+    """fn(*args) and the kinds of floating-point warning it raised
+    ("overflow", "invalid value", ...)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        out = fn(*args)
+    return out, {str(w.message).split(" encountered")[0] for w in caught}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signal_rows(), st.sampled_from([0.5, 0.25, 0.9]))
+def test_batched_itd_matches_per_row_loops(x, alpha):
+    # a slope between knot values ~1e-300 apart overflows on both paths
+    (knot, baseline, prc), kinds = _with_fp_warnings(itd_rows, x, alpha)
+    want_kinds = set()
+    for i, row in enumerate(x):
+        (knots, want_baseline, want_prc), row_kinds = _with_fp_warnings(
+            _oracle_itd, row, alpha
+        )
+        want_kinds |= row_kinds
+        assert (np.flatnonzero(knot[i]) + 1).tolist() == knots
+        assert baseline[i].tobytes() == want_baseline.tobytes()
+        assert prc[i].tobytes() == want_prc.tobytes()
+        assert find_extrema(row) == knots
+        res, one_row_kinds = _with_fp_warnings(itd_single_stage, row, alpha)
+        assert one_row_kinds == row_kinds
+        assert res.extrema == knots
+        assert res.baseline.tobytes() == want_baseline.tobytes()
+        assert res.prc.tobytes() == want_prc.tobytes()
+    assert kinds == want_kinds
+
+
+def test_batched_itd_across_row_blocks():
+    rng = np.random.default_rng(3)
+    x = rng.integers(0, 3, size=(700, 24)).astype(np.float64)
+    x[::7] = rng.normal(size=(100, 24))
+    _, baseline, prc = itd_rows(x)
+    for i, row in enumerate(x):
+        _, want_baseline, want_prc = _oracle_itd(row)
+        assert baseline[i].tobytes() == want_baseline.tobytes()
+        assert prc[i].tobytes() == want_prc.tobytes()
+
+
+def test_batched_itd_checks():
+    with pytest.raises(ValueError, match="2 points"):
+        itd_rows(np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="finite"):
+        itd_rows(np.array([[1.0, 2.0, 1.0], [1.0, np.inf, 0.0]]))
+    with pytest.raises(ValueError, match="alpha"):
+        itd_rows(np.zeros((2, 3)), alpha=0.0)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dgadiag.core import GasSample
+from dgadiag.io import generate_synthetic
 from dgadiag.ranking import (
     CANONICAL_RANK_ORDER,
     anova_pvalue,
@@ -29,6 +30,11 @@ class TestSkewness:
         expected = (1 - 2 * p) / math.sqrt(p * (1 - p))
         assert skewness([0, 0, 0, 1]) == pytest.approx(expected, abs=1e-12)
         assert skewness([0, 0, 0, 1]) == pytest.approx(1.1547, abs=1e-4)
+
+    def test_two_values_are_not_skewed(self):
+        # computed from moments, these read about 1e-15 by roundoff
+        assert skewness([0.1, 0.7]) == 0.0
+        assert skewness([3.3e-3, 1e9]) == 0.0
 
     def test_insufficient_data(self):
         with pytest.raises(ValueError, match="insufficient data"):
@@ -56,6 +62,10 @@ class TestSkewness:
 class TestRankParams:
     def test_identical_samples_tie_break(self):
         samples = [GasSample(1, 2, 3, 4, 5)] * 4
+        assert rank_params(samples) == tuple(range(1, 38))
+
+    def test_two_samples_keep_parameter_order(self):
+        samples = generate_synthetic(11)[:2]
         assert rank_params(samples) == tuple(range(1, 38))
 
     def test_empty_dataset(self):

@@ -87,7 +87,7 @@ def main(argv=None) -> int:
         print(f"  fold {i}: accuracy={rep.accuracy:.4f} kappa={rep.kappa:.4f}")
     print(
         f"pooled: accuracy={cv.pooled.accuracy:.4f} "
-        f"kappa={cv.kappa:.4f} macro_f1={cv.macro_f1:.4f}"
+        f"kappa={cv.pooled.kappa:.4f} macro_f1={cv.pooled.macro_f1:.4f}"
     )
     print(f"total time: {time.time() - t0:.1f}s")
     return 0

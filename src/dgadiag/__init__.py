@@ -27,7 +27,7 @@ from .evaluation import (
     train_test_split,
 )
 from .features import FeatureMatrix, KSearchResult, build_features, optimal_k_search
-from .gbt import GbtConfig, GbtModel, predict, predict_many, predict_proba, train
+from .gbt import GbtConfig, GbtModel, predict_many, predict_proba_many, train
 from .io import (
     ModelBundle,
     generate_synthetic,
@@ -37,7 +37,7 @@ from .io import (
     save_model,
     write_dataset,
 )
-from .itd import ItdResult, find_extrema, itd_single_stage
+from .itd import itd_rows
 from .ranking import (
     CANONICAL_RANK_ORDER,
     AnovaResult,
@@ -64,7 +64,6 @@ __all__ = [
     "GasSample",
     "GbtConfig",
     "GbtModel",
-    "ItdResult",
     "KSearchResult",
     "ModelBundle",
     "anova_pvalue",
@@ -73,10 +72,9 @@ __all__ = [
     "confusion",
     "duval",
     "duval_coords",
-    "find_extrema",
     "generate_synthetic",
     "iec_ratio",
-    "itd_single_stage",
+    "itd_rows",
     "kfold_cv",
     "load_dataset",
     "load_model",
@@ -84,9 +82,8 @@ __all__ = [
     "metrics",
     "optimal_k_search",
     "param_matrix",
-    "predict",
     "predict_many",
-    "predict_proba",
+    "predict_proba_many",
     "rank_params",
     "rogers",
     "save_model",

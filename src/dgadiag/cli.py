@@ -17,7 +17,7 @@ from .gbt import GbtConfig, predict_many, train
 from .io import (
     DEFAULT_SYNTH_COUNTS,
     ModelBundle,
-    _atomic_write_text,
+    atomic_write_text,
     generate_synthetic,
     load_dataset,
     load_model,
@@ -30,7 +30,7 @@ from .ranking import canonical_rank_order, rank_params, skewness
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        _atomic_write_text(out_path, text)
+        atomic_write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -182,7 +182,7 @@ def cmd_evaluate(args) -> int:
         }
     elif args.holdout is not None:
         fm = build_features(samples, bundle.rank_order, bundle.k)
-        split = train_test_split(range(len(samples)), 1.0 - args.holdout, args.seed)
+        split = train_test_split(len(samples), 1.0 - args.holdout, args.seed)
         report = metrics(fit_and_score(fm, *split, bundle.model.config, args.seed))
         lines = _report_lines(
             report, f"holdout report (test fraction {args.holdout}):"
@@ -195,7 +195,7 @@ def cmd_evaluate(args) -> int:
         doc = {"mode": "apply", "report": _report_json(report)}
     sys.stdout.write("\n".join(lines) + "\n")
     if args.json:
-        _atomic_write_text(args.json, json.dumps(doc, indent=1) + "\n")
+        atomic_write_text(args.json, json.dumps(doc, indent=1) + "\n")
     return 0
 
 

@@ -101,27 +101,20 @@ def metrics(matrix: ConfusionMatrix) -> EvalReport:
     )
 
 
-def _split_sizes(n: int, train_frac: float) -> tuple[int, int]:
-    n_train = int(np.floor(n * train_frac + 0.5))  # round half up
-    return n_train, n - n_train
-
-
 def train_test_split(
-    dataset: Sequence, train_frac: float = 0.85, seed: int = 0
-) -> tuple[list, list]:
-    """Seeded uniform shuffle split; train size is round(n * train_frac)."""
+    n: int, train_frac: float = 0.85, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded uniform shuffle of the indices 0..n-1 into train and test
+    index arrays; the train size is round(n * train_frac), half up."""
     if not 0.0 < train_frac < 1.0:
         raise ValueError("train_frac must be in (0, 1)")
-    n = len(dataset)
     if n < 2:
         raise ValueError("need at least 2 items to split")
-    n_train, n_test = _split_sizes(n, train_frac)
-    if n_train == 0 or n_test == 0:
-        raise ValueError(f"degenerate split sizes ({n_train}, {n_test}) for n={n}")
+    n_train = int(np.floor(n * train_frac + 0.5))
+    if n_train == 0 or n_train == n:
+        raise ValueError(f"degenerate split sizes ({n_train}, {n - n_train}) for n={n}")
     perm = np.random.default_rng(seed).permutation(n)
-    train_part = [dataset[i] for i in perm[:n_train]]
-    test_part = [dataset[i] for i in perm[n_train:]]
-    return train_part, test_part
+    return perm[:n_train], perm[n_train:]
 
 
 def smote(
@@ -206,14 +199,6 @@ def stratified_folds(
 class CvResult:
     fold_reports: list[EvalReport]
     pooled: EvalReport  # metrics of the summed out-of-fold confusion matrix
-
-    @property
-    def kappa(self) -> float:
-        return self.pooled.kappa
-
-    @property
-    def macro_f1(self) -> float:
-        return self.pooled.macro_f1
 
 
 def fit_and_score(

@@ -31,15 +31,12 @@ class FeatureMatrix:
     x: np.ndarray  # (n, k) rotation-component coefficients
     labels: list[FaultLabel | None]
     ids: list[str]
-    k: int
-    rank_order: tuple[int, ...]  # full 37-permutation the rows were built from
 
 
 @dataclass(frozen=True)
 class KSearchResult:
     accuracy_curve: dict[int, float]
     best_k: int
-    seed: int
 
 
 def ranked_prefix(
@@ -68,8 +65,6 @@ def build_features(
         x=prc,
         labels=[s.label for s in samples],
         ids=[s.id for s in samples],
-        k=k,
-        rank_order=validate_rank_order(rank_order),
     )
 
 
@@ -96,7 +91,7 @@ def optimal_k_search(
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
 
-    train_idx, test_idx = train_test_split(range(len(samples)), train_frac, split_seed)
+    train_idx, test_idx = train_test_split(len(samples), train_frac, split_seed)
     curve: dict[int, float] = {}
     for k in range(k_min, k_max + 1):
         fm = build_features(samples, rank_order, k)
@@ -104,4 +99,4 @@ def optimal_k_search(
         curve[k] = cm.trace / cm.total
 
     best_k = min(curve, key=lambda k: (-curve[k], k))
-    return KSearchResult(accuracy_curve=curve, best_k=best_k, seed=split_seed)
+    return KSearchResult(accuracy_curve=curve, best_k=best_k)

@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CLASS_ORDER, FaultLabel
+from .core import CLASS_ORDER, N_CLASSES, FaultLabel
 
 BASE_SCORE = 0.5  # initial logit for every class
 
@@ -48,7 +48,6 @@ class GbtConfig:
     reg_lambda: float = 1.0
     gamma: float = 0.0
     min_child_weight: float = 1.0
-    n_classes: int = len(CLASS_ORDER)
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
@@ -59,8 +58,6 @@ class GbtConfig:
             raise ValueError("max_depth must be >= 1")
         if self.reg_lambda < 0 or self.gamma < 0 or self.min_child_weight < 0:
             raise ValueError("regularizers must be >= 0")
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
 
 
 class Tree(NamedTuple):
@@ -81,22 +78,21 @@ class Tree(NamedTuple):
 
 @dataclass
 class GbtModel:
-    trees: list[list[Tree]]  # [round][class]
+    trees: list[list[Tree]]  # [round][class], classes in CLASS_ORDER
     config: GbtConfig
     n_features: int
-    class_order: tuple[FaultLabel, ...] = CLASS_ORDER
     base_score: float = BASE_SCORE
     seed: int = 0
 
 
-def _as_class_indices(y: Sequence, n_classes: int) -> np.ndarray:
+def _as_class_indices(y: Sequence) -> np.ndarray:
     if len(y) == 0:
         raise ValueError("empty label sequence")
     if isinstance(y[0], FaultLabel):
         idx = np.array([CLASS_ORDER.index(lbl) for lbl in y], dtype=np.intp)
     else:
         idx = np.asarray(y, dtype=np.intp)
-    if idx.min() < 0 or idx.max() >= n_classes:
+    if idx.min() < 0 or idx.max() >= N_CLASSES:
         raise ValueError("class index out of range")
     return idx
 
@@ -219,7 +215,7 @@ def train(
         raise ValueError("feature matrix must be 2-D and non-empty")
     if not np.all(np.isfinite(x)):
         raise ValueError("feature values must be finite")
-    y_idx = _as_class_indices(y, config.n_classes)
+    y_idx = _as_class_indices(y)
     if len(y_idx) != x.shape[0]:
         raise ValueError("feature/label length mismatch")
     if np.unique(y_idx).size < 2:
@@ -227,18 +223,17 @@ def train(
 
     n, _ = x.shape
     presort = np.argsort(x.T, axis=1, kind="stable")
-    n_classes = config.n_classes
-    onehot = np.zeros((n, n_classes), dtype=np.float64)
+    onehot = np.zeros((n, N_CLASSES), dtype=np.float64)
     onehot[np.arange(n), y_idx] = 1.0
 
-    logits = np.full((n, n_classes), BASE_SCORE, dtype=np.float64)
+    logits = np.full((n, N_CLASSES), BASE_SCORE, dtype=np.float64)
     rounds: list[list[Tree]] = []
     for _ in range(config.rounds):
         p = _softmax(logits)
         grad = p - onehot
         hess = p * (1.0 - p)
         round_trees: list[Tree] = []
-        for c in range(n_classes):
+        for c in range(N_CLASSES):
             tree, row_value = _build_tree(x, grad[:, c], hess[:, c], config, presort)
             logits[:, c] += row_value
             round_trees.append(tree)
@@ -268,8 +263,7 @@ def predict_logits(
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("feature values must be finite")
-    n_classes = model.config.n_classes
-    logits = np.full((x.shape[0], n_classes), model.base_score, dtype=np.float64)
+    logits = np.full((x.shape[0], N_CLASSES), model.base_score, dtype=np.float64)
     rows = np.arange(x.shape[0])
     rounds = model.trees if upto_round is None else model.trees[:upto_round]
     for round_trees in rounds:
@@ -283,28 +277,8 @@ def predict_proba_many(model: GbtModel, x: np.ndarray) -> np.ndarray:
     return _softmax(predict_logits(model, x))
 
 
-def predict_proba(model: GbtModel, row: Sequence[float]) -> np.ndarray:
-    """Probability vector over the six classes for a single feature row."""
-    row = np.asarray(row, dtype=np.float64)
-    if row.ndim != 1:
-        raise ValueError("expected a single 1-D feature row")
-    return predict_proba_many(model, row[None, :])[0]
-
-
 def predict_many(model: GbtModel, x: np.ndarray) -> list[FaultLabel]:
+    """Argmax class of each row; ties resolve to the earliest class in
+    CLASS_ORDER."""
     probs = predict_proba_many(model, x)
-    return [model.class_order[int(i)] for i in np.argmax(probs, axis=1)]
-
-
-def predict(model: GbtModel, row: Sequence[float]) -> FaultLabel:
-    """Argmax class for one row; ties resolve to the earliest class in order."""
-    probs = predict_proba(model, row)
-    return model.class_order[int(np.argmax(probs))]
-
-
-def multiclass_log_loss(model: GbtModel, x: np.ndarray, y: Sequence) -> float:
-    """Mean negative log-likelihood of the true classes under the model."""
-    y_idx = _as_class_indices(y, model.config.n_classes)
-    probs = predict_proba_many(model, np.asarray(x, dtype=np.float64))
-    picked = probs[np.arange(len(y_idx)), y_idx]
-    return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    return [CLASS_ORDER[int(i)] for i in np.argmax(probs, axis=1)]

@@ -9,7 +9,8 @@ PD/D1/D2/T1/T2/T3 or empty for unlabeled rows; a blank id is replaced by the
 file line number.  Every malformed file raises ValueError naming the path.
 Model files are versioned JSON documents carrying the boosting config, class
 order, the rank order and feature count the model was trained against, and
-the full tree ensemble.  Format version 2 stores each tree as one dict of
+the full tree ensemble; the class order and `config.n_classes` must be
+CLASS_ORDER and its length.  Format version 2 stores each tree as one dict of
 the five `Tree` node arrays (feature, threshold, left, right, value) as
 lists; `load_model` rejects any structure the prediction walk could index
 out of range or loop on.  All writes go through a temp file + rename so
@@ -30,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CLASS_ORDER, GAS_NAMES, FaultLabel, GasSample
+from .core import CLASS_ORDER, GAS_NAMES, N_CLASSES, FaultLabel, GasSample
 from .gbt import GbtConfig, GbtModel, Tree
 
 CSV_HEADER = ["id", "h2", "ch4", "c2h6", "c2h4", "c2h2", "label"]
@@ -63,7 +64,8 @@ SYNTH_GAS_RANGES: dict[FaultLabel, dict[str, tuple[float, float]]] = {
 DEFAULT_SYNTH_COUNTS: tuple[int, ...] = (42, 67, 113, 80, 21, 53)
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def atomic_write_text(path: str, text: str) -> None:
+    """Write `text` to a temp file beside `path`, then rename it over `path`."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
@@ -139,16 +141,12 @@ def write_dataset(path, samples: Sequence[GasSample]) -> None:
         label = s.label.value if s.label is not None else ""
         gases = ",".join(repr(float(g)) for g in s.gases())
         lines.append(f"{s.id},{gases},{label}")
-    _atomic_write_text(str(path), "\n".join(lines) + "\n")
-
-
-def table_iv_path():
-    """Path to the bundled six-transformer reference CSV."""
-    return resources.files("dgadiag.data") / "tableIV.csv"
+    atomic_write_text(str(path), "\n".join(lines) + "\n")
 
 
 def load_table_iv() -> list[GasSample]:
-    with resources.as_file(table_iv_path()) as path:
+    """The bundled six-transformer reference samples."""
+    with resources.as_file(resources.files("dgadiag.data") / "tableIV.csv") as path:
         return load_dataset(path)
 
 
@@ -200,8 +198,8 @@ def _trees_from_json(
     on leaf values that could add up to a non-finite logit.  All trees are
     checked at once on their concatenated node arrays.
     """
-    if len(doc_trees) != cfg.rounds or any(len(r) != cfg.n_classes for r in doc_trees):
-        raise ValueError(f"expected {cfg.rounds} rounds of {cfg.n_classes} trees")
+    if len(doc_trees) != cfg.rounds or any(len(r) != N_CLASSES for r in doc_trees):
+        raise ValueError(f"expected {cfg.rounds} rounds of {N_CLASSES} trees")
     flat = [obj for round_trees in doc_trees for obj in round_trees]
     sizes = [len(obj["feature"]) for obj in flat]
     if 0 in sizes:
@@ -242,7 +240,7 @@ def _trees_from_json(
         Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b])
         for a, b in zip(starts.tolist(), ends.tolist())
     ]
-    return [trees[r : r + cfg.n_classes] for r in range(0, len(trees), cfg.n_classes)]
+    return [trees[r : r + N_CLASSES] for r in range(0, len(trees), N_CLASSES)]
 
 
 def save_model(path, bundle: ModelBundle) -> None:
@@ -256,9 +254,9 @@ def save_model(path, bundle: ModelBundle) -> None:
             "reg_lambda": cfg.reg_lambda,
             "gamma": cfg.gamma,
             "min_child_weight": cfg.min_child_weight,
-            "n_classes": cfg.n_classes,
+            "n_classes": N_CLASSES,
         },
-        "class_order": [label.value for label in bundle.model.class_order],
+        "class_order": [label.value for label in CLASS_ORDER],
         "rank_order": list(bundle.rank_order),
         "k": bundle.k,
         "seed": bundle.model.seed,
@@ -272,7 +270,7 @@ def save_model(path, bundle: ModelBundle) -> None:
             for round_trees in bundle.model.trees
         ],
     }
-    _atomic_write_text(str(path), json.dumps(doc, separators=(",", ":")) + "\n")
+    atomic_write_text(str(path), json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 def load_model(path) -> ModelBundle:
@@ -294,10 +292,14 @@ def load_model(path) -> ModelBundle:
                 f"unsupported format_version {version!r}, "
                 f"expected {MODEL_FORMAT_VERSION}"
             )
-        cfg = GbtConfig(**doc["config"])
-        class_order = tuple(FaultLabel(name) for name in doc["class_order"])
-        if len(class_order) != cfg.n_classes:
-            raise ValueError(f"{len(class_order)} class names for {cfg.n_classes} classes")
+        config = {**doc["config"]}
+        n_classes = config.pop("n_classes")
+        if n_classes != N_CLASSES:
+            raise ValueError(f"config.n_classes must be {N_CLASSES}, got {n_classes!r}")
+        names = [label.value for label in CLASS_ORDER]
+        if doc["class_order"] != names:
+            raise ValueError(f"class_order must be {names}, got {doc['class_order']!r}")
+        cfg = GbtConfig(**config)
         n_features = int(doc["n_features"])
         k = int(doc["k"])
         if n_features != k:
@@ -309,7 +311,6 @@ def load_model(path) -> ModelBundle:
             trees=_trees_from_json(doc["trees"], cfg, n_features, base_score),
             config=cfg,
             n_features=n_features,
-            class_order=class_order,
             base_score=base_score,
             seed=int(doc["seed"]),
         )

@@ -16,28 +16,14 @@ to the next are strictly monotone.  Endpoints are pinned (L = x there), so
 H vanishes at both ends.  A signal with fewer than three knots (constant or
 monotone) has no rotation component: L = x, H = 0.
 
-`itd_rows` is the one implementation: it decomposes every row of an (n, k)
-matrix at once, in blocks of rows, with the same floating-point operations
-in the same order as a per-knot loop.  `find_extrema` and
-`itd_single_stage` are its one-row views.
+`itd_rows` decomposes every row of an (n, k) matrix at once, in blocks of
+rows, with the same floating-point operations in the same order as a
+per-knot loop; a single signal is a one-row matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ItdResult:
-    """One decomposition stage: input == baseline + prc, elementwise."""
-
-    baseline: np.ndarray
-    prc: np.ndarray
-    alpha: float
-    extrema: list[int]  # 1-based knot indices; first is 1, last is len(input)
-
 
 _BLOCK_ROWS = 256  # bounds the (rows, k) temporaries of one block
 
@@ -113,30 +99,3 @@ def itd_rows(
         baseline[block] = _baseline(x[block], knot[block], alpha)
     return knot, baseline, x - baseline
 
-
-def find_extrema(x: np.ndarray | list[float]) -> list[int]:
-    """Knot indices (1-based): both endpoints plus interior local extrema.
-
-    An interior point qualifies when the signal differences on either side
-    have opposite signs.  A plateau of equal values collapses to its first
-    index and qualifies when the nearest nonzero differences on either side
-    disagree in sign.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("need at least 2 points to locate extrema")
-    return (np.flatnonzero(_knot_mask(x[None, :])[0]) + 1).tolist()
-
-
-def itd_single_stage(x: np.ndarray | list[float], alpha: float = 0.5) -> ItdResult:
-    """Extract one baseline / rotation-component pair from `x`."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("expected a 1-D signal")
-    knot, baseline, prc = itd_rows(x[None, :], alpha)
-    return ItdResult(
-        baseline=baseline[0],
-        prc=prc[0],
-        alpha=alpha,
-        extrema=(np.flatnonzero(knot[0]) + 1).tolist(),
-    )

@@ -28,7 +28,7 @@ from dgadiag.evaluation import (
 )
 from dgadiag.gbt import GbtConfig, predict_many, train
 from dgadiag.io import load_table_iv, save_model, ModelBundle
-from dgadiag.itd import itd_single_stage
+from dgadiag.itd import itd_rows
 from dgadiag.ranking import canonical_rank_order, skewness
 from dgadiag.special import f_sf
 from dgadiag import reference
@@ -89,14 +89,14 @@ def test_criterion_3_itd_properties():
     for seed in range(1000):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=int(rng.integers(2, 201)))
-        res = itd_single_stage(x)
-        assert np.max(np.abs((x - res.baseline) - res.prc)) == 0.0
+        _, baseline, prc = itd_rows(x[None, :])
+        assert np.max(np.abs((x - baseline[0]) - prc[0])) == 0.0
 
-    hand = itd_single_stage([0, 1, 0, 1, 0])
-    assert np.allclose(hand.prc, [0, 0.5, -0.5, 0.5, 0], atol=1e-15)
+    _, _, hand = itd_rows(np.array([[0.0, 1.0, 0.0, 1.0, 0.0]]))
+    assert np.allclose(hand[0], [0, 0.5, -0.5, 0.5, 0], atol=1e-15)
 
-    assert np.all(itd_single_stage([3.0, 3.0, 3.0]).prc == 0.0)
-    assert np.all(itd_single_stage([1.0, 2.0, 7.0, 9.0]).prc == 0.0)
+    assert np.all(itd_rows(np.array([[3.0, 3.0, 3.0]]))[2] == 0.0)
+    assert np.all(itd_rows(np.array([[1.0, 2.0, 7.0, 9.0]]))[2] == 0.0)
     assert time.perf_counter() - start < 5.0
 
 
@@ -171,7 +171,7 @@ def test_criterion_6_classifier(tmp_path):
     from dgadiag.gbt import _as_class_indices, _softmax, predict_logits
 
     m20 = train(x, y, GbtConfig(rounds=20), seed=0)
-    y_idx = _as_class_indices(y, 6)
+    y_idx = _as_class_indices(y)
     prev = math.inf
     for r in range(21):
         p = _softmax(predict_logits(m20, x, upto_round=r))

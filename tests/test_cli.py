@@ -330,6 +330,23 @@ class TestExitCodes:
         assert err.startswith(f"error: {path}: ") and "base_score" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("class_order", [["PD"] * 6, ["T3", "T2", "T1", "D2", "D1", "PD"]])
+    def test_non_canonical_class_order(self, capsys, tmp_path, synth_csv, class_order):
+        # any other list would relabel the argmax columns
+        path = tmp_path / "model.json"
+        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
+              "--model", str(path)] + FAST)
+        doc = json.loads(path.read_text())
+        doc["class_order"] = class_order
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [
+            "diagnose", "--h2", "292", "--ch4", "346", "--c2h6", "32",
+            "--c2h4", "313", "--c2h2", "196", "--model", str(path),
+        ])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: ") and "class_order" in err
+        assert "Traceback" not in err
+
     def test_non_utf8_model(self, capsys, tmp_path, synth_csv):
         path = tmp_path / "model.json"
         main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",

@@ -106,32 +106,32 @@ class TestMetrics:
 
 class TestTrainTestSplit:
     def test_sizes_376(self):
-        data = list(range(376))
-        train, test = train_test_split(data, 0.85, seed=0)
+        train, test = train_test_split(376, 0.85, seed=0)
         # round(319.6) rounds up; the originally reported 333/43 split was a
         # realized experiment, not this contract
         assert (len(train), len(test)) == (320, 56)
 
     def test_two_items(self):
-        train, test = train_test_split([1, 2], 0.5, seed=0)
+        train, test = train_test_split(2, 0.5, seed=0)
         assert len(train) == len(test) == 1
 
     def test_deterministic(self):
-        data = list(range(50))
-        assert train_test_split(data, 0.8, seed=9) == train_test_split(data, 0.8, seed=9)
+        a_train, a_test = train_test_split(50, 0.8, seed=9)
+        b_train, b_test = train_test_split(50, 0.8, seed=9)
+        assert a_train.tolist() == b_train.tolist()
+        assert a_test.tolist() == b_test.tolist()
 
     def test_disjoint_covering(self):
-        data = list(range(101))
-        train, test = train_test_split(data, 0.7, seed=3)
-        assert sorted(train + test) == data
+        train, test = train_test_split(101, 0.7, seed=3)
+        assert sorted(train.tolist() + test.tolist()) == list(range(101))
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            train_test_split([1], 0.5, seed=0)
+            train_test_split(1, 0.5, seed=0)
         with pytest.raises(ValueError):
-            train_test_split([1, 2, 3], 0.99, seed=0)
+            train_test_split(3, 0.99, seed=0)
         with pytest.raises(ValueError):
-            train_test_split([1, 2], 1.5, seed=0)
+            train_test_split(2, 1.5, seed=0)
 
 
 class TestSmote:

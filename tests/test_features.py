@@ -4,7 +4,7 @@ import pytest
 from dgadiag.core import FaultLabel, GasSample, param_matrix
 from dgadiag.features import FeatureMatrix, build_features, optimal_k_search
 from dgadiag.gbt import GbtConfig
-from dgadiag.itd import itd_single_stage
+from dgadiag.itd import itd_rows
 from dgadiag.ranking import canonical_rank_order
 
 ROW1 = GasSample(292, 346, 32, 313, 196, label=FaultLabel.D2, id="r1")
@@ -22,8 +22,8 @@ def test_canonical_k24_prefix_drives_the_rows():
     # oracle: compose the stages by hand for this sample
     pv = param_matrix([ROW1])[0]
     signal = np.array([pv[num - 1] for num in CANONICAL_FIRST_24])
-    expected = itd_single_stage(signal).prc
-    assert np.array_equal(fm.x[0], expected)
+    _, _, expected = itd_rows(signal[None, :])
+    assert np.array_equal(fm.x[0], expected[0])
 
 
 def test_constant_prefix_gives_zero_row():
@@ -48,8 +48,8 @@ def test_row1_k18():
     fm = build_features([ROW1], order, 18)
     pv = param_matrix([ROW1])[0]
     signal = np.array([pv[num - 1] for num in order[:18]])
-    assert np.array_equal(fm.x[0], itd_single_stage(signal).prc)
-    assert fm.k == 18
+    assert np.array_equal(fm.x[0], itd_rows(signal[None, :])[2][0])
+    assert fm.x.shape == (1, 18)
     assert fm.labels == [FaultLabel.D2]
     assert fm.ids == ["r1"]
 
@@ -58,7 +58,6 @@ def test_metadata_recorded():
     order = canonical_rank_order()
     fm = build_features([ROW1], order, 20)
     assert isinstance(fm, FeatureMatrix)
-    assert fm.rank_order == order
     assert fm.x.shape == (1, 20)
     assert np.all(np.isfinite(fm.x))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -10,11 +11,9 @@ from dgadiag.features import build_features
 from dgadiag.gbt import (
     GbtConfig,
     GbtModel,
-    multiclass_log_loss,
-    predict,
     predict_logits,
     predict_many,
-    predict_proba,
+    predict_proba_many,
     train,
     _build_tree,
     _softmax,
@@ -32,7 +31,10 @@ def test_config_defaults():
     assert cfg.reg_lambda == 1.0
     assert cfg.gamma == 0.0
     assert cfg.min_child_weight == 1.0
-    assert cfg.n_classes == 6
+    # the class count is CLASS_ORDER's, not a setting
+    assert [f.name for f in dataclasses.fields(cfg)] == [
+        "rounds", "learning_rate", "max_depth", "reg_lambda", "gamma", "min_child_weight"
+    ]
 
 
 def test_config_validation():
@@ -77,21 +79,21 @@ def test_constant_features_predict_majority():
     x = np.zeros((10, 3))
     y = [FaultLabel.T2] * 6 + [FaultLabel.D1] * 4
     model = train(x, y, GbtConfig(rounds=30), seed=0)
-    assert predict(model, x[0]) == FaultLabel.T2
+    assert predict_many(model, x[:1]) == [FaultLabel.T2]
 
 
 def test_constant_features_tied_counts_break_to_pd():
     x = np.zeros((8, 2))
     y = [FaultLabel.T3] * 4 + [FaultLabel.PD] * 4
     model = train(x, y, GbtConfig(rounds=30), seed=0)
-    assert predict(model, x[0]) == FaultLabel.PD
+    assert predict_many(model, x[:1]) == [FaultLabel.PD]
 
 
 def test_untrained_model_uniform_probabilities():
     model = GbtModel(trees=[], config=GbtConfig(), n_features=4)
-    probs = predict_proba(model, np.zeros(4))
-    assert np.allclose(probs, np.full(6, 1 / 6), atol=1e-15)
-    assert predict(model, np.zeros(4)) == FaultLabel.PD  # tie -> first class
+    probs = predict_proba_many(model, np.zeros((1, 4)))
+    assert np.allclose(probs, np.full((1, 6), 1 / 6), atol=1e-15)
+    assert predict_many(model, np.zeros((1, 4))) == [FaultLabel.PD]  # tie -> first class
 
 
 def test_probabilities_sum_to_one_and_positive():
@@ -99,7 +101,7 @@ def test_probabilities_sum_to_one_and_positive():
     x = rng.normal(size=(40, 5))
     y = [CLASS_ORDER[i % 6] for i in range(40)]
     model = train(x, y, GbtConfig(rounds=15), seed=0)
-    probs = np.array([predict_proba(model, row) for row in x])
+    probs = predict_proba_many(model, x)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(probs > 0)
 
@@ -112,7 +114,9 @@ def test_argmax_example():
 def test_row_length_mismatch():
     model = GbtModel(trees=[], config=GbtConfig(), n_features=4)
     with pytest.raises(ValueError, match="4 features"):
-        predict_proba(model, np.zeros(3))
+        predict_proba_many(model, np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="2-D"):
+        predict_proba_many(model, np.zeros(4))
 
 
 def test_degenerate_labels():
@@ -146,7 +150,7 @@ def test_training_log_loss_non_increasing():
     x = rng.normal(size=(90, 6))
     y = [CLASS_ORDER[i % 6] for i in range(90)]
     model = train(x, y, GbtConfig(rounds=20), seed=0)
-    y_idx = _as_class_indices(y, 6)
+    y_idx = _as_class_indices(y)
     losses = []
     for r in range(21):
         p = _softmax(predict_logits(model, x, upto_round=r))
@@ -178,17 +182,6 @@ def test_per_feature_scale_invariance():
     m_base = train(x, y, GbtConfig(rounds=12), seed=0)
     m_scaled = train(scaled, y, GbtConfig(rounds=12), seed=0)
     assert predict_many(m_base, x_test) == predict_many(m_scaled, scaled_test)
-
-
-def test_log_loss_helper_matches_direct():
-    rng = np.random.default_rng(19)
-    x = rng.normal(size=(30, 3))
-    y = [CLASS_ORDER[i % 3] for i in range(30)]
-    model = train(x, y, GbtConfig(rounds=5), seed=0)
-    y_idx = _as_class_indices(y, 6)
-    p = _softmax(predict_logits(model, x))
-    direct = float(-np.mean(np.log(p[np.arange(30), y_idx])))
-    assert multiclass_log_loss(model, x, y) == pytest.approx(direct, rel=1e-12)
 
 
 def test_tree_depth_bounded():
@@ -372,9 +365,9 @@ def test_train_matches_per_node_argsort(seed, n, d, rounds, max_depth, levels):
     cfg = GbtConfig(rounds=rounds, max_depth=max_depth, min_child_weight=0.0)
     model = train(x, y, cfg, seed=seed)
     # the training loop of `train`, growing each tree with the oracle
-    onehot = np.zeros((n, cfg.n_classes))
+    onehot = np.zeros((n, len(CLASS_ORDER)))
     onehot[np.arange(n), y] = 1.0
-    logits = np.full((n, cfg.n_classes), 0.5)
+    logits = np.full((n, len(CLASS_ORDER)), 0.5)
     for round_trees in model.trees:
         p = _softmax(logits)
         grad, hess = p - onehot, p * (1.0 - p)
@@ -390,7 +383,7 @@ def _oracle_logits(model, x, upto_round=None):
     rounds = model.trees if upto_round is None else model.trees[:upto_round]
     out = []
     for row in x.tolist():
-        logits = [model.base_score] * model.config.n_classes
+        logits = [model.base_score] * len(CLASS_ORDER)
         for round_trees in rounds:
             for c, tree in enumerate(round_trees):
                 i = 0

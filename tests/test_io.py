@@ -252,6 +252,18 @@ def _short_class_order(doc):
     doc["class_order"].pop()
 
 
+def _permuted_class_order(doc):
+    doc["class_order"].reverse()
+
+
+def _repeated_class_order(doc):
+    doc["class_order"] = ["PD"] * len(doc["class_order"])
+
+
+def _n_classes_five(doc):
+    doc["config"]["n_classes"] = 5
+
+
 def _nan_base_score(doc):
     doc["base_score"] = float("nan")
 
@@ -342,6 +354,9 @@ class TestModelPersistence:
         _unequal_lengths,
         _k_mismatch,
         _short_class_order,
+        _permuted_class_order,
+        _repeated_class_order,
+        _n_classes_five,
         _nan_base_score,
         _infinite_base_score,
         _overflowing_leaves,

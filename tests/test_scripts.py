@@ -1,4 +1,5 @@
-"""Smoke tests of the experiment scripts, run as separate processes."""
+"""Smoke tests of the experiment scripts and of a bare CLI import, run as
+separate processes."""
 
 import os
 import subprocess
@@ -11,16 +12,19 @@ from dgadiag.io import load_model
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, *argv, cwd):
-    # the scripts import the same dgadiag as this test, installed or not
+def run_python(*argv, cwd):
+    # the child imports the same dgadiag as this test, installed or not
     src = os.path.dirname(os.path.dirname(dgadiag.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
     ))
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *argv],
-        capture_output=True, text=True, timeout=120, env=env, cwd=cwd,
+        [sys.executable, *argv], capture_output=True, text=True, timeout=120, env=env, cwd=cwd,
     )
+
+
+def run_script(name, *argv, cwd):
+    return run_python(str(SCRIPTS / name), *argv, cwd=cwd)
 
 
 def test_run_pipeline(tmp_path):
@@ -42,3 +46,12 @@ def test_reproduce_reference(tmp_path):
     proc = run_script("reproduce_reference.py", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "accuracy\t95.35\t(recorded 95.35)" in proc.stdout.splitlines()
+
+
+def test_cli_needs_only_numpy(tmp_path):
+    # the test-only dependencies must not leak into the runtime import graph
+    proc = run_python("-c", "import sys, dgadiag.cli; print(*sys.modules)", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name.split(".")[0] for name in proc.stdout.split()}
+    assert "numpy" in loaded
+    assert not loaded & {"scipy", "hypothesis", "pytest"}

@@ -19,7 +19,7 @@ from dgadiag.evaluation import confusion, fit_and_score, kfold_cv, train_test_sp
 from dgadiag.features import build_features, optimal_k_search, ranked_prefix
 from dgadiag.gbt import GbtConfig, predict_many, train
 from dgadiag.io import generate_synthetic, write_dataset
-from dgadiag.itd import itd_single_stage
+from dgadiag.itd import itd_rows
 from dgadiag.ranking import canonical_rank_order, rank_params
 
 # small enough to run fast, weak enough that the curve is not all 1.0
@@ -77,7 +77,7 @@ class TestFitAndScore:
     def test_matches_train_then_predict(self, synth11):
         samples, order = synth11
         fm = build_features(samples, order, 24)
-        train_idx, test_idx = train_test_split(range(len(samples)), 0.85, 3)
+        train_idx, test_idx = train_test_split(len(samples), 0.85, 3)
         cm = fit_and_score(fm, train_idx, test_idx, SMALL, seed=3)
         model = train(fm.x[train_idx], [fm.labels[i] for i in train_idx], SMALL, seed=3)
         expected = confusion([fm.labels[i] for i in test_idx], predict_many(model, fm.x[test_idx]))
@@ -86,7 +86,7 @@ class TestFitAndScore:
     def test_smote_seed_changes_training_only(self, synth11):
         samples, order = synth11
         fm = build_features(samples, order, 24)
-        train_idx, test_idx = train_test_split(range(len(samples)), 0.85, 3)
+        train_idx, test_idx = train_test_split(len(samples), 0.85, 3)
         plain = fit_and_score(fm, train_idx, test_idx, SMALL, seed=3)
         oversampled = fit_and_score(fm, train_idx, test_idx, SMALL, seed=3, smote_seed=8)
         # the held-out rows are the same either way
@@ -134,7 +134,7 @@ def test_rows_do_not_depend_on_the_other_samples(samples, order, k, pick):
         for s in samples:
             pv = param_matrix([s])[0]
             signal = np.array([pv[num - 1] for num in order[:k]])
-            reference.append(itd_single_stage(signal).prc)
+            reference.append(itd_rows(signal[None, :])[2][0])
     assert part.tobytes() == whole[sub].tobytes()
     for row, whole_row, ref in zip(single, whole, reference):
         assert row.tobytes() == whole_row.tobytes()

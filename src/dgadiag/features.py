@@ -59,8 +59,21 @@ def ranked_prefix(
 def build_features(
     samples: Sequence[GasSample], rank_order: Sequence[int], k: int
 ) -> FeatureMatrix:
-    """Rotation-component feature rows for `samples` at feature count `k`."""
-    _, _, prc = itd_rows(ranked_prefix(samples, rank_order, k))
+    """Rotation-component feature rows for `samples` at feature count `k`.
+
+    Raises ValueError naming the first sample whose features are not finite:
+    near-subnormal gas values can overflow an ITD slope.
+    """
+    signals = ranked_prefix(samples, rank_order, k)
+    with np.errstate(all="ignore"):  # the finiteness check below reports it
+        _, _, prc = itd_rows(signals)
+    bad = np.flatnonzero(~np.isfinite(prc).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"reading {samples[i].id or i + 1}: rotation-component features "
+            "are not finite (near-zero gas values overflow an ITD slope)"
+        )
     return FeatureMatrix(
         x=prc,
         labels=[s.label for s in samples],

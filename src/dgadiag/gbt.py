@@ -21,16 +21,23 @@ to the node's rows instead of sorting them again, so ties between equal
 values still resolve by row index.
 
 Each tree is a `Tree` of five preorder node arrays (feature, threshold,
-left, right, value).  The same arrays are what training builds, what
-prediction walks, and what `dgadiag.io` writes to the model file.
-Prediction walks one tree at a time over all rows and adds the trees in
-round, then class order, so logits are bit-identical to the values
-training accumulated.
+left, right, value).  The same arrays are what training builds and what
+`dgadiag.io` writes to the model file.
+
+For prediction a model also holds one flat forest, built once when the
+model is made: the trees of every round that has a split, concatenated
+with absolute child indices, plus each round's single-leaf values.  A
+block of rows walks all of those trees at once, one tree level of every
+(row, tree) pair per numpy step, dropping the pairs that reach a leaf.
+Rounds whose trees are all single leaves need no walk.  The leaf values
+are then added to the logits round by round, in class order within a
+round, so every logit gets the same floating-point additions in the same
+order as the values training accumulated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -38,6 +45,7 @@ import numpy as np
 from .core import CLASS_ORDER, N_CLASSES, FaultLabel
 
 BASE_SCORE = 0.5  # initial logit for every class
+_BLOCK_ROWS = 256  # bounds the (rows x walked trees) pair arrays of one walk
 
 
 @dataclass(frozen=True)
@@ -76,13 +84,75 @@ class Tree(NamedTuple):
     value: np.ndarray  # float64
 
 
-@dataclass
+class _Forest(NamedTuple):
+    """The trees of every round with a split as one set of node arrays.
+
+    Node ids are absolute.  Leaves keep feature -1 and are their own
+    children.  A round with no split adds `const[r]`; a round with a split
+    adds the leaves its trees reach, found by walking the `N_CLASSES` trees
+    from `N_CLASSES * slot[r]` on in `roots`.
+    """
+
+    feature: np.ndarray  # intp, -1 at leaves
+    threshold: np.ndarray  # float64
+    child: np.ndarray  # intp, [2 * i] left and [2 * i + 1] right child of node i
+    value: np.ndarray  # float64
+    roots: np.ndarray  # intp, root node of each walked tree, [slot][class]
+    const: np.ndarray  # (rounds, N_CLASSES, 1) root values
+    slot: tuple[int, ...]  # per round: its index among rounds with a split, or -1
+
+
+def _flatten(trees: list[list[Tree]]) -> _Forest:
+    const = np.array(
+        [[tree.value[0] for tree in round_trees] for round_trees in trees],
+        dtype=np.float64,
+    ).reshape(-1, N_CLASSES, 1)
+    slot: list[int] = []
+    walked: list[Tree] = []
+    for round_trees in trees:
+        if any(tree.feature[0] >= 0 for tree in round_trees):
+            slot.append(len(walked) // N_CLASSES)
+            walked += round_trees
+        else:
+            slot.append(-1)
+    sizes = np.array([tree.feature.size for tree in walked], dtype=np.intp)
+    roots = np.cumsum(sizes) - sizes
+    offset = np.repeat(roots, sizes)
+
+    def column(name: str, dtype) -> np.ndarray:
+        return np.concatenate([np.empty(0, dtype)] + [getattr(t, name) for t in walked])
+
+    feature = column("feature", np.intp)
+    internal = feature >= 0
+    node = np.arange(feature.size)
+    child = np.empty(2 * feature.size, dtype=np.intp)
+    child[0::2] = np.where(internal, column("left", np.intp) + offset, node)
+    child[1::2] = np.where(internal, column("right", np.intp) + offset, node)
+    return _Forest(
+        feature=feature,
+        threshold=column("threshold", np.float64),
+        child=child,
+        value=column("value", np.float64),
+        roots=roots,
+        const=const,
+        slot=tuple(slot),
+    )
+
+
+@dataclass(frozen=True)
 class GbtModel:
+    """A trained ensemble.  Prediction reads the flat forest built from
+    `trees` when the model is made, so the trees must not change after."""
+
     trees: list[list[Tree]]  # [round][class], classes in CLASS_ORDER
     config: GbtConfig
     n_features: int
     base_score: float = BASE_SCORE
     seed: int = 0
+    _forest: _Forest = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_forest", _flatten(self.trees))
 
 
 def _as_class_indices(y: Sequence) -> np.ndarray:
@@ -184,21 +254,6 @@ def _build_tree(
     return Tree(*map(np.array, zip(*nodes))), row_value
 
 
-def _leaf_values(tree: Tree, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The leaf value each row of `x` reaches, one level of all rows per step;
-    `rows` is `np.arange(len(x))`."""
-    if tree.feature[0] < 0:  # a single leaf
-        return tree.value[0]
-    node = np.zeros(rows.size, dtype=np.intp)
-    feat = tree.feature[node]
-    while (internal := feat >= 0).any():
-        go_left = x[rows, feat] < tree.threshold[node]
-        child = np.where(go_left, tree.left[node], tree.right[node])
-        node = np.where(internal, child, node)
-        feat = tree.feature[node]
-    return tree.value[node]
-
-
 def train(
     x: np.ndarray,
     y: Sequence,
@@ -247,6 +302,30 @@ def train(
     )
 
 
+def _walk(forest: _Forest, x: np.ndarray) -> np.ndarray:
+    """The leaf value each row of `x` reaches in each walked tree of
+    `forest`, as a (rounds with a split, N_CLASSES, n) array."""
+    n, k = x.shape
+    n_trees = forest.roots.size
+    out = np.empty((n_trees, n), dtype=np.float64)
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, n - lo)
+        block = np.ascontiguousarray(x[lo : lo + rows]).ravel()
+        # pair p is (row p // n_trees, tree p % n_trees); `at` its x offset
+        node = np.tile(forest.roots, rows)
+        at = np.repeat(np.arange(rows) * k, n_trees)
+        live = np.flatnonzero(forest.feature[node] >= 0)
+        while live.size:
+            here = node[live]
+            # not below the threshold: the right child, as in `Tree`
+            right = block[at[live] + forest.feature[here]] >= forest.threshold[here]
+            here = forest.child[2 * here + right]
+            node[live] = here
+            live = live[forest.feature[here] >= 0]
+        out[:, lo : lo + rows] = forest.value[node].reshape(rows, n_trees).T
+    return out.reshape(n_trees // N_CLASSES, N_CLASSES, n)
+
+
 def predict_logits(
     model: GbtModel, x: np.ndarray, upto_round: int | None = None
 ) -> np.ndarray:
@@ -263,13 +342,13 @@ def predict_logits(
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("feature values must be finite")
-    logits = np.full((x.shape[0], N_CLASSES), model.base_score, dtype=np.float64)
-    rows = np.arange(x.shape[0])
-    rounds = model.trees if upto_round is None else model.trees[:upto_round]
-    for round_trees in rounds:
-        for c, tree in enumerate(round_trees):
-            logits[:, c] += _leaf_values(tree, x, rows)
-    return logits
+    forest = model._forest
+    leaves = _walk(forest, x)
+    # classes x rows, so each round adds to contiguous rows
+    logits = np.full((N_CLASSES, x.shape[0]), model.base_score, dtype=np.float64)
+    for slot, const in zip(forest.slot[:upto_round], forest.const[:upto_round]):
+        logits += const if slot < 0 else leaves[slot]
+    return logits.T.copy()
 
 
 def predict_proba_many(model: GbtModel, x: np.ndarray) -> np.ndarray:

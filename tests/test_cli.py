@@ -1,4 +1,7 @@
+import hashlib
 import json
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +23,21 @@ def synth_csv(tmp_path):
     return out
 
 
+@pytest.fixture(scope="module")
+def seed11_model(tmp_path_factory):
+    """`synth --seed 11` then `train --k 24 --seed 5`: (data path, model path)."""
+    tmp = tmp_path_factory.mktemp("seed11")
+    data, model = str(tmp / "s11.csv"), str(tmp / "model.json")
+    assert main(["synth", "--seed", "11", "--out", data]) == 0
+    assert main(["train", "--data", data, "--k", "24", "--seed", "5", "--model", model]) == 0
+    return data, model
+
+
 FAST = ["--rounds", "8", "--max-depth", "3"]
+# near-subnormal gases whose ratio parameters overflow an ITD slope under the
+# seed-11 rank order at k = 24
+OVERFLOWING_GASES = {"h2": "2.2e-309", "ch4": "100", "c2h6": "5e-324", "c2h4": "5e-324",
+                     "c2h2": "0.001"}
 
 
 def run(capsys, argv):
@@ -157,6 +174,13 @@ class TestTrainDiagnoseEvaluate:
         assert doc["mode"] == "cv"
         assert len(doc["fold_reports"]) == 3
         assert 0.0 <= doc["pooled"]["accuracy"] <= 1.0
+
+    def test_model_file_is_byte_identical(self, seed11_model):
+        # pins the format-v2 bytes of a seeded training run
+        _, model = seed11_model
+        assert hashlib.sha256(Path(model).read_bytes()).hexdigest() == (
+            "a5c9fd894279d8ab84738b1b225a04b611421cdc94de793fbddd5975a2b24021"
+        )
 
     def test_evaluate_holdout(self, capsys, tmp_path, synth_csv):
         model = str(tmp_path / "m.json")
@@ -346,6 +370,27 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}: ") and "class_order" in err
         assert "Traceback" not in err
+
+    def test_overflowing_reading_is_named(self, capsys, seed11_model):
+        _, model = seed11_model
+        gases = [arg for gas, value in OVERFLOWING_GASES.items() for arg in (f"--{gas}", value)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["diagnose", *gases, "--model", model])
+        assert (code, out, caught) == (1, "", [])
+        assert err.startswith("error: reading cli: ") and "finite" in err
+        assert err.count("\n") == 1
+
+    def test_overflowing_row_fails_the_batch_by_name(self, capsys, tmp_path, seed11_model):
+        data, model = seed11_model
+        batch = tmp_path / "batch.csv"
+        lines = Path(data).read_text().splitlines()[:4]
+        batch.write_text("\n".join(lines + ["r-bad," + ",".join(OVERFLOWING_GASES.values()) + ","]) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["diagnose", "--data", str(batch), "--model", model])
+        assert (code, out, caught) == (1, "", [])
+        assert err.startswith("error: reading r-bad: ") and err.count("\n") == 1
 
     def test_non_utf8_model(self, capsys, tmp_path, synth_csv):
         path = tmp_path / "model.json"

@@ -11,6 +11,7 @@ from dgadiag.features import build_features
 from dgadiag.gbt import (
     GbtConfig,
     GbtModel,
+    Tree,
     predict_logits,
     predict_many,
     predict_proba_many,
@@ -19,8 +20,8 @@ from dgadiag.gbt import (
     _softmax,
     _as_class_indices,
 )
-from dgadiag.io import generate_synthetic
-from dgadiag.ranking import rank_params
+from dgadiag.io import ModelBundle, generate_synthetic, load_model, save_model
+from dgadiag.ranking import canonical_rank_order, rank_params
 
 
 def test_config_defaults():
@@ -418,6 +419,131 @@ def test_predict_logits_matches_per_row_walk(
     model = train(x[:n], y, cfg, seed=seed)
     got = predict_logits(model, x, upto_round=upto_round)
     assert repr(got.tolist()) == repr(_oracle_logits(model, x, upto_round))
+
+
+def _leaf_values(tree, x, rows):
+    """The leaf value each row of `x` reaches, one level of all rows per step;
+    `rows` is `np.arange(len(x))`.  The per-tree walk prediction used before
+    the flat forest."""
+    if tree.feature[0] < 0:  # a single leaf
+        return tree.value[0]
+    node = np.zeros(rows.size, dtype=np.intp)
+    feat = tree.feature[node]
+    while (internal := feat >= 0).any():
+        go_left = x[rows, feat] < tree.threshold[node]
+        child = np.where(go_left, tree.left[node], tree.right[node])
+        node = np.where(internal, child, node)
+        feat = tree.feature[node]
+    return tree.value[node]
+
+
+def _per_tree_logits(model, x, upto_round=None):
+    """Reference: one tree at a time over all rows, in round, then class
+    order."""
+    logits = np.full((x.shape[0], len(CLASS_ORDER)), model.base_score)
+    rows = np.arange(x.shape[0])
+    rounds = model.trees if upto_round is None else model.trees[:upto_round]
+    for round_trees in rounds:
+        for c, tree in enumerate(round_trees):
+            logits[:, c] += _leaf_values(tree, x, rows)
+    return logits
+
+
+def _sample_rows(rng, kind, n, d):
+    if kind == "normal":
+        return rng.normal(size=(n, d))
+    if kind == "grid":  # values on the thresholds' grid, with -0.0
+        x = rng.integers(0, 4, size=(n, d)).astype(np.float64)
+        x[rng.random(size=(n, d)) < 0.2] = -0.0
+        return x
+    return np.zeros((n, d))  # "constant": training grows single leaves only
+
+
+def _random_tree(rng, d, max_depth):
+    """A tree of random shape up to `max_depth`, thresholds on the grid of
+    `_sample_rows`, leaf values spread over five decades so that adding them
+    in another order changes the sum."""
+    nodes = []
+
+    def grow(depth):
+        node = len(nodes)
+        nodes.append(None)
+        if depth < max_depth and rng.random() < 0.6:
+            feature = int(rng.integers(0, d))
+            threshold = float(rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0, 3.0]))
+            left = grow(depth + 1)
+            right = grow(depth + 1)
+            nodes[node] = (feature, threshold, left, right, 0.0)
+        else:
+            nodes[node] = (-1, 0.0, -1, -1, float(rng.normal() * 10.0 ** rng.integers(-2, 3)))
+        return node
+
+    grow(0)
+    dtypes = (np.int64, np.float64, np.int64, np.int64, np.float64)
+    return Tree(*(np.array(c, dtype=t) for c, t in zip(zip(*nodes), dtypes)))
+
+
+def _random_model(rng, d, rounds, max_depth):
+    """Rounds of single leaves only, in any order among rounds with splits."""
+    trees = []
+    for _ in range(rounds):
+        depth = 0 if rng.random() < 0.4 else max_depth
+        trees.append([_random_tree(rng, d, depth) for _ in CLASS_ORDER])
+    return GbtModel(
+        trees=trees,
+        config=GbtConfig(rounds=rounds, max_depth=max_depth),
+        n_features=d,
+        base_score=float(rng.normal()),
+    )
+
+
+# n straddles the row block of the flat-forest walk (256 rows)
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 255, 256, 257, 700]),
+    d=st.integers(1, 6),
+    rounds=st.integers(1, 6),
+    max_depth=st.integers(1, 6),
+    source=st.sampled_from(["trained", "random"]),
+    kind=st.sampled_from(["normal", "grid", "constant"]),
+    upto=st.sampled_from([None, 0, 1, "rounds", "rounds + 3"]),
+)
+def test_flat_forest_matches_per_tree_walk(
+    tmp_path_factory, seed, n, d, rounds, max_depth, source, kind, upto
+):
+    rng = np.random.default_rng(seed)
+    if source == "trained":
+        y = rng.integers(0, len(CLASS_ORDER), size=80)
+        y[:2] = [0, 1]
+        cfg = GbtConfig(rounds=rounds, max_depth=max_depth, min_child_weight=0.0)
+        built = train(_sample_rows(rng, kind, 80, d), y, cfg, seed=seed)
+    else:
+        built = _random_model(rng, d, rounds, max_depth)
+    path = tmp_path_factory.mktemp("forest") / "model.json"
+    save_model(path, ModelBundle(built, canonical_rank_order(), d))
+    model = load_model(path).model
+    if source == "trained" and kind == "constant":
+        assert all(tree.feature.tolist() == [-1] for r in model.trees for tree in r)
+    upto_round = {"rounds": rounds, "rounds + 3": rounds + 3}.get(upto, upto)
+
+    x = _sample_rows(rng, kind, n, d)
+    got = predict_logits(model, x, upto_round=upto_round)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == _per_tree_logits(model, x, upto_round).tobytes()
+    assert got.tobytes() == predict_logits(built, x, upto_round=upto_round).tobytes()
+    if n <= 257:
+        assert repr(got.tolist()) == repr(_oracle_logits(model, x, upto_round))
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 700])
+@pytest.mark.parametrize("upto_round", [None, 0, 1, 3])
+def test_zero_tree_model_predicts_base_score(n, upto_round):
+    model = GbtModel(trees=[], config=GbtConfig(), n_features=3)
+    x = np.random.default_rng(n).normal(size=(n, 3))
+    got = predict_logits(model, x, upto_round=upto_round)
+    assert got.tobytes() == np.full((n, len(CLASS_ORDER)), model.base_score).tobytes()
+    assert got.tobytes() == _per_tree_logits(model, x, upto_round).tobytes()
 
 
 def test_golden_logits_digest():

@@ -12,7 +12,7 @@ import sys
 from .conventional import duval, iec_ratio, rogers
 from .core import CLASS_ORDER, GasSample, param_matrix
 from .evaluation import confusion, fit_and_score, kfold_cv, metrics, train_test_split
-from .features import build_features, optimal_k_search, ranked_prefix
+from .features import build_features, checked_itd_rows, optimal_k_search, ranked_prefix
 from .gbt import GbtConfig, predict_many, train
 from .io import (
     DEFAULT_SYNTH_COUNTS,
@@ -24,7 +24,6 @@ from .io import (
     save_model,
     write_dataset,
 )
-from .itd import itd_rows
 from .ranking import canonical_rank_order, rank_params, skewness
 
 
@@ -244,7 +243,7 @@ def cmd_decompose(args) -> int:
     samples = load_dataset(args.data)
     order = _rank_order_for(args, samples)
     signals = ranked_prefix(samples, order, args.k)
-    _, baselines, prcs = itd_rows(signals)
+    _, baselines, prcs = checked_itd_rows(samples, signals)
     lines = ["id\tposition\tparam\tvalue\tbaseline\tprc"]
     for s, signal, baseline_row, prc_row in zip(samples, signals, baselines, prcs):
         columns = zip(order, signal, baseline_row, prc_row)

@@ -39,6 +39,18 @@ class KSearchResult:
     best_k: int
 
 
+def _check_k(k: int, stacklevel: int) -> None:
+    """Reject a k outside 2..37 and warn, at the caller `stacklevel` frames
+    up, of one outside the usual range."""
+    if not 2 <= k <= N_PARAMS:
+        raise ValueError(f"k must be in 2..{N_PARAMS}, got {k}")
+    if not K_DEFAULT_MIN <= k <= K_DEFAULT_MAX:
+        warnings.warn(
+            f"k={k} outside the usual {K_DEFAULT_MIN}..{K_DEFAULT_MAX} range",
+            stacklevel=stacklevel,
+        )
+
+
 def ranked_prefix(
     samples: Sequence[GasSample], rank_order: Sequence[int], k: int
 ) -> np.ndarray:
@@ -46,27 +58,20 @@ def ranked_prefix(
     if not samples:
         raise ValueError("empty sample list")
     order = validate_rank_order(rank_order)
-    if not 2 <= k <= N_PARAMS:
-        raise ValueError(f"k must be in 2..{N_PARAMS}, got {k}")
-    if not K_DEFAULT_MIN <= k <= K_DEFAULT_MAX:
-        warnings.warn(
-            f"k={k} outside the usual {K_DEFAULT_MIN}..{K_DEFAULT_MAX} range",
-            stacklevel=3,
-        )
+    _check_k(k, stacklevel=4)  # the caller of build_features
     return param_matrix(samples)[:, np.array(order[:k]) - 1]
 
 
-def build_features(
-    samples: Sequence[GasSample], rank_order: Sequence[int], k: int
-) -> FeatureMatrix:
-    """Rotation-component feature rows for `samples` at feature count `k`.
+def checked_itd_rows(
+    samples: Sequence[GasSample], signals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`itd_rows` of `signals`, the ranked prefixes of `samples`.
 
-    Raises ValueError naming the first sample whose features are not finite:
-    near-subnormal gas values can overflow an ITD slope.
+    Raises ValueError naming the first sample whose rotation component is
+    not finite: near-subnormal gas values can overflow an ITD slope.
     """
-    signals = ranked_prefix(samples, rank_order, k)
     with np.errstate(all="ignore"):  # the finiteness check below reports it
-        _, _, prc = itd_rows(signals)
+        knot, baseline, prc = itd_rows(signals)
     bad = np.flatnonzero(~np.isfinite(prc).all(axis=1))
     if bad.size:
         i = int(bad[0])
@@ -74,11 +79,27 @@ def build_features(
             f"reading {samples[i].id or i + 1}: rotation-component features "
             "are not finite (near-zero gas values overflow an ITD slope)"
         )
+    return knot, baseline, prc
+
+
+def _feature_matrix(samples: Sequence[GasSample], signals: np.ndarray) -> FeatureMatrix:
+    _, _, prc = checked_itd_rows(samples, signals)
     return FeatureMatrix(
         x=prc,
         labels=[s.label for s in samples],
         ids=[s.id for s in samples],
     )
+
+
+def build_features(
+    samples: Sequence[GasSample], rank_order: Sequence[int], k: int
+) -> FeatureMatrix:
+    """Rotation-component feature rows for `samples` at feature count `k`.
+
+    Raises ValueError naming the first sample whose features are not finite
+    (see `checked_itd_rows`).
+    """
+    return _feature_matrix(samples, ranked_prefix(samples, rank_order, k))
 
 
 def optimal_k_search(
@@ -105,9 +126,11 @@ def optimal_k_search(
         raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
 
     train_idx, test_idx = train_test_split(len(samples), train_frac, split_seed)
+    ranked = ranked_prefix(samples, rank_order, N_PARAMS)  # every k's prefix
     curve: dict[int, float] = {}
     for k in range(k_min, k_max + 1):
-        fm = build_features(samples, rank_order, k)
+        _check_k(k, stacklevel=3)
+        fm = _feature_matrix(samples, ranked[:, :k])
         cm = fit_and_score(fm, train_idx, test_idx, config, seed=split_seed)
         curve[k] = cm.trace / cm.total
 

@@ -16,9 +16,14 @@ recorded for provenance but unused: with no row/column subsampling there is
 nothing stochastic to drive.
 
 `train` sorts each feature column once per call (a stable sort, so equal
-values keep row order).  Split search at a node filters that presort down
-to the node's rows instead of sorting them again, so ties between equal
-values still resolve by row index.
+values keep row order) and gathers the sorted values, both feature-major.
+A split partitions its node's sorted rows and values into the two
+children's with one mask, so every node searches its own rows in value
+order without sorting them again, and ties between equal values still
+resolve by row index.  A class whose root carries less than twice
+min_child_weight of hessian mass cannot split; `train` gives it its
+one-leaf tree without growing it, which is most trees after the first
+rounds.
 
 Each tree is a `Tree` of five preorder node arrays (feature, threshold,
 left, right, value).  The same arrays are what training builds and what
@@ -103,19 +108,14 @@ class _Forest(NamedTuple):
 
 
 def _flatten(trees: list[list[Tree]]) -> _Forest:
-    const = np.array(
-        [[tree.value[0] for tree in round_trees] for round_trees in trees],
-        dtype=np.float64,
-    ).reshape(-1, N_CLASSES, 1)
-    slot: list[int] = []
-    walked: list[Tree] = []
-    for round_trees in trees:
-        if any(tree.feature[0] >= 0 for tree in round_trees):
-            slot.append(len(walked) // N_CLASSES)
-            walked += round_trees
-        else:
-            slot.append(-1)
-    sizes = np.array([tree.feature.size for tree in walked], dtype=np.intp)
+    values = [tree.value for round_trees in trees for tree in round_trees]
+    sizes = np.fromiter(map(len, values), np.intp, len(values)).reshape(-1, N_CLASSES)
+    const = np.fromiter((v[0] for v in values), np.float64, len(values))
+    const = const.reshape(-1, N_CLASSES, 1)
+    split = (sizes > 1).any(axis=1)  # a tree of more than one node has a split
+    slot = np.where(split, np.cumsum(split) - 1, -1)
+    walked = [tree for r, s in zip(trees, split.tolist()) if s for tree in r]
+    sizes = sizes[split].ravel()
     roots = np.cumsum(sizes) - sizes
     offset = np.repeat(roots, sizes)
 
@@ -135,7 +135,7 @@ def _flatten(trees: list[list[Tree]]) -> _Forest:
         value=column("value", np.float64),
         roots=roots,
         const=const,
-        slot=tuple(slot),
+        slot=tuple(slot.tolist()),
     )
 
 
@@ -175,22 +175,36 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _build_tree(
-    x: np.ndarray, g: np.ndarray, h: np.ndarray, cfg: GbtConfig, presort: np.ndarray
+    xt: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    cfg: GbtConfig,
+    presort: np.ndarray,
+    xs: np.ndarray,
 ) -> tuple[Tree, np.ndarray]:
-    """Grow one tree; also return the leaf value each row of `x` lands in.
+    """Grow one tree; also return the leaf value each row lands in.
 
-    `presort[j]` lists the row ids in ascending order of feature j, ties by
-    row id: `np.argsort(x.T, axis=1, kind="stable")`.
+    `xt` is the (k, n) feature-major matrix, `presort[j]` lists the row ids
+    in ascending order of `xt[j]`, ties by row id
+    (`np.argsort(xt, axis=1, kind="stable")`), and `xs` holds those values,
+    `np.take_along_axis(xt, presort, axis=1)`.
     """
     eta = cfg.learning_rate
     lam = cfg.reg_lambda
-    n, n_feat = x.shape
-    cols = np.arange(n_feat)
-    in_node = np.zeros(n, dtype=bool)
+    n_feat, n = xt.shape
     nodes: list[tuple] = []  # (feature, threshold, left, right, value) in preorder
     row_value = np.empty(n, dtype=np.float64)
 
-    def grow(idx: np.ndarray, depth: int) -> int:
+    def grow(
+        idx: np.ndarray,
+        rows: np.ndarray,
+        xs: np.ndarray,
+        keep: np.ndarray | None,
+        depth: int,
+    ) -> int:
+        """`idx` holds the node's row ids ascending; `rows`/`xs` the
+        parent's sorted rows and values, of which `keep` marks the node's
+        (None at the root, whose arrays are already its own)."""
         node = len(nodes)
         g_sum = float(g[idx].sum())
         h_sum = float(h[idx].sum())
@@ -204,20 +218,14 @@ def _build_tree(
         ):
             return node
 
-        # Node rows in ascending value order per feature, ties by row id:
-        # `idx` is ascending, so filtering the stable presort gives what a
-        # stable argsort of x[idx] would.
-        if idx.size == n:
-            rows = presort.T
-        else:
-            in_node[idx] = True
-            rows = presort[in_node[presort]].reshape(n_feat, idx.size).T
-            in_node[idx] = False
-        xs = x[rows, cols]
-        gs = g[rows]
-        hs = h[rows]
-        gl = np.cumsum(gs, axis=0)[:-1]
-        hl = np.cumsum(hs, axis=0)[:-1]
+        # The node's rows in ascending value order per feature, ties by row
+        # id: the parent's order with the other child's rows taken out.
+        if keep is not None:
+            take = np.flatnonzero(keep)
+            rows = rows.ravel()[take].reshape(n_feat, idx.size)
+            xs = xs.ravel()[take].reshape(n_feat, idx.size)
+        gl = np.cumsum(g[rows], axis=1)[:, :-1]
+        hl = np.cumsum(h[rows], axis=1)[:, :-1]
         gr = g_sum - gl
         hr = h_sum - hl
         gain = (
@@ -226,31 +234,32 @@ def _build_tree(
             - cfg.gamma
         )
         valid = (
-            (xs[1:] > xs[:-1])
+            (xs[:, 1:] > xs[:, :-1])
             & (hl >= cfg.min_child_weight)
             & (hr >= cfg.min_child_weight)
         )
         gain = np.where(valid, gain, -np.inf)
 
-        # Feature-major flat argmax: ties resolve to the lowest feature
-        # index, then the lowest threshold.
-        gain_fm = np.ascontiguousarray(gain.T)
-        flat_best = int(np.argmax(gain_fm))
-        feat, pos = divmod(flat_best, gain.shape[0])
-        if not gain_fm.flat[flat_best] > 0.0:
+        # Flat argmax over (feature, position): ties resolve to the lowest
+        # feature index, then the lowest threshold.
+        flat_best = int(np.argmax(gain))
+        feat, pos = divmod(flat_best, idx.size - 1)
+        if not gain.flat[flat_best] > 0.0:
             return node
 
-        lo, hi = xs[pos, feat], xs[pos + 1, feat]
+        lo, hi = xs[feat, pos], xs[feat, pos + 1]
         threshold = 0.5 * lo + 0.5 * hi
         if threshold <= lo:  # adjacent floats: keep "< threshold" == "<= lo"
             threshold = hi
-        mask = x[idx, feat] < threshold
-        left = grow(idx[mask], depth + 1)
-        right = grow(idx[~mask], depth + 1)
+        goes_left = xt[feat] < threshold
+        in_left = goes_left[rows]
+        mask = goes_left[idx]
+        left = grow(idx[mask], rows, xs, in_left, depth + 1)
+        right = grow(idx[~mask], rows, xs, ~in_left, depth + 1)
         nodes[node] = (feat, float(threshold), left, right, 0.0)
         return node
 
-    grow(np.arange(n, dtype=np.intp), 0)
+    grow(np.arange(n, dtype=np.intp), presort, xs, None, 0)
     return Tree(*map(np.array, zip(*nodes))), row_value
 
 
@@ -277,20 +286,35 @@ def train(
         raise ValueError("degenerate labels: need at least two classes")
 
     n, _ = x.shape
-    presort = np.argsort(x.T, axis=1, kind="stable")
+    xt = np.ascontiguousarray(x.T)
+    presort = np.argsort(xt, axis=1, kind="stable")
+    xs = np.take_along_axis(xt, presort, axis=1)
     onehot = np.zeros((n, N_CLASSES), dtype=np.float64)
     onehot[np.arange(n), y_idx] = 1.0
+    eta = config.learning_rate
+    lam = config.reg_lambda
+    min_root_h = 2.0 * config.min_child_weight
 
     logits = np.full((n, N_CLASSES), BASE_SCORE, dtype=np.float64)
     rounds: list[list[Tree]] = []
     for _ in range(config.rounds):
         p = _softmax(logits)
-        grad = p - onehot
-        hess = p * (1.0 - p)
+        # one contiguous row per class: a root sum then reduces in the same
+        # order as the grower's `g[idx].sum()`, so the two agree bit for bit
+        grad = np.ascontiguousarray((p - onehot).T)
+        hess = np.ascontiguousarray((p * (1.0 - p)).T)
+        h_sums = hess.sum(axis=1)
         round_trees: list[Tree] = []
         for c in range(N_CLASSES):
-            tree, row_value = _build_tree(x, grad[:, c], hess[:, c], config, presort)
-            logits[:, c] += row_value
+            if h_sums[c] < min_root_h:  # the root cannot split: one leaf
+                weight = -eta * float(grad[c].sum()) / (float(h_sums[c]) + lam)
+                tree = Tree(*map(np.array, ([-1], [0.0], [-1], [-1], [weight])))
+                logits[:, c] += weight
+            else:
+                tree, row_value = _build_tree(
+                    xt, grad[c], hess[c], config, presort, xs
+                )
+                logits[:, c] += row_value
             round_trees.append(tree)
         rounds.append(round_trees)
 

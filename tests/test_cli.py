@@ -280,6 +280,20 @@ class TestDecompose:
         assert len(open(out_path).read().strip().splitlines()) == 1 + 6 * 10
 
 
+    def test_overflowing_row_is_named(self, capsys, tmp_path, seed11_model):
+        data, _ = seed11_model
+        batch = tmp_path / "batch.csv"
+        batch.write_text(Path(data).read_text()
+                         + "r-bad," + ",".join(OVERFLOWING_GASES.values()) + ",\n")
+        out_path = tmp_path / "dec.tsv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["decompose", "--data", str(batch), "--k", "24",
+                                          "--out", str(out_path)])
+        assert (code, out, caught) == (1, "", [])
+        assert err.startswith("error: reading r-bad: ") and err.count("\n") == 1
+        assert not out_path.exists()
+
 class TestFeaturesCommand:
     def test_header_and_rows(self, capsys, table_csv):
         code, out, _ = run(capsys, ["features", "--data", table_csv, "--k", "18",

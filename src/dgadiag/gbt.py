@@ -20,10 +20,12 @@ values keep row order) and gathers the sorted values, both feature-major.
 A split partitions its node's sorted rows and values into the two
 children's with one mask, so every node searches its own rows in value
 order without sorting them again, and ties between equal values still
-resolve by row index.  A class whose root carries less than twice
-min_child_weight of hessian mass cannot split; `train` gives it its
-one-leaf tree without growing it, which is most trees after the first
-rounds.
+resolve by row index.  A round works on class-major (classes, n) arrays of
+logits, probabilities, gradients and hessians, allocated once per call,
+and computes the six root leaf weights as one vector.  A class whose root
+carries less than twice min_child_weight of hessian mass cannot split; it
+gets its one-leaf tree without growing it, which is most trees after the
+first rounds, and a round where every root is a leaf is one in-place add.
 
 Each tree is a `Tree` of five preorder node arrays (feature, threshold,
 left, right, value).  The same arrays are what training builds and what
@@ -34,10 +36,12 @@ model is made: the trees of every round that has a split, concatenated
 with absolute child indices, plus each round's single-leaf values.  A
 block of rows walks all of those trees at once, one tree level of every
 (row, tree) pair per numpy step, dropping the pairs that reach a leaf.
-Rounds whose trees are all single leaves need no walk.  The leaf values
-are then added to the logits round by round, in class order within a
-round, so every logit gets the same floating-point additions in the same
-order as the values training accumulated.
+Rounds whose trees are all single leaves need no walk.  For each block of
+64 rows the base score, the single-leaf values and the walked leaf values
+are stacked as one (1 + rounds, classes, rows) array and added along the
+round axis in one numpy reduction, which adds them in round order; every
+logit gets the same floating-point additions in the same order as the
+values training accumulated.
 """
 
 from __future__ import annotations
@@ -51,6 +55,17 @@ from .core import CLASS_ORDER, N_CLASSES, FaultLabel
 
 BASE_SCORE = 0.5  # initial logit for every class
 _BLOCK_ROWS = 256  # bounds the (rows x walked trees) pair arrays of one walk
+_SUM_ROWS = 64  # bounds the (rounds x classes x rows) terms summed at once
+
+
+def _read_only(values: list) -> np.ndarray:
+    array = np.array(values)
+    array.setflags(write=False)
+    return array
+
+
+# feature, threshold, left and right of every one-leaf tree, shared
+_LEAF_NODES = tuple(map(_read_only, ([-1], [0.0], [-1], [-1])))
 
 
 @dataclass(frozen=True)
@@ -93,27 +108,29 @@ class _Forest(NamedTuple):
     """The trees of every round with a split as one set of node arrays.
 
     Node ids are absolute.  Leaves keep feature -1 and are their own
-    children.  A round with no split adds `const[r]`; a round with a split
-    adds the leaves its trees reach, found by walking the `N_CLASSES` trees
-    from `N_CLASSES * slot[r]` on in `roots`.
+    children.  The logits of a row are the sum of the `terms` rows in
+    order: the base score, then one row per round.  A round with no split
+    adds its root values; the row of the i-th round with a split,
+    `split[i]`, is replaced by the leaves its trees reach, found by walking
+    the `N_CLASSES` trees from `N_CLASSES * i` on in `roots`.
     """
 
     feature: np.ndarray  # intp, -1 at leaves
     threshold: np.ndarray  # float64
     child: np.ndarray  # intp, [2 * i] left and [2 * i + 1] right child of node i
     value: np.ndarray  # float64
-    roots: np.ndarray  # intp, root node of each walked tree, [slot][class]
-    const: np.ndarray  # (rounds, N_CLASSES, 1) root values
-    slot: tuple[int, ...]  # per round: its index among rounds with a split, or -1
+    roots: np.ndarray  # intp, root node of each walked tree, [split round][class]
+    terms: np.ndarray  # (1 + rounds, N_CLASSES, 1) base score, then root values
+    split: np.ndarray  # intp, the `terms` row of each round with a split, ascending
 
 
-def _flatten(trees: list[list[Tree]]) -> _Forest:
+def _flatten(trees: list[list[Tree]], base_score: float) -> _Forest:
     values = [tree.value for round_trees in trees for tree in round_trees]
     sizes = np.fromiter(map(len, values), np.intp, len(values)).reshape(-1, N_CLASSES)
     const = np.fromiter((v[0] for v in values), np.float64, len(values))
-    const = const.reshape(-1, N_CLASSES, 1)
+    terms = np.concatenate([np.full(N_CLASSES, base_score, dtype=np.float64), const])
+    terms = terms.reshape(-1, N_CLASSES, 1)
     split = (sizes > 1).any(axis=1)  # a tree of more than one node has a split
-    slot = np.where(split, np.cumsum(split) - 1, -1)
     walked = [tree for r, s in zip(trees, split.tolist()) if s for tree in r]
     sizes = sizes[split].ravel()
     roots = np.cumsum(sizes) - sizes
@@ -134,8 +151,8 @@ def _flatten(trees: list[list[Tree]]) -> _Forest:
         child=child,
         value=column("value", np.float64),
         roots=roots,
-        const=const,
-        slot=tuple(slot.tolist()),
+        terms=terms,
+        split=np.flatnonzero(split) + 1,
     )
 
 
@@ -152,7 +169,7 @@ class GbtModel:
     _forest: _Forest = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_forest", _flatten(self.trees))
+        object.__setattr__(self, "_forest", _flatten(self.trees, self.base_score))
 
 
 def _as_class_indices(y: Sequence) -> np.ndarray:
@@ -289,33 +306,37 @@ def train(
     xt = np.ascontiguousarray(x.T)
     presort = np.argsort(xt, axis=1, kind="stable")
     xs = np.take_along_axis(xt, presort, axis=1)
-    onehot = np.zeros((n, N_CLASSES), dtype=np.float64)
-    onehot[np.arange(n), y_idx] = 1.0
+    onehot = np.zeros((N_CLASSES, n), dtype=np.float64)
+    onehot[y_idx, np.arange(n)] = 1.0
     eta = config.learning_rate
     lam = config.reg_lambda
     min_root_h = 2.0 * config.min_child_weight
 
-    logits = np.full((n, N_CLASSES), BASE_SCORE, dtype=np.float64)
+    # Class-major (classes, n) buffers: one contiguous row per class, so a
+    # root sum reduces in the same order as the grower's `g[idx].sum()` and
+    # the two agree bit for bit.  A sum over the six classes of a column adds
+    # them in class order, as `_softmax` does along a row.
+    logits = np.full((N_CLASSES, n), BASE_SCORE, dtype=np.float64)
+    p, grad, hess = (np.empty_like(logits) for _ in range(3))
+    column = np.empty(n, dtype=np.float64)
     rounds: list[list[Tree]] = []
     for _ in range(config.rounds):
-        p = _softmax(logits)
-        # one contiguous row per class: a root sum then reduces in the same
-        # order as the grower's `g[idx].sum()`, so the two agree bit for bit
-        grad = np.ascontiguousarray((p - onehot).T)
-        hess = np.ascontiguousarray((p * (1.0 - p)).T)
+        np.subtract(logits, np.max(logits, axis=0, out=column), out=p)
+        np.exp(p, out=p)
+        p /= np.sum(p, axis=0, out=column)
+        np.subtract(p, onehot, out=grad)
+        np.subtract(1.0, p, out=hess)
+        hess *= p
         h_sums = hess.sum(axis=1)
-        round_trees: list[Tree] = []
-        for c in range(N_CLASSES):
-            if h_sums[c] < min_root_h:  # the root cannot split: one leaf
-                weight = -eta * float(grad[c].sum()) / (float(h_sums[c]) + lam)
-                tree = Tree(*map(np.array, ([-1], [0.0], [-1], [-1], [weight])))
-                logits[:, c] += weight
-            else:
-                tree, row_value = _build_tree(
-                    xt, grad[c], hess[c], config, presort, xs
-                )
-                logits[:, c] += row_value
-            round_trees.append(tree)
+        weights = -eta * grad.sum(axis=1) / (h_sums + lam)
+        leaf = h_sums < min_root_h  # these roots cannot split: one leaf each
+        np.add(logits, weights[:, None], out=logits, where=leaf[:, None])
+        round_trees = [Tree(*_LEAF_NODES, weights[c : c + 1]) for c in range(N_CLASSES)]
+        for c in np.flatnonzero(~leaf).tolist():
+            round_trees[c], row_value = _build_tree(
+                xt, grad[c], hess[c], config, presort, xs
+            )
+            logits[c] += row_value
         rounds.append(round_trees)
 
     return GbtModel(
@@ -367,11 +388,21 @@ def predict_logits(
     if not np.all(np.isfinite(x)):
         raise ValueError("feature values must be finite")
     forest = model._forest
+    n = x.shape[0]
     leaves = _walk(forest, x)
-    # classes x rows, so each round adds to contiguous rows
-    logits = np.full((N_CLASSES, x.shape[0]), model.base_score, dtype=np.float64)
-    for slot, const in zip(forest.slot[:upto_round], forest.const[:upto_round]):
-        logits += const if slot < 0 else leaves[slot]
+    rounds = len(range(forest.terms.shape[0] - 1)[:upto_round])
+    terms = forest.terms[: rounds + 1]
+    split = forest.split[: np.searchsorted(forest.split, rounds, side="right")]
+    # classes x rows; the reduction over the terms axis adds each round in
+    # order, as `logits += term` round by round would
+    logits = np.empty((N_CLASSES, n), dtype=np.float64)
+    block = np.empty((rounds + 1, N_CLASSES, min(n, _SUM_ROWS)), dtype=np.float64)
+    block[...] = terms  # the rows of rounds without a split stay as filled
+    for lo in range(0, n, _SUM_ROWS):
+        rows = min(_SUM_ROWS, n - lo)
+        part = block[:, :, :rows]
+        part[split] = leaves[: split.size, :, lo : lo + rows]
+        np.add.reduce(part, axis=0, out=logits[:, lo : lo + rows])
     return logits.T.copy()
 
 

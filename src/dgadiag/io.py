@@ -207,15 +207,14 @@ def _trees_from_json(
     columns = []
     for name in Tree._fields:
         lists = [obj[name] for obj in flat]
-        column = np.array([v for values in lists for v in values])
+        column = [v for values in lists for v in values]
         index = name in ("feature", "left", "right")
-        if (
-            [len(values) for values in lists] != sizes
-            or column.ndim != 1
-            or column.dtype.kind not in ("i" if index else "if")
+        if [len(values) for values in lists] != sizes or not set(map(type, column)) <= (
+            {int} if index else {int, float}
         ):
-            raise ValueError(f"tree field {name!r} is not a number list as long as 'feature'")
-        columns.append(column.astype(np.int64 if index else np.float64))
+            kind = "integer" if index else "number"
+            raise ValueError(f"tree field {name!r} is not a {kind} list as long as 'feature'")
+        columns.append(np.array(column, dtype=np.int64 if index else np.float64))
     feature, threshold, left, right, value = columns
     if not (np.all(np.isfinite(threshold)) and np.all(np.isfinite(value))):
         raise ValueError("non-finite threshold or leaf value")
@@ -241,6 +240,20 @@ def _trees_from_json(
         for a, b in zip(starts.tolist(), ends.tolist())
     ]
     return [trees[r : r + N_CLASSES] for r in range(0, len(trees), N_CLASSES)]
+
+
+def _integer(name: str, value) -> int:
+    """`value` if it is a JSON integer (not a bool, float or string)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(name: str, value) -> float:
+    """`value` as a float if it is a JSON number (not a bool or string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def save_model(path, bundle: ModelBundle) -> None:
@@ -299,12 +312,15 @@ def load_model(path) -> ModelBundle:
         names = [label.value for label in CLASS_ORDER]
         if doc["class_order"] != names:
             raise ValueError(f"class_order must be {names}, got {doc['class_order']!r}")
+        for name, value in config.items():
+            check = _integer if name in ("rounds", "max_depth") else _number
+            config[name] = check(f"config.{name}", value)
         cfg = GbtConfig(**config)
-        n_features = int(doc["n_features"])
-        k = int(doc["k"])
+        n_features = _integer("n_features", doc["n_features"])
+        k = _integer("k", doc["k"])
         if n_features != k:
             raise ValueError(f"n_features {n_features} differs from k {k}")
-        base_score = float(doc["base_score"])
+        base_score = _number("base_score", doc["base_score"])
         if not math.isfinite(base_score):
             raise ValueError(f"non-finite base_score {base_score!r}")
         model = GbtModel(
@@ -312,7 +328,7 @@ def load_model(path) -> ModelBundle:
             config=cfg,
             n_features=n_features,
             base_score=base_score,
-            seed=int(doc["seed"]),
+            seed=_integer("seed", doc["seed"]),
         )
         from .ranking import validate_rank_order
 

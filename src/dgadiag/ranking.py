@@ -74,8 +74,14 @@ def canonical_rank_order() -> tuple[int, ...]:
 
 
 def validate_rank_order(order: Sequence[int]) -> tuple[int, ...]:
-    """Check that `order` is a permutation of 1..37 and return it as a tuple."""
-    order = tuple(int(v) for v in order)
+    """Check that `order` is a permutation of 1..37 and return it as a tuple
+    of ints.  Entries must be Python or numpy integers, not bools, floats or
+    strings."""
+    order = tuple(order)
+    for v in order:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"rank order entries must be integers, got {v!r}")
+    order = tuple(map(int, order))
     if sorted(order) != list(range(1, N_PARAMS + 1)):
         raise ValueError(f"rank order must be a permutation of 1..{N_PARAMS}")
     return order

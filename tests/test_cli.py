@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgadiag.cli import main
 from dgadiag.io import load_table_iv, write_dataset
@@ -321,6 +325,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and "model.json" in err
         assert "Traceback" not in err
 
+    def test_float_k_in_model_is_validation_error(self, capsys, tmp_path, synth_csv):
+        path = tmp_path / "model.json"
+        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
+              "--model", str(path)] + FAST)
+        doc = json.loads(path.read_text())
+        doc["k"] = 18.9  # `int()` truncated it to n_features and the file loaded
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [
+            "diagnose", "--h2", "292", "--ch4", "346", "--c2h6", "32",
+            "--c2h4", "313", "--c2h2", "196", "--model", str(path),
+        ])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "model.json" in err and "k must be" in err
+        assert "Traceback" not in err
+
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run(capsys, ["rank", "--data", "/nonexistent/file.csv"])
         assert code == 2
@@ -418,3 +437,42 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}: not UTF-8")
         assert "Traceback" not in err
+
+
+GAS_TEXT = st.one_of(
+    st.sampled_from([
+        "nan", "-nan", "inf", "-inf", "0", "-0", "-0.0", "1e400", "-1e400", "5e-324",
+        "2.2e-309", "1e-310", "2e6", "1000000", "1000000.0000001", "0x10", "1_0",
+        " 5 ", "\t7.5\n", "", "abc", "1e", "-1", "100", "0.001",
+    ]),
+    st.floats(0, 1e6).map(repr),
+    st.floats(0, 2.2250738585072014e-308).map(repr),  # zero and subnormals
+    st.floats(allow_nan=True, allow_infinity=True).map(str),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gases=st.lists(GAS_TEXT, min_size=5, max_size=5), compare=st.booleans())
+def test_diagnose_argv_ends_in_a_documented_exit(seed11_model, gases, compare):
+    """Any gas text on the `diagnose` command line ends in exit 0, 1 (bad
+    value) or 2 (usage), with an `error:` line on failure and no traceback
+    or warning."""
+    _, model = seed11_model
+    argv = ["diagnose", "--model", model] + ["--compare"] * compare
+    for name, text in zip(("h2", "ch4", "c2h6", "c2h4", "c2h2"), gases):
+        argv.append(f"--{name}={text}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the text
+            code = exc.code
+    assert caught == []
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert out.getvalue().startswith("id\t") and err.getvalue() == ""
+    else:
+        assert code in (1, 2) and out.getvalue() == ""
+        assert "error: " in err.getvalue()

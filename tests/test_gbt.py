@@ -453,6 +453,41 @@ def test_predict_logits_matches_per_row_walk(
     assert repr(got.tolist()) == repr(_oracle_logits(model, x, upto_round))
 
 
+# n straddles the 64-row blocks of the round sum and the 256-row blocks of
+# the walk.  Trained with the default min_child_weight on a few separable
+# rows, about a third of the models have a single-leaf round before a round
+# with a split; random models put single-leaf rounds anywhere.
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 63, 64, 65, 255, 256, 257, 700]),
+    d=st.integers(1, 4),
+    rounds=st.integers(1, 20),
+    source=st.sampled_from(["trained", "random"]),
+    upto=st.sampled_from([None, 0, "inside", "past the end", "negative"]),
+)
+def test_predict_logits_sums_rounds_in_order(seed, n, d, rounds, source, upto):
+    rng = np.random.default_rng(seed)
+    if source == "trained":
+        m = int(rng.integers(8, 30))
+        y = rng.integers(0, 3, size=m)
+        y[:2] = [0, 1]
+        x = rng.normal(size=(m, d))
+        x[:, 0] += 3.0 * y
+        model = train(x, y, GbtConfig(rounds=rounds, max_depth=3))
+        rows = rng.normal(scale=3.0, size=(n, d))
+    else:
+        model = _random_model(rng, d, rounds, 3)
+        rows = _sample_rows(rng, "grid", n, d)
+    upto_round = {
+        "inside": int(rng.integers(1, rounds + 1)),
+        "past the end": rounds + 5,
+        "negative": -int(rng.integers(1, rounds + 1)),
+    }.get(upto, upto)
+    got = predict_logits(model, rows, upto_round=upto_round)
+    assert repr(got.tolist()) == repr(_oracle_logits(model, rows, upto_round))
+
+
 def _leaf_values(tree, x, rows):
     """The leaf value each row of `x` reaches, one level of all rows per step;
     `rows` is `np.arange(len(x))`.  The per-tree walk prediction used before
@@ -629,10 +664,16 @@ def test_flatten_matches_per_tree_construction(
         trees = train(_sample_rows(rng, kind, 80, d), y, cfg).trees
     else:
         trees = _random_model(rng, d, rounds, max_depth).trees
-    got = _flatten(trees)
-    want = _flatten_per_tree(trees)
-    assert got.slot == want[-1]
-    for a, b in zip(got[:-1], want[:-1]):
+    base_score = float(rng.normal())
+    got = _flatten(trees, base_score)
+    *want, const, slot = _flatten_per_tree(trees)
+    # the old per-round `slot` and `const`, as the rows of the terms block
+    head = np.full((1, len(CLASS_ORDER), 1), base_score)
+    want.append(np.concatenate([head, const]))
+    want.append(np.array([1 + r for r, s in enumerate(slot) if s >= 0], dtype=np.intp))
+    assert [s for s in slot if s >= 0] == list(range(got.split.size))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
 

@@ -278,6 +278,49 @@ def _overflowing_leaves(doc):
         tree["value"][-1] = 1e308
 
 
+def _set(*keys, value):
+    """A mutation that sets the field at `keys` to `value`."""
+
+    def mutate(doc):
+        *path, last = keys
+        for key in path:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+def _set_root(name, value):
+    """A mutation that sets field `name` of the first split root to `value`."""
+
+    def mutate(doc):
+        _split_tree(doc)[name][0] = value
+
+    return mutate
+
+
+# loosely typed fields that `int()` or `float()` used to truncate or parse
+# (on the toy model: canonical rank order 28, 24, 1, ..., k = n_features =
+# 20, seed 2, rounds 8, max_depth 3)
+LOOSE_FIELDS = {
+    "rank_order-float": _set("rank_order", 0, value=28.9),
+    "rank_order-string": _set("rank_order", 0, value="28"),
+    "rank_order-bool": _set("rank_order", 2, value=True),
+    "k-float": _set("k", value=20.9),
+    "n_features-float": _set("n_features", value=20.0),
+    "seed-string": _set("seed", value="2"),
+    "base_score-string": _set("base_score", value="0.5"),
+    "base_score-bool": _set("base_score", value=True),
+    "rounds-float": _set("config", "rounds", value=8.0),
+    "max_depth-float": _set("config", "max_depth", value=3.5),
+    "reg_lambda-bool": _set("config", "reg_lambda", value=True),
+    "learning_rate-string": _set("config", "learning_rate", value="0.3"),
+    "feature-bool": _set_root("feature", True),
+    "left-float": _set_root("left", 1.0),
+    "threshold-bool": _set_root("threshold", True),
+}
+
+
 def _mutated_model(tmp_path, mutate):
     """Save the toy model, apply `mutate` to its JSON document, and write
     the result to model.json."""
@@ -360,6 +403,7 @@ class TestModelPersistence:
         _nan_base_score,
         _infinite_base_score,
         _overflowing_leaves,
+        *(pytest.param(m, id=name) for name, m in LOOSE_FIELDS.items()),
     ])
     def test_invalid_structure_rejected(self, tmp_path, mutate):
         path = _mutated_model(tmp_path, mutate)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dgadiag.core import GasSample
+from dgadiag.features import build_features
 from dgadiag.io import generate_synthetic
 from dgadiag.ranking import (
     CANONICAL_RANK_ORDER,
@@ -117,6 +118,18 @@ class TestCanonicalOrder:
             validate_rank_order([1] * 37)
         with pytest.raises(ValueError):
             validate_rank_order(range(0, 37))
+
+    def test_validate_rank_order_types(self):
+        got = validate_rank_order(np.arange(1, 38))  # numpy integers are fine
+        assert got == tuple(range(1, 38)) and all(type(v) is int for v in got)
+        for bad in (1.9, 1.0, "1", True, np.float64(1.0), np.bool_(True)):
+            with pytest.raises(ValueError, match="must be integers"):
+                validate_rank_order([bad, *range(2, 38)])
+
+    def test_build_features_rejects_a_float_rank(self):
+        samples = generate_synthetic(11, counts=(2,) * 6)
+        with pytest.raises(ValueError, match="must be integers, got 1.9"):
+            build_features(samples, [1.9, *range(2, 38)], 24)
 
 
 class TestAnova:

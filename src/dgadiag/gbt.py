@@ -27,25 +27,27 @@ carries less than twice min_child_weight of hessian mass cannot split; it
 gets its one-leaf tree without growing it, which is most trees after the
 first rounds, and a round where every root is a leaf is one in-place add.
 
-Each tree is a `Tree` of five preorder node arrays (feature, threshold,
-left, right, value).  The same arrays are what training builds and what
-`dgadiag.io` writes to the model file.
+A model is five flat node arrays (feature, threshold, left, right, value)
+holding every tree, [round][class], each in preorder, plus each tree's node
+count.  Training appends to them, `dgadiag.io` writes them as five lists,
+and `GbtModel.trees` gives `Tree` views (numpy slices) of them.
 
-For prediction a model also holds one flat forest, built once when the
-model is made: the trees of every round that has a split, concatenated
-with absolute child indices, plus each round's single-leaf values.  A
-block of rows walks all of those trees at once, one tree level of every
-(row, tree) pair per numpy step, dropping the pairs that reach a leaf.
-Rounds whose trees are all single leaves need no walk.  For each block of
-64 rows the base score, the single-leaf values and the walked leaf values
-are stacked as one (1 + rounds, classes, rows) array and added along the
-round axis in one numpy reduction, which adds them in round order; every
-logit gets the same floating-point additions in the same order as the
-values training accumulated.
+For prediction a model also derives, once, absolute child ids, the roots
+of the trees of every round that has a split, and each round's root
+values.  A block of rows walks all of those trees at once, one tree level
+of every (row, tree) pair per numpy step, dropping the pairs that reach a
+leaf.  Rounds whose trees are all single leaves need no walk.  For each
+block of 64 rows the base score, the single-leaf values and the walked
+leaf values are stacked as one (1 + rounds, classes, rows) array and added
+along the round axis in one numpy reduction, which adds them in round
+order; every logit gets the same floating-point additions in the same
+order as the values training accumulated.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -58,16 +60,6 @@ _BLOCK_ROWS = 256  # bounds the (rows x walked trees) pair arrays of one walk
 _SUM_ROWS = 64  # bounds the (rounds x classes x rows) terms summed at once
 
 
-def _read_only(values: list) -> np.ndarray:
-    array = np.array(values)
-    array.setflags(write=False)
-    return array
-
-
-# feature, threshold, left and right of every one-leaf tree, shared
-_LEAF_NODES = tuple(map(_read_only, ([-1], [0.0], [-1], [-1])))
-
-
 @dataclass(frozen=True)
 class GbtConfig:
     rounds: int = 100
@@ -78,6 +70,16 @@ class GbtConfig:
     min_child_weight: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            integer = name in ("rounds", "max_depth")
+            kind = numbers.Integral if integer else numbers.Real
+            try:  # math.isfinite raises OverflowError on an int too large for a float
+                ok = isinstance(value, kind) and (integer or math.isfinite(value))
+            except OverflowError:
+                ok = False
+            if isinstance(value, bool) or not ok:
+                must = "an integer" if integer else "a finite number"
+                raise ValueError(f"{name} must be {must}, got {value!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -105,71 +107,70 @@ class Tree(NamedTuple):
 
 
 class _Forest(NamedTuple):
-    """The trees of every round with a split as one set of node arrays.
+    """What the walk needs beyond a model's node arrays.
 
-    Node ids are absolute.  Leaves keep feature -1 and are their own
-    children.  The logits of a row are the sum of the `terms` rows in
-    order: the base score, then one row per round.  A round with no split
-    adds its root values; the row of the i-th round with a split,
-    `split[i]`, is replaced by the leaves its trees reach, found by walking
-    the `N_CLASSES` trees from `N_CLASSES * i` on in `roots`.
+    The logits of a row are the sum of the `terms` rows in order: the base
+    score, then one row per round.  A round with no split adds its root
+    values; the row of the i-th round with a split, `split[i]`, is replaced
+    by the leaves its trees reach, found by walking the `N_CLASSES` trees
+    from `N_CLASSES * i` on in `roots`.
     """
 
-    feature: np.ndarray  # intp, -1 at leaves
-    threshold: np.ndarray  # float64
     child: np.ndarray  # intp, [2 * i] left and [2 * i + 1] right child of node i
-    value: np.ndarray  # float64
     roots: np.ndarray  # intp, root node of each walked tree, [split round][class]
     terms: np.ndarray  # (1 + rounds, N_CLASSES, 1) base score, then root values
     split: np.ndarray  # intp, the `terms` row of each round with a split, ascending
 
 
-def _flatten(trees: list[list[Tree]], base_score: float) -> _Forest:
-    values = [tree.value for round_trees in trees for tree in round_trees]
-    sizes = np.fromiter(map(len, values), np.intp, len(values)).reshape(-1, N_CLASSES)
-    const = np.fromiter((v[0] for v in values), np.float64, len(values))
-    terms = np.concatenate([np.full(N_CLASSES, base_score, dtype=np.float64), const])
-    terms = terms.reshape(-1, N_CLASSES, 1)
-    split = (sizes > 1).any(axis=1)  # a tree of more than one node has a split
-    walked = [tree for r, s in zip(trees, split.tolist()) if s for tree in r]
-    sizes = sizes[split].ravel()
-    roots = np.cumsum(sizes) - sizes
-    offset = np.repeat(roots, sizes)
-
-    def column(name: str, dtype) -> np.ndarray:
-        return np.concatenate([np.empty(0, dtype)] + [getattr(t, name) for t in walked])
-
-    feature = column("feature", np.intp)
-    internal = feature >= 0
-    node = np.arange(feature.size)
-    child = np.empty(2 * feature.size, dtype=np.intp)
-    child[0::2] = np.where(internal, column("left", np.intp) + offset, node)
-    child[1::2] = np.where(internal, column("right", np.intp) + offset, node)
-    return _Forest(
-        feature=feature,
-        threshold=column("threshold", np.float64),
-        child=child,
-        value=column("value", np.float64),
-        roots=roots,
-        terms=terms,
-        split=np.flatnonzero(split) + 1,
-    )
-
-
 @dataclass(frozen=True)
 class GbtModel:
-    """A trained ensemble.  Prediction reads the flat forest built from
-    `trees` when the model is made, so the trees must not change after."""
+    """A trained ensemble: five read-only node arrays holding every tree,
+    [round][class] with classes in CLASS_ORDER, each in preorder with child
+    ids counted from its root as in `Tree`, and each tree's node count."""
 
-    trees: list[list[Tree]]  # [round][class], classes in CLASS_ORDER
     config: GbtConfig
     n_features: int
+    feature: np.ndarray  # int64, -1 at leaves
+    threshold: np.ndarray  # float64
+    left: np.ndarray  # int64, -1 at leaves
+    right: np.ndarray  # int64, -1 at leaves
+    value: np.ndarray  # float64, 0.0 at internal nodes
+    sizes: np.ndarray  # intp, node count of each tree, [round][class]
     base_score: float = BASE_SCORE
     seed: int = 0
     _forest: _Forest = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_forest", _flatten(self.trees, self.base_score))
+        for name in (*Tree._fields, "sizes"):
+            getattr(self, name).setflags(write=False)
+        object.__setattr__(self, "_forest", _flatten(self))
+
+    @property
+    def trees(self) -> list[list[Tree]]:
+        """[round][class] `Tree` views of the node arrays."""
+        ends = np.cumsum(self.sizes).tolist()
+        nodes = [getattr(self, name) for name in Tree._fields]
+        trees = [Tree(*(a[b - n : b] for a in nodes)) for n, b in zip(self.sizes.tolist(), ends)]
+        return [trees[r : r + N_CLASSES] for r in range(0, len(trees), N_CLASSES)]
+
+
+def _flatten(model: GbtModel) -> _Forest:
+    sizes = model.sizes
+    starts = np.cumsum(sizes) - sizes
+    terms = np.concatenate([np.full(N_CLASSES, model.base_score), model.value[starts]])
+    split = (sizes > 1).reshape(-1, N_CLASSES).any(axis=1)  # more than one node: a split
+    offset = np.repeat(starts, sizes)
+    internal = model.feature >= 0
+    node = np.arange(model.feature.size)
+    child = np.empty(2 * node.size, dtype=np.intp)
+    child[0::2] = np.where(internal, model.left + offset, node)
+    child[1::2] = np.where(internal, model.right + offset, node)
+    return _Forest(
+        child=child,
+        roots=starts.reshape(-1, N_CLASSES)[split].ravel(),
+        terms=terms.reshape(-1, N_CLASSES, 1),
+        split=np.flatnonzero(split) + 1,
+    )
 
 
 def _as_class_indices(y: Sequence) -> np.ndarray:
@@ -198,8 +199,11 @@ def _build_tree(
     cfg: GbtConfig,
     presort: np.ndarray,
     xs: np.ndarray,
-) -> tuple[Tree, np.ndarray]:
-    """Grow one tree; also return the leaf value each row lands in.
+    nodes: list[tuple],
+) -> np.ndarray:
+    """Grow one tree, appending its nodes to `nodes` as (feature,
+    threshold, left, right, value) in preorder, with child ids counted from
+    its root; return the leaf value each row lands in.
 
     `xt` is the (k, n) feature-major matrix, `presort[j]` lists the row ids
     in ascending order of `xt[j]`, ties by row id
@@ -209,7 +213,7 @@ def _build_tree(
     eta = cfg.learning_rate
     lam = cfg.reg_lambda
     n_feat, n = xt.shape
-    nodes: list[tuple] = []  # (feature, threshold, left, right, value) in preorder
+    root = len(nodes)
     row_value = np.empty(n, dtype=np.float64)
 
     def grow(
@@ -222,7 +226,7 @@ def _build_tree(
         """`idx` holds the node's row ids ascending; `rows`/`xs` the
         parent's sorted rows and values, of which `keep` marks the node's
         (None at the root, whose arrays are already its own)."""
-        node = len(nodes)
+        node = len(nodes) - root
         g_sum = float(g[idx].sum())
         h_sum = float(h[idx].sum())
         weight = -eta * g_sum / (h_sum + lam)
@@ -273,11 +277,11 @@ def _build_tree(
         mask = goes_left[idx]
         left = grow(idx[mask], rows, xs, in_left, depth + 1)
         right = grow(idx[~mask], rows, xs, ~in_left, depth + 1)
-        nodes[node] = (feat, float(threshold), left, right, 0.0)
+        nodes[root + node] = (feat, float(threshold), left, right, 0.0)
         return node
 
     grow(np.arange(n, dtype=np.intp), presort, xs, None, 0)
-    return Tree(*map(np.array, zip(*nodes))), row_value
+    return row_value
 
 
 def train(
@@ -319,7 +323,8 @@ def train(
     logits = np.full((N_CLASSES, n), BASE_SCORE, dtype=np.float64)
     p, grad, hess = (np.empty_like(logits) for _ in range(3))
     column = np.empty(n, dtype=np.float64)
-    rounds: list[list[Tree]] = []
+    nodes: list[tuple] = []  # (feature, threshold, left, right, value)
+    sizes: list[int] = []
     for _ in range(config.rounds):
         np.subtract(logits, np.max(logits, axis=0, out=column), out=p)
         np.exp(p, out=p)
@@ -331,25 +336,27 @@ def train(
         weights = -eta * grad.sum(axis=1) / (h_sums + lam)
         leaf = h_sums < min_root_h  # these roots cannot split: one leaf each
         np.add(logits, weights[:, None], out=logits, where=leaf[:, None])
-        round_trees = [Tree(*_LEAF_NODES, weights[c : c + 1]) for c in range(N_CLASSES)]
-        for c in np.flatnonzero(~leaf).tolist():
-            round_trees[c], row_value = _build_tree(
-                xt, grad[c], hess[c], config, presort, xs
-            )
-            logits[c] += row_value
-        rounds.append(round_trees)
+        for c, (weight, is_leaf) in enumerate(zip(weights.tolist(), leaf.tolist())):
+            start = len(nodes)
+            if is_leaf:
+                nodes.append((-1, 0.0, -1, -1, weight))
+            else:
+                logits[c] += _build_tree(xt, grad[c], hess[c], config, presort, xs, nodes)
+            sizes.append(len(nodes) - start)
 
     return GbtModel(
-        trees=rounds,
-        config=config,
-        n_features=x.shape[1],
+        config,
+        x.shape[1],
+        *map(np.array, zip(*nodes)),  # int64 and float64 columns
+        sizes=np.array(sizes, dtype=np.intp),
         seed=seed,
     )
 
 
-def _walk(forest: _Forest, x: np.ndarray) -> np.ndarray:
+def _walk(model: GbtModel, x: np.ndarray) -> np.ndarray:
     """The leaf value each row of `x` reaches in each walked tree of
-    `forest`, as a (rounds with a split, N_CLASSES, n) array."""
+    `model`, as a (rounds with a split, N_CLASSES, n) array."""
+    forest = model._forest
     n, k = x.shape
     n_trees = forest.roots.size
     out = np.empty((n_trees, n), dtype=np.float64)
@@ -359,15 +366,15 @@ def _walk(forest: _Forest, x: np.ndarray) -> np.ndarray:
         # pair p is (row p // n_trees, tree p % n_trees); `at` its x offset
         node = np.tile(forest.roots, rows)
         at = np.repeat(np.arange(rows) * k, n_trees)
-        live = np.flatnonzero(forest.feature[node] >= 0)
+        live = np.flatnonzero(model.feature[node] >= 0)
         while live.size:
             here = node[live]
             # not below the threshold: the right child, as in `Tree`
-            right = block[at[live] + forest.feature[here]] >= forest.threshold[here]
+            right = block[at[live] + model.feature[here]] >= model.threshold[here]
             here = forest.child[2 * here + right]
             node[live] = here
-            live = live[forest.feature[here] >= 0]
-        out[:, lo : lo + rows] = forest.value[node].reshape(rows, n_trees).T
+            live = live[model.feature[here] >= 0]
+        out[:, lo : lo + rows] = model.value[node].reshape(rows, n_trees).T
     return out.reshape(n_trees // N_CLASSES, N_CLASSES, n)
 
 
@@ -389,7 +396,7 @@ def predict_logits(
         raise ValueError("feature values must be finite")
     forest = model._forest
     n = x.shape[0]
-    leaves = _walk(forest, x)
+    leaves = _walk(model, x)
     rounds = len(range(forest.terms.shape[0] - 1)[:upto_round])
     terms = forest.terms[: rounds + 1]
     split = forest.split[: np.searchsorted(forest.split, rounds, side="right")]

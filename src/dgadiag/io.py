@@ -10,10 +10,13 @@ file line number.  Every malformed file raises ValueError naming the path.
 Model files are versioned JSON documents carrying the boosting config, class
 order, the rank order and feature count the model was trained against, and
 the full tree ensemble; the class order and `config.n_classes` must be
-CLASS_ORDER and its length.  Format version 2 stores each tree as one dict of
-the five `Tree` node arrays (feature, threshold, left, right, value) as
-lists; `load_model` rejects any structure the prediction walk could index
-out of range or loop on.  All writes go through a temp file + rename so
+CLASS_ORDER and its length.  Format version 3 stores the ensemble as the
+`GbtModel` node arrays: under "trees", a "node_counts" list (one entry per
+tree, [round][class]) and the five lists feature, threshold, left, right
+and value, every tree's nodes in preorder one after another, child ids
+counted from the tree's root.  `load_model` rejects any structure the
+prediction walk could index out of range or loop on, and any other
+format version.  All writes go through a temp file + rename so
 readers never observe partial output.
 """
 
@@ -35,7 +38,7 @@ from .core import CLASS_ORDER, GAS_NAMES, N_CLASSES, FaultLabel, GasSample
 from .gbt import GbtConfig, GbtModel, Tree
 
 CSV_HEADER = ["id", "h2", "ch4", "c2h6", "c2h4", "c2h2", "label"]
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 # Per-class log-uniform gas ranges (ppm) for the synthetic generator, chosen
 # so each class's draws land in its own Duval-triangle zone with probability
@@ -188,58 +191,52 @@ class ModelBundle:
     k: int
 
 
-def _trees_from_json(
-    doc_trees: list, cfg: GbtConfig, n_features: int, base_score: float
-) -> list[list[Tree]]:
-    """The [round][class] trees of a model document.
+def _forest_from_json(
+    doc_trees: dict, cfg: GbtConfig, n_features: int, base_score: float
+) -> dict[str, np.ndarray]:
+    """The node arrays and node counts of a model document, as `GbtModel`
+    fields.
 
     Raises ValueError on a tree count that does not match the config, on
     any tree the prediction walk could index out of range or loop on, and
-    on leaf values that could add up to a non-finite logit.  All trees are
-    checked at once on their concatenated node arrays.
+    on leaf values that could add up to a non-finite logit.
     """
-    if len(doc_trees) != cfg.rounds or any(len(r) != N_CLASSES for r in doc_trees):
+    sizes = doc_trees["node_counts"]
+    if not set(map(type, sizes)) <= {int}:  # a JSON object yields its str keys
+        raise ValueError("trees.node_counts is not an integer list")
+    if len(sizes) != cfg.rounds * N_CLASSES:
         raise ValueError(f"expected {cfg.rounds} rounds of {N_CLASSES} trees")
-    flat = [obj for round_trees in doc_trees for obj in round_trees]
-    sizes = [len(obj["feature"]) for obj in flat]
-    if 0 in sizes:
+    if min(sizes) < 1:
         raise ValueError("empty tree")
-    columns = []
+    arrays = {}
     for name in Tree._fields:
-        lists = [obj[name] for obj in flat]
-        column = [v for values in lists for v in values]
+        column = doc_trees[name]
         index = name in ("feature", "left", "right")
-        if [len(values) for values in lists] != sizes or not set(map(type, column)) <= (
-            {int} if index else {int, float}
-        ):
-            kind = "integer" if index else "number"
-            raise ValueError(f"tree field {name!r} is not a {kind} list as long as 'feature'")
-        columns.append(np.array(column, dtype=np.int64 if index else np.float64))
-    feature, threshold, left, right, value = columns
+        types = {int} if index else {int, float}
+        if len(column) != sum(sizes) or not set(map(type, column)) <= types:
+            kind = "an integer" if index else "a number"
+            raise ValueError(f"trees.{name} is not {kind} list of sum(node_counts) entries")
+        arrays[name] = np.array(column, dtype=np.int64 if index else np.float64)
+    feature, threshold, left, right, value = arrays.values()
     if not (np.all(np.isfinite(threshold)) and np.all(np.isfinite(value))):
         raise ValueError("non-finite threshold or leaf value")
 
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
+    sizes = np.array(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
     # a logit is base_score plus one leaf per tree of its class, so this
     # bounds every logit
     reach = abs(base_score) + sum(np.maximum.reduceat(np.abs(value), starts).tolist())
     if not math.isfinite(reach):
         raise ValueError("base_score and leaf values can add up to a non-finite logit")
     internal = feature != -1
-    node = (np.arange(ends[-1]) - np.repeat(starts, sizes))[internal]
+    node = (np.arange(feature.size) - np.repeat(starts, sizes))[internal]
     size = np.repeat(sizes, sizes)[internal]
     if np.any((feature[internal] < 0) | (feature[internal] >= n_features)):
         raise ValueError(f"feature index out of range 0..{n_features - 1}")
     for child in (left[internal], right[internal]):
         if np.any((child <= node) | (child >= size)):
             raise ValueError("child index must point past its parent within the tree")
-
-    trees = [
-        Tree(feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b])
-        for a, b in zip(starts.tolist(), ends.tolist())
-    ]
-    return [trees[r : r + N_CLASSES] for r in range(0, len(trees), N_CLASSES)]
+    return {**arrays, "sizes": sizes}
 
 
 def _integer(name: str, value) -> int:
@@ -257,7 +254,8 @@ def _number(name: str, value) -> float:
 
 
 def save_model(path, bundle: ModelBundle) -> None:
-    cfg = bundle.model.config
+    model = bundle.model
+    cfg = model.config
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "config": {
@@ -272,16 +270,13 @@ def save_model(path, bundle: ModelBundle) -> None:
         "class_order": [label.value for label in CLASS_ORDER],
         "rank_order": list(bundle.rank_order),
         "k": bundle.k,
-        "seed": bundle.model.seed,
-        "base_score": bundle.model.base_score,
-        "n_features": bundle.model.n_features,
-        "trees": [
-            [
-                {name: getattr(tree, name).tolist() for name in Tree._fields}
-                for tree in round_trees
-            ]
-            for round_trees in bundle.model.trees
-        ],
+        "seed": model.seed,
+        "base_score": model.base_score,
+        "n_features": model.n_features,
+        "trees": {
+            "node_counts": model.sizes.tolist(),
+            **{name: getattr(model, name).tolist() for name in Tree._fields},
+        },
     }
     atomic_write_text(str(path), json.dumps(doc, separators=(",", ":")) + "\n")
 
@@ -312,9 +307,6 @@ def load_model(path) -> ModelBundle:
         names = [label.value for label in CLASS_ORDER]
         if doc["class_order"] != names:
             raise ValueError(f"class_order must be {names}, got {doc['class_order']!r}")
-        for name, value in config.items():
-            check = _integer if name in ("rounds", "max_depth") else _number
-            config[name] = check(f"config.{name}", value)
         cfg = GbtConfig(**config)
         n_features = _integer("n_features", doc["n_features"])
         k = _integer("k", doc["k"])
@@ -324,9 +316,9 @@ def load_model(path) -> ModelBundle:
         if not math.isfinite(base_score):
             raise ValueError(f"non-finite base_score {base_score!r}")
         model = GbtModel(
-            trees=_trees_from_json(doc["trees"], cfg, n_features, base_score),
-            config=cfg,
-            n_features=n_features,
+            cfg,
+            n_features,
+            **_forest_from_json(doc["trees"], cfg, n_features, base_score),
             base_score=base_score,
             seed=_integer("seed", doc["seed"]),
         )

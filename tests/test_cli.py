@@ -180,11 +180,13 @@ class TestTrainDiagnoseEvaluate:
         assert 0.0 <= doc["pooled"]["accuracy"] <= 1.0
 
     def test_model_file_is_byte_identical(self, seed11_model):
-        # pins the format-v2 bytes of a seeded training run
+        # pins the format-v3 bytes of a seeded training run; the same model
+        # took 62,486 bytes as format v2
         _, model = seed11_model
         assert hashlib.sha256(Path(model).read_bytes()).hexdigest() == (
-            "a5c9fd894279d8ab84738b1b225a04b611421cdc94de793fbddd5975a2b24021"
+            "e20a1afc09f8ae32033b4cbed86f1509e70ce8be250c827cb793894c633e7e73"
         )
+        assert Path(model).stat().st_size <= 62_486 // 2
 
     def test_evaluate_holdout(self, capsys, tmp_path, synth_csv):
         model = str(tmp_path / "m.json")
@@ -315,7 +317,7 @@ class TestExitCodes:
         main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
               "--model", str(path)] + FAST)
         doc = json.loads(path.read_text())
-        doc["trees"][0][0]["feature"][0] = doc["n_features"]  # out of range
+        doc["trees"]["feature"][0] = doc["n_features"]  # out of range
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, [
             "diagnose", "--h2", "292", "--ch4", "346", "--c2h6", "32",
@@ -338,6 +340,40 @@ class TestExitCodes:
         ])
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "model.json" in err and "k must be" in err
+        assert "Traceback" not in err
+
+    def test_v2_model_file_is_refused(self, capsys, seed11_model, tmp_path):
+        # the seed-11 model rewritten as format v2: one dict per tree
+        _, model = seed11_model
+        doc = json.loads(Path(model).read_text())
+        flat, start, trees = doc["trees"], 0, []
+        for size in flat.pop("node_counts"):
+            trees.append({name: nodes[start : start + size] for name, nodes in flat.items()})
+            start += size
+        doc["trees"] = [trees[r : r + 6] for r in range(0, len(trees), 6)]
+        doc["format_version"] = 2
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [
+            "diagnose", "--h2", "292", "--ch4", "346", "--c2h6", "32",
+            "--c2h4", "313", "--c2h2", "196", "--model", str(path),
+        ])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: ") and "format_version 2" in err
+        assert "Traceback" not in err
+
+    def test_nan_reg_lambda_model_fails_holdout(self, capsys, tmp_path, synth_csv):
+        # such a file loaded, and the holdout retrained to all-PD labels
+        path = tmp_path / "model.json"
+        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
+              "--model", str(path)] + FAST)
+        doc = json.loads(path.read_text())
+        doc["config"]["reg_lambda"] = float("nan")
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["evaluate", "--data", synth_csv, "--model", str(path),
+                                      "--holdout", "0.25", "--seed", "6"])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: ") and "reg_lambda" in err
         assert "Traceback" not in err
 
     def test_missing_file_is_io_error(self, capsys):

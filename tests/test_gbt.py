@@ -16,6 +16,7 @@ from dgadiag.gbt import (
     predict_many,
     predict_proba_many,
     train,
+    _Forest,
     _build_tree,
     _flatten,
     _softmax,
@@ -48,6 +49,19 @@ def test_config_validation():
         GbtConfig(max_depth=0)
     with pytest.raises(ValueError):
         GbtConfig(reg_lambda=-1)
+    bad = [
+        ("rounds", 5.0), ("rounds", True), ("rounds", "5"), ("rounds", None),
+        ("max_depth", 2.5), ("max_depth", False), ("max_depth", np.float64(3)),
+        ("learning_rate", float("nan")), ("learning_rate", True), ("learning_rate", "0.3"),
+        ("reg_lambda", True), ("reg_lambda", float("nan")), ("reg_lambda", float("inf")),
+        ("reg_lambda", 10**400), ("gamma", float("inf")), ("gamma", np.bool_(True)),
+        ("min_child_weight", float("nan")), ("min_child_weight", None),
+    ]
+    for name, value in bad:
+        with pytest.raises(ValueError, match=name):
+            GbtConfig(**{name: value})
+    # integers and finite reals of other types still pass
+    GbtConfig(rounds=np.int64(3), max_depth=np.int32(2), reg_lambda=1, gamma=np.float32(0.5))
 
 
 def test_one_hot_separable_points():
@@ -92,7 +106,7 @@ def test_constant_features_tied_counts_break_to_pd():
 
 
 def test_untrained_model_uniform_probabilities():
-    model = GbtModel(trees=[], config=GbtConfig(), n_features=4)
+    model = _model_of([], GbtConfig(), 4)
     probs = predict_proba_many(model, np.zeros((1, 4)))
     assert np.allclose(probs, np.full((1, 6), 1 / 6), atol=1e-15)
     assert predict_many(model, np.zeros((1, 4))) == [FaultLabel.PD]  # tie -> first class
@@ -114,7 +128,7 @@ def test_argmax_example():
 
 
 def test_row_length_mismatch():
-    model = GbtModel(trees=[], config=GbtConfig(), n_features=4)
+    model = _model_of([], GbtConfig(), 4)
     with pytest.raises(ValueError, match="4 features"):
         predict_proba_many(model, np.zeros((1, 3)))
     with pytest.raises(ValueError, match="2-D"):
@@ -140,7 +154,7 @@ def test_non_finite_features():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_predict_rejects_non_finite_rows(bad):
-    model = GbtModel(trees=[], config=GbtConfig(), n_features=6)
+    model = _model_of([], GbtConfig(), 6)
     rows = np.zeros((3, 6))
     rows[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
@@ -257,11 +271,15 @@ def test_root_split_matches_brute_force(seed):
 
 
 def _grow_presorted(x, g, h, cfg):
-    """`_build_tree` on `x` with the feature-major presort `train` makes."""
+    """`_build_tree` on `x` with the feature-major presort `train` makes,
+    behind the nodes of another tree; returns the grown `Tree` and the
+    per-row leaf values."""
     xt = np.ascontiguousarray(x.T)
     presort = np.argsort(xt, axis=1, kind="stable")
     xs = np.take_along_axis(xt, presort, axis=1)
-    return _build_tree(xt, g, h, cfg, presort, xs)
+    nodes = [(-1, 0.0, -1, -1, 0.25)]  # child ids count from the tree's own root
+    row_value = _build_tree(xt, g, h, cfg, presort, xs, nodes)
+    return Tree(*map(np.array, zip(*nodes[1:]))), row_value
 
 
 def _oracle_build_tree(x, g, h, cfg):
@@ -516,6 +534,19 @@ def _per_tree_logits(model, x, upto_round=None):
     return logits
 
 
+def _model_of(trees, config, n_features, **kwargs):
+    """A `GbtModel` of the [round][class] `trees`, their node arrays
+    concatenated."""
+    flat = [tree for round_trees in trees for tree in round_trees]
+    dtypes = (np.int64, np.float64, np.int64, np.int64, np.float64)
+    arrays = [
+        np.concatenate([np.empty(0, dtype)] + [getattr(t, name) for t in flat])
+        for name, dtype in zip(Tree._fields, dtypes)
+    ]
+    sizes = np.array([tree.feature.size for tree in flat], dtype=np.intp)
+    return GbtModel(config, n_features, *arrays, sizes=sizes, **kwargs)
+
+
 def _sample_rows(rng, kind, n, d):
     if kind == "normal":
         return rng.normal(size=(n, d))
@@ -556,11 +587,8 @@ def _random_model(rng, d, rounds, max_depth):
     for _ in range(rounds):
         depth = 0 if rng.random() < 0.4 else max_depth
         trees.append([_random_tree(rng, d, depth) for _ in CLASS_ORDER])
-    return GbtModel(
-        trees=trees,
-        config=GbtConfig(rounds=rounds, max_depth=max_depth),
-        n_features=d,
-        base_score=float(rng.normal()),
+    return _model_of(
+        trees, GbtConfig(rounds=rounds, max_depth=max_depth), d, base_score=float(rng.normal())
     )
 
 
@@ -603,42 +631,31 @@ def test_flat_forest_matches_per_tree_walk(
         assert repr(got.tolist()) == repr(_oracle_logits(model, x, upto_round))
 
 
-def _flatten_per_tree(trees):
-    """Reference: the flat forest read tree by tree, each root's value and
-    feature as a numpy scalar (the construction before `_flatten` read the
-    node counts)."""
-    const = np.array(
-        [[tree.value[0] for tree in round_trees] for round_trees in trees],
-        dtype=np.float64,
-    ).reshape(-1, len(CLASS_ORDER), 1)
-    slot, walked = [], []
-    for round_trees in trees:
-        if any(tree.feature[0] >= 0 for tree in round_trees):
-            slot.append(len(walked) // len(CLASS_ORDER))
-            walked += round_trees
-        else:
-            slot.append(-1)
-    sizes = np.array([tree.feature.size for tree in walked], dtype=np.intp)
-    roots = np.cumsum(sizes) - sizes
-    offset = np.repeat(roots, sizes)
-
-    def column(name, dtype):
-        return np.concatenate([np.empty(0, dtype)] + [getattr(t, name) for t in walked])
-
-    feature = column("feature", np.intp)
-    internal = feature >= 0
-    node = np.arange(feature.size)
-    child = np.empty(2 * feature.size, dtype=np.intp)
-    child[0::2] = np.where(internal, column("left", np.intp) + offset, node)
-    child[1::2] = np.where(internal, column("right", np.intp) + offset, node)
-    return (
-        feature,
-        column("threshold", np.float64),
-        child,
-        column("value", np.float64),
-        roots,
-        const,
-        tuple(slot),
+def _flatten_per_tree(model):
+    """Reference: the walk's arrays read node by node from the `trees`
+    views, each root value as a numpy scalar, a round walked when any of
+    its roots splits."""
+    child, roots, split, start = [], [], [], 0
+    terms = [[model.base_score] * len(CLASS_ORDER)]
+    for r, round_trees in enumerate(model.trees):
+        terms.append([tree.value[0] for tree in round_trees])
+        walked = any(tree.feature[0] >= 0 for tree in round_trees)
+        if walked:
+            split.append(r + 1)
+        for tree in round_trees:
+            if walked:
+                roots.append(start)
+            for i in range(tree.feature.size):
+                if tree.feature[i] >= 0:
+                    child += [start + tree.left[i], start + tree.right[i]]
+                else:  # a leaf is its own child
+                    child += [start + i, start + i]
+            start += tree.feature.size
+    return _Forest(
+        child=np.array(child, dtype=np.intp),
+        roots=np.array(roots, dtype=np.intp),
+        terms=np.array(terms, dtype=np.float64).reshape(-1, len(CLASS_ORDER), 1),
+        split=np.array(split, dtype=np.intp),
     )
 
 
@@ -655,33 +672,54 @@ def test_flatten_matches_per_tree_construction(
     seed, d, rounds, max_depth, source, kind
 ):
     rng = np.random.default_rng(seed)
+    base_score = float(rng.normal())
     if rounds == 0:
-        trees = []
+        model = _model_of([], GbtConfig(), d, base_score=base_score)
     elif source == "trained":
         y = rng.integers(0, len(CLASS_ORDER), size=80)
         y[:2] = [0, 1]
         cfg = GbtConfig(rounds=rounds, max_depth=max_depth)
-        trees = train(_sample_rows(rng, kind, 80, d), y, cfg).trees
+        model = train(_sample_rows(rng, kind, 80, d), y, cfg)
+        model = dataclasses.replace(model, base_score=base_score)
     else:
-        trees = _random_model(rng, d, rounds, max_depth).trees
-    base_score = float(rng.normal())
-    got = _flatten(trees, base_score)
-    *want, const, slot = _flatten_per_tree(trees)
-    # the old per-round `slot` and `const`, as the rows of the terms block
-    head = np.full((1, len(CLASS_ORDER), 1), base_score)
-    want.append(np.concatenate([head, const]))
-    want.append(np.array([1 + r for r, s in enumerate(slot) if s >= 0], dtype=np.intp))
-    assert [s for s in slot if s >= 0] == list(range(got.split.size))
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
+        model = _random_model(rng, d, rounds, max_depth)
+    got = _flatten(model)
+    want = _flatten_per_tree(model)
+    assert got.split.size == got.roots.size // len(CLASS_ORDER)
+    for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+def test_trees_are_views_of_the_node_arrays():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(60, 4))
+    y = [CLASS_ORDER[i % 6] for i in range(60)]
+    cfg = GbtConfig(rounds=12, max_depth=3)
+    model = train(x, y, cfg)
+    # no per-tree arrays: the model's arrays are the five node arrays, the
+    # node counts and the walk's four derived arrays
+    arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 6 and all(isinstance(v, np.ndarray) for v in model._forest)
+    assert not any(isinstance(v, list) for v in vars(model).values())
+    assert model.sizes.size == cfg.rounds * len(CLASS_ORDER)
+    assert model.sizes.sum() == model.feature.size
+    trees = model.trees
+    assert [len(r) for r in trees] == [len(CLASS_ORDER)] * cfg.rounds
+    for name in Tree._fields:
+        flat = getattr(model, name)
+        assert not flat.flags.writeable
+        parts = [getattr(tree, name) for r in trees for tree in r]
+        assert all(np.shares_memory(part, flat) for part in parts if part.size)
+        assert np.concatenate(parts).tobytes() == flat.tobytes()
+    with pytest.raises(ValueError):
+        model.value[0] = 1.0
 
 
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 700])
 @pytest.mark.parametrize("upto_round", [None, 0, 1, 3])
 def test_zero_tree_model_predicts_base_score(n, upto_round):
-    model = GbtModel(trees=[], config=GbtConfig(), n_features=3)
+    model = _model_of([], GbtConfig(), 3)
     x = np.random.default_rng(n).normal(size=(n, 3))
     got = predict_logits(model, x, upto_round=upto_round)
     assert got.tobytes() == np.full((n, len(CLASS_ORDER)), model.base_score).tobytes()

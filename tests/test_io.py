@@ -204,6 +204,9 @@ class TestGenerateSynthetic:
             generate_synthetic(0, counts=(-1, 0, 0, 0, 0, 0))
 
 
+NODE_FIELDS = ["feature", "threshold", "left", "right", "value"]
+
+
 def _toy_bundle() -> ModelBundle:
     samples = generate_synthetic(5, counts=(8,) * 6)
     order = canonical_rank_order()
@@ -212,36 +215,66 @@ def _toy_bundle() -> ModelBundle:
     return ModelBundle(model=model, rank_order=order, k=20)
 
 
-def _split_tree(doc) -> dict:
-    """The first tree whose root splits."""
-    return next(
-        tree for round_trees in doc["trees"] for tree in round_trees
-        if tree["feature"][0] >= 0
-    )
+def _split_root(trees) -> tuple[int, int]:
+    """(node index, node count) of the first tree whose root splits."""
+    start = 0
+    for size in trees["node_counts"]:
+        if trees["feature"][start] >= 0:
+            return start, size
+        start += size
+    raise AssertionError("no tree splits")
 
 
 def _feature_out_of_range(doc):
-    _split_tree(doc)["feature"][0] = doc["n_features"]
+    root, _ = _split_root(doc["trees"])
+    doc["trees"]["feature"][root] = doc["n_features"]
 
 
 def _extra_tree_in_round(doc):
-    doc["trees"][0].append(doc["trees"][0][0])
+    # a one-leaf tree more: node_counts one longer, the lists still match it
+    for name, leaf in zip(["node_counts", *NODE_FIELDS], [1, -1, 0.0, -1, -1, 0.0]):
+        doc["trees"][name].append(leaf)
 
 
 def _no_trees(doc):
-    doc["trees"] = []
+    for name in ["node_counts", *NODE_FIELDS]:
+        doc["trees"][name] = []
 
 
 def _backward_child(doc):
-    _split_tree(doc)["right"][0] = 0
+    root, _ = _split_root(doc["trees"])
+    doc["trees"]["right"][root] = 0
 
 
 def _nan_threshold(doc):
-    _split_tree(doc)["threshold"][0] = float("nan")
+    root, _ = _split_root(doc["trees"])
+    doc["trees"]["threshold"][root] = float("nan")
 
 
 def _unequal_lengths(doc):
-    _split_tree(doc)["value"].append(0.0)
+    doc["trees"]["value"].append(0.0)
+
+
+def _zero_node_count(doc):
+    # the first tree's nodes handed to the second, so the sum still matches
+    counts = doc["trees"]["node_counts"]
+    counts[1] += counts[0]
+    counts[0] = 0
+
+
+def _counts_sum_mismatch(doc):
+    doc["trees"]["node_counts"][-1] += 1
+
+
+def _short_count_list(doc):
+    # the last two trees counted as one: the sum still matches
+    counts = doc["trees"]["node_counts"]
+    counts[-2] += counts.pop()
+
+
+def _child_into_next_tree(doc):
+    root, size = _split_root(doc["trees"])
+    doc["trees"]["left"][root] = size  # the root of the next tree
 
 
 def _k_mismatch(doc):
@@ -272,10 +305,22 @@ def _infinite_base_score(doc):
     doc["base_score"] = float("inf")
 
 
+# mutations of the node counts and the message that names each fault
+NODE_COUNT_FAULTS = [
+    (_zero_node_count, "empty tree"),
+    (_counts_sum_mismatch, r"trees\.feature is not an integer list of sum\(node_counts\)"),
+    (_short_count_list, "expected 8 rounds of 6 trees"),
+    (_extra_tree_in_round, "expected 8 rounds of 6 trees"),
+    (_child_into_next_tree, "child index must point past its parent within the tree"),
+]
+
+
 def _overflowing_leaves(doc):
-    # each leaf is finite, but a row reaching both sums to an infinite logit
-    for tree in doc["trees"][0][0], doc["trees"][1][0]:
-        tree["value"][-1] = 1e308
+    # each leaf is finite, but a row reaching both sums to an infinite logit:
+    # the last node of the class-0 trees of rounds 0 and 1
+    counts = doc["trees"]["node_counts"]
+    for tree in 0, len(CLASS_ORDER):
+        doc["trees"]["value"][sum(counts[: tree + 1]) - 1] = 1e308
 
 
 def _set(*keys, value):
@@ -294,7 +339,8 @@ def _set_root(name, value):
     """A mutation that sets field `name` of the first split root to `value`."""
 
     def mutate(doc):
-        _split_tree(doc)[name][0] = value
+        root, _ = _split_root(doc["trees"])
+        doc["trees"][name][root] = value
 
     return mutate
 
@@ -384,9 +430,14 @@ class TestModelPersistence:
         bundle = _toy_bundle()
         path = tmp_path / "model.json"
         save_model(path, bundle)
-        tree = json.loads(path.read_text())["trees"][0][0]
-        assert list(tree) == ["feature", "threshold", "left", "right", "value"]
-        assert tree["feature"] == bundle.model.trees[0][0].feature.tolist()
+        trees = json.loads(path.read_text())["trees"]
+        assert list(trees) == ["node_counts", *NODE_FIELDS]
+        model = bundle.model
+        assert len(trees["node_counts"]) == model.config.rounds * len(CLASS_ORDER)
+        assert trees["node_counts"] == model.sizes.tolist()
+        assert sum(trees["node_counts"]) == len(trees["feature"])
+        for name in NODE_FIELDS:
+            assert trees[name] == getattr(model, name).tolist()
 
     @pytest.mark.parametrize("mutate", [
         _feature_out_of_range,
@@ -403,11 +454,22 @@ class TestModelPersistence:
         _nan_base_score,
         _infinite_base_score,
         _overflowing_leaves,
+        _zero_node_count,
+        _counts_sum_mismatch,
+        _short_count_list,
+        _child_into_next_tree,
         *(pytest.param(m, id=name) for name, m in LOOSE_FIELDS.items()),
     ])
     def test_invalid_structure_rejected(self, tmp_path, mutate):
         path = _mutated_model(tmp_path, mutate)
         with pytest.raises(ValueError, match="model.json"):
+            load_model(path)
+
+    @pytest.mark.parametrize("mutate, message", NODE_COUNT_FAULTS,
+                             ids=[mutate.__name__ for mutate, _ in NODE_COUNT_FAULTS])
+    def test_node_count_faults_are_named(self, tmp_path, mutate, message):
+        path = _mutated_model(tmp_path, mutate)
+        with pytest.raises(ValueError, match=message):
             load_model(path)
 
     def test_non_utf8_names_file(self, tmp_path):

@@ -42,7 +42,6 @@ from .ranking import (
     CANONICAL_RANK_ORDER,
     AnovaResult,
     anova_pvalue,
-    canonical_rank_order,
     rank_params,
     skewness,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "ModelBundle",
     "anova_pvalue",
     "build_features",
-    "canonical_rank_order",
     "confusion",
     "duval",
     "duval_coords",

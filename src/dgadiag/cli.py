@@ -7,6 +7,7 @@ malformed files), 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .conventional import duval, iec_ratio, rogers
@@ -24,7 +25,7 @@ from .io import (
     save_model,
     write_dataset,
 )
-from .ranking import canonical_rank_order, rank_params, skewness
+from .ranking import CANONICAL_RANK_ORDER, rank_params, skewness
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -35,9 +36,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _rank_order_for(args, samples):
-    if getattr(args, "canonical", False):
-        return canonical_rank_order()
-    return rank_params(samples)
+    return CANONICAL_RANK_ORDER if args.canonical else rank_params(samples)
 
 
 def _gbt_config(args) -> GbtConfig:
@@ -58,9 +57,8 @@ def _add_gbt_args(parser: argparse.ArgumentParser) -> None:
 
 def cmd_rank(args) -> int:
     if args.canonical:
-        order = canonical_rank_order()
         lines = ["position\tparam"]
-        lines += [f"{pos}\t{num}" for pos, num in enumerate(order, start=1)]
+        lines += [f"{pos}\t{num}" for pos, num in enumerate(CANONICAL_RANK_ORDER, start=1)]
     else:
         samples = load_dataset(args.data)
         order = rank_params(samples)
@@ -78,10 +76,10 @@ def cmd_features(args) -> int:
     fm = build_features(samples, order, args.k)
     header = ["id", "label"] + [f"h{j}" for j in range(1, args.k + 1)]
     lines = ["\t".join(header)]
-    for i, sample_id in enumerate(fm.ids):
-        label = fm.labels[i].value if fm.labels[i] is not None else ""
-        row = "\t".join(repr(float(v)) for v in fm.x[i])
-        lines.append(f"{sample_id}\t{label}\t{row}")
+    for s, row in zip(samples, fm.x):
+        label = s.label.value if s.label is not None else ""
+        values = "\t".join(repr(float(v)) for v in row)
+        lines.append(f"{s.id}\t{label}\t{values}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -106,12 +104,11 @@ def cmd_searchk(args) -> int:
 
 
 def cmd_train(args) -> int:
+    config = _gbt_config(args)
     samples = load_dataset(args.data)
-    if any(s.label is None for s in samples):
-        raise ValueError("training requires labeled samples")
     order = _rank_order_for(args, samples)
     fm = build_features(samples, order, args.k)
-    model = train(fm.x, fm.labels, config=_gbt_config(args), seed=args.seed)
+    model = train(fm.x, fm.labels, config=config, seed=args.seed)
     save_model(args.model, ModelBundle(model=model, rank_order=order, k=args.k))
     sys.stdout.write(f"trained\t{args.model}\tk={args.k}\tn={len(samples)}\n")
     return 0
@@ -149,8 +146,6 @@ def _report_json(report) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    import json
-
     if args.smote and args.cv is None:
         raise ValueError("--smote requires --cv")
     samples = load_dataset(args.data)
@@ -161,12 +156,12 @@ def cmd_evaluate(args) -> int:
     if args.cv is not None:
         result = kfold_cv(
             samples,
+            bundle.rank_order,
+            bundle.k,
             folds=args.cv,
             seed=args.seed,
             use_smote=args.smote,
-            k=bundle.k,
             config=bundle.model.config,
-            rank_order=bundle.rank_order,
         )
         lines: list[str] = []
         for i, rep in enumerate(result.fold_reports, start=1):
@@ -358,6 +353,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "rank" and not args.canonical and not args.data:
         parser.error("rank requires --data unless --canonical is given")
     try:
+        if getattr(args, "seed", 0) < 0:  # one check for every subcommand with a --seed
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -16,7 +16,8 @@ import numpy as np
 from .core import CLASS_ORDER, FaultLabel, GasSample
 from .features import FeatureMatrix, build_features
 from .gbt import GbtConfig, predict_many, train
-from .ranking import rank_params
+
+_SMOTE_NEIGHBORS = 5  # nearest same-class neighbors a synthetic row can head for
 
 
 @dataclass(frozen=True)
@@ -118,24 +119,19 @@ def train_test_split(
 
 
 def smote(
-    features: np.ndarray,
-    labels: Sequence,
-    k_neighbors: int = 5,
-    seed: int = 0,
+    features: np.ndarray, labels: Sequence, seed: int = 0
 ) -> tuple[np.ndarray, list]:
     """Oversample every class up to the majority count by interpolation.
 
     Each synthetic row is x + u * (x_nn - x) for a seeded-random base row x
-    of the class, one of its k nearest same-class neighbors x_nn, and
+    of the class, one of its five nearest same-class neighbors x_nn (Chawla
+    et al. 2002; any other row of a class of fewer than six), and
     u ~ Uniform(0, 1).  The input rows are returned unmodified as a prefix;
     synthetic rows follow, grouped by class in order of first appearance.
-    k is capped at class size - 1 when a class is smaller than k_neighbors + 1.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != len(labels):
         raise ValueError("features must be 2-D with one row per label")
-    if k_neighbors < 1:
-        raise ValueError("k_neighbors must be >= 1")
 
     labels = list(labels)
     class_rows: dict = {}
@@ -158,7 +154,7 @@ def smote(
         dist = np.sqrt((diff * diff).sum(axis=2))
         np.fill_diagonal(dist, np.inf)
         nn_order = np.argsort(dist, axis=1, kind="stable")[:, :-1]
-        k = min(k_neighbors, len(rows) - 1)
+        k = min(_SMOTE_NEIGHBORS, len(rows) - 1)
         for _ in range(deficit):
             base = int(rng.integers(len(rows)))
             neighbor = int(nn_order[base, int(rng.integers(k))])
@@ -225,28 +221,25 @@ def fit_and_score(
 
 def kfold_cv(
     dataset: Sequence[GasSample],
+    rank_order: Sequence[int],
+    k: int,
     folds: int = 5,
     seed: int = 0,
     use_smote: bool = False,
-    k: int = 24,
     config: GbtConfig = GbtConfig(),
-    rank_order: Sequence[int] | None = None,
 ) -> CvResult:
     """Stratified k-fold cross-validation of the full feature+classifier
-    pipeline.
+    pipeline at rank order `rank_order` and feature count `k`.
 
-    The parameter ranking is computed once on the whole dataset (or taken
-    from `rank_order`); features are built once and the classifier is
-    retrained per fold.  With `use_smote`, oversampling is applied to the
-    training folds only, never the held-out fold.  Per-fold RNG streams are
-    derived from (seed, fold index), so fold results do not depend on
-    execution order.
+    Features are built once and the classifier is retrained per fold.  With
+    `use_smote`, oversampling is applied to the training folds only, never
+    the held-out fold.  Per-fold RNG streams are derived from (seed, fold
+    index), so fold results do not depend on execution order.
     """
     samples = list(dataset)
     if any(s.label is None for s in samples):
         raise ValueError("cross-validation requires labeled samples")
-    order = rank_params(samples) if rank_order is None else rank_order
-    fm = build_features(samples, order, k)
+    fm = build_features(samples, rank_order, k)
 
     fold_reports: list[EvalReport] = []
     pooled_counts = np.zeros((len(CLASS_ORDER), len(CLASS_ORDER)), dtype=np.int64)

@@ -30,7 +30,6 @@ K_DEFAULT_MAX = 37
 class FeatureMatrix:
     x: np.ndarray  # (n, k) rotation-component coefficients
     labels: list[FaultLabel | None]
-    ids: list[str]
 
 
 @dataclass(frozen=True)
@@ -39,11 +38,14 @@ class KSearchResult:
     best_k: int
 
 
-def _check_k(k: int, stacklevel: int) -> None:
-    """Reject a k outside 2..37 and warn, at the caller `stacklevel` frames
-    up, of one outside the usual range."""
+def _check_k(k: int) -> None:
     if not 2 <= k <= N_PARAMS:
         raise ValueError(f"k must be in 2..{N_PARAMS}, got {k}")
+
+
+def _warn_unusual_k(k: int, stacklevel: int) -> None:
+    """Warn, at the caller `stacklevel` frames up, of a k outside the usual
+    range."""
     if not K_DEFAULT_MIN <= k <= K_DEFAULT_MAX:
         warnings.warn(
             f"k={k} outside the usual {K_DEFAULT_MIN}..{K_DEFAULT_MAX} range",
@@ -58,7 +60,8 @@ def ranked_prefix(
     if not samples:
         raise ValueError("empty sample list")
     order = validate_rank_order(rank_order)
-    _check_k(k, stacklevel=4)  # the caller of build_features
+    _check_k(k)
+    _warn_unusual_k(k, stacklevel=4)  # the caller of build_features
     return param_matrix(samples)[:, np.array(order[:k]) - 1]
 
 
@@ -84,11 +87,7 @@ def checked_itd_rows(
 
 def _feature_matrix(samples: Sequence[GasSample], signals: np.ndarray) -> FeatureMatrix:
     _, _, prc = checked_itd_rows(samples, signals)
-    return FeatureMatrix(
-        x=prc,
-        labels=[s.label for s in samples],
-        ids=[s.id for s in samples],
-    )
+    return FeatureMatrix(x=prc, labels=[s.label for s in samples])
 
 
 def build_features(
@@ -115,7 +114,8 @@ def optimal_k_search(
 
     The same seeded train/test split of the samples is reused for every k so
     the curve isolates the effect of the feature count.  Ties for the best
-    accuracy resolve to the smallest k.
+    accuracy resolve to the smallest k.  A k outside the usual range is
+    warned of once the search has succeeded.
     """
     from .evaluation import fit_and_score, train_test_split
 
@@ -124,15 +124,18 @@ def optimal_k_search(
         raise ValueError("feature-count search requires labeled samples")
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
+    _check_k(k_min)
+    _check_k(k_max)
 
     train_idx, test_idx = train_test_split(len(samples), train_frac, split_seed)
     ranked = ranked_prefix(samples, rank_order, N_PARAMS)  # every k's prefix
     curve: dict[int, float] = {}
     for k in range(k_min, k_max + 1):
-        _check_k(k, stacklevel=3)
         fm = _feature_matrix(samples, ranked[:, :k])
         cm = fit_and_score(fm, train_idx, test_idx, config, seed=split_seed)
         curve[k] = cm.trace / cm.total
+    for k in curve:
+        _warn_unusual_k(k, stacklevel=3)
 
     best_k = min(curve, key=lambda k: (-curve[k], k))
     return KSearchResult(accuracy_curve=curve, best_k=best_k)

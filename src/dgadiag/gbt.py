@@ -1,7 +1,8 @@
 """Multiclass gradient-boosted regression trees with second-order splits.
 
 One regression tree per class per boosting round, fit to the softmax
-objective's gradient/hessian statistics (g = p - y, h = p(1 - p)).  Split
+objective's gradient/hessian statistics (g = p - y, h = p(1 - p)).  Every
+training row carries one FaultLabel, and class c is CLASS_ORDER[c].  Split
 search is exact greedy over sorted unique feature values with the
 regularized gain
 
@@ -173,18 +174,6 @@ def _flatten(model: GbtModel) -> _Forest:
     )
 
 
-def _as_class_indices(y: Sequence) -> np.ndarray:
-    if len(y) == 0:
-        raise ValueError("empty label sequence")
-    if isinstance(y[0], FaultLabel):
-        idx = np.array([CLASS_ORDER.index(lbl) for lbl in y], dtype=np.intp)
-    else:
-        idx = np.asarray(y, dtype=np.intp)
-    if idx.min() < 0 or idx.max() >= N_CLASSES:
-        raise ValueError("class index out of range")
-    return idx
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=1, keepdims=True)
     p = np.exp(z)
@@ -286,23 +275,26 @@ def _build_tree(
 
 def train(
     x: np.ndarray,
-    y: Sequence,
+    y: Sequence[FaultLabel],
     config: GbtConfig = GbtConfig(),
     seed: int = 0,
 ) -> GbtModel:
-    """Fit the boosted ensemble to labeled feature rows.
+    """Fit the boosted ensemble to feature rows and their FaultLabel labels.
 
-    `y` may be FaultLabel values or integer class indices.  Raises on empty
-    input, non-finite features, or fewer than two distinct labels.
+    Raises ValueError on empty input, non-finite features, a label that is
+    not a FaultLabel (such as None for an unlabeled sample), or fewer than
+    two distinct labels.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:
         raise ValueError("feature matrix must be 2-D and non-empty")
     if not np.all(np.isfinite(x)):
         raise ValueError("feature values must be finite")
-    y_idx = _as_class_indices(y)
-    if len(y_idx) != x.shape[0]:
+    if not all(isinstance(label, FaultLabel) for label in y):
+        raise ValueError("training requires labeled samples")
+    if len(y) != x.shape[0]:
         raise ValueError("feature/label length mismatch")
+    y_idx = np.array([CLASS_ORDER.index(label) for label in y], dtype=np.intp)
     if np.unique(y_idx).size < 2:
         raise ValueError("degenerate labels: need at least two classes")
 
@@ -378,10 +370,8 @@ def _walk(model: GbtModel, x: np.ndarray) -> np.ndarray:
     return out.reshape(n_trees // N_CLASSES, N_CLASSES, n)
 
 
-def predict_logits(
-    model: GbtModel, x: np.ndarray, upto_round: int | None = None
-) -> np.ndarray:
-    """Accumulated per-class logits for each row; optionally truncate rounds.
+def predict_logits(model: GbtModel, x: np.ndarray) -> np.ndarray:
+    """Accumulated per-class logits for each row.
 
     Raises on a row of the wrong length or with a non-finite value.
     """
@@ -397,18 +387,15 @@ def predict_logits(
     forest = model._forest
     n = x.shape[0]
     leaves = _walk(model, x)
-    rounds = len(range(forest.terms.shape[0] - 1)[:upto_round])
-    terms = forest.terms[: rounds + 1]
-    split = forest.split[: np.searchsorted(forest.split, rounds, side="right")]
     # classes x rows; the reduction over the terms axis adds each round in
     # order, as `logits += term` round by round would
     logits = np.empty((N_CLASSES, n), dtype=np.float64)
-    block = np.empty((rounds + 1, N_CLASSES, min(n, _SUM_ROWS)), dtype=np.float64)
-    block[...] = terms  # the rows of rounds without a split stay as filled
+    block = np.empty((*forest.terms.shape[:2], min(n, _SUM_ROWS)), dtype=np.float64)
+    block[...] = forest.terms  # the rows of rounds without a split stay as filled
     for lo in range(0, n, _SUM_ROWS):
         rows = min(_SUM_ROWS, n - lo)
         part = block[:, :, :rows]
-        part[split] = leaves[: split.size, :, lo : lo + rows]
+        part[forest.split] = leaves[:, :, lo : lo + rows]
         np.add.reduce(part, axis=0, out=logits[:, lo : lo + rows])
     return logits.T.copy()
 

@@ -9,7 +9,8 @@ PD/D1/D2/T1/T2/T3 or empty for unlabeled rows; a blank id is replaced by the
 file line number.  Every malformed file raises ValueError naming the path.
 Model files are versioned JSON documents carrying the boosting config, class
 order, the rank order and feature count the model was trained against, and
-the full tree ensemble; the class order and `config.n_classes` must be
+the full tree ensemble; `config` holds exactly the `GbtConfig` fields and
+`n_classes`, and the class order and `config.n_classes` must be
 CLASS_ORDER and its length.  Format version 3 stores the ensemble as the
 `GbtModel` node arrays: under "trees", a "node_counts" list (one entry per
 tree, [round][class]) and the five lists feature, threshold, left, right
@@ -27,7 +28,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from io import StringIO
 from typing import Sequence
@@ -36,6 +37,7 @@ import numpy as np
 
 from .core import CLASS_ORDER, GAS_NAMES, N_CLASSES, FaultLabel, GasSample
 from .gbt import GbtConfig, GbtModel, Tree
+from .ranking import validate_rank_order
 
 CSV_HEADER = ["id", "h2", "ch4", "c2h6", "c2h4", "c2h2", "label"]
 MODEL_FORMAT_VERSION = 3
@@ -301,6 +303,12 @@ def load_model(path) -> ModelBundle:
                 f"expected {MODEL_FORMAT_VERSION}"
             )
         config = {**doc["config"]}
+        keys = {"n_classes", *(f.name for f in fields(GbtConfig))}
+        missing, unknown = keys - config.keys(), config.keys() - keys
+        if missing:
+            raise ValueError(f"config lacks {', '.join(sorted(missing))}")
+        if unknown:
+            raise ValueError(f"config has unknown keys {', '.join(sorted(unknown))}")
         n_classes = config.pop("n_classes")
         if n_classes != N_CLASSES:
             raise ValueError(f"config.n_classes must be {N_CLASSES}, got {n_classes!r}")
@@ -322,8 +330,6 @@ def load_model(path) -> ModelBundle:
             base_score=base_score,
             seed=_integer("seed", doc["seed"]),
         )
-        from .ranking import validate_rank_order
-
         return ModelBundle(
             model=model,
             rank_order=validate_rank_order(doc["rank_order"]),

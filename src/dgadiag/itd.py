@@ -7,7 +7,8 @@ both endpoints).  At interior knot k the baseline takes the value
     L_k = alpha * [ x(t_{k-1}) + (t_k - t_{k-1}) / (t_{k+1} - t_{k-1})
                      * (x(t_{k+1}) - x(t_{k-1})) ]  +  (1 - alpha) * x(t_k)
 
-and between consecutive knots it follows the signal affinely,
+with alpha = 1/2 (Frei & Osorio 2007), and between consecutive knots it
+follows the signal affinely,
 
     L(t) = L_k + (L_{k+1} - L_k) / (x(t_{k+1}) - x(t_k)) * (x(t) - x(t_k)).
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+_ALPHA = 0.5  # the baseline's knot-value weight
 _BLOCK_ROWS = 256  # bounds the (rows, k) temporaries of one block
 
 
@@ -51,7 +53,7 @@ def _knot_mask(x: np.ndarray) -> np.ndarray:
     return knot
 
 
-def _baseline(x: np.ndarray, knot: np.ndarray, alpha: float) -> np.ndarray:
+def _baseline(x: np.ndarray, knot: np.ndarray) -> np.ndarray:
     """Baseline of each row of x given its knot mask; x itself on rows with
     no interior knot."""
     n, k = x.shape
@@ -67,7 +69,7 @@ def _baseline(x: np.ndarray, knot: np.ndarray, alpha: float) -> np.ndarray:
     j += 1
     frac = (j - p) / (q - p)
     xp, xq = x[r, p], x[r, q]
-    baseline[r, j] = alpha * (xp + frac * (xq - xp)) + (1.0 - alpha) * x[r, j]
+    baseline[r, j] = _ALPHA * (xp + frac * (xq - xp)) + (1.0 - _ALPHA) * x[r, j]
 
     seg = ~knot[:, 1:-1] & knot[:, 1:-1].any(axis=1)[:, None]
     r, j = np.nonzero(seg)
@@ -79,9 +81,7 @@ def _baseline(x: np.ndarray, knot: np.ndarray, alpha: float) -> np.ndarray:
     return baseline
 
 
-def itd_rows(
-    x: np.ndarray, alpha: float = 0.5
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def itd_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Knot mask, baseline and rotation component of each row of the (n, k)
     matrix `x`; row i gives what a one-stage decomposition of `x[i]` does."""
     x = np.asarray(x, dtype=np.float64)
@@ -89,13 +89,11 @@ def itd_rows(
         raise ValueError("need at least 2 points to decompose")
     if not np.all(np.isfinite(x)):
         raise ValueError("input must be finite")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     knot = np.empty(x.shape, dtype=bool)
     baseline = np.empty_like(x)
     for lo in range(0, x.shape[0], _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
         knot[block] = _knot_mask(x[block])
-        baseline[block] = _baseline(x[block], knot[block], alpha)
+        baseline[block] = _baseline(x[block], knot[block])
     return knot, baseline, x - baseline
 

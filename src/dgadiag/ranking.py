@@ -68,11 +68,6 @@ def rank_params(dataset: Sequence[GasSample]) -> tuple[int, ...]:
     return tuple(order)
 
 
-def canonical_rank_order() -> tuple[int, ...]:
-    """The fixed reference ranking (see CANONICAL_RANK_ORDER)."""
-    return CANONICAL_RANK_ORDER
-
-
 def validate_rank_order(order: Sequence[int]) -> tuple[int, ...]:
     """Check that `order` is a permutation of 1..37 and return it as a tuple
     of ints.  Entries must be Python or numpy integers, not bools, floats or

@@ -29,7 +29,7 @@ from dgadiag.evaluation import (
 from dgadiag.gbt import GbtConfig, predict_many, train
 from dgadiag.io import load_table_iv, save_model, ModelBundle
 from dgadiag.itd import itd_rows
-from dgadiag.ranking import canonical_rank_order, skewness
+from dgadiag.ranking import CANONICAL_RANK_ORDER, skewness
 from dgadiag.special import f_sf
 from dgadiag import reference
 
@@ -118,7 +118,7 @@ def test_criterion_4_ranking_properties():
         28, 24, 1, 27, 31, 37, 26, 35, 36, 3, 32, 2, 34, 4, 5, 33, 21, 14,
         19, 20, 13, 10, 23, 6, 22, 15, 18, 17, 7, 8, 16, 11, 9, 12, 25, 30, 29,
     )
-    order = canonical_rank_order()
+    order = CANONICAL_RANK_ORDER
     assert len(order) == 37
     for position, number in enumerate(expected):
         assert order[position] == number, position
@@ -163,18 +163,19 @@ def test_criterion_6_classifier(tmp_path):
     m1 = train(x, y, GbtConfig(), seed=1)
     m2 = train(x, y, GbtConfig(), seed=1)
     f1, f2 = tmp_path / "m1.json", tmp_path / "m2.json"
-    save_model(f1, ModelBundle(model=m1, rank_order=canonical_rank_order(), k=24))
-    save_model(f2, ModelBundle(model=m2, rank_order=canonical_rank_order(), k=24))
+    save_model(f1, ModelBundle(model=m1, rank_order=CANONICAL_RANK_ORDER, k=24))
+    save_model(f2, ModelBundle(model=m2, rank_order=CANONICAL_RANK_ORDER, k=24))
     assert f1.read_bytes() == f2.read_bytes()
 
-    # non-increasing training log-loss over a 20-round trace
-    from dgadiag.gbt import _as_class_indices, _softmax, predict_logits
+    # non-increasing training log-loss over a 20-round trace: round r's
+    # trees do not depend on later rounds, so an r-round model is the first
+    # r rounds of a longer one; r = 0 is the base score, every class at 1/6
+    from dgadiag.gbt import _softmax, predict_logits
 
-    m20 = train(x, y, GbtConfig(rounds=20), seed=0)
-    y_idx = _as_class_indices(y)
-    prev = math.inf
-    for r in range(21):
-        p = _softmax(predict_logits(m20, x, upto_round=r))
+    y_idx = [CLASS_ORDER.index(label) for label in y]
+    prev = math.log(len(CLASS_ORDER))
+    for r in range(1, 21):
+        p = _softmax(predict_logits(train(x, y, GbtConfig(rounds=r), seed=0), x))
         loss = float(-np.mean(np.log(p[np.arange(len(y)), y_idx])))
         assert loss <= prev + 1e-9
         prev = loss

@@ -376,6 +376,20 @@ class TestExitCodes:
         assert err.startswith(f"error: {path}: ") and "reg_lambda" in err
         assert "Traceback" not in err
 
+    def test_model_config_missing_keys_is_refused(self, capsys, seed11_model, tmp_path):
+        # such a file loaded with the default reg_lambda and max_depth filled in
+        _, model = seed11_model
+        doc = json.loads(Path(model).read_text())
+        del doc["config"]["reg_lambda"], doc["config"]["max_depth"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [
+            "diagnose", "--h2", "292", "--ch4", "346", "--c2h6", "32",
+            "--c2h4", "313", "--c2h2", "196", "--model", str(path),
+        ])
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: config lacks max_depth, reg_lambda\n"
+
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run(capsys, ["rank", "--data", "/nonexistent/file.csv"])
         assert code == 2
@@ -512,3 +526,109 @@ def test_diagnose_argv_ends_in_a_documented_exit(seed11_model, gases, compare):
     else:
         assert code in (1, 2) and out.getvalue() == ""
         assert "error: " in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def table_model(tmp_path_factory):
+    """The bundled Table IV file, a 3-round model trained on it at k = 24,
+    and a scratch directory: (data path, model path, directory)."""
+    tmp = tmp_path_factory.mktemp("table")
+    data, model = str(tmp / "six.csv"), str(tmp / "model.json")
+    write_dataset(data, load_table_iv())
+    assert main(["train", "--data", data, "--model", model, "--rounds", "3"]) == 0
+    return data, model, tmp
+
+
+def _seed_argv(command, data, model, tmp):
+    return {
+        "synth": ["synth", "--out", str(tmp / "s.csv")],
+        "searchk": ["searchk", "--data", data, "--out", str(tmp / "c.tsv"), "--rounds", "2"],
+        "train": ["train", "--data", data, "--model", str(tmp / "m.json"), "--rounds", "2"],
+        "evaluate-holdout": ["evaluate", "--data", data, "--model", model, "--holdout", "0.5"],
+        "evaluate-cv": ["evaluate", "--data", data, "--model", model, "--cv", "2"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["synth", "searchk", "train", "evaluate-holdout",
+                                     "evaluate-cv"])
+def test_negative_seed_is_refused_by_name(capsys, table_model, command):
+    # numpy refused it without naming the flag, and `train` stored it
+    code, out, err = run(capsys, _seed_argv(command, *table_model) + ["--seed", "-1"])
+    assert (code, out) == (1, "")
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
+BAD_NUMBER_TEXT = ["", "x", "1e", "0x10", "1_0", " 5 ", "nan", "-inf", "1e400", "2.5", "-0"]
+
+
+def _number(values):
+    """A flag value: one of `values` as text, or one time in eight text
+    that may not parse."""
+    return st.integers(0, 7).flatmap(
+        lambda roll: st.sampled_from(BAD_NUMBER_TEXT) if roll == 0 else values.map(str)
+    )
+
+
+def _optional(name, values):
+    """`--name=<value>` or nothing."""
+    return st.one_of(st.just([]), _number(values).map(lambda text: [f"--{name}={text}"]))
+
+
+K = st.one_of(st.integers(2, 37), st.integers(-2, 40))
+FRACTION = st.one_of(st.floats(0.0, 1.0), st.floats(-0.5, 1.5), st.just(1e-300))
+SEED = st.one_of(st.integers(0, 3), st.integers(-3, -1), st.integers(0, 2**80))
+GBT_FLAGS = st.tuples(
+    _number(st.integers(0, 4)).map(lambda text: [f"--rounds={text}"]),  # never the default 100
+    _optional("learning-rate", st.one_of(FRACTION, st.floats())),
+    _optional("max-depth", st.integers(-1, 8)),
+    _optional("seed", SEED),
+).map(lambda parts: sum(parts, []))
+
+
+@st.composite
+def _numeric_argv(draw, data, model, tmp):
+    command = draw(st.sampled_from(["train", "searchk", "evaluate"]))
+    if command == "train":
+        argv = ["train", "--data", data, "--model", str(tmp / "m.json")]
+        argv += draw(_optional("k", K)) + draw(GBT_FLAGS)
+    elif command == "searchk":
+        argv = ["searchk", "--data", data, "--out", str(tmp / "curve.tsv")]
+        argv += draw(_optional("kmin", K)) + draw(_optional("kmax", K))
+        argv += draw(_optional("train-frac", FRACTION)) + draw(GBT_FLAGS)
+    else:
+        argv = ["evaluate", "--data", data, "--model", model]
+        mode = draw(st.sampled_from(["apply", "holdout", "cv", "both"]))
+        if mode in ("holdout", "both"):
+            argv.append(f"--holdout={draw(_number(FRACTION))}")
+        if mode in ("cv", "both"):
+            argv.append(f"--cv={draw(_number(st.integers(-1, 4)))}")
+        argv += draw(_optional("seed", SEED))
+        argv += ["--smote"] * draw(st.sampled_from([False, False, False, True]))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_numeric_flags_end_in_a_documented_exit(table_model, data):
+    """Any text for the numeric flags of `train`, `searchk` and `evaluate`
+    on the Table IV file ends in exit 0, 1 (bad value) or 2 (usage), never
+    in a traceback; a failure prints an `error:` line and warns of nothing,
+    and a success warns of nothing but a k outside the usual range."""
+    argv = data.draw(_numeric_argv(*table_model))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the text
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert out.getvalue() and err.getvalue() == ""
+        # a k in 2..17 may be warned of, as documented, and nothing else
+        assert all("outside the usual 18..37 range" in str(w.message) for w in caught)
+    else:
+        assert code in (1, 2) and out.getvalue() == ""
+        assert "error: " in err.getvalue()
+        assert caught == []

@@ -15,6 +15,7 @@ from dgadiag.evaluation import (
 )
 from dgadiag.gbt import GbtConfig
 from dgadiag.io import SYNTH_GAS_RANGES
+from dgadiag.ranking import rank_params
 from dgadiag.reference import (
     REFERENCE_ACCURACY_PCT,
     REFERENCE_F1,
@@ -145,7 +146,7 @@ class TestSmote:
     def test_two_point_minority_on_segment(self):
         x = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [10, 10], [12, 12]], dtype=float)
         y = [PD] * 4 + [D1] * 2
-        x2, y2 = smote(x, y, k_neighbors=1, seed=5)
+        x2, y2 = smote(x, y, seed=5)  # two rows: each is the other's only neighbor
         assert len(y2) == 8
         assert y2[6:] == [D1, D1]
         a, b = x[4], x[5]
@@ -251,21 +252,24 @@ class TestKfoldCv:
 
     def test_leave_one_per_class_out_perfect(self):
         samples = _archetype_samples(per_class=5, seed=3)
-        result = kfold_cv(samples, folds=5, seed=2, k=20, config=self.TINY_CONFIG)
+        result = kfold_cv(samples, rank_params(samples), 20, folds=5, seed=2,
+                          config=self.TINY_CONFIG)
         assert result.pooled.accuracy == 1.0
         assert len(result.fold_reports) == 5
 
     def test_deterministic(self):
         samples = _archetype_samples(per_class=5, seed=3)
-        r1 = kfold_cv(samples, folds=5, seed=9, use_smote=True, k=20, config=self.TINY_CONFIG)
-        r2 = kfold_cv(samples, folds=5, seed=9, use_smote=True, k=20, config=self.TINY_CONFIG)
+        order = rank_params(samples)
+        r1 = kfold_cv(samples, order, 20, folds=5, seed=9, use_smote=True, config=self.TINY_CONFIG)
+        r2 = kfold_cv(samples, order, 20, folds=5, seed=9, use_smote=True, config=self.TINY_CONFIG)
         assert np.array_equal(r1.pooled.matrix.counts, r2.pooled.matrix.counts)
         for a, b in zip(r1.fold_reports, r2.fold_reports):
             assert np.array_equal(a.matrix.counts, b.matrix.counts)
 
     def test_pooled_counts_are_fold_sums(self):
         samples = _archetype_samples(per_class=5, seed=4)
-        result = kfold_cv(samples, folds=5, seed=1, k=18, config=self.TINY_CONFIG)
+        result = kfold_cv(samples, rank_params(samples), 18, folds=5, seed=1,
+                          config=self.TINY_CONFIG)
         summed = sum(r.matrix.counts for r in result.fold_reports)
         assert np.array_equal(result.pooled.matrix.counts, summed)
         assert result.pooled.matrix.total == 30
@@ -274,9 +278,9 @@ class TestKfoldCv:
         samples = _archetype_samples(per_class=5, seed=5)
         samples[0] = GasSample(*samples[0].gases(), label=None, id="x")
         with pytest.raises(ValueError, match="label"):
-            kfold_cv(samples, folds=5, seed=0, k=18, config=self.TINY_CONFIG)
+            kfold_cv(samples, rank_params(samples), 18, folds=5, config=self.TINY_CONFIG)
 
     def test_stratification_error_propagates(self):
         samples = _archetype_samples(per_class=3, seed=6)
         with pytest.raises(ValueError, match="stratification impossible"):
-            kfold_cv(samples, folds=5, seed=0, k=18, config=self.TINY_CONFIG)
+            kfold_cv(samples, rank_params(samples), 18, folds=5, config=self.TINY_CONFIG)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from dgadiag.core import FaultLabel, GasSample, param_matrix
 from dgadiag.features import FeatureMatrix, build_features, optimal_k_search
 from dgadiag.gbt import GbtConfig
 from dgadiag.itd import itd_rows
-from dgadiag.ranking import canonical_rank_order
+from dgadiag.ranking import CANONICAL_RANK_ORDER
 
 ROW1 = GasSample(292, 346, 32, 313, 196, label=FaultLabel.D2, id="r1")
 
@@ -16,7 +18,7 @@ CANONICAL_FIRST_24 = (
 
 
 def test_canonical_k24_prefix_drives_the_rows():
-    order = canonical_rank_order()
+    order = CANONICAL_RANK_ORDER
     assert order[:24] == CANONICAL_FIRST_24
     fm = build_features([ROW1], order, 24)
     # oracle: compose the stages by hand for this sample
@@ -30,7 +32,7 @@ def test_constant_prefix_gives_zero_row():
     # equal gases make every ratio parameter against one aggregate equal;
     # pick an order whose prefix holds parameters with identical values
     sample = GasSample(1, 1, 1, 1, 1, id="c")
-    order = canonical_rank_order()
+    order = CANONICAL_RANK_ORDER
     fm = build_features([sample], order, 24)
     pv = param_matrix([sample])[0]
     signal = np.array([pv[n - 1] for n in order[:24]])
@@ -44,18 +46,17 @@ def test_constant_prefix_gives_zero_row():
 
 
 def test_row1_k18():
-    order = canonical_rank_order()
+    order = CANONICAL_RANK_ORDER
     fm = build_features([ROW1], order, 18)
     pv = param_matrix([ROW1])[0]
     signal = np.array([pv[num - 1] for num in order[:18]])
     assert np.array_equal(fm.x[0], itd_rows(signal[None, :])[2][0])
     assert fm.x.shape == (1, 18)
     assert fm.labels == [FaultLabel.D2]
-    assert fm.ids == ["r1"]
 
 
 def test_metadata_recorded():
-    order = canonical_rank_order()
+    order = CANONICAL_RANK_ORDER
     fm = build_features([ROW1], order, 20)
     assert isinstance(fm, FeatureMatrix)
     assert fm.x.shape == (1, 20)
@@ -64,16 +65,16 @@ def test_metadata_recorded():
 
 def test_k_out_of_usual_range_warns():
     with pytest.warns(UserWarning, match="outside"):
-        build_features([ROW1], canonical_rank_order(), 5)
+        build_features([ROW1], CANONICAL_RANK_ORDER, 5)
 
 
 def test_invalid_inputs():
     with pytest.raises(ValueError):
-        build_features([], canonical_rank_order(), 24)
+        build_features([], CANONICAL_RANK_ORDER, 24)
     with pytest.raises(ValueError):
         build_features([ROW1], [1] * 37, 24)
     with pytest.raises(ValueError):
-        build_features([ROW1], canonical_rank_order(), 38)
+        build_features([ROW1], CANONICAL_RANK_ORDER, 38)
 
 
 def test_determinism():
@@ -81,7 +82,7 @@ def test_determinism():
         GasSample(*np.random.default_rng(i).uniform(1, 500, 5), label=FaultLabel.PD)
         for i in range(6)
     ]
-    order = canonical_rank_order()
+    order = CANONICAL_RANK_ORDER
     a = build_features(samples, order, 24)
     b = build_features(samples, order, 24)
     assert np.array_equal(a.x, b.x)
@@ -107,7 +108,7 @@ class TestOptimalKSearch:
     def test_single_candidate(self):
         samples = _two_class_noisy(15, seed=0)
         result = optimal_k_search(
-            samples, canonical_rank_order(), k_min=20, k_max=20,
+            samples, CANONICAL_RANK_ORDER, k_min=20, k_max=20,
             split_seed=1, config=SMALL_CONFIG,
         )
         assert result.best_k == 20
@@ -116,7 +117,7 @@ class TestOptimalKSearch:
     def test_best_k_is_argmax_of_curve(self):
         samples = _two_class_noisy(25, seed=2)
         result = optimal_k_search(
-            samples, canonical_rank_order(), k_min=18, k_max=26,
+            samples, CANONICAL_RANK_ORDER, k_min=18, k_max=26,
             split_seed=3, config=SMALL_CONFIG,
         )
         curve = result.accuracy_curve
@@ -129,8 +130,8 @@ class TestOptimalKSearch:
     def test_deterministic(self):
         samples = _two_class_noisy(15, seed=4)
         kwargs = dict(k_min=18, k_max=21, split_seed=5, config=SMALL_CONFIG)
-        r1 = optimal_k_search(samples, canonical_rank_order(), **kwargs)
-        r2 = optimal_k_search(samples, canonical_rank_order(), **kwargs)
+        r1 = optimal_k_search(samples, CANONICAL_RANK_ORDER, **kwargs)
+        r2 = optimal_k_search(samples, CANONICAL_RANK_ORDER, **kwargs)
         assert r1.accuracy_curve == r2.accuracy_curve
         assert r1.best_k == r2.best_k
 
@@ -138,17 +139,42 @@ class TestOptimalKSearch:
         samples = _two_class_noisy(10, seed=6)
         samples.append(GasSample(1, 1, 1, 1, 1, id="u"))
         with pytest.raises(ValueError, match="label"):
-            optimal_k_search(samples, canonical_rank_order(), config=SMALL_CONFIG)
+            optimal_k_search(samples, CANONICAL_RANK_ORDER, config=SMALL_CONFIG)
 
     def test_bad_range(self):
         samples = _two_class_noisy(10, seed=7)
         with pytest.raises(ValueError, match="k_min"):
             optimal_k_search(
-                samples, canonical_rank_order(), k_min=25, k_max=20,
+                samples, CANONICAL_RANK_ORDER, k_min=25, k_max=20,
                 config=SMALL_CONFIG,
             )
+
+    @pytest.mark.parametrize("k_max, train_frac, message", [
+        (20, 0.05, "degenerate labels"),  # a one-row training split
+        (40, 0.85, "k must be in 2..37, got 40"),
+    ])
+    def test_failed_search_warns_of_nothing(self, k_max, train_frac, message):
+        # k = 10..17 were warned of before the search failed on its first
+        # training or on k = 38
+        samples = _two_class_noisy(10, seed=9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                optimal_k_search(samples, CANONICAL_RANK_ORDER, k_min=10, k_max=k_max,
+                                 train_frac=train_frac, config=SMALL_CONFIG)
+
+    def test_unusual_k_warned_after_the_search(self):
+        samples = _two_class_noisy(10, seed=9)
+        with pytest.warns(UserWarning) as record:
+            result = optimal_k_search(samples, CANONICAL_RANK_ORDER, k_min=16, k_max=19,
+                                      config=SMALL_CONFIG)
+        assert list(result.accuracy_curve) == [16, 17, 18, 19]
+        assert [str(w.message) for w in record] == [
+            "k=16 outside the usual 18..37 range", "k=17 outside the usual 18..37 range"
+        ]
+        assert all(w.filename == __file__ for w in record)
 
     def test_too_few_samples_for_split(self):
         samples = _two_class_noisy(1, seed=8)[:1]
         with pytest.raises(ValueError):
-            optimal_k_search(samples, canonical_rank_order(), config=SMALL_CONFIG)
+            optimal_k_search(samples, CANONICAL_RANK_ORDER, config=SMALL_CONFIG)

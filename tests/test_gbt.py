@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -20,10 +21,14 @@ from dgadiag.gbt import (
     _build_tree,
     _flatten,
     _softmax,
-    _as_class_indices,
 )
 from dgadiag.io import ModelBundle, generate_synthetic, load_model, save_model
-from dgadiag.ranking import canonical_rank_order, rank_params
+from dgadiag.ranking import CANONICAL_RANK_ORDER, rank_params
+
+
+def _labels(idx):
+    """The FaultLabel of each class index."""
+    return [CLASS_ORDER[int(i)] for i in idx]
 
 
 def test_config_defaults():
@@ -146,6 +151,15 @@ def test_empty_matrix():
         train(np.zeros((0, 3)), [], GbtConfig(), seed=0)
 
 
+@pytest.mark.parametrize("y", [[0, 1, 2, 3], np.array([0, 1, 2, 3]), [FaultLabel.PD, None] * 2,
+                               ["PD", "D1", "D2", "T1"]])
+def test_labels_must_be_fault_labels(y):
+    # class indices, unlabeled samples and label strings are refused alike
+    x = np.random.default_rng(0).normal(size=(4, 2))
+    with pytest.raises(ValueError, match="training requires labeled samples"):
+        train(x, y)
+
+
 def test_non_finite_features():
     x = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ValueError, match="finite"):
@@ -162,14 +176,15 @@ def test_predict_rejects_non_finite_rows(bad):
 
 
 def test_training_log_loss_non_increasing():
+    # an r-round model is the first r rounds of any longer run, since no
+    # round depends on a later one; r = 0 is the base score, every class 1/6
     rng = np.random.default_rng(11)
     x = rng.normal(size=(90, 6))
     y = [CLASS_ORDER[i % 6] for i in range(90)]
-    model = train(x, y, GbtConfig(rounds=20), seed=0)
-    y_idx = _as_class_indices(y)
-    losses = []
-    for r in range(21):
-        p = _softmax(predict_logits(model, x, upto_round=r))
+    y_idx = [CLASS_ORDER.index(label) for label in y]
+    losses = [math.log(len(CLASS_ORDER))]
+    for r in range(1, 21):
+        p = _softmax(predict_logits(train(x, y, GbtConfig(rounds=r)), x))
         losses.append(float(-np.mean(np.log(p[np.arange(len(y)), y_idx]))))
     for before, after in zip(losses, losses[1:]):
         assert after <= before + 1e-9
@@ -376,7 +391,7 @@ def _assert_train_matches_oracle(x, y, cfg):
     model = train(x, y, cfg)
     assert len(model.trees) == cfg.rounds
     onehot = np.zeros((n, len(CLASS_ORDER)))
-    onehot[np.arange(n), y] = 1.0
+    onehot[np.arange(n), [CLASS_ORDER.index(label) for label in y]] = 1.0
     logits = np.full((n, len(CLASS_ORDER)), 0.5)
     for round_trees in model.trees:
         p = _softmax(logits)
@@ -414,7 +429,7 @@ def test_train_matches_per_node_argsort(
     y = rng.integers(0, 3, size=n)
     y[:2] = [0, 1]
     cfg = GbtConfig(rounds=rounds, max_depth=max_depth, min_child_weight=min_child_weight)
-    _assert_train_matches_oracle(x, y, cfg)
+    _assert_train_matches_oracle(x, _labels(y), cfg)
 
 
 def test_train_matches_per_node_argsort_on_synthetic():
@@ -422,20 +437,18 @@ def test_train_matches_per_node_argsort_on_synthetic():
     the first rounds are single leaves that never reach the grower."""
     samples = generate_synthetic(11)
     fm = build_features(samples, rank_params(samples), 24)
-    y = _as_class_indices(fm.labels)
-    model = _assert_train_matches_oracle(fm.x, y, GbtConfig(rounds=20))
+    model = _assert_train_matches_oracle(fm.x, fm.labels, GbtConfig(rounds=20))
     leaves = [tree.feature.size == 1 for r in model.trees for tree in r]
     assert all(leaves[-len(CLASS_ORDER) :]) and not all(leaves)
 
 
-def _oracle_logits(model, x, upto_round=None):
+def _oracle_logits(model, x):
     """Plain per-row walk over the tree arrays, adding leaf values in
     round, then class order."""
-    rounds = model.trees if upto_round is None else model.trees[:upto_round]
     out = []
     for row in x.tolist():
         logits = [model.base_score] * len(CLASS_ORDER)
-        for round_trees in rounds:
+        for round_trees in model.trees:
             for c, tree in enumerate(round_trees):
                 i = 0
                 while tree.feature[i] >= 0:
@@ -454,21 +467,18 @@ def _oracle_logits(model, x, upto_round=None):
     rounds=st.integers(1, 6),
     max_depth=st.integers(1, 4),
     discrete=st.booleans(),
-    upto_round=st.one_of(st.none(), st.integers(0, 7)),
 )
-def test_predict_logits_matches_per_row_walk(
-    seed, n, d, rounds, max_depth, discrete, upto_round
-):
+def test_predict_logits_matches_per_row_walk(seed, n, d, rounds, max_depth, discrete):
     rng = np.random.default_rng(seed)
     if discrete:  # ties between rows and thresholds on the training grid
         x = rng.integers(0, 4, size=(n + 10, d)).astype(np.float64)
     else:
         x = rng.normal(size=(n + 10, d))
-    y = [i % 3 for i in range(n)]
+    y = [CLASS_ORDER[i % 3] for i in range(n)]
     cfg = GbtConfig(rounds=rounds, max_depth=max_depth, min_child_weight=0.0)
     model = train(x[:n], y, cfg, seed=seed)
-    got = predict_logits(model, x, upto_round=upto_round)
-    assert repr(got.tolist()) == repr(_oracle_logits(model, x, upto_round))
+    got = predict_logits(model, x)
+    assert repr(got.tolist()) == repr(_oracle_logits(model, x))
 
 
 # n straddles the 64-row blocks of the round sum and the 256-row blocks of
@@ -482,9 +492,8 @@ def test_predict_logits_matches_per_row_walk(
     d=st.integers(1, 4),
     rounds=st.integers(1, 20),
     source=st.sampled_from(["trained", "random"]),
-    upto=st.sampled_from([None, 0, "inside", "past the end", "negative"]),
 )
-def test_predict_logits_sums_rounds_in_order(seed, n, d, rounds, source, upto):
+def test_predict_logits_sums_rounds_in_order(seed, n, d, rounds, source):
     rng = np.random.default_rng(seed)
     if source == "trained":
         m = int(rng.integers(8, 30))
@@ -492,18 +501,13 @@ def test_predict_logits_sums_rounds_in_order(seed, n, d, rounds, source, upto):
         y[:2] = [0, 1]
         x = rng.normal(size=(m, d))
         x[:, 0] += 3.0 * y
-        model = train(x, y, GbtConfig(rounds=rounds, max_depth=3))
+        model = train(x, _labels(y), GbtConfig(rounds=rounds, max_depth=3))
         rows = rng.normal(scale=3.0, size=(n, d))
     else:
         model = _random_model(rng, d, rounds, 3)
         rows = _sample_rows(rng, "grid", n, d)
-    upto_round = {
-        "inside": int(rng.integers(1, rounds + 1)),
-        "past the end": rounds + 5,
-        "negative": -int(rng.integers(1, rounds + 1)),
-    }.get(upto, upto)
-    got = predict_logits(model, rows, upto_round=upto_round)
-    assert repr(got.tolist()) == repr(_oracle_logits(model, rows, upto_round))
+    got = predict_logits(model, rows)
+    assert repr(got.tolist()) == repr(_oracle_logits(model, rows))
 
 
 def _leaf_values(tree, x, rows):
@@ -522,13 +526,12 @@ def _leaf_values(tree, x, rows):
     return tree.value[node]
 
 
-def _per_tree_logits(model, x, upto_round=None):
+def _per_tree_logits(model, x):
     """Reference: one tree at a time over all rows, in round, then class
     order."""
     logits = np.full((x.shape[0], len(CLASS_ORDER)), model.base_score)
     rows = np.arange(x.shape[0])
-    rounds = model.trees if upto_round is None else model.trees[:upto_round]
-    for round_trees in rounds:
+    for round_trees in model.trees:
         for c, tree in enumerate(round_trees):
             logits[:, c] += _leaf_values(tree, x, rows)
     return logits
@@ -602,33 +605,31 @@ def _random_model(rng, d, rounds, max_depth):
     max_depth=st.integers(1, 6),
     source=st.sampled_from(["trained", "random"]),
     kind=st.sampled_from(["normal", "grid", "constant"]),
-    upto=st.sampled_from([None, 0, 1, "rounds", "rounds + 3"]),
 )
 def test_flat_forest_matches_per_tree_walk(
-    tmp_path_factory, seed, n, d, rounds, max_depth, source, kind, upto
+    tmp_path_factory, seed, n, d, rounds, max_depth, source, kind
 ):
     rng = np.random.default_rng(seed)
     if source == "trained":
         y = rng.integers(0, len(CLASS_ORDER), size=80)
         y[:2] = [0, 1]
         cfg = GbtConfig(rounds=rounds, max_depth=max_depth, min_child_weight=0.0)
-        built = train(_sample_rows(rng, kind, 80, d), y, cfg, seed=seed)
+        built = train(_sample_rows(rng, kind, 80, d), _labels(y), cfg, seed=seed)
     else:
         built = _random_model(rng, d, rounds, max_depth)
     path = tmp_path_factory.mktemp("forest") / "model.json"
-    save_model(path, ModelBundle(built, canonical_rank_order(), d))
+    save_model(path, ModelBundle(built, CANONICAL_RANK_ORDER, d))
     model = load_model(path).model
     if source == "trained" and kind == "constant":
         assert all(tree.feature.tolist() == [-1] for r in model.trees for tree in r)
-    upto_round = {"rounds": rounds, "rounds + 3": rounds + 3}.get(upto, upto)
 
     x = _sample_rows(rng, kind, n, d)
-    got = predict_logits(model, x, upto_round=upto_round)
+    got = predict_logits(model, x)
     assert got.flags.c_contiguous
-    assert got.tobytes() == _per_tree_logits(model, x, upto_round).tobytes()
-    assert got.tobytes() == predict_logits(built, x, upto_round=upto_round).tobytes()
+    assert got.tobytes() == _per_tree_logits(model, x).tobytes()
+    assert got.tobytes() == predict_logits(built, x).tobytes()
     if n <= 257:
-        assert repr(got.tolist()) == repr(_oracle_logits(model, x, upto_round))
+        assert repr(got.tolist()) == repr(_oracle_logits(model, x))
 
 
 def _flatten_per_tree(model):
@@ -679,7 +680,7 @@ def test_flatten_matches_per_tree_construction(
         y = rng.integers(0, len(CLASS_ORDER), size=80)
         y[:2] = [0, 1]
         cfg = GbtConfig(rounds=rounds, max_depth=max_depth)
-        model = train(_sample_rows(rng, kind, 80, d), y, cfg)
+        model = train(_sample_rows(rng, kind, 80, d), _labels(y), cfg)
         model = dataclasses.replace(model, base_score=base_score)
     else:
         model = _random_model(rng, d, rounds, max_depth)
@@ -717,13 +718,14 @@ def test_trees_are_views_of_the_node_arrays():
 
 
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 700])
-@pytest.mark.parametrize("upto_round", [None, 0, 1, 3])
-def test_zero_tree_model_predicts_base_score(n, upto_round):
-    model = _model_of([], GbtConfig(), 3)
+@pytest.mark.parametrize("base_score", [None, 0, 1, 3])  # None: the default
+def test_zero_tree_model_predicts_base_score(n, base_score):
+    kwargs = {} if base_score is None else {"base_score": float(base_score)}
+    model = _model_of([], GbtConfig(), 3, **kwargs)
     x = np.random.default_rng(n).normal(size=(n, 3))
-    got = predict_logits(model, x, upto_round=upto_round)
+    got = predict_logits(model, x)
     assert got.tobytes() == np.full((n, len(CLASS_ORDER)), model.base_score).tobytes()
-    assert got.tobytes() == _per_tree_logits(model, x, upto_round).tobytes()
+    assert got.tobytes() == _per_tree_logits(model, x).tobytes()
 
 
 def test_golden_logits_digest():

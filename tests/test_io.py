@@ -2,6 +2,7 @@ import copy
 import functools
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -25,7 +26,7 @@ from dgadiag.io import (
     save_model,
     write_dataset,
 )
-from dgadiag.ranking import canonical_rank_order
+from dgadiag.ranking import CANONICAL_RANK_ORDER
 
 
 class TestLoadDataset:
@@ -209,7 +210,7 @@ NODE_FIELDS = ["feature", "threshold", "left", "right", "value"]
 
 def _toy_bundle() -> ModelBundle:
     samples = generate_synthetic(5, counts=(8,) * 6)
-    order = canonical_rank_order()
+    order = CANONICAL_RANK_ORDER
     fm = build_features(samples, order, 20)
     model = train(fm.x, fm.labels, GbtConfig(rounds=8, max_depth=3), seed=2)
     return ModelBundle(model=model, rank_order=order, k=20)
@@ -312,6 +313,27 @@ NODE_COUNT_FAULTS = [
     (_short_count_list, "expected 8 rounds of 6 trees"),
     (_extra_tree_in_round, "expected 8 rounds of 6 trees"),
     (_child_into_next_tree, "child index must point past its parent within the tree"),
+]
+
+
+def _config_lacks_keys(doc):
+    # `GbtConfig(**config)` filled these in with its defaults
+    del doc["config"]["reg_lambda"], doc["config"]["max_depth"]
+
+
+def _config_lacks_n_classes(doc):
+    del doc["config"]["n_classes"]
+
+
+def _config_unknown_key(doc):
+    doc["config"]["subsample"] = 0.5
+
+
+# mutations of the config keys and the message that names each fault
+CONFIG_KEY_FAULTS = [
+    (_config_lacks_keys, "config lacks max_depth, reg_lambda"),
+    (_config_lacks_n_classes, "config lacks n_classes"),
+    (_config_unknown_key, "config has unknown keys subsample"),
 ]
 
 
@@ -458,6 +480,9 @@ class TestModelPersistence:
         _counts_sum_mismatch,
         _short_count_list,
         _child_into_next_tree,
+        _config_lacks_keys,
+        _config_lacks_n_classes,
+        _config_unknown_key,
         *(pytest.param(m, id=name) for name, m in LOOSE_FIELDS.items()),
     ])
     def test_invalid_structure_rejected(self, tmp_path, mutate):
@@ -470,6 +495,13 @@ class TestModelPersistence:
     def test_node_count_faults_are_named(self, tmp_path, mutate, message):
         path = _mutated_model(tmp_path, mutate)
         with pytest.raises(ValueError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("mutate, message", CONFIG_KEY_FAULTS,
+                             ids=[mutate.__name__ for mutate, _ in CONFIG_KEY_FAULTS])
+    def test_config_key_faults_are_named(self, tmp_path, mutate, message):
+        path = _mutated_model(tmp_path, mutate)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
             load_model(path)
 
     def test_non_utf8_names_file(self, tmp_path):

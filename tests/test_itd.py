@@ -16,10 +16,10 @@ signals = hnp.arrays(
 )
 
 
-def _one_row(x, alpha=0.5):
+def _one_row(x):
     """(knots, baseline, prc) of one signal as a one-row matrix; knots are
     1-based."""
-    knot, baseline, prc = itd_rows(np.asarray(x, dtype=np.float64)[None, :], alpha)
+    knot, baseline, prc = itd_rows(np.asarray(x, dtype=np.float64)[None, :])
     return (np.flatnonzero(knot[0]) + 1).tolist(), baseline[0], prc[0]
 
 
@@ -72,7 +72,7 @@ class TestSingleStage:
         assert np.array_equal(prc, np.zeros(4))
 
     def test_hand_example(self):
-        knots, baseline, prc = _one_row([0, 1, 0, 1, 0], alpha=0.5)
+        knots, baseline, prc = _one_row([0, 1, 0, 1, 0])
         assert np.allclose(baseline, [0, 0.5, 0.5, 0.5, 0], atol=1e-15)
         assert np.allclose(prc, [0, 0.5, -0.5, 0.5, 0], atol=1e-15)
         assert knots == [1, 2, 3, 4, 5]
@@ -100,8 +100,6 @@ class TestSingleStage:
             _one_row([1.0])
         with pytest.raises(ValueError):
             _one_row([1.0, np.nan, 2.0])
-        with pytest.raises(ValueError):
-            _one_row([1.0, 2.0, 1.0], alpha=1.0)
 
 # dyadic grid values: scaling by powers of two and adding dyadic shifts is
 # then exact in binary floating point, so the knot layout cannot drift
@@ -154,9 +152,9 @@ def _oracle_find_extrema(x):
     return knots
 
 
-def _oracle_itd(x, alpha=0.5):
-    """Reference: one ITD stage as loops over knots and segments; returns
-    (knots, baseline, prc)."""
+def _oracle_itd(x):
+    """Reference: one ITD stage with alpha = 1/2 as loops over knots and
+    segments; returns (knots, baseline, prc)."""
     x = np.asarray(x, dtype=np.float64)
     knots = _oracle_find_extrema(x)
     if len(knots) < 3:
@@ -170,7 +168,7 @@ def _oracle_itd(x, alpha=0.5):
     lk[-1] = xk[-1]
     for k in range(1, m - 1):
         frac = (tau[k] - tau[k - 1]) / (tau[k + 1] - tau[k - 1])
-        lk[k] = alpha * (xk[k - 1] + frac * (xk[k + 1] - xk[k - 1])) + (1.0 - alpha) * xk[k]
+        lk[k] = 0.5 * (xk[k - 1] + frac * (xk[k + 1] - xk[k - 1])) + 0.5 * xk[k]
     baseline = np.empty_like(x)
     baseline[tau] = lk
     for k in range(m - 1):
@@ -232,22 +230,18 @@ def _with_fp_warnings(fn, *args):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_signal_rows(), st.sampled_from([0.5, 0.25, 0.9]))
-def test_batched_itd_matches_per_row_loops(x, alpha):
+@given(_signal_rows())
+def test_batched_itd_matches_per_row_loops(x):
     # a slope between knot values ~1e-300 apart overflows on both paths
-    (knot, baseline, prc), kinds = _with_fp_warnings(itd_rows, x, alpha)
+    (knot, baseline, prc), kinds = _with_fp_warnings(itd_rows, x)
     want_kinds = set()
     for i, row in enumerate(x):
-        (knots, want_baseline, want_prc), row_kinds = _with_fp_warnings(
-            _oracle_itd, row, alpha
-        )
+        (knots, want_baseline, want_prc), row_kinds = _with_fp_warnings(_oracle_itd, row)
         want_kinds |= row_kinds
         assert (np.flatnonzero(knot[i]) + 1).tolist() == knots
         assert baseline[i].tobytes() == want_baseline.tobytes()
         assert prc[i].tobytes() == want_prc.tobytes()
-        (one_knots, one_baseline, one_prc), one_row_kinds = _with_fp_warnings(
-            _one_row, row, alpha
-        )
+        (one_knots, one_baseline, one_prc), one_row_kinds = _with_fp_warnings(_one_row, row)
         assert one_row_kinds == row_kinds
         assert one_knots == knots
         assert one_baseline.tobytes() == want_baseline.tobytes()
@@ -271,5 +265,3 @@ def test_batched_itd_checks():
         itd_rows(np.zeros((3, 1)))
     with pytest.raises(ValueError, match="finite"):
         itd_rows(np.array([[1.0, 2.0, 1.0], [1.0, np.inf, 0.0]]))
-    with pytest.raises(ValueError, match="alpha"):
-        itd_rows(np.zeros((2, 3)), alpha=0.0)

@@ -11,7 +11,6 @@ from dgadiag.io import generate_synthetic
 from dgadiag.ranking import (
     CANONICAL_RANK_ORDER,
     anova_pvalue,
-    canonical_rank_order,
     rank_params,
     skewness,
     validate_rank_order,
@@ -102,13 +101,13 @@ class TestRankParams:
 
 class TestCanonicalOrder:
     def test_first_element(self):
-        assert canonical_rank_order()[0] == 28
+        assert CANONICAL_RANK_ORDER[0] == 28
 
     def test_24th_element(self):
-        assert canonical_rank_order()[23] == 6
+        assert CANONICAL_RANK_ORDER[23] == 6
 
     def test_full_sequence(self):
-        assert canonical_rank_order() == CANONICAL_RANK_ORDER
+        assert isinstance(CANONICAL_RANK_ORDER, tuple)
         assert len(CANONICAL_RANK_ORDER) == 37
         assert sorted(CANONICAL_RANK_ORDER) == list(range(1, 38))
 

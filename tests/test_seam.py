@@ -20,7 +20,7 @@ from dgadiag.features import build_features, optimal_k_search, ranked_prefix
 from dgadiag.gbt import GbtConfig, predict_many, train
 from dgadiag.io import generate_synthetic, write_dataset
 from dgadiag.itd import itd_rows
-from dgadiag.ranking import canonical_rank_order, rank_params
+from dgadiag.ranking import CANONICAL_RANK_ORDER, rank_params
 
 # small enough to run fast, weak enough that the curve is not all 1.0
 SMALL = GbtConfig(rounds=5, max_depth=1, learning_rate=0.05)
@@ -50,10 +50,7 @@ class TestGoldenDigests:
 
     def test_kfold_cv_smote_counts(self, synth11):
         samples, order = synth11
-        cv = kfold_cv(
-            samples, folds=5, seed=5, use_smote=True, k=24, config=SMALL,
-            rank_order=order,
-        )
+        cv = kfold_cv(samples, order, 24, folds=5, seed=5, use_smote=True, config=SMALL)
         counts = [r.matrix.counts.tolist() for r in cv.fold_reports]
         counts.append(cv.pooled.matrix.counts.tolist())
         assert sha(repr(counts)) == (
@@ -96,7 +93,7 @@ class TestFitAndScore:
 class TestRankedPrefix:
     def test_columns_follow_the_rank_order(self):
         sample = GasSample(292, 346, 32, 313, 196, id="r1")
-        order = canonical_rank_order()
+        order = CANONICAL_RANK_ORDER
         signals = ranked_prefix([sample], order, 24)
         pv = param_matrix([sample])[0]
         assert signals.shape == (1, 24)

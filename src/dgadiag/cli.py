@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .conventional import duval, iec_ratio, rogers
 from .core import CLASS_ORDER, GasSample, param_matrix
@@ -148,6 +149,9 @@ def _report_json(report) -> dict:
 def cmd_evaluate(args) -> int:
     if args.smote and args.cv is None:
         raise ValueError("--smote requires --cv")
+    if args.seed is not None and args.cv is None and args.holdout is None:
+        raise ValueError("--seed requires --holdout or --cv")
+    seed = args.seed or 0
     samples = load_dataset(args.data)
     if any(s.label is None for s in samples):
         raise ValueError("evaluation requires labeled samples")
@@ -159,7 +163,7 @@ def cmd_evaluate(args) -> int:
             bundle.rank_order,
             bundle.k,
             folds=args.cv,
-            seed=args.seed,
+            seed=seed,
             use_smote=args.smote,
             config=bundle.model.config,
         )
@@ -176,8 +180,8 @@ def cmd_evaluate(args) -> int:
         }
     elif args.holdout is not None:
         fm = build_features(samples, bundle.rank_order, bundle.k)
-        split = train_test_split(len(samples), 1.0 - args.holdout, args.seed)
-        report = metrics(fit_and_score(fm, *split, bundle.model.config, args.seed))
+        split = train_test_split(len(samples), 1.0 - args.holdout, seed)
+        report = metrics(fit_and_score(fm, *split, bundle.model.config, seed))
         lines = _report_lines(
             report, f"holdout report (test fraction {args.holdout}):"
         )
@@ -310,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--holdout", type=float)
     group.add_argument("--cv", type=int)
     p.add_argument("--smote", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)  # for --holdout and --cv; 0 when not given
     p.add_argument("--json")
     p.set_defaults(func=cmd_evaluate)
 
@@ -353,15 +357,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "rank" and not args.canonical and not args.data:
         parser.error("rank requires --data unless --canonical is given")
     try:
-        if getattr(args, "seed", 0) < 0:  # one check for every subcommand with a --seed
-            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-        return args.func(args)
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:  # one check for every subcommand with a --seed
+            raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+        with warnings.catch_warnings(record=True) as deferred:
+            code = args.func(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 2
+    # a command warns (of a k outside the usual range) only once it has succeeded
+    for w in deferred:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return code
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -92,6 +93,15 @@ class GasSample:
 GAS_NAMES = ("h2", "ch4", "c2h6", "c2h4", "c2h2")
 
 
+# _SUM_TERMS[t, j]: the row (see `param_matrix`) of term t of aggregate sum
+# j (TH, THD, THH, TCH), a gas in rows 13-17, or row 37, which holds -0.0
+# and pads the shorter sums: adding -0.0 leaves any float unchanged, -0.0
+# itself included.
+_SUM_TERMS = np.array(
+    [[13, 14, 15, 16, 17], [14, 16, 17, 37, 37], [13, 16, 17, 37, 37], [14, 15, 16, 17, 37]]
+).T
+
+
 def param_matrix(samples: list[GasSample]) -> np.ndarray:
     """The (n, 37) matrix of derived parameters, one row per sample.
 
@@ -113,23 +123,26 @@ def param_matrix(samples: list[GasSample]) -> np.ndarray:
     Sums run left to right as written.  Every denominator is clamped below
     at EPS_PPM before dividing, so all entries are finite even for all-zero
     samples; with gases at most MAX_PPM no ratio exceeds 1e9 (twice
-    that for parameter 13).
+    that for parameter 13).  The matrix is the transpose of a
+    parameter-major array, so each column is contiguous.
     """
     if not samples:
         raise ValueError("empty sample list")
-    g = np.array([s.gases() for s in samples], dtype=np.float64)
-    h2, ch4, c2h6, c2h4, c2h2 = g.T
-    m = np.empty((len(samples), N_PARAMS))
-    m[:, 18] = h2 + ch4 + c2h6 + c2h4 + c2h2
-    m[:, 19] = ch4 + c2h4 + c2h2
-    m[:, 20] = h2 + c2h4 + c2h2
-    m[:, 21] = ch4 + c2h6 + c2h4 + c2h2
-    # over[:, j, i]: gas i over aggregate j (TH, THD, THH, TCH)
-    over = g[:, None, :] / np.maximum(m[:, 18:22, None], EPS_PPM)
-    m[:, 0:5] = over[:, 0]
-    m[:, 22:37] = over[:, 1:].reshape(-1, 15)
-    m[:, 5:9] = c2h2[:, None] / np.maximum(g[:, 0:4], EPS_PPM)
-    m[:, 9:12] = c2h4[:, None] / np.maximum(g[:, 0:3], EPS_PPM)
-    m[:, 12] = m[:, 9] + m[:, 10]
-    m[:, 13:18] = g
-    return m
+    n = len(samples)
+    # row i - 1 holds parameter i, one column per sample; row 37 the -0.0 pad
+    rows = np.empty((N_PARAMS + 1, n))
+    gases = rows[13:18]
+    gases[...] = np.fromiter(
+        chain.from_iterable(s.gases() for s in samples), np.float64, 5 * n
+    ).reshape(n, 5).T
+    rows[N_PARAMS] = -0.0
+    # axis 0 holds the terms, so the reduction adds them in order; starting
+    # from -0.0 keeps the sign of an all-zero sum
+    rows[18:22] = np.add.reduce(rows[_SUM_TERMS], axis=0, initial=-0.0)
+    den = np.maximum(rows[13:22], EPS_PPM)  # the gases, then the sums
+    np.divide(gases, den[5], out=rows[0:5])
+    np.divide(gases, den[6:, None], out=rows[22:37].reshape(3, 5, n))
+    np.divide(rows[17], den[0:4], out=rows[5:9])
+    np.divide(rows[16], den[0:3], out=rows[9:12])
+    np.add(rows[9], rows[10], out=rows[12])
+    return rows[:N_PARAMS].T

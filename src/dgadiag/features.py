@@ -75,9 +75,8 @@ def checked_itd_rows(
     """
     with np.errstate(all="ignore"):  # the finiteness check below reports it
         knot, baseline, prc = itd_rows(signals)
-    bad = np.flatnonzero(~np.isfinite(prc).all(axis=1))
-    if bad.size:
-        i = int(bad[0])
+    if not np.isfinite(prc).all():
+        i = int(np.argmin(np.isfinite(prc).all(axis=1)))  # the first bad row
         raise ValueError(
             f"reading {samples[i].id or i + 1}: rotation-component features "
             "are not finite (near-zero gas values overflow an ITD slope)"

@@ -39,7 +39,7 @@ values.  A block of rows walks all of those trees at once, one tree level
 of every (row, tree) pair per numpy step, dropping the pairs that reach a
 leaf.  Rounds whose trees are all single leaves need no walk.  For each
 block of 64 rows the base score, the single-leaf values and the walked
-leaf values are stacked as one (1 + rounds, classes, rows) array and added
+leaf values are stacked as one (1 + rounds, rows, classes) array and added
 along the round axis in one numpy reduction, which adds them in round
 order; every logit gets the same floating-point additions in the same
 order as the values training accumulated.
@@ -175,8 +175,8 @@ def _flatten(model: GbtModel) -> _Forest:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    p = np.exp(z)
+    p = logits - logits.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
     p /= p.sum(axis=1, keepdims=True)
     return p
 
@@ -346,19 +346,21 @@ def train(
 
 
 def _walk(model: GbtModel, x: np.ndarray) -> np.ndarray:
-    """The leaf value each row of `x` reaches in each walked tree of
-    `model`, as a (rounds with a split, N_CLASSES, n) array."""
+    """The leaf value each row of the C-contiguous `x` reaches in each walked
+    tree of `model`, as an (n, walked trees) array."""
     forest = model._forest
     n, k = x.shape
     n_trees = forest.roots.size
-    out = np.empty((n_trees, n), dtype=np.float64)
+    out = np.empty((n, n_trees), dtype=np.float64)
     for lo in range(0, n, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, n - lo)
-        block = np.ascontiguousarray(x[lo : lo + rows]).ravel()
+        block = x[lo : lo + rows].ravel()
         # pair p is (row p // n_trees, tree p % n_trees); `at` its x offset
-        node = np.tile(forest.roots, rows)
-        at = np.repeat(np.arange(rows) * k, n_trees)
-        live = np.flatnonzero(model.feature[node] >= 0)
+        node = np.empty((rows, n_trees), dtype=np.intp)
+        node[...] = forest.roots
+        node = node.ravel()
+        at = np.arange(0, rows * k, k).repeat(n_trees)
+        live = (model.feature[node] >= 0).nonzero()[0]
         while live.size:
             here = node[live]
             # not below the threshold: the right child, as in `Tree`
@@ -366,8 +368,8 @@ def _walk(model: GbtModel, x: np.ndarray) -> np.ndarray:
             here = forest.child[2 * here + right]
             node[live] = here
             live = live[model.feature[here] >= 0]
-        out[:, lo : lo + rows] = model.value[node].reshape(rows, n_trees).T
-    return out.reshape(n_trees // N_CLASSES, N_CLASSES, n)
+        out[lo : lo + rows] = model.value[node].reshape(rows, n_trees)
+    return out
 
 
 def predict_logits(model: GbtModel, x: np.ndarray) -> np.ndarray:
@@ -375,29 +377,30 @@ def predict_logits(model: GbtModel, x: np.ndarray) -> np.ndarray:
 
     Raises on a row of the wrong length or with a non-finite value.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected a 2-D feature matrix")
     if x.shape[1] != model.n_features:
         raise ValueError(
             f"expected {model.n_features} features per row, got {x.shape[1]}"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("feature values must be finite")
     forest = model._forest
     n = x.shape[0]
-    leaves = _walk(model, x)
-    # classes x rows; the reduction over the terms axis adds each round in
+    # [split round][row][class], the layout of `block` below
+    leaves = _walk(model, x).reshape(n, -1, N_CLASSES).transpose(1, 0, 2)
+    # rows x classes; the reduction over the terms axis adds each round in
     # order, as `logits += term` round by round would
-    logits = np.empty((N_CLASSES, n), dtype=np.float64)
-    block = np.empty((*forest.terms.shape[:2], min(n, _SUM_ROWS)), dtype=np.float64)
-    block[...] = forest.terms  # the rows of rounds without a split stay as filled
+    logits = np.empty((n, N_CLASSES), dtype=np.float64)
+    block = np.empty((forest.terms.shape[0], min(n, _SUM_ROWS), N_CLASSES), dtype=np.float64)
+    block[...] = forest.terms.reshape(-1, 1, N_CLASSES)  # rounds without a split stay as filled
     for lo in range(0, n, _SUM_ROWS):
         rows = min(_SUM_ROWS, n - lo)
-        part = block[:, :, :rows]
-        part[forest.split] = leaves[:, :, lo : lo + rows]
-        np.add.reduce(part, axis=0, out=logits[:, lo : lo + rows])
-    return logits.T.copy()
+        part = block[:, :rows]
+        part[forest.split] = leaves[:, lo : lo + rows]
+        np.add.reduce(part, axis=0, out=logits[lo : lo + rows])
+    return logits
 
 
 def predict_proba_many(model: GbtModel, x: np.ndarray) -> np.ndarray:
@@ -409,4 +412,4 @@ def predict_many(model: GbtModel, x: np.ndarray) -> list[FaultLabel]:
     """Argmax class of each row; ties resolve to the earliest class in
     CLASS_ORDER."""
     probs = predict_proba_many(model, x)
-    return [CLASS_ORDER[int(i)] for i in np.argmax(probs, axis=1)]
+    return [CLASS_ORDER[i] for i in probs.argmax(axis=1).tolist()]

@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CLASS_ORDER, GAS_NAMES, N_CLASSES, FaultLabel, GasSample
+from .core import CLASS_ORDER, GAS_NAMES, N_CLASSES, N_PARAMS, FaultLabel, GasSample
 from .gbt import GbtConfig, GbtModel, Tree
 from .ranking import validate_rank_order
 
@@ -320,6 +320,8 @@ def load_model(path) -> ModelBundle:
         k = _integer("k", doc["k"])
         if n_features != k:
             raise ValueError(f"n_features {n_features} differs from k {k}")
+        if not 1 <= k <= N_PARAMS:  # a feature row is a prefix of the 37 parameters
+            raise ValueError(f"k must be in 1..{N_PARAMS}, got {k}")
         base_score = _number("base_score", doc["base_score"])
         if not math.isfinite(base_score):
             raise ValueError(f"non-finite base_score {base_score!r}")

@@ -19,7 +19,13 @@ monotone) has no rotation component: L = x, H = 0.
 
 `itd_rows` decomposes every row of an (n, k) matrix at once, in blocks of
 rows, with the same floating-point operations in the same order as a
-per-knot loop; a single signal is a one-row matrix.
+per-knot loop; a single signal is a one-row matrix.  A block works on its
+raveled (C-order) values: position j of row r is flat index r * k + j.
+The nearest knot before and after every position comes from one running
+maximum and one reversed running minimum over the whole block, which stop
+at row boundaries because every row starts and ends with a knot, and the
+knot and baseline values are gathered at those flat indices.  A block
+costs a fixed few dozen numpy calls, however many rows it has.
 """
 
 from __future__ import annotations
@@ -30,70 +36,68 @@ _ALPHA = 0.5  # the baseline's knot-value weight
 _BLOCK_ROWS = 256  # bounds the (rows, k) temporaries of one block
 
 
-def _knot_mask(x: np.ndarray) -> np.ndarray:
-    """Knots of each row of the (n, k) matrix x, k >= 2: both endpoints plus
-    the first position of every interior run of equal values that lies
-    above or below both neighbouring runs."""
+def _knot_mask(x: np.ndarray, knot: np.ndarray) -> None:
+    """Fill `knot` with the knots of each row of the (n, k) matrix x, k >= 2:
+    both endpoints plus the first position of every interior run of equal
+    values that lies above or below both neighbouring runs."""
     n, k = x.shape
     pos = np.arange(k)
-    # next_start[:, j]: first position after j whose value differs from its
-    # left neighbour (the start of the next run), k if there is none
-    starts = np.where(x[:, 1:] != x[:, :-1], pos[1:], k)
-    next_start = np.minimum.accumulate(starts[:, ::-1], axis=1)[:, ::-1]
+    change = x[:, 1:] != x[:, :-1]  # [:, j - 1]: a run starts at position j
+    # nxt[:, j - 1], j = 1..k-2: the first run start after j, k if none
+    starts = np.where(change, pos[1:], k)
+    nxt = np.minimum.accumulate(starts[:, :0:-1], axis=1)[:, ::-1]
+    # the value of the next run, gathered at flat indices; k is the next
+    # row's first position (clipped for the last row), read only where
+    # there is no next run and so never used
+    rows_at = np.arange(0, n * k, k)[:, None]
+    next_v = x.ravel().take(nxt + rows_at, mode="clip")
     mid = x[:, 1:-1]
-    next_v = np.take_along_axis(x, np.minimum(next_start[:, 1:], k - 1), axis=1)
-    knot = np.ones((n, k), dtype=bool)
+    knot[:, :: k - 1] = True  # both endpoints
     # adjacent runs always differ, so this is the opposite-signs test on the
     # flanking differences without an overflow-prone product
-    knot[:, 1:-1] = (
-        (starts[:, :-1] < k)
-        & (next_start[:, 1:] < k)
-        & ((mid > x[:, :-2]) != (next_v > mid))
-    )
-    return knot
+    knot[:, 1:-1] = change[:, :-1] & (nxt < k) & ((mid > x[:, :-2]) != (next_v > mid))
 
 
-def _baseline(x: np.ndarray, knot: np.ndarray) -> np.ndarray:
-    """Baseline of each row of x given its knot mask; x itself on rows with
-    no interior knot."""
-    n, k = x.shape
-    pos = np.arange(k)
-    # nearest knot strictly before / after each interior position 1..k-2
-    prev = np.maximum.accumulate(np.where(knot, pos, 0), axis=1)[:, :-2]
-    after = np.minimum.accumulate(np.where(knot, pos, k - 1)[:, ::-1], axis=1)
-    nxt = after[:, ::-1][:, 2:]
+def _baseline(x: np.ndarray, knot: np.ndarray, baseline: np.ndarray) -> None:
+    """Overwrite `baseline`, a copy of x, with the baseline of each row of x
+    given its knot mask; rows with no interior knot keep x."""
+    k = x.shape[1]
+    # the blocks are C-contiguous, so `bf` is a view that writes `baseline`
+    xf, kf, bf = x.ravel(), knot.ravel(), baseline.ravel()
+    flat = np.arange(kf.size)
+    # flat index of the nearest knot at or before / at or after each
+    # position; every row starts and ends with a knot, so neither scan
+    # crosses into another row
+    before = np.maximum.accumulate(np.where(kf, flat, 0))
+    after = np.minimum.accumulate(np.where(kf[::-1], flat[::-1], kf.size))[::-1]
 
-    baseline = x.copy()
-    r, j = np.nonzero(knot[:, 1:-1])
-    p, q = prev[r, j], nxt[r, j]
-    j += 1
+    interior = knot.copy()
+    interior[:, :: k - 1] = False
+    j = interior.ravel().nonzero()[0]
+    p, q = before[j - 1], after[j + 1]
     frac = (j - p) / (q - p)
-    xp, xq = x[r, p], x[r, q]
-    baseline[r, j] = _ALPHA * (xp + frac * (xq - xp)) + (1.0 - _ALPHA) * x[r, j]
+    xp, xq = xf[p], xf[q]
+    bf[j] = _ALPHA * (xp + frac * (xq - xp)) + (1.0 - _ALPHA) * xf[j]
 
-    seg = ~knot[:, 1:-1] & knot[:, 1:-1].any(axis=1)[:, None]
-    r, j = np.nonzero(seg)
-    p, q = prev[r, j], nxt[r, j]
-    j += 1
-    lp, lq = baseline[r, p], baseline[r, q]
-    xp = x[r, p]
-    baseline[r, j] = lp + (lq - lp) / (x[r, q] - xp) * (x[r, j] - xp)
-    return baseline
+    j = (~knot & interior.any(axis=1)[:, None]).ravel().nonzero()[0]
+    p, q = before[j], after[j]
+    lp, lq = bf[p], bf[q]
+    xp = xf[p]
+    bf[j] = lp + (lq - lp) / (xf[q] - xp) * (xf[j] - xp)
 
 
 def itd_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Knot mask, baseline and rotation component of each row of the (n, k)
     matrix `x`; row i gives what a one-stage decomposition of `x[i]` does."""
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError("need at least 2 points to decompose")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("input must be finite")
     knot = np.empty(x.shape, dtype=bool)
-    baseline = np.empty_like(x)
+    baseline = x.copy()
     for lo in range(0, x.shape[0], _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
-        knot[block] = _knot_mask(x[block])
-        baseline[block] = _baseline(x[block], knot[block])
+        _knot_mask(x[block], knot[block])
+        _baseline(x[block], knot[block], baseline[block])
     return knot, baseline, x - baseline
-

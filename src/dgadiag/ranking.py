@@ -25,6 +25,7 @@ CANONICAL_RANK_ORDER: tuple[int, ...] = (
     28, 24, 1, 27, 31, 37, 26, 35, 36, 3, 32, 2, 34, 4, 5, 33, 21, 14, 19,
     20, 13, 10, 23, 6, 22, 15, 18, 17, 7, 8, 16, 11, 9, 12, 25, 30, 29,
 )
+_PARAM_NUMBERS = list(range(1, N_PARAMS + 1))
 
 
 def skewness(values: Sequence[float]) -> float:
@@ -73,11 +74,12 @@ def validate_rank_order(order: Sequence[int]) -> tuple[int, ...]:
     of ints.  Entries must be Python or numpy integers, not bools, floats or
     strings."""
     order = tuple(order)
-    for v in order:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"rank order entries must be integers, got {v!r}")
-    order = tuple(map(int, order))
-    if sorted(order) != list(range(1, N_PARAMS + 1)):
+    if not set(map(type, order)) <= {int}:  # numpy integers, or a bad entry
+        for v in order:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"rank order entries must be integers, got {v!r}")
+        order = tuple(map(int, order))
+    if sorted(order) != _PARAM_NUMBERS:
         raise ValueError(f"rank order must be a permutation of 1..{N_PARAMS}")
     return order
 

@@ -226,6 +226,38 @@ class TestTrainDiagnoseEvaluate:
         assert out == ""
         assert err.startswith("error:") and "not both" in err
 
+    def test_failed_train_warns_of_nothing(self, capsys, tmp_path, table_csv):
+        # k = 5 was warned of before training refused the unlabeled row
+        data = tmp_path / "u.csv"
+        data.write_text(Path(table_csv).read_text() + "u1,10,20,30,40,50,\n")
+        model = tmp_path / "m.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["train", "--data", str(data), "--k", "5",
+                                          "--rounds", "2", "--model", str(model)])
+        assert (code, out, err) == (1, "", "error: training requires labeled samples\n")
+        assert caught == [] and not model.exists()
+
+    def test_failed_cv_warns_of_nothing(self, capsys, tmp_path, table_csv):
+        model = str(tmp_path / "m10.json")
+        with pytest.warns(UserWarning, match="k=10 outside the usual 18..37 range"):
+            assert main(["train", "--data", table_csv, "--k", "10", "--rounds", "2",
+                         "--model", model]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, ["evaluate", "--data", table_csv, "--model", model,
+                                          "--cv", "2"])
+        assert (code, out, caught) == (1, "", [])
+        assert err.startswith("error: stratification impossible") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", ["0", "3"])
+    def test_seed_requires_holdout_or_cv(self, capsys, table_model, seed):
+        # apply mode drew nothing from the seed and printed the same report
+        data, model, _ = table_model
+        code, out, err = run(capsys, ["evaluate", "--data", data, "--model", model,
+                                      "--seed", seed])
+        assert (code, out, err) == (1, "", "error: --seed requires --holdout or --cv\n")
+
     @pytest.mark.parametrize("mode", [[], ["--holdout", "0.25"]])
     def test_smote_requires_cv(self, capsys, tmp_path, synth_csv, mode):
         model = str(tmp_path / "m.json")
@@ -546,11 +578,12 @@ def _seed_argv(command, data, model, tmp):
         "train": ["train", "--data", data, "--model", str(tmp / "m.json"), "--rounds", "2"],
         "evaluate-holdout": ["evaluate", "--data", data, "--model", model, "--holdout", "0.5"],
         "evaluate-cv": ["evaluate", "--data", data, "--model", model, "--cv", "2"],
+        "evaluate-apply": ["evaluate", "--data", data, "--model", model],
     }[command]
 
 
 @pytest.mark.parametrize("command", ["synth", "searchk", "train", "evaluate-holdout",
-                                     "evaluate-cv"])
+                                     "evaluate-cv", "evaluate-apply"])
 def test_negative_seed_is_refused_by_name(capsys, table_model, command):
     # numpy refused it without naming the flag, and `train` stored it
     code, out, err = run(capsys, _seed_argv(command, *table_model) + ["--seed", "-1"])
@@ -627,6 +660,59 @@ def test_numeric_flags_end_in_a_documented_exit(table_model, data):
     if code == 0:
         assert out.getvalue() and err.getvalue() == ""
         # a k in 2..17 may be warned of, as documented, and nothing else
+        assert all("outside the usual 18..37 range" in str(w.message) for w in caught)
+    else:
+        assert code in (1, 2) and out.getvalue() == ""
+        assert "error: " in err.getvalue()
+        assert caught == []
+
+
+COUNTS = st.one_of(
+    st.lists(st.integers(0, 2), min_size=6, max_size=6).map(lambda c: ",".join(map(str, c))),
+    st.lists(st.integers(-1, 2), min_size=0, max_size=8).map(lambda c: ",".join(map(str, c))),
+    st.sampled_from(["1,1,1,1,1,x", "1,,1,1,1,1", "1.5,1,1,1,1,1", ",", " "]),
+)
+
+
+@st.composite
+def _other_argv(draw, data, tmp):
+    command = draw(st.sampled_from(["rank", "features", "conventional", "decompose", "synth"]))
+    out = ["--out", str(tmp / f"{command}.out")]
+    canonical = ["--canonical"] * draw(st.booleans())
+    if command == "rank":
+        argv = ["rank"] + draw(st.sampled_from([[], ["--data", data]])) + canonical
+    elif command in ("features", "decompose"):
+        argv = [command, "--data", data] + draw(_optional("k", K)) + canonical
+    elif command == "conventional":
+        argv = ["conventional", "--data", data]
+        argv += draw(_optional("method", st.sampled_from(["duval", "rogers", "iec", "all", "x"])))
+    else:
+        argv = ["synth"] + draw(_optional("seed", SEED)) + draw(_optional("counts", COUNTS))
+    return argv + out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_other_commands_end_in_a_documented_exit(table_model, data):
+    """Any text for the flags of `rank`, `features`, `conventional`,
+    `decompose` and `synth` ends in exit 0, 1 (bad value) or 2 (usage),
+    never in a traceback; a failure prints an `error:` line and warns of
+    nothing, and a success warns of nothing but a k outside the usual range."""
+    path, _, tmp = table_model
+    argv = data.draw(_other_argv(path, tmp))
+    Path(argv[-1]).unlink(missing_ok=True)  # the --out file of an earlier example
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the text
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+        assert Path(argv[-1]).exists()
         assert all("outside the usual 18..37 range" in str(w.message) for w in caught)
     else:
         assert code in (1, 2) and out.getvalue() == ""

@@ -185,3 +185,15 @@ def test_param_matrix_matches_scalar_oracle(samples):
     ratios = np.delete(got, np.s_[12:22], axis=1)
     assert np.all(ratios <= MAX_PPM / EPS_PPM)
     assert np.all(got[:, 12] <= 2 * MAX_PPM / EPS_PPM)
+
+
+@pytest.mark.parametrize("gases", [
+    (1.0, 2.0**-53, 2.0**-53, 2.0**-53, 2.0**-53),  # pairwise adding would round up
+    (2.0**-53, 2.0**-53, 2.0**-53, 2.0**-53, 1.0),
+    (0.0, -0.0, -0.0, -0.0, -0.0),  # a sum of signed zeros keeps its sign
+    (-0.0,) * 5,
+])
+@pytest.mark.parametrize("n", [1, 9, 300])
+def test_aggregate_sums_add_left_to_right(gases, n):
+    got = param_matrix([GasSample(*gases)] * n)
+    assert got.tobytes() == np.stack([_oracle_params(GasSample(*gases))] * n).tobytes()

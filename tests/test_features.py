@@ -1,10 +1,14 @@
 import warnings
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgadiag.core import FaultLabel, GasSample, param_matrix
-from dgadiag.features import FeatureMatrix, build_features, optimal_k_search
+from dgadiag.features import FeatureMatrix, build_features, optimal_k_search, ranked_prefix
 from dgadiag.gbt import GbtConfig
 from dgadiag.itd import itd_rows
 from dgadiag.ranking import CANONICAL_RANK_ORDER
@@ -86,6 +90,80 @@ def test_determinism():
     a = build_features(samples, order, 24)
     b = build_features(samples, order, 24)
     assert np.array_equal(a.x, b.x)
+
+
+@st.composite
+def _readings(draw):
+    """n readings across the 256-row ITD blocks: log-uniform gases with some
+    zeros and some all-equal readings, so the prefixes mix plateaus with
+    strict extrema."""
+    n = draw(st.sampled_from([1, 255, 256, 257, 513]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gases = np.exp(rng.uniform(np.log(0.1), np.log(5e4), size=(n, 5)))
+    gases[rng.random((n, 5)) < 0.1] = 0.0
+    gases[rng.random(n) < 0.1] = 10.0
+    return [GasSample(*g, id=f"s{i}") for i, g in enumerate(gases.tolist())]
+
+
+@settings(max_examples=20, deadline=None)
+@given(samples=_readings(), order=st.permutations(range(1, 38)), k=st.integers(2, 37))
+def test_one_reading_alone_is_its_row_of_the_batch(samples, order, k):
+    # a reading diagnosed on its own must get exactly the bytes of its row
+    # in a batch, wherever the row falls in the batch's row blocks
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # k may lie outside 18..37
+        batch = build_features(samples, order, k).x
+        for i, sample in enumerate(samples):
+            assert build_features([sample], order, k).x.tobytes() == batch[i].tobytes()
+
+
+CANONICAL = list(CANONICAL_RANK_ORDER)
+ACCEPTED_ORDERS = {
+    "tuple": CANONICAL_RANK_ORDER,
+    "list": CANONICAL,
+    "numpy int64 array": np.array(CANONICAL),
+    "numpy int32 entries": [np.int32(v) for v in CANONICAL],
+    "mixed int entries": [np.uint8(v) if i % 2 else v for i, v in enumerate(CANONICAL)],
+}
+NOT_INTEGERS = [True, np.True_, 28.0, np.float64(28.0), "28", None]
+NOT_PERMUTATIONS = {
+    "repeated": [1] * 37,
+    "zero-based": list(range(37)),
+    "36 entries": CANONICAL[:-1],
+    "38 entries": CANONICAL + [38],
+    "a duplicate": CANONICAL[:-1] + CANONICAL[:1],
+}
+
+
+@pytest.mark.parametrize("order", ACCEPTED_ORDERS.values(), ids=ACCEPTED_ORDERS.keys())
+def test_rank_orders_of_python_and_numpy_integers_are_accepted(order):
+    want = build_features([ROW1], CANONICAL_RANK_ORDER, 24).x.tobytes()
+    assert build_features([ROW1], order, 24).x.tobytes() == want
+    assert ranked_prefix([ROW1], order, 24).tobytes() == (
+        ranked_prefix([ROW1], CANONICAL_RANK_ORDER, 24).tobytes()
+    )
+
+
+@pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("where", [0, 36])
+@pytest.mark.parametrize("build", [build_features, ranked_prefix])
+def test_rank_order_entries_must_be_integers(build, where, bad):
+    # numpy integers before the entry do not let it through; a later bad
+    # entry is not the one named
+    order = [np.int64(v) for v in CANONICAL]
+    order[where] = bad
+    order.append(1.5)
+    message = f"rank order entries must be integers, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build([ROW1], order, 24)
+
+
+@pytest.mark.parametrize("order", NOT_PERMUTATIONS.values(), ids=NOT_PERMUTATIONS.keys())
+@pytest.mark.parametrize("build", [build_features, ranked_prefix])
+def test_rank_order_must_be_a_permutation(build, order):
+    for entries in (order, [np.int16(v) for v in order]):
+        with pytest.raises(ValueError, match=r"^rank order must be a permutation of 1\.\.37$"):
+            build([ROW1], entries, 24)
 
 
 def _two_class_noisy(n_per_class: int, seed: int) -> list[GasSample]:

@@ -504,6 +504,17 @@ class TestModelPersistence:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
             load_model(path)
 
+    @pytest.mark.parametrize("k", [0, 38, 2**63])
+    def test_k_outside_the_parameter_count_is_refused(self, tmp_path, k):
+        # k = n_features = 2**63 used to load, and a feature row of that
+        # length could not even be allocated
+        def mutate(doc):
+            doc["k"] = doc["n_features"] = k
+
+        path = _mutated_model(tmp_path, mutate)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: k must be in 1\.\.37, got {k}$"):
+            load_model(path)
+
     def test_non_utf8_names_file(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(path, _toy_bundle())

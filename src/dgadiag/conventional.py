@@ -1,10 +1,12 @@
 """The three classical rule-based DGA diagnosis methods.
 
 Duval triangle zones over (%CH4, %C2H4, %C2H2), the Rogers four-ratio code
-table, and the IEC three-ratio code table.  All ratio denominators are
-clamped below at EPS_PPM, matching the parameter-matrix convention, so the
-methods are total over valid samples (the Duval triangle gives UD when CH4,
-C2H4 and C2H2 are all zero).
+table, and the IEC three-ratio code table.  Each ratio is one clamped
+division, `num / (EPS_PPM if den < EPS_PPM else den)`, written once in
+`_ratios` for Rogers and IEC: the denominator is clamped below at EPS_PPM,
+matching the parameter-matrix convention, so the methods are total over
+valid samples (the Duval triangle gives UD when CH4, C2H4 and C2H2 are all
+zero).
 
 Boundary conventions at zone edges are fixed by the inequality forms written
 in `_duval_zone` and the code functions; edge cases are exactly where these
@@ -28,16 +30,21 @@ class DuvalCoords:
     pct_c2h2: float
 
 
+def _duval_pcts(sample: GasSample) -> tuple[float, float, float] | None:
+    """%CH4, %C2H4 and %C2H2, or None when the three gases are all 0."""
+    ch4, c2h4, c2h2 = sample.ch4, sample.c2h4, sample.c2h2
+    total = ch4 + c2h4 + c2h2
+    if total <= 0:
+        return None
+    return 100.0 * ch4 / total, 100.0 * c2h4 / total, 100.0 * c2h2 / total
+
+
 def duval_coords(sample: GasSample) -> DuvalCoords:
     """Triangle percentages for one sample; the three gases must not all be 0."""
-    total = sample.ch4 + sample.c2h4 + sample.c2h2
-    if total <= 0:
+    pcts = _duval_pcts(sample)
+    if pcts is None:
         raise ValueError("duval undefined: CH4 + C2H4 + C2H2 is zero")
-    return DuvalCoords(
-        pct_ch4=100.0 * sample.ch4 / total,
-        pct_c2h4=100.0 * sample.c2h4 / total,
-        pct_c2h2=100.0 * sample.c2h2 / total,
-    )
+    return DuvalCoords(*pcts)
 
 
 def _duval_zone(pct_ch4: float, pct_c2h4: float, pct_c2h2: float) -> DiagnosisOutcome:
@@ -61,14 +68,20 @@ def _duval_zone(pct_ch4: float, pct_c2h4: float, pct_c2h2: float) -> DiagnosisOu
 def duval(sample: GasSample) -> DiagnosisOutcome:
     """Duval triangle diagnosis: one of the six faults, DT (mixed zone), or
     UD when CH4 + C2H4 + C2H2 is zero and the triangle has no point."""
-    if sample.ch4 + sample.c2h4 + sample.c2h2 <= 0:
-        return DiagnosisOutcome.UD
-    c = duval_coords(sample)
-    return _duval_zone(c.pct_ch4, c.pct_c2h4, c.pct_c2h2)
+    pcts = _duval_pcts(sample)
+    return DiagnosisOutcome.UD if pcts is None else _duval_zone(*pcts)
 
 
-def _ratio(num: float, den: float) -> float:
-    return num / max(den, EPS_PPM)
+def _ratios(sample: GasSample) -> tuple[float, float, float, float]:
+    """CH4/H2, C2H6/CH4, C2H4/C2H6 and C2H2/C2H4, each denominator clamped
+    below at EPS_PPM."""
+    h2, ch4, c2h6, c2h4 = sample.h2, sample.ch4, sample.c2h6, sample.c2h4
+    return (
+        ch4 / (EPS_PPM if h2 < EPS_PPM else h2),
+        c2h6 / (EPS_PPM if ch4 < EPS_PPM else ch4),
+        c2h4 / (EPS_PPM if c2h6 < EPS_PPM else c2h6),
+        sample.c2h2 / (EPS_PPM if c2h4 < EPS_PPM else c2h4),
+    )
 
 
 # Rogers code table, keyed on (R1, R2, R3, R4) codes.  Entries with several
@@ -92,10 +105,7 @@ _ROGERS_TABLE: dict[tuple[int, int, int, int], DiagnosisOutcome] = {
 
 
 def _rogers_codes(sample: GasSample) -> tuple[int, int, int, int]:
-    r1 = _ratio(sample.ch4, sample.h2)
-    r2 = _ratio(sample.c2h6, sample.ch4)
-    r3 = _ratio(sample.c2h4, sample.c2h6)
-    r4 = _ratio(sample.c2h2, sample.c2h4)
+    r1, r2, r3, r4 = _ratios(sample)
 
     if r1 <= 0.1:
         c1 = 5
@@ -127,9 +137,7 @@ def rogers(sample: GasSample) -> DiagnosisOutcome:
 
 
 def _iec_codes(sample: GasSample) -> tuple[int, int, int]:
-    q1 = _ratio(sample.c2h2, sample.c2h4)
-    q2 = _ratio(sample.ch4, sample.h2)
-    q3 = _ratio(sample.c2h4, sample.c2h6)
+    q2, _, q3, q1 = _ratios(sample)
 
     if q1 < 0.1:
         c1 = 0
@@ -154,19 +162,19 @@ def _iec_codes(sample: GasSample) -> tuple[int, int, int]:
 
 def iec_ratio(sample: GasSample) -> DiagnosisOutcome:
     """IEC ratio-code diagnosis; combinations off the table give UD."""
-    c1, c2, c3 = _iec_codes(sample)
-    if (c1, c2, c3) == (0, 0, 0):
+    codes = _iec_codes(sample)
+    if codes == (0, 0, 0):
         return DiagnosisOutcome.NF
-    if (c1, c2, c3) == (0, 1, 0):
+    if codes == (0, 1, 0):
         return DiagnosisOutcome.PD
+    c1, c2, c3 = codes
     if c1 in (1, 2) and c2 == 0 and c3 in (1, 2):
         # Discharge region; the high-energy sub-band is carved out by the
         # raw C2H2/C2H4 ratio.
-        q1 = _ratio(sample.c2h2, sample.c2h4)
-        if c1 == 1 and c3 == 2 and 0.6 <= q1 <= 2.5:
+        if c1 == 1 and c3 == 2 and 0.6 <= _ratios(sample)[3] <= 2.5:
             return DiagnosisOutcome.D2
         return DiagnosisOutcome.D1
-    if (c1, c2) == (0, 2):
+    if c1 == 0 and c2 == 2:
         if c3 == 0:
             return DiagnosisOutcome.T1
         if c3 == 1:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -66,7 +67,7 @@ class DiagnosisOutcome(Enum):
     DT = "DT"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GasSample:
     """One transformer's five gas concentrations (ppm), optionally labeled."""
 
@@ -79,18 +80,22 @@ class GasSample:
     id: str = ""
 
     def __post_init__(self) -> None:
-        for name, value in zip(GAS_NAMES, self.gases()):
-            if not 0 <= value <= MAX_PPM:
-                raise ValueError(
-                    f"gas {name} must be in 0..{MAX_PPM:g} ppm, got {value!r}"
-                    + (f" (sample {self.id})" if self.id else "")
-                )
+        if not (0 <= self.h2 <= MAX_PPM and 0 <= self.ch4 <= MAX_PPM
+                and 0 <= self.c2h6 <= MAX_PPM and 0 <= self.c2h4 <= MAX_PPM
+                and 0 <= self.c2h2 <= MAX_PPM):
+            for name, value in zip(GAS_NAMES, self.gases()):  # the first bad gas
+                if not 0 <= value <= MAX_PPM:
+                    raise ValueError(
+                        f"gas {name} must be in 0..{MAX_PPM:g} ppm, got {value!r}"
+                        + (f" (sample {self.id})" if self.id else "")
+                    )
 
     def gases(self) -> tuple[float, float, float, float, float]:
         return (self.h2, self.ch4, self.c2h6, self.c2h4, self.c2h2)
 
 
 GAS_NAMES = ("h2", "ch4", "c2h6", "c2h4", "c2h2")
+_GASES = attrgetter(*GAS_NAMES)  # a sample's five gases, as `GasSample.gases`
 
 
 # _SUM_TERMS[t, j]: the row (see `param_matrix`) of term t of aggregate sum
@@ -133,7 +138,7 @@ def param_matrix(samples: list[GasSample]) -> np.ndarray:
     rows = np.empty((N_PARAMS + 1, n))
     gases = rows[13:18]
     gases[...] = np.fromiter(
-        chain.from_iterable(s.gases() for s in samples), np.float64, 5 * n
+        chain.from_iterable(map(_GASES, samples)), np.float64, 5 * n
     ).reshape(n, 5).T
     rows[N_PARAMS] = -0.0
     # axis 0 holds the terms, so the reduction adds them in order; starting

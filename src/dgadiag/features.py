@@ -43,26 +43,33 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be in 2..{N_PARAMS}, got {k}")
 
 
-def _warn_unusual_k(k: int, stacklevel: int) -> None:
-    """Warn, at the caller `stacklevel` frames up, of a k outside the usual
-    range."""
+def _warn_unusual_k(k: int) -> None:
+    """Warn of a k outside the usual range, at the line that called the
+    function calling this one."""
     if not K_DEFAULT_MIN <= k <= K_DEFAULT_MAX:
         warnings.warn(
             f"k={k} outside the usual {K_DEFAULT_MIN}..{K_DEFAULT_MAX} range",
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
+
+
+def _ranked_prefix(
+    samples: Sequence[GasSample], rank_order: Sequence[int], k: int
+) -> np.ndarray:
+    if not samples:
+        raise ValueError("empty sample list")
+    order = validate_rank_order(rank_order)
+    _check_k(k)
+    return param_matrix(samples)[:, np.array(order[:k]) - 1]
 
 
 def ranked_prefix(
     samples: Sequence[GasSample], rank_order: Sequence[int], k: int
 ) -> np.ndarray:
     """The (n, k) signals: each sample's parameters in rank order, first k."""
-    if not samples:
-        raise ValueError("empty sample list")
-    order = validate_rank_order(rank_order)
-    _check_k(k)
-    _warn_unusual_k(k, stacklevel=4)  # the caller of build_features
-    return param_matrix(samples)[:, np.array(order[:k]) - 1]
+    signals = _ranked_prefix(samples, rank_order, k)
+    _warn_unusual_k(k)
+    return signals
 
 
 def checked_itd_rows(
@@ -97,7 +104,9 @@ def build_features(
     Raises ValueError naming the first sample whose features are not finite
     (see `checked_itd_rows`).
     """
-    return _feature_matrix(samples, ranked_prefix(samples, rank_order, k))
+    signals = _ranked_prefix(samples, rank_order, k)
+    _warn_unusual_k(k)
+    return _feature_matrix(samples, signals)
 
 
 def optimal_k_search(
@@ -127,14 +136,14 @@ def optimal_k_search(
     _check_k(k_max)
 
     train_idx, test_idx = train_test_split(len(samples), train_frac, split_seed)
-    ranked = ranked_prefix(samples, rank_order, N_PARAMS)  # every k's prefix
+    ranked = _ranked_prefix(samples, rank_order, N_PARAMS)  # every k's prefix
     curve: dict[int, float] = {}
     for k in range(k_min, k_max + 1):
         fm = _feature_matrix(samples, ranked[:, :k])
         cm = fit_and_score(fm, train_idx, test_idx, config, seed=split_seed)
         curve[k] = cm.trace / cm.total
     for k in curve:
-        _warn_unusual_k(k, stacklevel=3)
+        _warn_unusual_k(k)
 
     best_k = min(curve, key=lambda k: (-curve[k], k))
     return KSearchResult(accuracy_curve=curve, best_k=best_k)

@@ -270,6 +270,7 @@ def _build_tree(
         return node
 
     grow(np.arange(n, dtype=np.intp), presort, xs, None, 0)
+    del grow  # grow refers to itself: break the cycle so its arrays go now, not at the next GC
     return row_value
 
 

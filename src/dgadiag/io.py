@@ -40,6 +40,7 @@ from .gbt import GbtConfig, GbtModel, Tree
 from .ranking import validate_rank_order
 
 CSV_HEADER = ["id", "h2", "ch4", "c2h6", "c2h4", "c2h2", "label"]
+_LABELS = {label.value: label for label in FaultLabel}  # FaultLabel(text), as a lookup
 MODEL_FORMAT_VERSION = 3
 
 # Per-class log-uniform gas ranges (ppm) for the synthetic generator, chosen
@@ -118,22 +119,22 @@ def load_dataset(path) -> list[GasSample]:
             raise ValueError(
                 f"{path}:{line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}"
             )
-        sample_id = row[0].strip() or str(line_no)
-        gases = []
-        for name, text in zip(GAS_NAMES, row[1:6]):
-            try:
-                gases.append(float(text))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{line_no}: gas {name} is not a number: {text!r}"
-                ) from None
-        label_text = row[6].strip()
         try:
-            label = FaultLabel(label_text) if label_text else None
+            gases = list(map(float, row[1:6]))
         except ValueError:
-            raise ValueError(f"{path}:{line_no}: unknown label {label_text!r}") from None
+            for name, text in zip(GAS_NAMES, row[1:6]):  # the first bad gas
+                try:
+                    float(text)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{line_no}: gas {name} is not a number: {text!r}"
+                    ) from None
+        label_text = row[6].strip()
+        label = _LABELS.get(label_text)
+        if label is None and label_text:
+            raise ValueError(f"{path}:{line_no}: unknown label {label_text!r}")
         try:
-            samples.append(GasSample(*gases, label=label, id=sample_id))
+            samples.append(GasSample(*gases, label, row[0].strip() or str(line_no)))
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from None
     return samples

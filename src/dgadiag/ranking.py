@@ -44,6 +44,7 @@ def skewness(values: Sequence[float]) -> float:
     if x.size == 2:
         return 0.0
     d = x - x.mean()
+    d -= d.mean()  # the rounded mean's error, which a large offset makes large
     scale = float(np.max(np.abs(d)))
     if scale == 0.0:
         return 0.0

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import warnings
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgadiag import cli
 from dgadiag.cli import main
 from dgadiag.io import load_table_iv, write_dataset
 
@@ -316,6 +318,15 @@ class TestDecompose:
                                       "--canonical", "--out", out_path])
         assert code == 0
         assert len(open(out_path).read().strip().splitlines()) == 1 + 6 * 10
+
+    def test_unusual_k_warning_names_cmd_decompose(self, capsys, tmp_path, table_csv):
+        lines, first = inspect.getsourcelines(cli.cmd_decompose)
+        call = first + next(i for i, text in enumerate(lines) if "ranked_prefix(" in text)
+        with pytest.warns(UserWarning, match="k=2 outside") as record:
+            code, _, _ = run(capsys, ["decompose", "--data", table_csv, "--k", "2",
+                                      "--canonical", "--out", str(tmp_path / "dec.tsv")])
+        assert code == 0
+        assert [(w.filename, w.lineno) for w in record] == [(cli.__file__, call)]
 
 
     def test_overflowing_row_is_named(self, capsys, tmp_path, seed11_model):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -121,6 +122,38 @@ def test_gas_sample_validation():
         GasSample(0, math.nan, 0, 0, 0)
     with pytest.raises(ValueError, match="c2h2"):
         GasSample(0, 0, 0, 0, math.inf)
+
+
+def test_gas_sample_is_a_frozen_slotted_value():
+    sample = GasSample(1.5, 2.0, 0.0, 4.0, 5.0, label=FaultLabel.T2, id="s1")
+    assert not hasattr(sample, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sample.h2 = 3.0
+    twin = GasSample(1.5, 2.0, 0.0, 4.0, 5.0, label=FaultLabel.T2, id="s1")
+    assert sample == twin and hash(sample) == hash(twin) and len({sample, twin}) == 1
+    assert sample != dataclasses.replace(sample, id="s2")
+    moved = dataclasses.replace(sample, ch4=7.0)
+    assert moved.gases() == (1.5, 7.0, 0.0, 4.0, 5.0)
+    assert (moved.label, moved.id) == (FaultLabel.T2, "s1")
+    with pytest.raises(ValueError) as exc:
+        dataclasses.replace(sample, c2h6=-1.0)
+    assert str(exc.value) == "gas c2h6 must be in 0..1e+06 ppm, got -1.0 (sample s1)"
+
+
+@pytest.mark.parametrize("gases, message", [
+    ((-1, 2e6, 0, 0, 0), "gas h2 must be in 0..1e+06 ppm, got -1"),  # the first bad gas
+    ((0, 2e6, math.nan, 0, 0), "gas ch4 must be in 0..1e+06 ppm, got 2000000.0"),
+    ((0, 0, math.nan, 0, 0), "gas c2h6 must be in 0..1e+06 ppm, got nan"),
+    ((0, 0, 0, -math.inf, 0), "gas c2h4 must be in 0..1e+06 ppm, got -inf"),
+    ((0, 0, 0, 0, 1e6 + 1), "gas c2h2 must be in 0..1e+06 ppm, got 1000001.0"),
+])
+def test_out_of_range_message_names_gas_and_sample(gases, message):
+    with pytest.raises(ValueError) as exc:
+        GasSample(*gases)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        GasSample(*gases, id="r7")
+    assert str(exc.value) == message + " (sample r7)"
 
 
 def test_gas_ceiling():

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import re
@@ -70,6 +71,14 @@ def test_metadata_recorded():
 def test_k_out_of_usual_range_warns():
     with pytest.warns(UserWarning, match="outside"):
         build_features([ROW1], CANONICAL_RANK_ORDER, 5)
+
+
+@pytest.mark.parametrize("build", [build_features, ranked_prefix])
+def test_unusual_k_warning_names_the_calling_line(build):
+    with pytest.warns(UserWarning, match="k=5 outside") as record:
+        line = sys._getframe().f_lineno + 1
+        build([ROW1], CANONICAL_RANK_ORDER, 5)
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
 
 
 def test_invalid_inputs():

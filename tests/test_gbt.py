@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import math
 
@@ -67,6 +68,22 @@ def test_config_validation():
             GbtConfig(**{name: value})
     # integers and finite reals of other types still pass
     GbtConfig(rounds=np.int64(3), max_depth=np.int32(2), reg_lambda=1, gamma=np.float32(0.5))
+
+
+def test_training_leaves_no_reference_cycles():
+    # every tree's grower is freed when the tree is done, not left to the
+    # cyclic garbage collector with the arrays it holds
+    x = np.eye(6)
+    y = list(CLASS_ORDER)
+    config = GbtConfig(rounds=3, min_child_weight=0.0)
+    train(x, y, config, seed=0)  # first-call set-up (numpy's lazy imports) makes cycles
+    gc.collect()
+    gc.disable()
+    try:
+        train(x, y, config, seed=0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_one_hot_separable_points():

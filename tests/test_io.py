@@ -1,9 +1,11 @@
 import copy
+import csv
 import functools
 import json
 import os
 import re
 import tempfile
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -11,10 +13,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dgadiag.conventional import duval
-from dgadiag.core import CLASS_ORDER, GasSample
+from dgadiag.core import CLASS_ORDER, GAS_NAMES, FaultLabel, GasSample
 from dgadiag.features import build_features
 from dgadiag.gbt import GbtConfig, predict_logits, predict_proba_many, train
 from dgadiag.io import (
+    CSV_HEADER,
     DEFAULT_SYNTH_COUNTS,
     MODEL_FORMAT_VERSION,
     ModelBundle,
@@ -24,6 +27,7 @@ from dgadiag.io import (
     load_model,
     load_table_iv,
     save_model,
+    _csv_rows,
     write_dataset,
 )
 from dgadiag.ranking import CANONICAL_RANK_ORDER
@@ -148,6 +152,95 @@ def test_mutated_csv_loads_or_raises_value_error(tmp_path, edits):
     else:
         assert isinstance(samples, list)
         assert all(isinstance(s, GasSample) for s in samples)
+
+
+def _oracle_load_dataset(path) -> list[GasSample]:
+    """`load_dataset` as written before its row loop was trimmed: one
+    `float` call per gas, the label through the FaultLabel call, keyword
+    construction.  The reference for the differential test below."""
+    samples: list[GasSample] = []
+    rows = _csv_rows(path)
+    try:
+        header = next(rows)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file, expected header {CSV_HEADER}")
+    if [h.strip().lower() for h in header] != CSV_HEADER:
+        raise ValueError(f"{path}: bad header {header!r}, expected {CSV_HEADER}")
+    for line_no, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(
+                f"{path}:{line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}"
+            )
+        sample_id = row[0].strip() or str(line_no)
+        gases = []
+        for name, text in zip(GAS_NAMES, row[1:6]):
+            try:
+                gases.append(float(text))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{line_no}: gas {name} is not a number: {text!r}"
+                ) from None
+        label_text = row[6].strip()
+        try:
+            label = FaultLabel(label_text) if label_text else None
+        except ValueError:
+            raise ValueError(f"{path}:{line_no}: unknown label {label_text!r}") from None
+        try:
+            samples.append(GasSample(*gases, label=label, id=sample_id))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
+    return samples
+
+
+GOOD_GAS = st.one_of(
+    st.floats(min_value=0.0, max_value=1e6).map(repr),
+    st.integers(min_value=0, max_value=10**6).map(str),
+    st.sampled_from(["0", "-0.0", " 1.5 ", "1e3", "1_000", "5e-324", "1000000", ".5"]),
+)
+NOT_A_NUMBER = st.sampled_from(["", " ", "x", "1,5", "0x10", "1e", "1..2", "\u00bd", "nan!"])
+OUT_OF_RANGE = st.sampled_from(["-1", "2e6", "nan", "inf", "-inf", "1000000.0000000002", "1e400"])
+GOOD_LABEL = st.sampled_from(["", " ", "PD", "D1", "D2", "T1", " T2", "T3 "])
+BAD_LABEL = st.sampled_from(["X9", "pd", "P D", "NF", "UD", "FaultLabel.PD"])
+GOOD_ID = st.sampled_from(["", "  ", "a", "q,1", 'x"y', "r 7", "12"])
+
+
+@st.composite
+def csv_row(draw) -> list[str]:
+    """One CSV record: clean, blank, or with one bad field of one kind."""
+    row = [draw(GOOD_ID), *(draw(GOOD_GAS) for _ in GAS_NAMES), draw(GOOD_LABEL)]
+    kind = draw(st.sampled_from(["clean", "clean", "blank", "count", "gas", "label", "range"]))
+    if kind == "blank":
+        return []
+    if kind == "count":
+        return row[:-1] if draw(st.booleans()) else row + [draw(GOOD_LABEL)]
+    if kind == "label":
+        row[6] = draw(BAD_LABEL)
+    elif kind in ("gas", "range"):
+        row[1 + draw(st.integers(0, 4))] = draw(NOT_A_NUMBER if kind == "gas" else OUT_OF_RANGE)
+    return row
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(csv_row(), max_size=8))
+def test_load_dataset_matches_the_oracle(tmp_path, rows):
+    text = StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(rows)
+    path = tmp_path / "rows.csv"
+    path.write_text(text.getvalue(), encoding="utf-8")
+    try:
+        expected = _oracle_load_dataset(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            load_dataset(path)
+        assert str(got.value) == str(exc)  # the first bad line, named the same way
+    else:
+        got = load_dataset(path)
+        assert got == expected
+        assert repr(got) == repr(expected)  # signed zeros and float types too
 
 
 class TestWriteDataset:

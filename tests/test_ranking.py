@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dgadiag.core import GasSample
@@ -49,6 +49,9 @@ class TestSkewness:
         st.sampled_from([0.25, 2.0, 8.0]),
         st.sampled_from([-12.5, 0.0, 1000.25]),
     )
+    # a large offset and a small spread: the rounded mean used to be off by
+    # 2e-9 of the skewness here
+    @example(xs=[262140.09375, 262140.0, 262140.078125], a=0.25, b=1000.25)
     def test_affine_invariance(self, xs, a, b):
         base = skewness(xs)
         shifted = skewness([a * x + b for x in xs])

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, fields
@@ -85,8 +86,9 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def _csv_rows(path):
-    """The records of a UTF-8 CSV file; a decoding or CSV syntax error
-    becomes a ValueError naming the path and line."""
+    """The records of a UTF-8 CSV file, each as (file line it starts on,
+    fields); a decoding or CSV syntax error becomes a ValueError naming the
+    path and line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -95,8 +97,11 @@ def _csv_rows(path):
         line_no = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
     reader = csv.reader(StringIO(text, newline=""))
+    line_no = 1
     try:
-        yield from reader
+        for row in reader:
+            yield line_no, row
+            line_no = reader.line_num + 1  # a quoted field may span lines
     except csv.Error as exc:
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
 
@@ -107,12 +112,12 @@ def load_dataset(path) -> list[GasSample]:
     samples: list[GasSample] = []
     rows = _csv_rows(path)
     try:
-        header = next(rows)
+        _, header = next(rows)
     except StopIteration:
         raise ValueError(f"{path}: empty file, expected header {CSV_HEADER}")
     if [h.strip().lower() for h in header] != CSV_HEADER:
         raise ValueError(f"{path}: bad header {header!r}, expected {CSV_HEADER}")
-    for line_no, row in enumerate(rows, start=2):
+    for line_no, row in rows:
         if not row:
             continue
         if len(row) != len(CSV_HEADER):
@@ -140,14 +145,27 @@ def load_dataset(path) -> list[GasSample]:
     return samples
 
 
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field, quoted the way `csv.QUOTE_MINIMAL` quotes it."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_dataset(path, samples: Sequence[GasSample]) -> None:
-    """Write samples as CSV; float formatting round-trips exactly."""
+    """Write samples as CSV that `load_dataset` reads back equal, floats
+    exactly.  An id holding a NUL character raises ValueError and nothing
+    is written: the csv reader of Python 3.10 rejects NUL."""
     lines = [",".join(CSV_HEADER)]
     for s in samples:
         label = s.label.value if s.label is not None else ""
         gases = ",".join(repr(float(g)) for g in s.gases())
-        lines.append(f"{s.id},{gases},{label}")
-    atomic_write_text(str(path), "\n".join(lines) + "\n")
+        lines.append(f"{_csv_field(s.id)},{gases},{label}")
+    text = "\n".join(lines) + "\n"
+    if "\0" in text:  # only an id can hold one
+        bad = next(s.id for s in samples if "\0" in s.id)
+        raise ValueError(f"id {bad!r} holds a NUL character, which cannot be written")
+    atomic_write_text(str(path), text)
 
 
 def load_table_iv() -> list[GasSample]:
@@ -161,27 +179,26 @@ def generate_synthetic(
 ) -> list[GasSample]:
     """Draw labeled samples per class from the documented log-uniform ranges.
 
-    `counts` gives the number of samples per class in canonical class order.
-    Output is deterministic in `seed`: classes are drawn in canonical order
-    and gases in (h2, ch4, c2h6, c2h4, c2h2) order.
+    `counts` gives the number of samples per class in canonical class order,
+    each an integer >= 0.  Output is deterministic in `seed`: each class
+    takes one `Generator.uniform` call over a (count, 5) array of log-gases,
+    filled in C order (sample by sample, gases in `GAS_NAMES` order), the
+    order of the per-gas scalar draws it replaced: a seed's samples are unchanged.
     """
     counts = list(counts)
     if len(counts) != len(CLASS_ORDER):
         raise ValueError(f"expected {len(CLASS_ORDER)} class counts, got {len(counts)}")
-    if any(c < 0 for c in counts):
-        raise ValueError("class counts must be >= 0")
     rng = np.random.default_rng(seed)
     samples: list[GasSample] = []
-    serial = 0
     for label, count in zip(CLASS_ORDER, counts):
-        ranges = SYNTH_GAS_RANGES[label]
-        for _ in range(count):
-            serial += 1
-            gases = {
-                name: float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-                for name, (lo, hi) in ranges.items()
-            }
-            samples.append(GasSample(**gases, label=label, id=f"syn-{serial:04d}"))
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
+            raise ValueError(f"{label.value} count must be an integer >= 0, got {count!r}")
+        bounds = np.log([SYNTH_GAS_RANGES[label][name] for name in GAS_NAMES])  # (5, 2)
+        draws = rng.uniform(bounds[:, 0], bounds[:, 1], size=(count, len(GAS_NAMES)))
+        samples += [
+            GasSample(*gases, label, f"syn-{serial:04d}")
+            for serial, gases in enumerate(np.exp(draws).tolist(), start=len(samples) + 1)
+        ]
     return samples
 
 

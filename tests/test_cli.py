@@ -181,6 +181,13 @@ class TestTrainDiagnoseEvaluate:
         assert len(doc["fold_reports"]) == 3
         assert 0.0 <= doc["pooled"]["accuracy"] <= 1.0
 
+    def test_synth_file_is_byte_identical(self, seed11_model):
+        # pins the CSV bytes of `synth --seed 11`, the data behind the model below
+        data, _ = seed11_model
+        assert hashlib.sha256(Path(data).read_bytes()).hexdigest() == (
+            "a6a264b1ecb94bd7df7ed473a85c46a56dff4f30cc93707feec527cac895d70f"
+        )
+
     def test_model_file_is_byte_identical(self, seed11_model):
         # pins the format-v3 bytes of a seeded training run; the same model
         # took 62,486 bytes as format v2

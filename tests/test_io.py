@@ -159,7 +159,7 @@ def _oracle_load_dataset(path) -> list[GasSample]:
     `float` call per gas, the label through the FaultLabel call, keyword
     construction.  The reference for the differential test below."""
     samples: list[GasSample] = []
-    rows = _csv_rows(path)
+    rows = (row for _, row in _csv_rows(path))
     try:
         header = next(rows)
     except StopIteration:
@@ -256,6 +256,68 @@ class TestWriteDataset:
         write_dataset(path, samples)
         assert load_dataset(path) == samples
 
+    def test_quoted_id_round_trip(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_text('id,h2,ch4,c2h6,c2h4,c2h2,label\n"a,b",1,2,3,4,5,PD\n')
+        samples = load_dataset(path)
+        assert samples[0].id == "a,b"
+        write_dataset(path, samples)
+        assert path.read_text().splitlines()[1] == '"a,b",1.0,2.0,3.0,4.0,5.0,PD'
+        assert load_dataset(path) == samples
+
+    def test_plain_ids_are_not_quoted(self, tmp_path):
+        samples = [GasSample(1.0, 2.0, 3.0, 4.0, 5.0, id=i) for i in ("u", "a b", "x'y", ";")]
+        path = tmp_path / "p.csv"
+        write_dataset(path, samples)
+        assert [line.split(",")[0] for line in path.read_text().splitlines()[1:]] == [
+            "u", "a b", "x'y", ";"
+        ]
+
+    def test_nul_id_is_refused(self, tmp_path):
+        samples = [GasSample(1.0, 2.0, 3.0, 4.0, 5.0, id=i) for i in ("ok", "a\0b")]
+        path = tmp_path / "nul.csv"
+        with pytest.raises(ValueError, match=r"^id 'a\\x00b' holds a NUL character"):
+            write_dataset(path, samples)
+        assert not path.exists()
+
+    def test_multi_line_id_keeps_file_line_numbers(self, tmp_path):
+        # the id spans lines 2-3, so the blank id is line 4 and the bad label line 5
+        path = tmp_path / "nl.csv"
+        samples = [GasSample(1.0, 2.0, 3.0, 4.0, 5.0, id=i) for i in ("a\nb", "")]
+        write_dataset(path, samples)
+        assert [s.id for s in load_dataset(path)] == ["a\nb", "4"]
+        with open(path, "a") as fh:
+            fh.write("c,1,1,1,1,1,X9\n")
+        with pytest.raises(ValueError, match=r"nl\.csv:5: unknown label 'X9'"):
+            load_dataset(path)
+
+
+# ids load_dataset keeps as written: non-blank, no surrounding whitespace
+# (it strips ids and numbers blank ones) and no NUL (write_dataset refuses
+# it); the first alphabet holds every character that needs quoting
+csv_id = st.text(
+    st.sampled_from(',"\r\n ab')
+    | st.characters(exclude_categories=("Cs",), exclude_characters="\0"),
+    min_size=1,
+).filter(lambda text: text == text.strip())
+gas_value = st.floats(min_value=0.0, max_value=1e6) | st.integers(0, 10**6)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    samples=st.lists(
+        st.builds(
+            GasSample, gas_value, gas_value, gas_value, gas_value, gas_value,
+            st.none() | st.sampled_from(CLASS_ORDER), csv_id,
+        ),
+        max_size=6,
+    )
+)
+def test_write_dataset_round_trips_any_id(tmp_path, samples):
+    path = tmp_path / "ids.csv"
+    write_dataset(path, samples)
+    assert load_dataset(path) == samples
+
 
 class TestGenerateSynthetic:
     def test_default_counts(self):
@@ -294,8 +356,56 @@ class TestGenerateSynthetic:
     def test_bad_counts(self):
         with pytest.raises(ValueError):
             generate_synthetic(0, counts=(1, 2, 3))
-        with pytest.raises(ValueError):
-            generate_synthetic(0, counts=(-1, 0, 0, 0, 0, 0))
+        for bad in (-1, True, False, 2.0, "3", None, np.float64(1.0), np.bool_(True)):
+            with pytest.raises(ValueError) as exc:
+                generate_synthetic(0, counts=(0, 0, bad, 0, 0, 0))
+            assert str(exc.value) == f"D2 count must be an integer >= 0, got {bad!r}"
+
+    def test_numpy_integer_counts(self):
+        counts = (np.int64(2), np.int32(0), np.uint8(1), 1, 0, np.int16(3))
+        assert generate_synthetic(4, counts) == generate_synthetic(4, (2, 0, 1, 1, 0, 3))
+
+
+def _oracle_generate_synthetic(seed, counts=DEFAULT_SYNTH_COUNTS) -> list[GasSample]:
+    """`generate_synthetic` as written before it drew a class at a time:
+    scalar log bounds, one scalar `uniform` and `exp` per gas.  The
+    reference for the differential test below."""
+    rng = np.random.default_rng(seed)
+    samples: list[GasSample] = []
+    serial = 0
+    for label, count in zip(CLASS_ORDER, counts):
+        ranges = SYNTH_GAS_RANGES[label]
+        for _ in range(count):
+            serial += 1
+            gases = {
+                name: float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+                for name, (lo, hi) in ranges.items()
+            }
+            samples.append(GasSample(**gases, label=label, id=f"syn-{serial:04d}"))
+    return samples
+
+
+synth_seed = st.sampled_from([0, 2**32 - 1, 2**63 + 5, 2**128]) | st.integers(0, 2**128)
+synth_counts = (
+    st.tuples(*[st.integers(0, 40)] * len(CLASS_ORDER))
+    | st.just((0,) * len(CLASS_ORDER))
+    | st.builds(
+        lambda i, n: tuple(n if j == i else 0 for j in range(len(CLASS_ORDER))),
+        st.integers(0, len(CLASS_ORDER) - 1),
+        st.integers(1, 40),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=synth_seed, counts=synth_counts)
+def test_generate_synthetic_matches_per_gas_draws(seed, counts):
+    got = generate_synthetic(seed, counts)
+    expected = _oracle_generate_synthetic(seed, counts)
+    assert got == expected  # labels and ids in order too
+    assert [[g.hex() for g in s.gases()] for s in got] == [
+        [g.hex() for g in s.gases()] for s in expected
+    ]
 
 
 NODE_FIELDS = ["feature", "threshold", "left", "right", "value"]

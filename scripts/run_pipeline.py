@@ -31,14 +31,15 @@ from dgadiag import (
     train,
     write_dataset,
 )
+from dgadiag.features import K_DEFAULT_MAX, K_DEFAULT_MIN
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--data", help="dataset CSV; omit to generate synthetic data")
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--kmin", type=int, default=18)
-    parser.add_argument("--kmax", type=int, default=37)
+    parser.add_argument("--kmin", type=int, default=K_DEFAULT_MIN)
+    parser.add_argument("--kmax", type=int, default=K_DEFAULT_MAX)
     parser.add_argument("--folds", type=int, default=5)
     parser.add_argument("--rounds", type=int, default=GbtConfig.rounds)
     parser.add_argument("--out-dir", default="runs/pipeline")

@@ -6,7 +6,7 @@ with the Duval/Rogers/IEC rule methods and an imbalance-aware evaluation
 harness alongside.
 """
 
-from .conventional import DuvalCoords, duval, duval_coords, iec_ratio, rogers
+from .conventional import duval, iec_ratio, rogers
 from .core import (
     CLASS_ORDER,
     EPS_PPM,
@@ -55,7 +55,6 @@ __all__ = [
     "ConfusionMatrix",
     "CvResult",
     "DiagnosisOutcome",
-    "DuvalCoords",
     "EPS_PPM",
     "EvalReport",
     "FaultLabel",
@@ -69,7 +68,6 @@ __all__ = [
     "build_features",
     "confusion",
     "duval",
-    "duval_coords",
     "generate_synthetic",
     "iec_ratio",
     "itd_rows",

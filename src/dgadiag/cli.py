@@ -14,7 +14,7 @@ import warnings
 from .conventional import duval, iec_ratio, rogers
 from .core import CLASS_ORDER, GasSample, param_matrix
 from .evaluation import confusion, fit_and_score, kfold_cv, metrics, train_test_split
-from .features import build_features, checked_itd_rows, optimal_k_search, ranked_prefix
+from .features import K_DEFAULT_MAX, K_DEFAULT_MIN, build_features, optimal_k_search
 from .gbt import GbtConfig, predict_many, train
 from .io import (
     DEFAULT_SYNTH_COUNTS,
@@ -151,6 +151,8 @@ def cmd_evaluate(args) -> int:
         raise ValueError("--smote requires --cv")
     if args.seed is not None and args.cv is None and args.holdout is None:
         raise ValueError("--seed requires --holdout or --cv")
+    if args.holdout is not None and not 0.0 < 1.0 - args.holdout < 1.0:
+        raise ValueError(f"--holdout must be in (0, 1), got {args.holdout}")
     seed = args.seed or 0
     samples = load_dataset(args.data)
     if any(s.label is None for s in samples):
@@ -241,10 +243,9 @@ def cmd_conventional(args) -> int:
 def cmd_decompose(args) -> int:
     samples = load_dataset(args.data)
     order = _rank_order_for(args, samples)
-    signals = ranked_prefix(samples, order, args.k)
-    _, baselines, prcs = checked_itd_rows(samples, signals)
+    fm = build_features(samples, order, args.k)
     lines = ["id\tposition\tparam\tvalue\tbaseline\tprc"]
-    for s, signal, baseline_row, prc_row in zip(samples, signals, baselines, prcs):
+    for s, signal, baseline_row, prc_row in zip(samples, fm.signals, fm.baseline, fm.x):
         columns = zip(order, signal, baseline_row, prc_row)
         for pos, (num, value, baseline, prc) in enumerate(columns, start=1):
             lines.append(
@@ -289,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("searchk", help="sweep the feature count")
     p.add_argument("--data", required=True)
-    p.add_argument("--kmin", type=int, default=18)
-    p.add_argument("--kmax", type=int, default=37)
+    p.add_argument("--kmin", type=int, default=K_DEFAULT_MIN)
+    p.add_argument("--kmax", type=int, default=K_DEFAULT_MAX)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-frac", type=float, default=0.85)
     p.add_argument("--canonical", action="store_true")

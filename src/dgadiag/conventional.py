@@ -16,18 +16,7 @@ particular choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import EPS_PPM, DiagnosisOutcome, GasSample
-
-
-@dataclass(frozen=True)
-class DuvalCoords:
-    """Triangle coordinates: percentages of CH4, C2H4, C2H2 (sum to 100)."""
-
-    pct_ch4: float
-    pct_c2h4: float
-    pct_c2h2: float
 
 
 def _duval_pcts(sample: GasSample) -> tuple[float, float, float] | None:
@@ -37,14 +26,6 @@ def _duval_pcts(sample: GasSample) -> tuple[float, float, float] | None:
     if total <= 0:
         return None
     return 100.0 * ch4 / total, 100.0 * c2h4 / total, 100.0 * c2h2 / total
-
-
-def duval_coords(sample: GasSample) -> DuvalCoords:
-    """Triangle percentages for one sample; the three gases must not all be 0."""
-    pcts = _duval_pcts(sample)
-    if pcts is None:
-        raise ValueError("duval undefined: CH4 + C2H4 + C2H2 is zero")
-    return DuvalCoords(*pcts)
 
 
 def _duval_zone(pct_ch4: float, pct_c2h4: float, pct_c2h2: float) -> DiagnosisOutcome:

@@ -4,9 +4,13 @@ A sample's feature row is built by laying out its parameter values in rank
 order (lowest skewness first), truncating to the first k, and taking the
 proper rotation component of that k-point sequence as the features.  ITD
 works on each row alone, so the rows of a sample do not depend on which
-other samples are built with it.  The search sweeps k over a range,
-training and scoring the classifier on one fixed holdout split per
-candidate, and keeps the smallest k attaining the best accuracy.
+other samples are built with it.  `build_features` is the one builder: its
+`FeatureMatrix` holds the ranked prefixes and their ITD baselines beside
+the features, which is what the `decompose` command prints.  The search
+sweeps k over a range, training and scoring the classifier on one fixed
+holdout split per candidate, and keeps the smallest k attaining the best
+accuracy; it takes the full 37-column prefix once and decomposes the first
+k columns of it for each k, as `build_features` would.
 """
 
 from __future__ import annotations
@@ -28,8 +32,10 @@ K_DEFAULT_MAX = 37
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    x: np.ndarray  # (n, k) rotation-component coefficients
+    x: np.ndarray  # (n, k) rotation-component coefficients, signals - baseline
     labels: list[FaultLabel | None]
+    signals: np.ndarray  # (n, k) ranked parameter prefixes that were decomposed
+    baseline: np.ndarray  # (n, k) their ITD baselines
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,7 @@ def _warn_unusual_k(k: int) -> None:
 def _ranked_prefix(
     samples: Sequence[GasSample], rank_order: Sequence[int], k: int
 ) -> np.ndarray:
+    """The (n, k) signals: each sample's parameters in rank order, first k."""
     if not samples:
         raise ValueError("empty sample list")
     order = validate_rank_order(rank_order)
@@ -63,37 +70,23 @@ def _ranked_prefix(
     return param_matrix(samples)[:, np.array(order[:k]) - 1]
 
 
-def ranked_prefix(
-    samples: Sequence[GasSample], rank_order: Sequence[int], k: int
-) -> np.ndarray:
-    """The (n, k) signals: each sample's parameters in rank order, first k."""
-    signals = _ranked_prefix(samples, rank_order, k)
-    _warn_unusual_k(k)
-    return signals
-
-
-def checked_itd_rows(
-    samples: Sequence[GasSample], signals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`itd_rows` of `signals`, the ranked prefixes of `samples`.
+def _decompose(samples: Sequence[GasSample], signals: np.ndarray) -> FeatureMatrix:
+    """The features of `signals`, the ranked prefixes of `samples`.
 
     Raises ValueError naming the first sample whose rotation component is
     not finite: near-subnormal gas values can overflow an ITD slope.
     """
     with np.errstate(all="ignore"):  # the finiteness check below reports it
-        knot, baseline, prc = itd_rows(signals)
+        _, baseline, prc = itd_rows(signals)
     if not np.isfinite(prc).all():
         i = int(np.argmin(np.isfinite(prc).all(axis=1)))  # the first bad row
         raise ValueError(
             f"reading {samples[i].id or i + 1}: rotation-component features "
             "are not finite (near-zero gas values overflow an ITD slope)"
         )
-    return knot, baseline, prc
-
-
-def _feature_matrix(samples: Sequence[GasSample], signals: np.ndarray) -> FeatureMatrix:
-    _, _, prc = checked_itd_rows(samples, signals)
-    return FeatureMatrix(x=prc, labels=[s.label for s in samples])
+    return FeatureMatrix(
+        x=prc, labels=[s.label for s in samples], signals=signals, baseline=baseline
+    )
 
 
 def build_features(
@@ -101,12 +94,12 @@ def build_features(
 ) -> FeatureMatrix:
     """Rotation-component feature rows for `samples` at feature count `k`.
 
-    Raises ValueError naming the first sample whose features are not finite
-    (see `checked_itd_rows`).
+    Raises ValueError naming the first sample whose features are not finite;
+    a k outside the usual range is warned of once the rows are built.
     """
-    signals = _ranked_prefix(samples, rank_order, k)
+    fm = _decompose(samples, _ranked_prefix(samples, rank_order, k))
     _warn_unusual_k(k)
-    return _feature_matrix(samples, signals)
+    return fm
 
 
 def optimal_k_search(
@@ -139,7 +132,7 @@ def optimal_k_search(
     ranked = _ranked_prefix(samples, rank_order, N_PARAMS)  # every k's prefix
     curve: dict[int, float] = {}
     for k in range(k_min, k_max + 1):
-        fm = _feature_matrix(samples, ranked[:, :k])
+        fm = _decompose(samples, ranked[:, :k])
         cm = fit_and_score(fm, train_idx, test_idx, config, seed=split_seed)
         curve[k] = cm.trace / cm.total
     for k in curve:

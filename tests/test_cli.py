@@ -6,13 +6,16 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgadiag import cli
 from dgadiag.cli import main
-from dgadiag.io import load_table_iv, write_dataset
+from dgadiag.core import param_matrix
+from dgadiag.io import load_dataset, load_table_iv, write_dataset
+from dgadiag.ranking import rank_params
 
 
 @pytest.fixture
@@ -267,6 +270,15 @@ class TestTrainDiagnoseEvaluate:
                                       "--seed", seed])
         assert (code, out, err) == (1, "", "error: --seed requires --holdout or --cv\n")
 
+    @pytest.mark.parametrize("holdout", ["0", "1", "nan", "-0.1", "1.5", "1e-20"])
+    def test_holdout_outside_0_1_is_refused_by_name(self, capsys, table_model, holdout):
+        # 1 - 1e-20 rounds to 1, which would leave no test rows
+        data, model, _ = table_model
+        code, out, err = run(capsys, ["evaluate", "--data", data, "--model", model,
+                                      "--holdout", holdout])
+        message = f"error: --holdout must be in (0, 1), got {float(holdout)}\n"
+        assert (code, out, err) == (1, "", message)
+
     @pytest.mark.parametrize("mode", [[], ["--holdout", "0.25"]])
     def test_smote_requires_cv(self, capsys, tmp_path, synth_csv, mode):
         model = str(tmp_path / "m.json")
@@ -328,7 +340,7 @@ class TestDecompose:
 
     def test_unusual_k_warning_names_cmd_decompose(self, capsys, tmp_path, table_csv):
         lines, first = inspect.getsourcelines(cli.cmd_decompose)
-        call = first + next(i for i, text in enumerate(lines) if "ranked_prefix(" in text)
+        call = first + next(i for i, text in enumerate(lines) if "build_features(" in text)
         with pytest.warns(UserWarning, match="k=2 outside") as record:
             code, _, _ = run(capsys, ["decompose", "--data", table_csv, "--k", "2",
                                       "--canonical", "--out", str(tmp_path / "dec.tsv")])
@@ -349,6 +361,32 @@ class TestDecompose:
         assert (code, out, caught) == (1, "", [])
         assert err.startswith("error: reading r-bad: ") and err.count("\n") == 1
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("k", [2, 24, 37])
+    def test_decompose_shows_what_the_classifier_sees(self, capsys, tmp_path, seed11_model, k):
+        # decompose's prc column, regrouped per id, is the features rows, and
+        # its value column is the parameter matrix in rank order
+        data, _ = seed11_model
+        dec, feat = tmp_path / "dec.tsv", tmp_path / "feat.tsv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # k = 2 lies outside 18..37
+            assert main(["decompose", "--data", data, "--k", str(k), "--out", str(dec)]) == 0
+            assert main(["features", "--data", data, "--k", str(k), "--out", str(feat)]) == 0
+        samples = load_dataset(data)
+        order = rank_params(samples)
+        ranked = param_matrix(samples)[:, np.array(order[:k]) - 1]
+        rows = [line.split("\t") for line in dec.read_text().splitlines()[1:]]
+        assert len(rows) == len(samples) * k
+        features = [line.split("\t") for line in feat.read_text().splitlines()[1:]]
+        assert len(features) == len(samples)
+        for i, (s, feature_row) in enumerate(zip(samples, features)):
+            block = rows[i * k:(i + 1) * k]
+            assert [r[0] for r in block] == [s.id] * k == [feature_row[0]] * k
+            assert [r[1] for r in block] == [str(j) for j in range(1, k + 1)]
+            assert [r[2] for r in block] == [str(num) for num in order[:k]]
+            assert [r[3] for r in block] == [repr(float(v)) for v in ranked[i]]
+            assert [r[5] for r in block] == feature_row[2:]
+
 
 class TestFeaturesCommand:
     def test_header_and_rows(self, capsys, table_csv):

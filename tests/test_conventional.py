@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from dgadiag.conventional import (
     _ROGERS_TABLE,
+    _duval_pcts,
     _duval_zone,
     _iec_codes,
     _rogers_codes,
     duval,
-    duval_coords,
     iec_ratio,
     rogers,
 )
@@ -35,17 +35,10 @@ def test_reference_outcomes(gases, actual, exp_duval, exp_rogers, exp_iec):
     assert iec_ratio(sample).value == exp_iec
 
 
-def test_duval_coords_sum_to_100():
-    c = duval_coords(GasSample(292, 346, 32, 313, 196))
-    assert c.pct_ch4 + c.pct_c2h4 + c.pct_c2h2 == pytest.approx(100.0, abs=1e-9)
-
-
 def test_duval_zero_triangle_sum():
-    # no point in the triangle: the diagnosis is undefined, the coordinates
-    # do not exist
+    # no point in the triangle: the diagnosis is undefined
     assert duval(GasSample(100, 0, 50, 0, 0)) == DiagnosisOutcome.UD
-    with pytest.raises(ValueError, match="duval undefined"):
-        duval_coords(GasSample(100, 0, 50, 0, 0))
+    assert _duval_pcts(GasSample(100, 0, 50, 0, 0)) is None
 
 
 def test_duval_zone_total_over_triangle():
@@ -113,8 +106,8 @@ def test_iec_named_outcomes():
 
 
 # The rule methods as written before their clamped divisions were inlined:
-# one `_ratio` call (with `max`) per ratio and a DuvalCoords per Duval call.
-# They are the reference for the differential test below.
+# one `_ratio` call (with `max`) per ratio and a coordinate record per Duval
+# call.  They are the reference for the differential test below.
 def _oracle_ratio(num: float, den: float) -> float:
     return num / max(den, EPS_PPM)
 
@@ -279,14 +272,12 @@ def _assert_rules_match_the_oracle(sample: GasSample) -> None:
     assert iec_ratio(sample) is _oracle_iec_ratio(sample)
     try:
         expected = _oracle_duval_coords(sample)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got_exc:
-            duval_coords(sample)
-        assert str(got_exc.value) == str(exc)
+    except ValueError:
+        assert _duval_pcts(sample) is None
     else:
-        c = duval_coords(sample)
-        got = (c.pct_ch4, c.pct_c2h4, c.pct_c2h2)
+        got = _duval_pcts(sample)
         assert list(map(float.hex, got)) == list(map(float.hex, expected))
+        assert sum(got) == pytest.approx(100.0, abs=1e-9)
 
 
 @settings(max_examples=1500, deadline=None)

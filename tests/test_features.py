@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgadiag.core import FaultLabel, GasSample, param_matrix
-from dgadiag.features import FeatureMatrix, build_features, optimal_k_search, ranked_prefix
+from dgadiag.features import FeatureMatrix, build_features, optimal_k_search
 from dgadiag.gbt import GbtConfig
 from dgadiag.itd import itd_rows
 from dgadiag.ranking import CANONICAL_RANK_ORDER
@@ -64,8 +64,9 @@ def test_metadata_recorded():
     order = CANONICAL_RANK_ORDER
     fm = build_features([ROW1], order, 20)
     assert isinstance(fm, FeatureMatrix)
-    assert fm.x.shape == (1, 20)
+    assert fm.x.shape == fm.signals.shape == fm.baseline.shape == (1, 20)
     assert np.all(np.isfinite(fm.x))
+    assert np.array_equal(fm.x, fm.signals - fm.baseline)
 
 
 def test_k_out_of_usual_range_warns():
@@ -73,12 +74,24 @@ def test_k_out_of_usual_range_warns():
         build_features([ROW1], CANONICAL_RANK_ORDER, 5)
 
 
-@pytest.mark.parametrize("build", [build_features, ranked_prefix])
+@pytest.mark.parametrize("build", [build_features])
 def test_unusual_k_warning_names_the_calling_line(build):
     with pytest.warns(UserWarning, match="k=5 outside") as record:
         line = sys._getframe().f_lineno + 1
         build([ROW1], CANONICAL_RANK_ORDER, 5)
     assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
+
+
+def test_failed_build_warns_of_nothing():
+    # the rotation component overflows at this unusual k: the error is
+    # raised and the k is not warned of
+    bad = GasSample(2.2e-309, 100, 5e-324, 5e-324, 0.001, id="bad")
+    order = CANONICAL_RANK_ORDER[15:] + CANONICAL_RANK_ORDER[:15]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="^reading bad: .*not finite"):
+            build_features([bad], order, 8)
+    assert caught == []
 
 
 def test_invalid_inputs():
@@ -146,16 +159,15 @@ NOT_PERMUTATIONS = {
 
 @pytest.mark.parametrize("order", ACCEPTED_ORDERS.values(), ids=ACCEPTED_ORDERS.keys())
 def test_rank_orders_of_python_and_numpy_integers_are_accepted(order):
-    want = build_features([ROW1], CANONICAL_RANK_ORDER, 24).x.tobytes()
-    assert build_features([ROW1], order, 24).x.tobytes() == want
-    assert ranked_prefix([ROW1], order, 24).tobytes() == (
-        ranked_prefix([ROW1], CANONICAL_RANK_ORDER, 24).tobytes()
-    )
+    want = build_features([ROW1], CANONICAL_RANK_ORDER, 24)
+    got = build_features([ROW1], order, 24)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.signals.tobytes() == want.signals.tobytes()
 
 
 @pytest.mark.parametrize("bad", NOT_INTEGERS, ids=repr)
 @pytest.mark.parametrize("where", [0, 36])
-@pytest.mark.parametrize("build", [build_features, ranked_prefix])
+@pytest.mark.parametrize("build", [build_features])
 def test_rank_order_entries_must_be_integers(build, where, bad):
     # numpy integers before the entry do not let it through; a later bad
     # entry is not the one named
@@ -168,7 +180,7 @@ def test_rank_order_entries_must_be_integers(build, where, bad):
 
 
 @pytest.mark.parametrize("order", NOT_PERMUTATIONS.values(), ids=NOT_PERMUTATIONS.keys())
-@pytest.mark.parametrize("build", [build_features, ranked_prefix])
+@pytest.mark.parametrize("build", [build_features])
 def test_rank_order_must_be_a_permutation(build, order):
     for entries in (order, [np.int16(v) for v in order]):
         with pytest.raises(ValueError, match=r"^rank order must be a permutation of 1\.\.37$"):

@@ -1,8 +1,8 @@
 """The shared feature builder and fit-and-score function.
 
 The digests were recorded before k-search, holdout and CV were folded onto
-`fit_and_score` and `ranked_prefix`; they pin the outputs of all three paths
-to the bytes the separate per-path code produced.
+`fit_and_score` and one ranked-prefix builder; they pin the outputs of all
+three paths to the bytes the separate per-path code produced.
 """
 
 import hashlib
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from dgadiag.cli import main
 from dgadiag.core import FaultLabel, GasSample, param_matrix
 from dgadiag.evaluation import confusion, fit_and_score, kfold_cv, train_test_split
-from dgadiag.features import build_features, optimal_k_search, ranked_prefix
+from dgadiag.features import build_features, optimal_k_search
 from dgadiag.gbt import GbtConfig, predict_many, train
 from dgadiag.io import generate_synthetic, write_dataset
 from dgadiag.itd import itd_rows
@@ -94,7 +94,7 @@ class TestRankedPrefix:
     def test_columns_follow_the_rank_order(self):
         sample = GasSample(292, 346, 32, 313, 196, id="r1")
         order = CANONICAL_RANK_ORDER
-        signals = ranked_prefix([sample], order, 24)
+        signals = build_features([sample], order, 24).signals
         pv = param_matrix([sample])[0]
         assert signals.shape == (1, 24)
         assert signals[0].tolist() == [pv[num - 1] for num in order[:24]]

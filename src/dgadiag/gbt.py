@@ -16,14 +16,30 @@ threshold, so training is fully deterministic.  The seed argument is
 recorded for provenance but unused: with no row/column subsampling there is
 nothing stochastic to drive.
 
-`train` sorts each feature column once per call (a stable sort, so equal
-values keep row order) and gathers the sorted values, both feature-major.
-A split partitions its node's sorted rows and values into the two
-children's with one mask, so every node searches its own rows in value
-order without sorting them again, and ties between equal values still
-resolve by row index.  A round works on class-major (classes, n) arrays of
-logits, probabilities, gradients and hessians, allocated once per call,
-and computes the six root leaf weights as one vector.  A class whose root
+`train` leaves out the feature columns that are constant over its rows
+(PRC positions 1 and k always are): they have no split anywhere, and a
+node records the original index of the column it splits on.  It sorts
+each other column once per call (a stable sort, so equal values keep row
+order) and gathers the sorted values, both feature-major.  A split
+partitions its node's sorted rows and values into the two children's with
+one mask, so every node searches its own rows in value order without
+sorting them again, and ties between equal values still resolve by row
+index.
+
+A tree packs each row's g and h into one complex number (g the real part,
+h the imaginary), so one `cumsum` of a node's sorted rows gives the left
+sums GL and HL; numpy adds the two lanes separately, in row order, so they
+equal two float `cumsum`s bit for bit, and the right sums are the node's
+minus them.  The gain and its validity mask are computed on contiguous
+copies of GL and HL, in place, with the gain's operations in the order of
+the formula above, so equal gains stay equal and tie as stated.
+reg_lambda > 0 keeps every denominator positive, so no gain is NaN.  The
+search runs in `_best_split`, whose temporaries are freed before the
+node's children are grown.
+
+A round works on class-major (classes, n) arrays of logits,
+probabilities, gradients and hessians, allocated once per call, and
+computes the six root leaf weights as one vector.  A class whose root
 carries less than twice min_child_weight of hessian mass cannot split; it
 gets its one-leaf tree without growing it, which is most trees after the
 first rounds, and a round where every root is a leaf is one in-place add.
@@ -87,8 +103,10 @@ class GbtConfig:
             raise ValueError("learning_rate must be in (0, 1]")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.reg_lambda < 0 or self.gamma < 0 or self.min_child_weight < 0:
-            raise ValueError("regularizers must be >= 0")
+        if not self.reg_lambda > 0:  # keeps H + lambda > 0 at every node
+            raise ValueError("reg_lambda must be > 0")
+        if self.gamma < 0 or self.min_child_weight < 0:
+            raise ValueError("gamma and min_child_weight must be >= 0")
 
 
 class Tree(NamedTuple):
@@ -181,6 +199,46 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return p
 
 
+def _best_split(
+    gh: np.ndarray,
+    g_sum: float,
+    h_sum: float,
+    rows: np.ndarray,
+    xs: np.ndarray,
+    cfg: GbtConfig,
+) -> tuple[float, int, int]:
+    """The best split of a node as (gain, feature, position): the split
+    falls between `xs[feature, position]` and the next value.  `rows` and
+    `xs` are the node's (features, m) sorted row ids and values, and `gh`
+    holds each row's g as real part and h as imaginary part."""
+    lam = cfg.reg_lambda
+    mcw = cfg.min_child_weight
+    # One prefix sum adds g and h lane by lane in row order, as two float
+    # cumsums would; the right child's sums are the node's minus the left's.
+    left = gh[rows[:, :-1]].cumsum(axis=1)
+    gl = left.real.copy()  # contiguous: strided views cost the saving back
+    hl = left.imag.copy()
+    del left
+    gr = g_sum - gl
+    hr = h_sum - hl
+    invalid = (hl < mcw) | (hr < mcw) | (xs[:, 1:] <= xs[:, :-1])
+    # gain = 1/2 [GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)] - gamma,
+    # operation for operation, in place
+    gain = np.multiply(gl, gl, out=gl)
+    gain /= np.add(hl, lam, out=hl)
+    gr *= gr
+    gr /= np.add(hr, lam, out=hr)
+    gain += gr
+    gain -= g_sum * g_sum / (h_sum + lam)
+    gain *= 0.5
+    gain -= cfg.gamma
+    gain[invalid] = -np.inf
+    # Flat argmax over (feature, position): ties resolve to the lowest
+    # feature index, then the lowest threshold.
+    feat, pos = divmod(int(gain.argmax()), gain.shape[1])
+    return float(gain[feat, pos]), feat, pos
+
+
 def _build_tree(
     xt: np.ndarray,
     g: np.ndarray,
@@ -189,6 +247,7 @@ def _build_tree(
     presort: np.ndarray,
     xs: np.ndarray,
     nodes: list[tuple],
+    columns: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Grow one tree, appending its nodes to `nodes` as (feature,
     threshold, left, right, value) in preorder, with child ids counted from
@@ -197,13 +256,19 @@ def _build_tree(
     `xt` is the (k, n) feature-major matrix, `presort[j]` lists the row ids
     in ascending order of `xt[j]`, ties by row id
     (`np.argsort(xt, axis=1, kind="stable")`), and `xs` holds those values,
-    `np.take_along_axis(xt, presort, axis=1)`.
+    `np.take_along_axis(xt, presort, axis=1)`.  A node that splits on row j
+    of them records feature `columns[j]` (j when `columns` is None).
     """
     eta = cfg.learning_rate
     lam = cfg.reg_lambda
     n_feat, n = xt.shape
+    if columns is None:
+        columns = range(n_feat)
     root = len(nodes)
     row_value = np.empty(n, dtype=np.float64)
+    gh = np.empty(n, dtype=np.complex128)
+    gh.real = g
+    gh.imag = h
 
     def grow(
         idx: np.ndarray,
@@ -234,27 +299,8 @@ def _build_tree(
             take = np.flatnonzero(keep)
             rows = rows.ravel()[take].reshape(n_feat, idx.size)
             xs = xs.ravel()[take].reshape(n_feat, idx.size)
-        gl = np.cumsum(g[rows], axis=1)[:, :-1]
-        hl = np.cumsum(h[rows], axis=1)[:, :-1]
-        gr = g_sum - gl
-        hr = h_sum - hl
-        gain = (
-            0.5
-            * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - g_sum * g_sum / (h_sum + lam))
-            - cfg.gamma
-        )
-        valid = (
-            (xs[:, 1:] > xs[:, :-1])
-            & (hl >= cfg.min_child_weight)
-            & (hr >= cfg.min_child_weight)
-        )
-        gain = np.where(valid, gain, -np.inf)
-
-        # Flat argmax over (feature, position): ties resolve to the lowest
-        # feature index, then the lowest threshold.
-        flat_best = int(np.argmax(gain))
-        feat, pos = divmod(flat_best, idx.size - 1)
-        if not gain.flat[flat_best] > 0.0:
+        gain, feat, pos = _best_split(gh, g_sum, h_sum, rows, xs, cfg)
+        if not gain > 0.0:
             return node
 
         lo, hi = xs[feat, pos], xs[feat, pos + 1]
@@ -266,7 +312,7 @@ def _build_tree(
         mask = goes_left[idx]
         left = grow(idx[mask], rows, xs, in_left, depth + 1)
         right = grow(idx[~mask], rows, xs, ~in_left, depth + 1)
-        nodes[root + node] = (feat, float(threshold), left, right, 0.0)
+        nodes[root + node] = (columns[feat], float(threshold), left, right, 0.0)
         return node
 
     grow(np.arange(n, dtype=np.intp), presort, xs, None, 0)
@@ -283,9 +329,11 @@ def train(
     """Fit the boosted ensemble to feature rows and their FaultLabel labels.
 
     Raises ValueError on empty input, non-finite features, a label that is
-    not a FaultLabel (such as None for an unlabeled sample), or fewer than
-    two distinct labels.
+    not a FaultLabel (such as None for an unlabeled sample), fewer than
+    two distinct labels, or a seed that is not an integer.
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:
         raise ValueError("feature matrix must be 2-D and non-empty")
@@ -300,14 +348,17 @@ def train(
         raise ValueError("degenerate labels: need at least two classes")
 
     n, _ = x.shape
-    xt = np.ascontiguousarray(x.T)
+    # A column constant over the rows has no split anywhere: search the others
+    # (with none left, every root is a leaf).
+    columns = np.flatnonzero(x.min(axis=0) < x.max(axis=0)).tolist()
+    xt = np.ascontiguousarray(x.T[columns])
     presort = np.argsort(xt, axis=1, kind="stable")
     xs = np.take_along_axis(xt, presort, axis=1)
     onehot = np.zeros((N_CLASSES, n), dtype=np.float64)
     onehot[y_idx, np.arange(n)] = 1.0
     eta = config.learning_rate
     lam = config.reg_lambda
-    min_root_h = 2.0 * config.min_child_weight
+    min_root_h = 2.0 * config.min_child_weight if columns else np.inf
 
     # Class-major (classes, n) buffers: one contiguous row per class, so a
     # root sum reduces in the same order as the grower's `g[idx].sum()` and
@@ -334,7 +385,9 @@ def train(
             if is_leaf:
                 nodes.append((-1, 0.0, -1, -1, weight))
             else:
-                logits[c] += _build_tree(xt, grad[c], hess[c], config, presort, xs, nodes)
+                logits[c] += _build_tree(
+                    xt, grad[c], hess[c], config, presort, xs, nodes, columns
+                )
             sizes.append(len(nodes) - start)
 
     return GbtModel(
@@ -342,7 +395,7 @@ def train(
         x.shape[1],
         *map(np.array, zip(*nodes)),  # int64 and float64 columns
         sizes=np.array(sizes, dtype=np.intp),
-        seed=seed,
+        seed=int(seed),
     )
 
 

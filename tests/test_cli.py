@@ -464,6 +464,19 @@ class TestExitCodes:
         assert err.startswith(f"error: {path}: ") and "reg_lambda" in err
         assert "Traceback" not in err
 
+    def test_zero_reg_lambda_model_is_refused(self, capsys, tmp_path, synth_csv):
+        # lambda 0 lets H + lambda reach 0: a NaN gain or a leaf weight 1/0
+        path = tmp_path / "model.json"
+        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
+              "--model", str(path)] + FAST)
+        doc = json.loads(path.read_text())
+        doc["config"]["reg_lambda"] = 0.0
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["evaluate", "--data", synth_csv, "--model", str(path),
+                                      "--holdout", "0.25", "--seed", "6"])
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: reg_lambda must be > 0\n"
+
     def test_model_config_missing_keys_is_refused(self, capsys, seed11_model, tmp_path):
         # such a file loaded with the default reg_lambda and max_depth filled in
         _, model = seed11_model

@@ -55,6 +55,9 @@ def test_config_validation():
         GbtConfig(max_depth=0)
     with pytest.raises(ValueError):
         GbtConfig(reg_lambda=-1)
+    for lam in (0, 0.0, -0.0):  # H + lambda must stay > 0 at every node
+        with pytest.raises(ValueError, match="reg_lambda must be > 0"):
+            GbtConfig(reg_lambda=lam, min_child_weight=0.0)
     bad = [
         ("rounds", 5.0), ("rounds", True), ("rounds", "5"), ("rounds", None),
         ("max_depth", 2.5), ("max_depth", False), ("max_depth", np.float64(3)),
@@ -214,6 +217,22 @@ def test_deterministic_training():
     m1 = train(x, y, GbtConfig(rounds=10), seed=4)
     m2 = train(x, y, GbtConfig(rounds=10), seed=4)
     assert np.array_equal(predict_logits(m1, x), predict_logits(m2, x))
+
+
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint8(7), 2**70])
+def test_integer_seeds_are_stored_as_int_and_round_trip(seed, tmp_path):
+    x = np.eye(6)
+    model = train(x, list(CLASS_ORDER), GbtConfig(rounds=2), seed=seed)
+    assert type(model.seed) is int and model.seed == seed
+    path = tmp_path / "model.json"
+    save_model(path, ModelBundle(model=model, rank_order=CANONICAL_RANK_ORDER, k=6))
+    assert load_model(path).model.seed == seed
+
+
+@pytest.mark.parametrize("seed", [True, np.bool_(False), 1.5, np.float64(5.0), "5", None])
+def test_non_integer_seeds_are_refused_by_name(seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        train(np.eye(6), list(CLASS_ORDER), GbtConfig(rounds=2), seed=seed)
 
 
 def test_per_feature_scale_invariance():
@@ -378,9 +397,11 @@ def _oracle_build_tree(x, g, h, cfg):
     max_depth=st.integers(1, 6),
     min_child_weight=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
     levels=st.sampled_from([None, 1, 2, 3, 5]),
+    constant=st.sampled_from([None, 0, -1]),
+    gamma=st.sampled_from([0.0, 0.5]),
 )
 def test_presorted_split_search_matches_per_node_argsort(
-    seed, n, d, max_depth, min_child_weight, levels
+    seed, n, d, max_depth, min_child_weight, levels, constant, gamma
 ):
     rng = np.random.default_rng(seed)
     if levels is None:
@@ -388,11 +409,13 @@ def test_presorted_split_search_matches_per_node_argsort(
     else:  # tie-heavy integer grid, with -0.0 beside 0.0
         x = rng.integers(0, levels, size=(n, d)).astype(np.float64)
         x[rng.random(size=(n, d)) < 0.2] = -0.0
+    if constant is not None:  # one column with a single value
+        x[:, constant] = x[0, constant]
     g = rng.normal(size=n)
     h = rng.uniform(0.01, 1.0, size=n)
     if levels is not None:  # repeated gradients tie gains across thresholds
         g = np.round(g)
-    cfg = GbtConfig(max_depth=max_depth, min_child_weight=min_child_weight)
+    cfg = GbtConfig(max_depth=max_depth, min_child_weight=min_child_weight, gamma=gamma)
     tree, row_value = _grow_presorted(x, g, h, cfg)
     oracle_arrays, oracle_value = _oracle_build_tree(x, g, h, cfg)
     for got, want in zip(tree, oracle_arrays):
@@ -433,9 +456,11 @@ def _assert_train_matches_oracle(x, y, cfg):
     max_depth=st.integers(1, 5),
     min_child_weight=st.sampled_from([0.0, 0.3, 1.0]),
     levels=st.sampled_from([None, 2, 3]),
+    constant=st.sampled_from([None, 0, -1]),
+    gamma=st.sampled_from([0.0, 0.5]),
 )
 def test_train_matches_per_node_argsort(
-    seed, n, d, rounds, max_depth, min_child_weight, levels
+    seed, n, d, rounds, max_depth, min_child_weight, levels, constant, gamma
 ):
     rng = np.random.default_rng(seed)
     if levels is None:
@@ -443,9 +468,13 @@ def test_train_matches_per_node_argsort(
     else:  # tie-heavy integer grid, with -0.0 beside 0.0
         x = rng.integers(0, levels, size=(n, d)).astype(np.float64)
         x[rng.random(size=(n, d)) < 0.2] = -0.0
+    if constant is not None:  # a column `train` leaves out of the search
+        x[:, constant] = x[0, constant]
     y = rng.integers(0, 3, size=n)
     y[:2] = [0, 1]
-    cfg = GbtConfig(rounds=rounds, max_depth=max_depth, min_child_weight=min_child_weight)
+    cfg = GbtConfig(
+        rounds=rounds, max_depth=max_depth, min_child_weight=min_child_weight, gamma=gamma
+    )
     _assert_train_matches_oracle(x, _labels(y), cfg)
 
 
@@ -457,6 +486,80 @@ def test_train_matches_per_node_argsort_on_synthetic():
     model = _assert_train_matches_oracle(fm.x, fm.labels, GbtConfig(rounds=20))
     leaves = [tree.feature.size == 1 for r in model.trees for tree in r]
     assert all(leaves[-len(CLASS_ORDER) :]) and not all(leaves)
+
+
+@pytest.mark.parametrize("k", [18, 37])
+def test_default_train_matches_per_node_argsort_on_synthetic(k):
+    """The whole default config (100 rounds) on the seed-11 survey features,
+    whose PRC positions 1 and k are constant."""
+    samples = generate_synthetic(11)
+    fm = build_features(samples, rank_params(samples), k)
+    assert np.all(fm.x[:, [0, -1]] == 0.0)
+    model = _assert_train_matches_oracle(fm.x, fm.labels, GbtConfig())
+    used = model.feature[model.feature >= 0]
+    assert used.size and 0 not in used and k - 1 not in used
+
+
+def _constant_columns(kind, x):
+    """`x` with the columns of `kind` made constant."""
+    x = x.copy()
+    if kind == "pinned-ends":  # the PRC shape: positions 1 and k are 0
+        x[:, [0, -1]] = 0.0
+    elif kind == "all":
+        x[...] = 1.5
+    else:  # "signed-zeros": a column of -0.0 and 0.0 only, which never splits
+        x[:, 1] = 0.0
+        x[::3, 1] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("kind", ["pinned-ends", "all", "signed-zeros"])
+@pytest.mark.parametrize("seed", range(4))
+def test_train_with_constant_columns_matches_per_node_argsort(kind, seed):
+    rng = np.random.default_rng(seed)
+    x = _constant_columns(kind, rng.normal(size=(90, 5)))
+    y = rng.integers(0, 4, size=90)
+    y[:2] = [0, 1]
+    cfg = GbtConfig(rounds=4, max_depth=4, min_child_weight=0.3)
+    model = _assert_train_matches_oracle(x, _labels(y), cfg)
+    used = set(model.feature[model.feature >= 0].tolist())
+    searched = {"pinned-ends": {1, 2, 3}, "all": set(), "signed-zeros": {0, 2, 3, 4}}[kind]
+    assert used <= searched and (used or kind == "all")
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_narrow_hessian_window_matches_per_node_argsort(seed):
+    """Tiny hessians except on a few rows: only the positions from a
+    feature's second heavy row to just before its second-from-last hold
+    min_child_weight on both sides."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    x = rng.normal(size=(n, 1 + seed % 3))
+    g = rng.normal(size=n)
+    h = np.full(n, 1e-3)
+    h[rng.choice(n, size=4 + seed % 3, replace=False)] = 0.9
+    cfg = GbtConfig(max_depth=3, min_child_weight=1.0)
+    tree, row_value = _grow_presorted(x, g, h, cfg)
+    oracle_arrays, oracle_value = _oracle_build_tree(x, g, h, cfg)
+    assert [a.tobytes() for a in tree] == [a.tobytes() for a in oracle_arrays]
+    assert row_value.tobytes() == oracle_value.tobytes()
+
+
+@pytest.mark.parametrize("edge", ["first", "last"])
+def test_split_at_the_edge_of_the_hessian_window(edge):
+    # heavy rows 0, 1, 10 and 11 of 16: a split after sorted position j
+    # (rows 0..j left) holds min_child_weight 1.0 on both sides only for
+    # 1 <= j <= 9, and the gradients put the best split at one end of that
+    x = np.arange(16, dtype=np.float64)[:, None]
+    h = np.full(16, 1e-3)
+    h[[0, 1, 10, 11]] = 0.9
+    cut = 2 if edge == "first" else 10
+    g = np.where(np.arange(16) < cut, -1.0, 1.0)
+    cfg = GbtConfig(max_depth=1, min_child_weight=1.0)
+    tree, _ = _grow_presorted(x, g, h, cfg)
+    oracle_arrays, _ = _oracle_build_tree(x, g, h, cfg)
+    assert [a.tobytes() for a in tree] == [a.tobytes() for a in oracle_arrays]
+    assert tree.feature[0] == 0 and tree.threshold[0] == cut - 0.5
 
 
 def _oracle_logits(model, x):

@@ -36,6 +36,16 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_tsv_ids(samples) -> None:
+    """Refuse an id that TSV output cannot carry: a tab in it would shift its
+    row's columns, and a line break would split the row."""
+    for s in samples:
+        if "\t" in s.id or "\n" in s.id or "\r" in s.id:
+            raise ValueError(
+                f"id {s.id!r} holds a tab or line break, which TSV output cannot carry"
+            )
+
+
 def _rank_order_for(args, samples):
     return CANONICAL_RANK_ORDER if args.canonical else rank_params(samples)
 
@@ -73,6 +83,7 @@ def cmd_rank(args) -> int:
 
 def cmd_features(args) -> int:
     samples = load_dataset(args.data)
+    _check_tsv_ids(samples)
     order = _rank_order_for(args, samples)
     fm = build_features(samples, order, args.k)
     header = ["id", "label"] + [f"h{j}" for j in range(1, args.k + 1)]
@@ -207,6 +218,7 @@ def cmd_diagnose(args) -> int:
         raise ValueError("provide --data or all five of --h2 --ch4 --c2h6 --c2h4 --c2h2")
     bundle = load_model(args.model)
     samples = load_dataset(args.data) if args.data else [GasSample(*gases, id="cli")]
+    _check_tsv_ids(samples)
     fm = build_features(samples, bundle.rank_order, bundle.k)
     predicted = predict_many(bundle.model, fm.x)
     if args.compare:
@@ -229,6 +241,7 @@ def cmd_diagnose(args) -> int:
 
 def cmd_conventional(args) -> int:
     samples = load_dataset(args.data)
+    _check_tsv_ids(samples)
     methods = {"duval": duval, "rogers": rogers, "iec": iec_ratio}
     chosen = list(methods) if args.method == "all" else [args.method]
     lines = ["\t".join(["id", "actual"] + chosen)]
@@ -242,6 +255,7 @@ def cmd_conventional(args) -> int:
 
 def cmd_decompose(args) -> int:
     samples = load_dataset(args.data)
+    _check_tsv_ids(samples)
     order = _rank_order_for(args, samples)
     fm = build_features(samples, order, args.k)
     lines = ["id\tposition\tparam\tvalue\tbaseline\tprc"]

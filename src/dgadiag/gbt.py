@@ -37,6 +37,39 @@ reg_lambda > 0 keeps every denominator positive, so no gain is NaN.  The
 search runs in `_best_split`, whose temporaries are freed before the
 node's children are grown.
 
+Below the root, `_cannot_gain` first tries to show that no split of a
+node can gain; such a node is the leaf the search would have made, so
+trees are unchanged.  It tries only where min_child_weight > 0, every h > 0
+and all g have one sign (the node's rows on one side of the class): in the
+seed-11 research loop, 1985 of the 2204 searches that found no split and
+none of the 2524 that found one.  With [r1, r2] the range of g/h, G and H
+the node's sums and mcw min_child_weight, every valid split's left sums
+(GL, HL) lie in the convex polygon P
+
+    mcw <= HL <= H - mcw,  r1 HL <= GL <= r2 HL,
+    r1 (H - HL) <= G - GL <= r2 (H - HL).
+
+The unscaled gain GL^2/(HL+lambda) + (G-GL)^2/(H-HL+lambda) - G^2/(H+lambda)
+is jointly convex (each term a square over a positive linear term), so its
+maximum over P is at a vertex.  (GL, HL) -> (G - GL, H - HL) maps P onto
+itself and keeps the gain, so it is enough to take GL on both edges of P
+at HL = mcw and at the lower edge's kink (r2 H - G)/(r2 - r1), if in
+range.  The node is a leaf when half the largest of these four gains,
+minus gamma, is below -tau.
+
+The margin.  With eps = 2^-53, m rows and S = max(|r1|, |r2|) H >= sum |g|:
+widening [r1, r2] by 4 ulps covers each ratio's rounding (and keeps
+r2 > r1), and widening HL's range by delta = 1e-9 (1+m)(1+H) covers the
+m eps H rounding of the sums the search compares with mcw, so every valid
+split's exact sums lie in P.  The search's cumsums and node sums are within
+m eps S of the exact GL, G and m eps H of HL, H, which moves its point and
+P's edges by at most 3 m eps S in GL and m eps H in HL.  The gain's slope
+is at most 2S/lambda in GL and S^2/lambda^2 in HL, and each of its terms
+is at most S^2/lambda, so with both evaluations' roundings the search's
+gain exceeds the bound by at most about 16 m eps (1 + S^2/lambda)
+(1 + H/lambda).  tau = 1e-9 (1+m)(1 + S^2/lambda)(1 + H/lambda) is over
+10^5 times that, and over 100 trainings prunes as many nodes as tau = 0.
+
 A round works on class-major (classes, n) arrays of logits,
 probabilities, gradients and hessians, allocated once per call, and
 computes the six root leaf weights as one vector.  A class whose root
@@ -199,6 +232,43 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return p
 
 
+def _cannot_gain(
+    g: np.ndarray, h: np.ndarray, g_sum: float, h_sum: float, cfg: GbtConfig
+) -> bool:
+    """True when no split of the node whose rows have gradients `g`,
+    hessians `h` and sums `g_sum`, `h_sum` can have a positive gain, by the
+    bound in the module docstring; False when the node must be searched."""
+    mcw = cfg.min_child_weight
+    if not mcw > 0.0 or g.min() < 0.0 < g.max() or not h.min() > 0.0:
+        return False
+    ratio = g / h
+    lo, hi = float(ratio.min()), float(ratio.max())
+    lo -= 4 * math.ulp(lo)  # covers the rounding of each ratio, and keeps hi > lo
+    hi += 4 * math.ulp(hi)
+    scale = max(abs(lo), abs(hi)) * h_sum  # bounds the sum of |g|
+    if not math.isfinite(scale):
+        return False
+    lam = cfg.reg_lambda
+    m1 = 1.0 + g.size
+    delta = 1e-9 * m1 * (1.0 + h_sum)
+    tau = 1e-9 * m1 * (1.0 + scale * scale / lam) * (1.0 + h_sum / lam)
+    # P's vertices on its lower-HL half: at the lowest HL and at the kink of
+    # its lower edge, if that is in range, GL on both edges.  The other half
+    # mirrors them with the same gains.
+    hl_min = max(mcw - delta, 0.0)
+    hl_max = min(h_sum - mcw + delta, h_sum)
+    kink = (hi * h_sum - g_sum) / (hi - lo)
+    best = -math.inf
+    for hl in (hl_min, kink):
+        if not hl_min <= hl <= hl_max:
+            continue
+        hr = h_sum - hl
+        for gl in (max(lo * hl, g_sum - hi * hr), min(hi * hl, g_sum - lo * hr)):
+            gr = g_sum - gl
+            best = max(best, gl * gl / (hl + lam) + gr * gr / (hr + lam))
+    return 0.5 * (best - g_sum * g_sum / (h_sum + lam)) - cfg.gamma < -tau
+
+
 def _best_split(
     gh: np.ndarray,
     g_sum: float,
@@ -215,7 +285,9 @@ def _best_split(
     mcw = cfg.min_child_weight
     # One prefix sum adds g and h lane by lane in row order, as two float
     # cumsums would; the right child's sums are the node's minus the left's.
-    left = gh[rows[:, :-1]].cumsum(axis=1)
+    # (Gathering with all of `rows` and dropping the last column after is
+    # about 3x faster than gathering with the strided `rows[:, :-1]`.)
+    left = gh[rows].cumsum(axis=1)[:, :-1]
     gl = left.real.copy()  # contiguous: strided views cost the saving back
     hl = left.imag.copy()
     del left
@@ -281,8 +353,9 @@ def _build_tree(
         parent's sorted rows and values, of which `keep` marks the node's
         (None at the root, whose arrays are already its own)."""
         node = len(nodes) - root
-        g_sum = float(g[idx].sum())
-        h_sum = float(h[idx].sum())
+        g_node, h_node = g[idx], h[idx]
+        g_sum = float(g_node.sum())
+        h_sum = float(h_node.sum())
         weight = -eta * g_sum / (h_sum + lam)
         nodes.append((-1, 0.0, -1, -1, weight))  # a leaf unless a split is kept
         row_value[idx] = weight
@@ -293,12 +366,15 @@ def _build_tree(
         ):
             return node
 
-        # The node's rows in ascending value order per feature, ties by row
-        # id: the parent's order with the other child's rows taken out.
-        if keep is not None:
+        if keep is not None:  # not the root, which nearly always splits
+            if _cannot_gain(g_node, h_node, g_sum, h_sum, cfg):
+                return node
+            # The node's rows in ascending value order per feature, ties by
+            # row id: the parent's order with the other child's rows taken out.
             take = np.flatnonzero(keep)
             rows = rows.ravel()[take].reshape(n_feat, idx.size)
             xs = xs.ravel()[take].reshape(n_feat, idx.size)
+        del g_node, h_node  # the children need none of this node's arrays
         gain, feat, pos = _best_split(gh, g_sum, h_sum, rows, xs, cfg)
         if not gain > 0.0:
             return node

@@ -72,17 +72,24 @@ DEFAULT_SYNTH_COUNTS: tuple[int, ...] = (42, 67, 113, 80, 21, 53)
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write `text` to a temp file beside `path`, then rename it over `path`."""
+    """Write `text` to a temp file beside `path`, then rename it over `path`.
+
+    A failure leaves no temp file behind, and an OSError names `path`, not
+    the temp file the user never gave.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _csv_rows(path):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import inspect
 import io
@@ -495,6 +496,47 @@ class TestExitCodes:
         code, _, err = run(capsys, ["rank", "--data", "/nonexistent/file.csv"])
         assert code == 2
         assert "i/o error" in err
+
+    def test_io_error_names_the_given_path(self, capsys, tmp_path, table_csv):
+        # the write goes through a temp file beside the target, which the
+        # message must not name and which must not stay behind
+        missing = str(tmp_path / "no-such-dir" / "x.csv")
+        a_dir = tmp_path / "a-dir"
+        a_dir.mkdir()
+        for argv, path in [
+            (["synth", "--seed", "1", "--out", missing], missing),
+            (["features", "--data", table_csv, "--k", "6", "--out", str(a_dir)], str(a_dir)),
+        ]:
+            code, out, err = run(capsys, argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("i/o error: ") and repr(path) in err
+            assert ".tmp-" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-dir", "six.csv"]
+        assert list(a_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["diagnose", "features", "conventional", "decompose"])
+    @pytest.mark.parametrize("bad_id", ["a\tb", "c\nd", "e\rf"])
+    def test_id_that_breaks_a_tsv_line_is_refused(
+        self, capsys, tmp_path, seed11_model, command, bad_id
+    ):
+        samples = load_table_iv()
+        samples[2] = dataclasses.replace(samples[2], id=bad_id)
+        data = tmp_path / "ids.csv"
+        write_dataset(data, samples)
+        assert load_dataset(data)[2].id == bad_id
+        out = tmp_path / "out.tsv"
+        extra = {
+            "diagnose": ["--model", seed11_model[1]],
+            "features": ["--k", "24"],
+            "conventional": [],
+            "decompose": ["--k", "24", "--out", str(out)],  # --out is required
+        }[command]
+        code, stdout, err = run(capsys, [command, "--data", str(data), *extra])
+        assert (code, stdout) == (1, "")
+        assert err == (
+            f"error: id {bad_id!r} holds a tab or line break, which TSV output cannot carry\n"
+        )
+        assert not out.exists()
 
     def test_gas_above_ceiling(self, capsys, tmp_path, synth_csv):
         model = str(tmp_path / "m.json")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgadiag import gbt
 from dgadiag.core import CLASS_ORDER, FaultLabel
 from dgadiag.features import build_features
 from dgadiag.gbt import (
@@ -19,7 +20,9 @@ from dgadiag.gbt import (
     predict_proba_many,
     train,
     _Forest,
+    _best_split,
     _build_tree,
+    _cannot_gain,
     _flatten,
     _softmax,
 )
@@ -560,6 +563,125 @@ def test_split_at_the_edge_of_the_hessian_window(edge):
     oracle_arrays, _ = _oracle_build_tree(x, g, h, cfg)
     assert [a.tobytes() for a in tree] == [a.tobytes() for a in oracle_arrays]
     assert tree.feature[0] == 0 and tree.threshold[0] == cut - 0.5
+
+
+def _search_node(x, g, h, cfg):
+    """`_cannot_gain` and `_best_split`'s gain on one node holding every row
+    of `x`, with the sums and presort `_build_tree` would give it."""
+    xt = np.ascontiguousarray(x.T)
+    rows = np.argsort(xt, axis=1, kind="stable")
+    xs = np.take_along_axis(xt, rows, axis=1)
+    gh = np.empty(g.size, dtype=np.complex128)
+    gh.real, gh.imag = g, h
+    g_sum, h_sum = float(g.sum()), float(h.sum())
+    gain = _best_split(gh, g_sum, h_sum, rows, xs, cfg)[0]
+    return _cannot_gain(g, h, g_sum, h_sum, cfg), gain
+
+
+# One-sign gradients whose g/h ratios spread over [1, spread] (or take just
+# its two ends), near where a split starts to gain: the test's bound is
+# tight when a split separates the ratios, as column 0 does in "ratio".
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 80),
+    d=st.integers(1, 3),
+    spread=st.sampled_from([1.0, 1.01, 1.1, 3.0, 10.0]),
+    two_ratios=st.booleans(),
+    sign=st.sampled_from([1.0, -1.0]),
+    h_scale=st.sampled_from([0.25, 1.0, 4.0]),
+    reg_lambda=st.sampled_from([0.01, 1.0, 100.0]),
+    min_child_weight=st.sampled_from([0.05, 1.0, 3.0]),
+    gamma=st.sampled_from([0.0, 0.5]),
+    layout=st.sampled_from(["ties", "ratio"]),
+)
+def test_a_node_the_no_gain_test_prunes_has_no_gaining_split(
+    seed, n, d, spread, two_ratios, sign, h_scale, reg_lambda, min_child_weight, gamma, layout
+):
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(0.05, 1.0, size=n) * h_scale
+    u = rng.integers(0, 2, size=n) if two_ratios else rng.random(size=n)
+    ratio = sign * rng.uniform(0.05, 3.0) * spread**u
+    g = ratio * h
+    x = rng.integers(0, 3, size=(n, d)).astype(np.float64)  # tie-heavy
+    x[rng.random(size=(n, d)) < 0.2] = -0.0
+    if layout == "ratio":
+        x[:, 0] = np.abs(ratio)
+    cfg = GbtConfig(reg_lambda=reg_lambda, min_child_weight=min_child_weight, gamma=gamma)
+    cannot, gain = _search_node(x, g, h, cfg)
+    if cannot:
+        assert not gain > 0.0
+
+
+@pytest.mark.parametrize("ratio", [-2.0, 1.0, 0.5, 1 / 3, -7.0])
+def test_a_node_of_one_ratio_is_never_searched(ratio, monkeypatch):
+    """Rows sharing one g/h ratio r have GL = r HL on every split, and
+    r^2 [HL^2/(HL+lambda) + HR^2/(HR+lambda) - H^2/(H+lambda)] < 0 for
+    HL, HR >= min_child_weight > 0: both children of the root are leaves
+    without a search.  (g = r h is exact for r = -2, 1 and 0.5, so each
+    child's ratios are all equal; 1/3 and -7 leave them an ulp apart.)"""
+    rng = np.random.default_rng(3)
+    n = 40
+    x = rng.integers(0, 4, size=(n, 3)).astype(np.float64)
+    x[:, 0] = np.arange(n) >= n // 2
+    h = rng.uniform(0.1, 0.25, size=n)
+    g = np.where(x[:, 0] == 0, ratio, -ratio) * h
+    cfg = GbtConfig()
+    for half in (slice(None, n // 2), slice(n // 2, None)):
+        assert h[half].sum() >= 2.0 * cfg.min_child_weight  # the child gets to the test
+        cannot, gain = _search_node(x[half], g[half], h[half], cfg)
+        assert cannot and gain < 0.0
+    searched = []
+    search = gbt._best_split
+    monkeypatch.setattr(gbt, "_best_split", lambda *a: searched.append(a[3].shape) or search(*a))
+    tree, _ = _grow_presorted(x, g, h, cfg)
+    oracle_arrays, _ = _oracle_build_tree(x, g, h, cfg)
+    assert [a.tobytes() for a in tree] == [a.tobytes() for a in oracle_arrays]
+    assert tree.feature.tolist() == [0, -1, -1]
+    assert searched == [(3, n)]  # the root only
+
+
+@pytest.mark.parametrize("group", ["heavy", "light"])
+def test_a_split_just_above_gamma_is_not_pruned(group):
+    """Rows in index order with g/h ratio r1, then the rest with r2 > r1.
+    With both groups heavier than min_child_weight the best split parts
+    them, which puts its left sums on the kink of the polygon the no-gain
+    test bounds over; with a "light" second group (1-3 rows, under
+    min_child_weight) it takes the group and just enough other rows, near
+    the vertex at HL = H - min_child_weight.  With gamma 1 to 8 ulps below
+    the search's best gain that split gains, so the test must not prune:
+    only the margin tau covers the search's rounding there."""
+    cases = 0
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4 if group == "heavy" else 20, 400))
+        cut = rng.integers(1, n) if group == "heavy" else n - rng.integers(1, 4)
+        h = rng.uniform(0.01, 0.25, size=n)
+        ratio = np.where(np.arange(n) < cut, 1.0, rng.uniform(1.5, 50.0))
+        g = ratio * rng.uniform(0.1, 3.0) * h
+        x = np.arange(n, dtype=np.float64)[:, None]
+        mcw = 0.05 if group == "heavy" else 1.0
+        _, best = _search_node(x, g, h, GbtConfig(min_child_weight=mcw))
+        if not best > 0.0:
+            continue
+        for ulps in range(1, 9):
+            cfg = GbtConfig(min_child_weight=mcw, gamma=best * (1.0 - ulps * 2.0**-52))
+            cannot, gain = _search_node(x, g, h, cfg)
+            assert gain > 0.0 and not cannot, (seed, ulps)
+            cases += 1
+    assert cases >= 400
+
+
+def test_default_train_skips_the_nodes_that_cannot_gain(monkeypatch):
+    """The default config on the seed-11 survey features at k = 24: of the
+    191 nodes the search used to visit, 78 are pruned without one."""
+    samples = generate_synthetic(11)
+    fm = build_features(samples, rank_params(samples), 24)
+    calls = []
+    search = gbt._best_split
+    monkeypatch.setattr(gbt, "_best_split", lambda *a: calls.append(1) or search(*a))
+    train(fm.x, fm.labels)
+    assert len(calls) == 113
 
 
 def _oracle_logits(model, x):

@@ -6,11 +6,13 @@ training row carries one FaultLabel, and class c is CLASS_ORDER[c].  Split
 search is exact greedy over sorted unique feature values with the
 regularized gain
 
-    gain = 1/2 [ GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda) ] - gamma
+    gain = 1/2 [ GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda) ]
 
-and leaf weights -eta * G / (H + lambda).  A split is kept only when its
-gain is strictly positive and both children carry at least min_child_weight
-of hessian mass.  Thresholds are midpoints between adjacent distinct sorted
+and leaf weights -eta * G / (H + lambda), lambda = REG_LAMBDA.  A split is
+kept only when its gain is strictly positive and both children carry at
+least mcw = MIN_CHILD_WEIGHT of hessian mass.  Both constants are
+XGBoost's defaults (1 and 1, with no minimum split loss), as in the paper's
+classifier.  Thresholds are midpoints between adjacent distinct sorted
 values; ties in gain resolve to the lowest feature index, then the lowest
 threshold, so training is fully deterministic.  The seed argument is
 recorded for provenance but unused: with no row/column subsampling there is
@@ -33,18 +35,17 @@ equal two float `cumsum`s bit for bit, and the right sums are the node's
 minus them.  The gain and its validity mask are computed on contiguous
 copies of GL and HL, in place, with the gain's operations in the order of
 the formula above, so equal gains stay equal and tie as stated.
-reg_lambda > 0 keeps every denominator positive, so no gain is NaN.  The
+REG_LAMBDA > 0 keeps every denominator positive, so no gain is NaN.  The
 search runs in `_best_split`, whose temporaries are freed before the
 node's children are grown.
 
 Below the root, `_cannot_gain` first tries to show that no split of a
 node can gain; such a node is the leaf the search would have made, so
-trees are unchanged.  It tries only where min_child_weight > 0, every h > 0
-and all g have one sign (the node's rows on one side of the class): in the
-seed-11 research loop, 1985 of the 2204 searches that found no split and
-none of the 2524 that found one.  With [r1, r2] the range of g/h, G and H
-the node's sums and mcw min_child_weight, every valid split's left sums
-(GL, HL) lie in the convex polygon P
+trees are unchanged.  It tries only where every h > 0 and all g have one
+sign (the node's rows on one side of the class): in the seed-11 research
+loop, 1985 of the 2204 searches that found no split and none of the 2524
+that found one.  With [r1, r2] the range of g/h and G and H the node's
+sums, every valid split's left sums (GL, HL) lie in the convex polygon P
 
     mcw <= HL <= H - mcw,  r1 HL <= GL <= r2 HL,
     r1 (H - HL) <= G - GL <= r2 (H - HL).
@@ -54,8 +55,8 @@ is jointly convex (each term a square over a positive linear term), so its
 maximum over P is at a vertex.  (GL, HL) -> (G - GL, H - HL) maps P onto
 itself and keeps the gain, so it is enough to take GL on both edges of P
 at HL = mcw and at the lower edge's kink (r2 H - G)/(r2 - r1), if in
-range.  The node is a leaf when half the largest of these four gains,
-minus gamma, is below -tau.
+range.  The node is a leaf when half the largest of these four gains is
+below -tau.
 
 The margin.  With eps = 2^-53, m rows and S = max(|r1|, |r2|) H >= sum |g|:
 widening [r1, r2] by 4 ulps covers each ratio's rounding (and keeps
@@ -69,11 +70,13 @@ is at most S^2/lambda, so with both evaluations' roundings the search's
 gain exceeds the bound by at most about 16 m eps (1 + S^2/lambda)
 (1 + H/lambda).  tau = 1e-9 (1+m)(1 + S^2/lambda)(1 + H/lambda) is over
 10^5 times that, and over 100 trainings prunes as many nodes as tau = 0.
+(A lambda well below 1 would make tau swamp the gain deficit of barren
+nodes; lambda = 1 keeps it at 1e-9 (1+m)(1 + S^2)(1 + H).)
 
 A round works on class-major (classes, n) arrays of logits,
 probabilities, gradients and hessians, allocated once per call, and
 computes the six root leaf weights as one vector.  A class whose root
-carries less than twice min_child_weight of hessian mass cannot split; it
+carries less than twice MIN_CHILD_WEIGHT of hessian mass cannot split; it
 gets its one-leaf tree without growing it, which is most trees after the
 first rounds, and a round where every root is a leaf is one in-place add.
 
@@ -106,6 +109,8 @@ import numpy as np
 from .core import CLASS_ORDER, N_CLASSES, FaultLabel
 
 BASE_SCORE = 0.5  # initial logit for every class
+REG_LAMBDA = 1.0  # lambda: L2 penalty on leaf weights, > 0 so no gain is NaN
+MIN_CHILD_WEIGHT = 1.0  # mcw: hessian mass each child of a split must carry
 _BLOCK_ROWS = 256  # bounds the (rows x walked trees) pair arrays of one walk
 _SUM_ROWS = 64  # bounds the (rounds x classes x rows) terms summed at once
 
@@ -115,31 +120,20 @@ class GbtConfig:
     rounds: int = 100
     learning_rate: float = 0.3
     max_depth: int = 6
-    reg_lambda: float = 1.0
-    gamma: float = 0.0
-    min_child_weight: float = 1.0
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            integer = name in ("rounds", "max_depth")
+            integer = name != "learning_rate"
             kind = numbers.Integral if integer else numbers.Real
-            try:  # math.isfinite raises OverflowError on an int too large for a float
-                ok = isinstance(value, kind) and (integer or math.isfinite(value))
-            except OverflowError:
-                ok = False
-            if isinstance(value, bool) or not ok:
-                must = "an integer" if integer else "a finite number"
+            if isinstance(value, bool) or not isinstance(value, kind):
+                must = "an integer" if integer else "a number"
                 raise ValueError(f"{name} must be {must}, got {value!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if not 0.0 < self.learning_rate <= 1.0:
+        if not 0.0 < self.learning_rate <= 1.0:  # NaN fails too
             raise ValueError("learning_rate must be in (0, 1]")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if not self.reg_lambda > 0:  # keeps H + lambda > 0 at every node
-            raise ValueError("reg_lambda must be > 0")
-        if self.gamma < 0 or self.min_child_weight < 0:
-            raise ValueError("gamma and min_child_weight must be >= 0")
 
 
 class Tree(NamedTuple):
@@ -188,7 +182,6 @@ class GbtModel:
     right: np.ndarray  # int64, -1 at leaves
     value: np.ndarray  # float64, 0.0 at internal nodes
     sizes: np.ndarray  # intp, node count of each tree, [round][class]
-    base_score: float = BASE_SCORE
     seed: int = 0
     _forest: _Forest = field(init=False, repr=False, compare=False)
 
@@ -209,7 +202,7 @@ class GbtModel:
 def _flatten(model: GbtModel) -> _Forest:
     sizes = model.sizes
     starts = np.cumsum(sizes) - sizes
-    terms = np.concatenate([np.full(N_CLASSES, model.base_score), model.value[starts]])
+    terms = np.concatenate([np.full(N_CLASSES, BASE_SCORE), model.value[starts]])
     split = (sizes > 1).reshape(-1, N_CLASSES).any(axis=1)  # more than one node: a split
     offset = np.repeat(starts, sizes)
     internal = model.feature >= 0
@@ -232,14 +225,11 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return p
 
 
-def _cannot_gain(
-    g: np.ndarray, h: np.ndarray, g_sum: float, h_sum: float, cfg: GbtConfig
-) -> bool:
+def _cannot_gain(g: np.ndarray, h: np.ndarray, g_sum: float, h_sum: float) -> bool:
     """True when no split of the node whose rows have gradients `g`,
     hessians `h` and sums `g_sum`, `h_sum` can have a positive gain, by the
     bound in the module docstring; False when the node must be searched."""
-    mcw = cfg.min_child_weight
-    if not mcw > 0.0 or g.min() < 0.0 < g.max() or not h.min() > 0.0:
+    if g.min() < 0.0 < g.max() or not h.min() > 0.0:
         return False
     ratio = g / h
     lo, hi = float(ratio.min()), float(ratio.max())
@@ -248,15 +238,15 @@ def _cannot_gain(
     scale = max(abs(lo), abs(hi)) * h_sum  # bounds the sum of |g|
     if not math.isfinite(scale):
         return False
-    lam = cfg.reg_lambda
+    lam = REG_LAMBDA
     m1 = 1.0 + g.size
     delta = 1e-9 * m1 * (1.0 + h_sum)
     tau = 1e-9 * m1 * (1.0 + scale * scale / lam) * (1.0 + h_sum / lam)
     # P's vertices on its lower-HL half: at the lowest HL and at the kink of
     # its lower edge, if that is in range, GL on both edges.  The other half
     # mirrors them with the same gains.
-    hl_min = max(mcw - delta, 0.0)
-    hl_max = min(h_sum - mcw + delta, h_sum)
+    hl_min = max(MIN_CHILD_WEIGHT - delta, 0.0)
+    hl_max = min(h_sum - MIN_CHILD_WEIGHT + delta, h_sum)
     kink = (hi * h_sum - g_sum) / (hi - lo)
     best = -math.inf
     for hl in (hl_min, kink):
@@ -266,7 +256,7 @@ def _cannot_gain(
         for gl in (max(lo * hl, g_sum - hi * hr), min(hi * hl, g_sum - lo * hr)):
             gr = g_sum - gl
             best = max(best, gl * gl / (hl + lam) + gr * gr / (hr + lam))
-    return 0.5 * (best - g_sum * g_sum / (h_sum + lam)) - cfg.gamma < -tau
+    return 0.5 * (best - g_sum * g_sum / (h_sum + lam)) < -tau
 
 
 def _best_split(
@@ -275,14 +265,12 @@ def _best_split(
     h_sum: float,
     rows: np.ndarray,
     xs: np.ndarray,
-    cfg: GbtConfig,
 ) -> tuple[float, int, int]:
     """The best split of a node as (gain, feature, position): the split
     falls between `xs[feature, position]` and the next value.  `rows` and
     `xs` are the node's (features, m) sorted row ids and values, and `gh`
     holds each row's g as real part and h as imaginary part."""
-    lam = cfg.reg_lambda
-    mcw = cfg.min_child_weight
+    lam = REG_LAMBDA
     # One prefix sum adds g and h lane by lane in row order, as two float
     # cumsums would; the right child's sums are the node's minus the left's.
     # (Gathering with all of `rows` and dropping the last column after is
@@ -293,8 +281,8 @@ def _best_split(
     del left
     gr = g_sum - gl
     hr = h_sum - hl
-    invalid = (hl < mcw) | (hr < mcw) | (xs[:, 1:] <= xs[:, :-1])
-    # gain = 1/2 [GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)] - gamma,
+    invalid = (hl < MIN_CHILD_WEIGHT) | (hr < MIN_CHILD_WEIGHT) | (xs[:, 1:] <= xs[:, :-1])
+    # gain = 1/2 [GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)],
     # operation for operation, in place
     gain = np.multiply(gl, gl, out=gl)
     gain /= np.add(hl, lam, out=hl)
@@ -303,7 +291,6 @@ def _best_split(
     gain += gr
     gain -= g_sum * g_sum / (h_sum + lam)
     gain *= 0.5
-    gain -= cfg.gamma
     gain[invalid] = -np.inf
     # Flat argmax over (feature, position): ties resolve to the lowest
     # feature index, then the lowest threshold.
@@ -319,7 +306,7 @@ def _build_tree(
     presort: np.ndarray,
     xs: np.ndarray,
     nodes: list[tuple],
-    columns: Sequence[int] | None = None,
+    columns: Sequence[int],
 ) -> np.ndarray:
     """Grow one tree, appending its nodes to `nodes` as (feature,
     threshold, left, right, value) in preorder, with child ids counted from
@@ -329,13 +316,10 @@ def _build_tree(
     in ascending order of `xt[j]`, ties by row id
     (`np.argsort(xt, axis=1, kind="stable")`), and `xs` holds those values,
     `np.take_along_axis(xt, presort, axis=1)`.  A node that splits on row j
-    of them records feature `columns[j]` (j when `columns` is None).
+    of them records feature `columns[j]`.
     """
     eta = cfg.learning_rate
-    lam = cfg.reg_lambda
     n_feat, n = xt.shape
-    if columns is None:
-        columns = range(n_feat)
     root = len(nodes)
     row_value = np.empty(n, dtype=np.float64)
     gh = np.empty(n, dtype=np.complex128)
@@ -356,18 +340,18 @@ def _build_tree(
         g_node, h_node = g[idx], h[idx]
         g_sum = float(g_node.sum())
         h_sum = float(h_node.sum())
-        weight = -eta * g_sum / (h_sum + lam)
+        weight = -eta * g_sum / (h_sum + REG_LAMBDA)
         nodes.append((-1, 0.0, -1, -1, weight))  # a leaf unless a split is kept
         row_value[idx] = weight
         if (
             depth >= cfg.max_depth
             or idx.size < 2
-            or h_sum < 2.0 * cfg.min_child_weight
+            or h_sum < 2.0 * MIN_CHILD_WEIGHT
         ):
             return node
 
         if keep is not None:  # not the root, which nearly always splits
-            if _cannot_gain(g_node, h_node, g_sum, h_sum, cfg):
+            if _cannot_gain(g_node, h_node, g_sum, h_sum):
                 return node
             # The node's rows in ascending value order per feature, ties by
             # row id: the parent's order with the other child's rows taken out.
@@ -375,7 +359,7 @@ def _build_tree(
             rows = rows.ravel()[take].reshape(n_feat, idx.size)
             xs = xs.ravel()[take].reshape(n_feat, idx.size)
         del g_node, h_node  # the children need none of this node's arrays
-        gain, feat, pos = _best_split(gh, g_sum, h_sum, rows, xs, cfg)
+        gain, feat, pos = _best_split(gh, g_sum, h_sum, rows, xs)
         if not gain > 0.0:
             return node
 
@@ -433,8 +417,7 @@ def train(
     onehot = np.zeros((N_CLASSES, n), dtype=np.float64)
     onehot[y_idx, np.arange(n)] = 1.0
     eta = config.learning_rate
-    lam = config.reg_lambda
-    min_root_h = 2.0 * config.min_child_weight if columns else np.inf
+    min_root_h = 2.0 * MIN_CHILD_WEIGHT if columns else np.inf
 
     # Class-major (classes, n) buffers: one contiguous row per class, so a
     # root sum reduces in the same order as the grower's `g[idx].sum()` and
@@ -453,7 +436,7 @@ def train(
         np.subtract(1.0, p, out=hess)
         hess *= p
         h_sums = hess.sum(axis=1)
-        weights = -eta * grad.sum(axis=1) / (h_sums + lam)
+        weights = -eta * grad.sum(axis=1) / (h_sums + REG_LAMBDA)
         leaf = h_sums < min_root_h  # these roots cannot split: one leaf each
         np.add(logits, weights[:, None], out=logits, where=leaf[:, None])
         for c, (weight, is_leaf) in enumerate(zip(weights.tolist(), leaf.tolist())):

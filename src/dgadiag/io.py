@@ -7,18 +7,19 @@ CSV schema (UTF-8, comma separator, dot decimal, header required):
 Gas fields are decimals in 0..MAX_PPM (1e6 ppm); label is one of
 PD/D1/D2/T1/T2/T3 or empty for unlabeled rows; a blank id is replaced by the
 file line number.  Every malformed file raises ValueError naming the path.
-Model files are versioned JSON documents carrying the boosting config, class
-order, the rank order and feature count the model was trained against, and
-the full tree ensemble; `config` holds exactly the `GbtConfig` fields and
-`n_classes`, and the class order and `config.n_classes` must be
-CLASS_ORDER and its length.  Format version 3 stores the ensemble as the
-`GbtModel` node arrays: under "trees", a "node_counts" list (one entry per
-tree, [round][class]) and the five lists feature, threshold, left, right
-and value, every tree's nodes in preorder one after another, child ids
-counted from the tree's root.  `load_model` rejects any structure the
-prediction walk could index out of range or loop on, and any other
-format version.  All writes go through a temp file + rename so
-readers never observe partial output.
+Model files are versioned JSON documents carrying the boosting config, the
+rank order and k the model was trained with (k is its feature count), the
+train seed, and the full tree ensemble; `config` holds exactly the
+`GbtConfig` fields, and a document holds no other top-level keys.  Format
+version 4 stores the ensemble as the `GbtModel` node arrays: under "trees",
+a "node_counts" list (one entry per tree, [round][class]) and the five
+lists feature, threshold, left, right and value, every tree's nodes in
+preorder one after another, child ids counted from the tree's root.  The
+class order, class count and base score are the package's constants
+(CLASS_ORDER, its length and `gbt.BASE_SCORE`), not file contents.
+`load_model` rejects any structure the prediction walk could index out of
+range or loop on, and any other format version.  All writes go through a
+temp file + rename so readers never observe partial output.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 import numbers
 import os
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from io import StringIO
 from typing import Sequence
@@ -37,12 +38,12 @@ from typing import Sequence
 import numpy as np
 
 from .core import CLASS_ORDER, GAS_NAMES, N_CLASSES, N_PARAMS, FaultLabel, GasSample
-from .gbt import GbtConfig, GbtModel, Tree
+from .gbt import BASE_SCORE, GbtConfig, GbtModel, Tree
 from .ranking import validate_rank_order
 
 CSV_HEADER = ["id", "h2", "ch4", "c2h6", "c2h4", "c2h2", "label"]
 _LABELS = {label.value: label for label in FaultLabel}  # FaultLabel(text), as a lookup
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 # Per-class log-uniform gas ranges (ppm) for the synthetic generator, chosen
 # so each class's draws land in its own Duval-triangle zone with probability
@@ -218,9 +219,7 @@ class ModelBundle:
     k: int
 
 
-def _forest_from_json(
-    doc_trees: dict, cfg: GbtConfig, n_features: int, base_score: float
-) -> dict[str, np.ndarray]:
+def _forest_from_json(doc_trees: dict, cfg: GbtConfig, n_features: int) -> dict[str, np.ndarray]:
     """The node arrays and node counts of a model document, as `GbtModel`
     fields.
 
@@ -250,11 +249,11 @@ def _forest_from_json(
 
     sizes = np.array(sizes, dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
-    # a logit is base_score plus one leaf per tree of its class, so this
+    # a logit is the base score plus one leaf per tree of its class, so this
     # bounds every logit
-    reach = abs(base_score) + sum(np.maximum.reduceat(np.abs(value), starts).tolist())
+    reach = BASE_SCORE + sum(np.maximum.reduceat(np.abs(value), starts).tolist())
     if not math.isfinite(reach):
-        raise ValueError("base_score and leaf values can add up to a non-finite logit")
+        raise ValueError("leaf values can add up to a non-finite logit")
     internal = feature != -1
     node = (np.arange(feature.size) - np.repeat(starts, sizes))[internal]
     size = np.repeat(sizes, sizes)[internal]
@@ -273,33 +272,14 @@ def _integer(name: str, value) -> int:
     return value
 
 
-def _number(name: str, value) -> float:
-    """`value` as a float if it is a JSON number (not a bool or string)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
 def save_model(path, bundle: ModelBundle) -> None:
     model = bundle.model
-    cfg = model.config
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "config": {
-            "rounds": cfg.rounds,
-            "learning_rate": cfg.learning_rate,
-            "max_depth": cfg.max_depth,
-            "reg_lambda": cfg.reg_lambda,
-            "gamma": cfg.gamma,
-            "min_child_weight": cfg.min_child_weight,
-            "n_classes": N_CLASSES,
-        },
-        "class_order": [label.value for label in CLASS_ORDER],
+        "config": asdict(model.config),
         "rank_order": list(bundle.rank_order),
         "k": bundle.k,
         "seed": model.seed,
-        "base_score": model.base_score,
-        "n_features": model.n_features,
         "trees": {
             "node_counts": model.sizes.tolist(),
             **{name: getattr(model, name).tolist() for name in Tree._fields},
@@ -327,35 +307,24 @@ def load_model(path) -> ModelBundle:
                 f"unsupported format_version {version!r}, "
                 f"expected {MODEL_FORMAT_VERSION}"
             )
+        # a key the loader would ignore, such as one an older format had, is
+        # refused rather than silently dropped
+        unknown = doc.keys() - {"format_version", "config", "rank_order", "k", "seed", "trees"}
+        if unknown:
+            raise ValueError(f"model file has unknown keys {', '.join(sorted(unknown))}")
         config = {**doc["config"]}
-        keys = {"n_classes", *(f.name for f in fields(GbtConfig))}
+        keys = {f.name for f in fields(GbtConfig)}
         missing, unknown = keys - config.keys(), config.keys() - keys
         if missing:
             raise ValueError(f"config lacks {', '.join(sorted(missing))}")
         if unknown:
             raise ValueError(f"config has unknown keys {', '.join(sorted(unknown))}")
-        n_classes = config.pop("n_classes")
-        if n_classes != N_CLASSES:
-            raise ValueError(f"config.n_classes must be {N_CLASSES}, got {n_classes!r}")
-        names = [label.value for label in CLASS_ORDER]
-        if doc["class_order"] != names:
-            raise ValueError(f"class_order must be {names}, got {doc['class_order']!r}")
         cfg = GbtConfig(**config)
-        n_features = _integer("n_features", doc["n_features"])
         k = _integer("k", doc["k"])
-        if n_features != k:
-            raise ValueError(f"n_features {n_features} differs from k {k}")
         if not 1 <= k <= N_PARAMS:  # a feature row is a prefix of the 37 parameters
             raise ValueError(f"k must be in 1..{N_PARAMS}, got {k}")
-        base_score = _number("base_score", doc["base_score"])
-        if not math.isfinite(base_score):
-            raise ValueError(f"non-finite base_score {base_score!r}")
         model = GbtModel(
-            cfg,
-            n_features,
-            **_forest_from_json(doc["trees"], cfg, n_features, base_score),
-            base_score=base_score,
-            seed=_integer("seed", doc["seed"]),
+            cfg, k, **_forest_from_json(doc["trees"], cfg, k), seed=_integer("seed", doc["seed"])
         )
         return ModelBundle(
             model=model,

@@ -193,13 +193,13 @@ class TestTrainDiagnoseEvaluate:
         )
 
     def test_model_file_is_byte_identical(self, seed11_model):
-        # pins the format-v3 bytes of a seeded training run; the same model
-        # took 62,486 bytes as format v2
+        # pins the format-v4 bytes of a seeded training run; the same model
+        # took 29,358 bytes as format v3 and 62,486 as format v2
         _, model = seed11_model
         assert hashlib.sha256(Path(model).read_bytes()).hexdigest() == (
-            "e20a1afc09f8ae32033b4cbed86f1509e70ce8be250c827cb793894c633e7e73"
+            "fd45a4839729e17317821be4f40c53917eacb2d85cb2fe9d7a2f0b49db1386d2"
         )
-        assert Path(model).stat().st_size <= 62_486 // 2
+        assert Path(model).stat().st_size <= 29_213
 
     def test_evaluate_holdout(self, capsys, tmp_path, synth_csv):
         model = str(tmp_path / "m.json")
@@ -406,7 +406,7 @@ class TestExitCodes:
         main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
               "--model", str(path)] + FAST)
         doc = json.loads(path.read_text())
-        doc["trees"]["feature"][0] = doc["n_features"]  # out of range
+        doc["trees"]["feature"][0] = doc["k"]  # out of range
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, [
             "diagnose", "--h2", "292", "--ch4", "346", "--c2h6", "32",
@@ -451,8 +451,26 @@ class TestExitCodes:
         assert err.startswith(f"error: {path}: ") and "format_version 2" in err
         assert "Traceback" not in err
 
+    def test_v3_model_file_is_refused(self, capsys, seed11_model, tmp_path):
+        # the seed-11 model rewritten as format v3, which also stored the
+        # regularisers, the class order and count, the base score and n_features
+        _, model = seed11_model
+        doc = json.loads(Path(model).read_text())
+        doc["config"].update(reg_lambda=1.0, gamma=0.0, min_child_weight=1.0, n_classes=6)
+        doc.update(format_version=3, class_order=["PD", "D1", "D2", "T1", "T2", "T3"],
+                   base_score=0.5, n_features=doc["k"])
+        path = tmp_path / "v3.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [
+            "diagnose", "--h2", "292", "--ch4", "346", "--c2h6", "32",
+            "--c2h4", "313", "--c2h2", "196", "--model", str(path),
+        ])
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: unsupported format_version 3, expected 4\n"
+
     def test_nan_reg_lambda_model_fails_holdout(self, capsys, tmp_path, synth_csv):
-        # such a file loaded, and the holdout retrained to all-PD labels
+        # such a file loaded, and the holdout retrained to all-PD labels; lambda
+        # is no longer a setting, so the key itself is refused
         path = tmp_path / "model.json"
         main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
               "--model", str(path)] + FAST)
@@ -466,7 +484,8 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_zero_reg_lambda_model_is_refused(self, capsys, tmp_path, synth_csv):
-        # lambda 0 lets H + lambda reach 0: a NaN gain or a leaf weight 1/0
+        # lambda 0 let H + lambda reach 0: a NaN gain or a leaf weight 1/0.
+        # lambda is now the constant gbt.REG_LAMBDA, which a file cannot set
         path = tmp_path / "model.json"
         main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
               "--model", str(path)] + FAST)
@@ -476,13 +495,13 @@ class TestExitCodes:
         code, out, err = run(capsys, ["evaluate", "--data", synth_csv, "--model", str(path),
                                       "--holdout", "0.25", "--seed", "6"])
         assert (code, out) == (1, "")
-        assert err == f"error: {path}: reg_lambda must be > 0\n"
+        assert err == f"error: {path}: config has unknown keys reg_lambda\n"
 
     def test_model_config_missing_keys_is_refused(self, capsys, seed11_model, tmp_path):
-        # such a file loaded with the default reg_lambda and max_depth filled in
+        # such a file loaded with the default learning_rate and max_depth filled in
         _, model = seed11_model
         doc = json.loads(Path(model).read_text())
-        del doc["config"]["reg_lambda"], doc["config"]["max_depth"]
+        del doc["config"]["learning_rate"], doc["config"]["max_depth"]
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, [
@@ -490,7 +509,7 @@ class TestExitCodes:
             "--c2h4", "313", "--c2h2", "196", "--model", str(path),
         ])
         assert (code, out) == (1, "")
-        assert err == f"error: {path}: config lacks max_depth, reg_lambda\n"
+        assert err == f"error: {path}: config lacks learning_rate, max_depth\n"
 
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run(capsys, ["rank", "--data", "/nonexistent/file.csv"])
@@ -566,6 +585,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_base_score(self, capsys, tmp_path, synth_csv, bad):
+        # the base score is gbt.BASE_SCORE, not file contents: a file that
+        # sets one, to any value, is refused by name
         path = tmp_path / "model.json"
         main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
               "--model", str(path)] + FAST)
@@ -582,7 +603,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("class_order", [["PD"] * 6, ["T3", "T2", "T1", "D2", "D1", "PD"]])
     def test_non_canonical_class_order(self, capsys, tmp_path, synth_csv, class_order):
-        # any other list would relabel the argmax columns
+        # any other list would relabel the argmax columns; the class order is
+        # CLASS_ORDER, not file contents, so a file that sets one is refused
         path = tmp_path / "model.json"
         main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
               "--model", str(path)] + FAST)
@@ -622,7 +644,7 @@ class TestExitCodes:
         path = tmp_path / "model.json"
         main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
               "--model", str(path)] + FAST)
-        path.write_bytes(path.read_bytes().replace(b'"PD"', b'"P\xffD"'))
+        path.write_bytes(path.read_bytes().replace(b'"seed"', b'"se\xffed"'))
         code, out, err = run(capsys, [
             "diagnose", "--h2", "100", "--ch4", "10", "--c2h6", "5",
             "--c2h4", "1", "--c2h2", "0.5", "--model", str(path),

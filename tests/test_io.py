@@ -431,7 +431,7 @@ def _split_root(trees) -> tuple[int, int]:
 
 def _feature_out_of_range(doc):
     root, _ = _split_root(doc["trees"])
-    doc["trees"]["feature"][root] = doc["n_features"]
+    doc["trees"]["feature"][root] = doc["k"]
 
 
 def _extra_tree_in_round(doc):
@@ -482,19 +482,28 @@ def _child_into_next_tree(doc):
 
 
 def _k_mismatch(doc):
-    doc["k"] = doc["n_features"] + 1
+    # k is the feature count: one at or below a feature the trees split on
+    # would let the walk index past the end of a row
+    root, _ = _split_root(doc["trees"])
+    doc["k"] = doc["trees"]["feature"][root]
+
+
+# Format 3 also stored the class order, the class count, the base score and
+# n_features; they are the package's constants and k in format 4, so a
+# document that still sets one is refused by name, whatever its value.
+CLASS_NAMES = [label.value for label in CLASS_ORDER]
 
 
 def _short_class_order(doc):
-    doc["class_order"].pop()
+    doc["class_order"] = CLASS_NAMES[:-1]
 
 
 def _permuted_class_order(doc):
-    doc["class_order"].reverse()
+    doc["class_order"] = CLASS_NAMES[::-1]
 
 
 def _repeated_class_order(doc):
-    doc["class_order"] = ["PD"] * len(doc["class_order"])
+    doc["class_order"] = ["PD"] * len(CLASS_NAMES)
 
 
 def _n_classes_five(doc):
@@ -509,6 +518,17 @@ def _infinite_base_score(doc):
     doc["base_score"] = float("inf")
 
 
+def _v3_keys(doc):
+    doc.update(base_score=0.5, class_order=CLASS_NAMES, n_features=doc["k"])
+
+
+def _format_v3(doc):
+    # a whole format 3 document: every key format 4 dropped is back
+    _v3_keys(doc)
+    doc["config"].update(reg_lambda=1.0, gamma=0.0, min_child_weight=1.0, n_classes=6)
+    doc["format_version"] = 3
+
+
 # mutations of the node counts and the message that names each fault
 NODE_COUNT_FAULTS = [
     (_zero_node_count, "empty tree"),
@@ -521,22 +541,25 @@ NODE_COUNT_FAULTS = [
 
 def _config_lacks_keys(doc):
     # `GbtConfig(**config)` filled these in with its defaults
-    del doc["config"]["reg_lambda"], doc["config"]["max_depth"]
-
-
-def _config_lacks_n_classes(doc):
-    del doc["config"]["n_classes"]
+    del doc["config"]["learning_rate"], doc["config"]["max_depth"]
 
 
 def _config_unknown_key(doc):
     doc["config"]["subsample"] = 0.5
 
 
-# mutations of the config keys and the message that names each fault
+def _config_keeps_reg_lambda(doc):
+    doc["config"]["reg_lambda"] = 1.0  # now the constant gbt.REG_LAMBDA
+
+
+# mutations of the version and the keys, and the message that names each fault
 CONFIG_KEY_FAULTS = [
-    (_config_lacks_keys, "config lacks max_depth, reg_lambda"),
-    (_config_lacks_n_classes, "config lacks n_classes"),
+    (_config_lacks_keys, "config lacks learning_rate, max_depth"),
     (_config_unknown_key, "config has unknown keys subsample"),
+    (_config_keeps_reg_lambda, "config has unknown keys reg_lambda"),
+    (_n_classes_five, "config has unknown keys n_classes"),
+    (_v3_keys, "model file has unknown keys base_score, class_order, n_features"),
+    (_format_v3, "unsupported format_version 3, expected 4"),
 ]
 
 
@@ -571,8 +594,8 @@ def _set_root(name, value):
 
 
 # loosely typed fields that `int()` or `float()` used to truncate or parse
-# (on the toy model: canonical rank order 28, 24, 1, ..., k = n_features =
-# 20, seed 2, rounds 8, max_depth 3)
+# (on the toy model: canonical rank order 28, 24, 1, ..., k = 20, seed 2,
+# rounds 8, max_depth 3), and format 3's fields, refused as unknown keys
 LOOSE_FIELDS = {
     "rank_order-float": _set("rank_order", 0, value=28.9),
     "rank_order-string": _set("rank_order", 0, value="28"),
@@ -684,8 +707,10 @@ class TestModelPersistence:
         _short_count_list,
         _child_into_next_tree,
         _config_lacks_keys,
-        _config_lacks_n_classes,
         _config_unknown_key,
+        _config_keeps_reg_lambda,
+        _v3_keys,
+        _format_v3,
         *(pytest.param(m, id=name) for name, m in LOOSE_FIELDS.items()),
     ])
     def test_invalid_structure_rejected(self, tmp_path, mutate):
@@ -712,7 +737,7 @@ class TestModelPersistence:
         # k = n_features = 2**63 used to load, and a feature row of that
         # length could not even be allocated
         def mutate(doc):
-            doc["k"] = doc["n_features"] = k
+            doc["k"] = k
 
         path = _mutated_model(tmp_path, mutate)
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: k must be in 1\.\.37, got {k}$"):

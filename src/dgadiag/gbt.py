@@ -80,10 +80,13 @@ carries less than twice MIN_CHILD_WEIGHT of hessian mass cannot split; it
 gets its one-leaf tree without growing it, which is most trees after the
 first rounds, and a round where every root is a leaf is one in-place add.
 
-A model is five flat node arrays (feature, threshold, left, right, value)
-holding every tree, [round][class], each in preorder, plus each tree's node
-count.  Training appends to them, `dgadiag.io` writes them as five lists,
-and `GbtModel.trees` gives `Tree` views (numpy slices) of them.
+A model is three flat node arrays (feature, right, value) holding every
+tree, [round][class], each in preorder, plus each tree's node count.
+Preorder puts a node's left child right after it, so no array stores it,
+and `value` holds a split's threshold at an internal node and the weight
+at a leaf, as XGBoost's `split_conditions` does.  Training appends to
+them, `dgadiag.io` writes them as three lists, and `GbtModel.trees` gives
+`Tree` views (numpy slices) of them.
 
 For prediction a model also derives, once, absolute child ids, the roots
 of the trees of every round that has a split, and each round's root
@@ -122,32 +125,28 @@ class GbtConfig:
     max_depth: int = 6
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
+        for name, value in list(vars(self).items()):
             integer = name != "learning_rate"
             kind = numbers.Integral if integer else numbers.Real
             if isinstance(value, bool) or not isinstance(value, kind):
                 must = "an integer" if integer else "a number"
                 raise ValueError(f"{name} must be {must}, got {value!r}")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if not 0.0 < self.learning_rate <= 1.0:  # NaN fails too
-            raise ValueError("learning_rate must be in (0, 1]")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+            if not (value >= 1 if integer else 0.0 < value <= 1.0):  # NaN fails too
+                raise ValueError(f"{name} must be {'>= 1' if integer else 'in (0, 1]'}")
+            # a numpy scalar passes: store the Python number, which JSON writes
+            object.__setattr__(self, name, int(value) if integer else float(value))
 
 
 class Tree(NamedTuple):
     """One regression tree as node arrays in preorder; node 0 is the root.
 
-    A row at internal node i moves to `left[i]` when its `feature[i]` value
-    is below `threshold[i]` and to `right[i]` otherwise; both children sit
-    after i.  Leaves carry feature, left and right -1 and their weight in
-    `value`, which is 0.0 at internal nodes.
+    A row at internal node i moves to its left child i + 1 when its
+    `feature[i]` value is below the threshold `value[i]` and to `right[i]`
+    otherwise, which sits after the left child's subtree.  Leaves carry
+    feature and right -1 and their weight in `value`.
     """
 
     feature: np.ndarray  # int64
-    threshold: np.ndarray  # float64
-    left: np.ndarray  # int64
     right: np.ndarray  # int64
     value: np.ndarray  # float64
 
@@ -170,17 +169,15 @@ class _Forest(NamedTuple):
 
 @dataclass(frozen=True)
 class GbtModel:
-    """A trained ensemble: five read-only node arrays holding every tree,
+    """A trained ensemble: three read-only node arrays holding every tree,
     [round][class] with classes in CLASS_ORDER, each in preorder with child
     ids counted from its root as in `Tree`, and each tree's node count."""
 
     config: GbtConfig
     n_features: int
     feature: np.ndarray  # int64, -1 at leaves
-    threshold: np.ndarray  # float64
-    left: np.ndarray  # int64, -1 at leaves
     right: np.ndarray  # int64, -1 at leaves
-    value: np.ndarray  # float64, 0.0 at internal nodes
+    value: np.ndarray  # float64, the threshold at internal nodes, the weight at leaves
     sizes: np.ndarray  # intp, node count of each tree, [round][class]
     seed: int = 0
     _forest: _Forest = field(init=False, repr=False, compare=False)
@@ -208,7 +205,7 @@ def _flatten(model: GbtModel) -> _Forest:
     internal = model.feature >= 0
     node = np.arange(model.feature.size)
     child = np.empty(2 * node.size, dtype=np.intp)
-    child[0::2] = np.where(internal, model.left + offset, node)
+    child[0::2] = np.where(internal, node + 1, node)
     child[1::2] = np.where(internal, model.right + offset, node)
     return _Forest(
         child=child,
@@ -308,9 +305,9 @@ def _build_tree(
     nodes: list[tuple],
     columns: Sequence[int],
 ) -> np.ndarray:
-    """Grow one tree, appending its nodes to `nodes` as (feature,
-    threshold, left, right, value) in preorder, with child ids counted from
-    its root; return the leaf value each row lands in.
+    """Grow one tree, appending its nodes to `nodes` as (feature, right,
+    value) in preorder, with child ids counted from its root; return the
+    leaf value each row lands in.
 
     `xt` is the (k, n) feature-major matrix, `presort[j]` lists the row ids
     in ascending order of `xt[j]`, ties by row id
@@ -341,7 +338,7 @@ def _build_tree(
         g_sum = float(g_node.sum())
         h_sum = float(h_node.sum())
         weight = -eta * g_sum / (h_sum + REG_LAMBDA)
-        nodes.append((-1, 0.0, -1, -1, weight))  # a leaf unless a split is kept
+        nodes.append((-1, -1, weight))  # a leaf unless a split is kept
         row_value[idx] = weight
         if (
             depth >= cfg.max_depth
@@ -370,9 +367,9 @@ def _build_tree(
         goes_left = xt[feat] < threshold
         in_left = goes_left[rows]
         mask = goes_left[idx]
-        left = grow(idx[mask], rows, xs, in_left, depth + 1)
+        grow(idx[mask], rows, xs, in_left, depth + 1)  # node + 1, the left child
         right = grow(idx[~mask], rows, xs, ~in_left, depth + 1)
-        nodes[root + node] = (columns[feat], float(threshold), left, right, 0.0)
+        nodes[root + node] = (columns[feat], right, float(threshold))
         return node
 
     grow(np.arange(n, dtype=np.intp), presort, xs, None, 0)
@@ -426,7 +423,7 @@ def train(
     logits = np.full((N_CLASSES, n), BASE_SCORE, dtype=np.float64)
     p, grad, hess = (np.empty_like(logits) for _ in range(3))
     column = np.empty(n, dtype=np.float64)
-    nodes: list[tuple] = []  # (feature, threshold, left, right, value)
+    nodes: list[tuple] = []  # (feature, right, value)
     sizes: list[int] = []
     for _ in range(config.rounds):
         np.subtract(logits, np.max(logits, axis=0, out=column), out=p)
@@ -442,7 +439,7 @@ def train(
         for c, (weight, is_leaf) in enumerate(zip(weights.tolist(), leaf.tolist())):
             start = len(nodes)
             if is_leaf:
-                nodes.append((-1, 0.0, -1, -1, weight))
+                nodes.append((-1, -1, weight))
             else:
                 logits[c] += _build_tree(
                     xt, grad[c], hess[c], config, presort, xs, nodes, columns
@@ -477,7 +474,7 @@ def _walk(model: GbtModel, x: np.ndarray) -> np.ndarray:
         while live.size:
             here = node[live]
             # not below the threshold: the right child, as in `Tree`
-            right = block[at[live] + model.feature[here]] >= model.threshold[here]
+            right = block[at[live] + model.feature[here]] >= model.value[here]
             here = forest.child[2 * here + right]
             node[live] = here
             live = live[model.feature[here] >= 0]

@@ -10,16 +10,18 @@ file line number.  Every malformed file raises ValueError naming the path.
 Model files are versioned JSON documents carrying the boosting config, the
 rank order and k the model was trained with (k is its feature count), the
 train seed, and the full tree ensemble; `config` holds exactly the
-`GbtConfig` fields, and a document holds no other top-level keys.  Format
-version 4 stores the ensemble as the `GbtModel` node arrays: under "trees",
-a "node_counts" list (one entry per tree, [round][class]) and the five
-lists feature, threshold, left, right and value, every tree's nodes in
-preorder one after another, child ids counted from the tree's root.  The
-class order, class count and base score are the package's constants
-(CLASS_ORDER, its length and `gbt.BASE_SCORE`), not file contents.
-`load_model` rejects any structure the prediction walk could index out of
-range or loop on, and any other format version.  All writes go through a
-temp file + rename so readers never observe partial output.
+`GbtConfig` fields, and neither the document nor "trees" holds any other
+key.  Format version 5 stores the ensemble as the `GbtModel` node arrays:
+under "trees", a "node_counts" list (one entry per tree, [round][class])
+and the three lists feature, right and value, every tree's nodes in
+preorder one after another, child ids counted from the tree's root.  A
+left child is the node after its parent, and value is a split's threshold
+or a leaf's weight.  The class order, class count and base score are the
+package's constants (CLASS_ORDER, its length and `gbt.BASE_SCORE`), not
+file contents.  `load_model` rejects any structure the prediction walk
+could index out of range or loop on, and any other format version.  All
+writes go through a temp file + rename so readers never observe partial
+output.
 """
 
 from __future__ import annotations
@@ -37,13 +39,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CLASS_ORDER, GAS_NAMES, N_CLASSES, N_PARAMS, FaultLabel, GasSample
+from .core import CLASS_ORDER, GAS_NAMES, N_CLASSES, FaultLabel, GasSample
+from .features import _check_k
 from .gbt import BASE_SCORE, GbtConfig, GbtModel, Tree
 from .ranking import validate_rank_order
 
 CSV_HEADER = ["id", "h2", "ch4", "c2h6", "c2h4", "c2h2", "label"]
 _LABELS = {label.value: label for label in FaultLabel}  # FaultLabel(text), as a lookup
-MODEL_FORMAT_VERSION = 4
+MODEL_FORMAT_VERSION = 5
 
 # Per-class log-uniform gas ranges (ppm) for the synthetic generator, chosen
 # so each class's draws land in its own Duval-triangle zone with probability
@@ -212,11 +215,16 @@ def generate_synthetic(
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """A trained classifier plus the feature recipe it expects."""
+    """A trained classifier plus the feature recipe it expects; `k` must
+    be the model's feature count."""
 
     model: GbtModel
     rank_order: tuple[int, ...]
     k: int
+
+    def __post_init__(self) -> None:
+        if self.k != self.model.n_features:
+            raise ValueError(f"k = {self.k}, but the model has {self.model.n_features} features")
 
 
 def _forest_from_json(doc_trees: dict, cfg: GbtConfig, n_features: int) -> dict[str, np.ndarray]:
@@ -234,34 +242,38 @@ def _forest_from_json(doc_trees: dict, cfg: GbtConfig, n_features: int) -> dict[
         raise ValueError(f"expected {cfg.rounds} rounds of {N_CLASSES} trees")
     if min(sizes) < 1:
         raise ValueError("empty tree")
+    unknown = doc_trees.keys() - {"node_counts", *Tree._fields}
+    if unknown:
+        raise ValueError(f"trees has unknown keys {', '.join(sorted(unknown))}")
     arrays = {}
     for name in Tree._fields:
         column = doc_trees[name]
-        index = name in ("feature", "left", "right")
+        index = name != "value"
         types = {int} if index else {int, float}
         if len(column) != sum(sizes) or not set(map(type, column)) <= types:
             kind = "an integer" if index else "a number"
             raise ValueError(f"trees.{name} is not {kind} list of sum(node_counts) entries")
         arrays[name] = np.array(column, dtype=np.int64 if index else np.float64)
-    feature, threshold, left, right, value = arrays.values()
-    if not (np.all(np.isfinite(threshold)) and np.all(np.isfinite(value))):
+    feature, right, value = arrays.values()
+    if not np.all(np.isfinite(value)):
         raise ValueError("non-finite threshold or leaf value")
 
     sizes = np.array(sizes, dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
+    internal = feature != -1
     # a logit is the base score plus one leaf per tree of its class, so this
     # bounds every logit
-    reach = BASE_SCORE + sum(np.maximum.reduceat(np.abs(value), starts).tolist())
+    leaves = np.where(internal, 0.0, np.abs(value))
+    reach = BASE_SCORE + sum(np.maximum.reduceat(leaves, starts).tolist())
     if not math.isfinite(reach):
         raise ValueError("leaf values can add up to a non-finite logit")
-    internal = feature != -1
     node = (np.arange(feature.size) - np.repeat(starts, sizes))[internal]
     size = np.repeat(sizes, sizes)[internal]
     if np.any((feature[internal] < 0) | (feature[internal] >= n_features)):
         raise ValueError(f"feature index out of range 0..{n_features - 1}")
-    for child in (left[internal], right[internal]):
-        if np.any((child <= node) | (child >= size)):
-            raise ValueError("child index must point past its parent within the tree")
+    # the left child is node + 1, so this keeps both children inside the tree
+    if np.any((right[internal] <= node + 1) | (right[internal] >= size)):
+        raise ValueError("child index must point past its parent within the tree")
     return {**arrays, "sizes": sizes}
 
 
@@ -321,8 +333,7 @@ def load_model(path) -> ModelBundle:
             raise ValueError(f"config has unknown keys {', '.join(sorted(unknown))}")
         cfg = GbtConfig(**config)
         k = _integer("k", doc["k"])
-        if not 1 <= k <= N_PARAMS:  # a feature row is a prefix of the 37 parameters
-            raise ValueError(f"k must be in 1..{N_PARAMS}, got {k}")
+        _check_k(k)  # the k `build_features` takes
         model = GbtModel(
             cfg, k, **_forest_from_json(doc["trees"], cfg, k), seed=_integer("seed", doc["seed"])
         )

@@ -1,9 +1,10 @@
-"""Regularized incomplete beta function and the F-distribution CDF/tail.
+"""Regularized incomplete beta function and the F-distribution upper tail.
 
 Self-contained double-precision numerics: the continued fraction for the
 incomplete beta integral (modified Lentz evaluation, as in the classic
 Cephes/NR treatments) plus the standard F-distribution reduction
-CDF_F(f; d1, d2) = I_x(d1/2, d2/2) with x = d1 f / (d1 f + d2).
+CDF_F(f; d1, d2) = I_x(d1/2, d2/2) with x = d1 f / (d1 f + d2), whose
+complement is the tail `f_sf` returns.
 """
 
 from __future__ import annotations
@@ -78,18 +79,6 @@ def betainc(a: float, b: float, x: float) -> float:
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _betacf(a, b, x) / a
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def f_cdf(f: float, df1: int, df2: int) -> float:
-    """P(F <= f) for the F distribution with (df1, df2) degrees of freedom."""
-    if df1 < 1 or df2 < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got ({df1}, {df2})")
-    if f <= 0.0:
-        return 0.0
-    if math.isinf(f):
-        return 1.0
-    x = df1 * f / (df1 * f + df2)
-    return betainc(0.5 * df1, 0.5 * df2, x)
 
 
 def f_sf(f: float, df1: int, df2: int) -> float:

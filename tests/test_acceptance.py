@@ -163,8 +163,8 @@ def test_criterion_6_classifier(tmp_path):
     m1 = train(x, y, GbtConfig(), seed=1)
     m2 = train(x, y, GbtConfig(), seed=1)
     f1, f2 = tmp_path / "m1.json", tmp_path / "m2.json"
-    save_model(f1, ModelBundle(model=m1, rank_order=CANONICAL_RANK_ORDER, k=24))
-    save_model(f2, ModelBundle(model=m2, rank_order=CANONICAL_RANK_ORDER, k=24))
+    save_model(f1, ModelBundle(model=m1, rank_order=CANONICAL_RANK_ORDER, k=6))
+    save_model(f2, ModelBundle(model=m2, rank_order=CANONICAL_RANK_ORDER, k=6))
     assert f1.read_bytes() == f2.read_bytes()
 
     # non-increasing training log-loss over a 20-round trace: round r's

@@ -193,13 +193,13 @@ class TestTrainDiagnoseEvaluate:
         )
 
     def test_model_file_is_byte_identical(self, seed11_model):
-        # pins the format-v4 bytes of a seeded training run; the same model
-        # took 29,358 bytes as format v3 and 62,486 as format v2
+        # pins the format-v5 bytes of a seeded training run; the same model
+        # took 29,213 bytes as format v4, 29,358 as v3 and 62,486 as v2
         _, model = seed11_model
         assert hashlib.sha256(Path(model).read_bytes()).hexdigest() == (
-            "fd45a4839729e17317821be4f40c53917eacb2d85cb2fe9d7a2f0b49db1386d2"
+            "f2ace5eab1797e78343a4a877fcadd6074062edc4ce904319f0978f5aac18b2e"
         )
-        assert Path(model).stat().st_size <= 29_213
+        assert Path(model).stat().st_size <= 23_664
 
     def test_evaluate_holdout(self, capsys, tmp_path, synth_csv):
         model = str(tmp_path / "m.json")
@@ -466,7 +466,7 @@ class TestExitCodes:
             "--c2h4", "313", "--c2h2", "196", "--model", str(path),
         ])
         assert (code, out) == (1, "")
-        assert err == f"error: {path}: unsupported format_version 3, expected 4\n"
+        assert err == f"error: {path}: unsupported format_version 3, expected 5\n"
 
     def test_nan_reg_lambda_model_fails_holdout(self, capsys, tmp_path, synth_csv):
         # such a file loaded, and the holdout retrained to all-PD labels; lambda

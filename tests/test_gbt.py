@@ -46,7 +46,7 @@ def test_config_defaults():
     assert (gbt.REG_LAMBDA, gbt.MIN_CHILD_WEIGHT, gbt.BASE_SCORE) == (1.0, 1.0, 0.5)
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         GbtConfig(rounds=0)
     with pytest.raises(ValueError):
@@ -63,9 +63,18 @@ def test_config_validation():
     for name, value in bad:
         with pytest.raises(ValueError, match=name):
             GbtConfig(**{name: value})
-    # integers and finite reals of other types still pass
-    GbtConfig(rounds=np.int64(3), max_depth=np.int32(2), learning_rate=np.float32(0.5))
-    GbtConfig(learning_rate=1)
+    # integers and finite reals of other types still pass, stored as the
+    # Python numbers they equal, so a model trained with them saves and loads
+    cfg = GbtConfig(rounds=np.int64(3), max_depth=np.int32(2), learning_rate=np.float32(0.3))
+    assert [type(v) for v in vars(cfg).values()] == [int, float, int]
+    assert cfg == GbtConfig(rounds=3, max_depth=2, learning_rate=float(np.float32(0.3)))
+    assert type(GbtConfig(learning_rate=1).learning_rate) is float
+    model = train(np.eye(6), list(CLASS_ORDER), cfg)
+    path = tmp_path / "model.json"
+    save_model(path, ModelBundle(model=model, rank_order=CANONICAL_RANK_ORDER, k=6))
+    loaded = load_model(path).model
+    assert loaded.config == cfg
+    assert predict_logits(loaded, np.eye(6)).tobytes() == predict_logits(model, np.eye(6)).tobytes()
 
 
 def _one_hot_points(copies):
@@ -107,7 +116,7 @@ def test_two_class_1d_split_in_gap():
 
     tree = model.trees[0][0]  # first round, first class
     assert tree.feature[0] == 0  # the root splits
-    assert neg.max() < tree.threshold[0] < pos.min()
+    assert neg.max() < tree.value[0] < pos.min()  # the root's threshold
 
     holdout = np.array([[-0.01], [-2.9], [0.01], [2.9]])
     expected = [FaultLabel.PD, FaultLabel.PD, FaultLabel.D1, FaultLabel.D1]
@@ -261,7 +270,7 @@ def test_tree_depth_bounded():
             assert np.isfinite(tree.value[i])
             return 0
         assert 0 <= tree.feature[i] < x.shape[1]
-        return 1 + max(depth(tree, tree.left[i]), depth(tree, tree.right[i]))
+        return 1 + max(depth(tree, i + 1), depth(tree, tree.right[i]))
 
     for round_trees in model.trees:
         for tree in round_trees:
@@ -306,8 +315,8 @@ def test_root_split_matches_brute_force(seed):
         return
     _, feat, thr, mask = oracle
     assert tree.feature.tolist() == [feat, -1, -1]
-    assert tree.threshold[0] == pytest.approx(thr, rel=1e-12)
-    left, right = tree.left[0], tree.right[0]
+    assert tree.value[0] == pytest.approx(thr, rel=1e-12)
+    left, right = 1, tree.right[0]
     eta, lam = cfg.learning_rate, gbt.REG_LAMBDA
     assert tree.value[left] == pytest.approx(
         -eta * g[mask].sum() / (h[mask].sum() + lam), rel=1e-12
@@ -325,14 +334,14 @@ def _grow_presorted(x, g, h, cfg):
     xt = np.ascontiguousarray(x.T)
     presort = np.argsort(xt, axis=1, kind="stable")
     xs = np.take_along_axis(xt, presort, axis=1)
-    nodes = [(-1, 0.0, -1, -1, 0.25)]  # child ids count from the tree's own root
+    nodes = [(-1, -1, 0.25)]  # child ids count from the tree's own root
     row_value = _build_tree(xt, g, h, cfg, presort, xs, nodes, range(x.shape[1]))
     return Tree(*map(np.array, zip(*nodes[1:]))), row_value
 
 
 def _oracle_build_tree(x, g, h, cfg):
     """Reference: `_build_tree` with a stable argsort of the node's rows at
-    every node; returns the five node arrays and the per-row leaf values."""
+    every node; returns the three node arrays and the per-row leaf values."""
     eta = cfg.learning_rate
     lam, mcw = gbt.REG_LAMBDA, gbt.MIN_CHILD_WEIGHT
     nodes = []
@@ -343,7 +352,7 @@ def _oracle_build_tree(x, g, h, cfg):
         g_sum = float(g[idx].sum())
         h_sum = float(h[idx].sum())
         weight = -eta * g_sum / (h_sum + lam)
-        nodes.append((-1, 0.0, -1, -1, weight))
+        nodes.append((-1, -1, weight))
         row_value[idx] = weight
         if depth >= cfg.max_depth or idx.size < 2 or h_sum < 2.0 * mcw:
             return node
@@ -371,9 +380,9 @@ def _oracle_build_tree(x, g, h, cfg):
         if threshold <= lo:
             threshold = hi
         mask = x[idx, feat] < threshold
-        left = grow(idx[mask], depth + 1)
+        assert grow(idx[mask], depth + 1) == node + 1
         right = grow(idx[~mask], depth + 1)
-        nodes[node] = (feat, float(threshold), left, right, 0.0)
+        nodes[node] = (feat, right, float(threshold))
         return node
 
     grow(np.arange(x.shape[0], dtype=np.intp), 0)
@@ -557,7 +566,7 @@ def test_split_at_the_edge_of_the_hessian_window(edge):
     tree, _ = _grow_presorted(x, g, h, cfg)
     oracle_arrays, _ = _oracle_build_tree(x, g, h, cfg)
     assert [a.tobytes() for a in tree] == [a.tobytes() for a in oracle_arrays]
-    assert tree.feature[0] == 0 and tree.threshold[0] == cut - 0.5
+    assert tree.feature[0] == 0 and tree.value[0] == cut - 0.5
 
 
 def _search_node(x, g, h):
@@ -704,8 +713,8 @@ def _oracle_logits(model, x):
             for c, tree in enumerate(round_trees):
                 i = 0
                 while tree.feature[i] >= 0:
-                    below = row[tree.feature[i]] < tree.threshold[i]
-                    i = tree.left[i] if below else tree.right[i]
+                    below = row[tree.feature[i]] < tree.value[i]
+                    i = i + 1 if below else tree.right[i]
                 logits[c] += float(tree.value[i])
         out.append(logits)
     return out
@@ -776,8 +785,8 @@ def _leaf_values(tree, x, rows):
     node = np.zeros(rows.size, dtype=np.intp)
     feat = tree.feature[node]
     while (internal := feat >= 0).any():
-        go_left = x[rows, feat] < tree.threshold[node]
-        child = np.where(go_left, tree.left[node], tree.right[node])
+        go_left = x[rows, feat] < tree.value[node]
+        child = np.where(go_left, node + 1, tree.right[node])
         node = np.where(internal, child, node)
         feat = tree.feature[node]
     return tree.value[node]
@@ -798,7 +807,7 @@ def _model_of(trees, config, n_features):
     """A `GbtModel` of the [round][class] `trees`, their node arrays
     concatenated."""
     flat = [tree for round_trees in trees for tree in round_trees]
-    dtypes = (np.int64, np.float64, np.int64, np.int64, np.float64)
+    dtypes = (np.int64, np.int64, np.float64)
     arrays = [
         np.concatenate([np.empty(0, dtype)] + [getattr(t, name) for t in flat])
         for name, dtype in zip(Tree._fields, dtypes)
@@ -829,15 +838,15 @@ def _random_tree(rng, d, max_depth):
         if depth < max_depth and rng.random() < 0.6:
             feature = int(rng.integers(0, d))
             threshold = float(rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0, 3.0]))
-            left = grow(depth + 1)
+            grow(depth + 1)  # the left child, node + 1
             right = grow(depth + 1)
-            nodes[node] = (feature, threshold, left, right, 0.0)
+            nodes[node] = (feature, right, threshold)
         else:
-            nodes[node] = (-1, 0.0, -1, -1, float(rng.normal() * 10.0 ** rng.integers(-2, 3)))
+            nodes[node] = (-1, -1, float(rng.normal() * 10.0 ** rng.integers(-2, 3)))
         return node
 
     grow(0)
-    dtypes = (np.int64, np.float64, np.int64, np.int64, np.float64)
+    dtypes = (np.int64, np.int64, np.float64)
     return Tree(*(np.array(c, dtype=t) for c, t in zip(zip(*nodes), dtypes)))
 
 
@@ -851,14 +860,15 @@ def _random_model(rng, d, rounds, max_depth):
 
 
 def test_flat_forest_matches_per_tree_walk(tmp_path_factory):
-    # n straddles the row block of the flat-forest walk (256 rows)
+    # n straddles the row block of the flat-forest walk (256 rows); d starts
+    # at 2, the least k a model file may hold
     split = []
 
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.sampled_from([1, 255, 256, 257, 700]),
-        d=st.integers(1, 6),
+        d=st.integers(2, 6),
         rounds=st.integers(1, 6),
         max_depth=st.integers(1, 6),
         source=st.sampled_from(["trained", "random"]),
@@ -909,7 +919,7 @@ def _flatten_per_tree(model):
                 roots.append(start)
             for i in range(tree.feature.size):
                 if tree.feature[i] >= 0:
-                    child += [start + tree.left[i], start + tree.right[i]]
+                    child += [start + i + 1, start + tree.right[i]]
                 else:  # a leaf is its own child
                     child += [start + i, start + i]
             start += tree.feature.size
@@ -957,10 +967,11 @@ def test_trees_are_views_of_the_node_arrays():
     y = [CLASS_ORDER[i % 6] for i in range(60)]
     cfg = GbtConfig(rounds=12, max_depth=3)
     model = train(x, y, cfg)
-    # no per-tree arrays: the model's arrays are the five node arrays, the
+    # no per-tree arrays: the model's arrays are the three node arrays, the
     # node counts and the walk's four derived arrays
+    assert Tree._fields == ("feature", "right", "value")
     arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 6 and all(isinstance(v, np.ndarray) for v in model._forest)
+    assert len(arrays) == 4 and all(isinstance(v, np.ndarray) for v in model._forest)
     assert not any(isinstance(v, list) for v in vars(model).values())
     assert model.sizes.size == cfg.rounds * len(CLASS_ORDER)
     assert model.sizes.sum() == model.feature.size

@@ -6,6 +6,7 @@ import os
 import re
 import tempfile
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,7 +409,7 @@ def test_generate_synthetic_matches_per_gas_draws(seed, counts):
     ]
 
 
-NODE_FIELDS = ["feature", "threshold", "left", "right", "value"]
+NODE_FIELDS = ["feature", "right", "value"]
 
 
 def _toy_bundle() -> ModelBundle:
@@ -436,7 +437,7 @@ def _feature_out_of_range(doc):
 
 def _extra_tree_in_round(doc):
     # a one-leaf tree more: node_counts one longer, the lists still match it
-    for name, leaf in zip(["node_counts", *NODE_FIELDS], [1, -1, 0.0, -1, -1, 0.0]):
+    for name, leaf in zip(["node_counts", *NODE_FIELDS], [1, -1, -1, 0.0]):
         doc["trees"][name].append(leaf)
 
 
@@ -452,7 +453,7 @@ def _backward_child(doc):
 
 def _nan_threshold(doc):
     root, _ = _split_root(doc["trees"])
-    doc["trees"]["threshold"][root] = float("nan")
+    doc["trees"]["value"][root] = float("nan")  # a split node's value is its threshold
 
 
 def _unequal_lengths(doc):
@@ -478,7 +479,13 @@ def _short_count_list(doc):
 
 def _child_into_next_tree(doc):
     root, size = _split_root(doc["trees"])
-    doc["trees"]["left"][root] = size  # the root of the next tree
+    doc["trees"]["right"][root] = size  # the root of the next tree
+
+
+def _right_child_is_left_child(doc):
+    # the left child is the node after its parent: the right one must follow it
+    root, _ = _split_root(doc["trees"])
+    doc["trees"]["right"][root] = 1
 
 
 def _k_mismatch(doc):
@@ -522,8 +529,27 @@ def _v3_keys(doc):
     doc.update(base_score=0.5, class_order=CLASS_NAMES, n_features=doc["k"])
 
 
+def _v4_trees(doc):
+    # format 4's five node lists: the left child stored, and the threshold
+    # apart from the leaf weight, which was 0.0 at internal nodes; with
+    # format_version 5 these would read as trees whose thresholds are all 0.0
+    trees = doc["trees"]
+    position = [i for size in trees["node_counts"] for i in range(size)]
+    split = [feature >= 0 for feature in trees["feature"]]
+    value = trees.pop("value")
+    trees["threshold"] = [v if s else 0.0 for v, s in zip(value, split)]
+    trees["left"] = [i + 1 if s else -1 for i, s in zip(position, split)]
+    trees["value"] = [0.0 if s else v for v, s in zip(value, split)]
+
+
+def _format_v4(doc):
+    _v4_trees(doc)
+    doc["format_version"] = 4
+
+
 def _format_v3(doc):
     # a whole format 3 document: every key format 4 dropped is back
+    _v4_trees(doc)
     _v3_keys(doc)
     doc["config"].update(reg_lambda=1.0, gamma=0.0, min_child_weight=1.0, n_classes=6)
     doc["format_version"] = 3
@@ -536,6 +562,7 @@ NODE_COUNT_FAULTS = [
     (_short_count_list, "expected 8 rounds of 6 trees"),
     (_extra_tree_in_round, "expected 8 rounds of 6 trees"),
     (_child_into_next_tree, "child index must point past its parent within the tree"),
+    (_right_child_is_left_child, "child index must point past its parent within the tree"),
 ]
 
 
@@ -559,7 +586,9 @@ CONFIG_KEY_FAULTS = [
     (_config_keeps_reg_lambda, "config has unknown keys reg_lambda"),
     (_n_classes_five, "config has unknown keys n_classes"),
     (_v3_keys, "model file has unknown keys base_score, class_order, n_features"),
-    (_format_v3, "unsupported format_version 3, expected 4"),
+    (_format_v3, "unsupported format_version 3, expected 5"),
+    (_format_v4, "unsupported format_version 4, expected 5"),
+    (_v4_trees, "trees has unknown keys left, threshold"),
 ]
 
 
@@ -610,8 +639,8 @@ LOOSE_FIELDS = {
     "reg_lambda-bool": _set("config", "reg_lambda", value=True),
     "learning_rate-string": _set("config", "learning_rate", value="0.3"),
     "feature-bool": _set_root("feature", True),
-    "left-float": _set_root("left", 1.0),
-    "threshold-bool": _set_root("threshold", True),
+    "right-float": _set_root("right", 2.0),
+    "threshold-bool": _set_root("value", True),  # a split node's value is its threshold
 }
 
 
@@ -706,11 +735,14 @@ class TestModelPersistence:
         _counts_sum_mismatch,
         _short_count_list,
         _child_into_next_tree,
+        _right_child_is_left_child,
         _config_lacks_keys,
         _config_unknown_key,
         _config_keeps_reg_lambda,
         _v3_keys,
         _format_v3,
+        _format_v4,
+        _v4_trees,
         *(pytest.param(m, id=name) for name, m in LOOSE_FIELDS.items()),
     ])
     def test_invalid_structure_rejected(self, tmp_path, mutate):
@@ -732,16 +764,59 @@ class TestModelPersistence:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
             load_model(path)
 
-    @pytest.mark.parametrize("k", [0, 38, 2**63])
+    @pytest.mark.parametrize("k", [0, 1, 38, 2**63])
     def test_k_outside_the_parameter_count_is_refused(self, tmp_path, k):
         # k = n_features = 2**63 used to load, and a feature row of that
-        # length could not even be allocated
+        # length could not even be allocated; k = 1 loaded, and no feature
+        # row could be built for it
         def mutate(doc):
             doc["k"] = k
 
         path = _mutated_model(tmp_path, mutate)
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: k must be in 1\.\.37, got {k}$"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: k must be in 2\.\.37, got {k}$"):
             load_model(path)
+
+    def test_thresholds_do_not_count_as_leaf_weights(self, tmp_path):
+        # the logit bound sums the largest leaf of each tree: a threshold
+        # of 1e308 at every split is no leaf weight, and the model loads
+        def mutate(doc):
+            trees = doc["trees"]
+            trees["value"] = [
+                1e308 if f >= 0 else v for f, v in zip(trees["feature"], trees["value"])
+            ]
+
+        bundle = load_model(_mutated_model(tmp_path, mutate))
+        rows = np.random.default_rng(0).normal(size=(50, bundle.k))
+        assert np.all(np.isfinite(predict_logits(bundle.model, rows)))
+
+    def test_bundle_k_must_match_the_model(self):
+        model = _toy_bundle().model
+        with pytest.raises(ValueError, match="^k = 24, but the model has 20 features$"):
+            ModelBundle(model=model, rank_order=CANONICAL_RANK_ORDER, k=24)
+
+    def test_readme_trees_example_loads(self, tmp_path):
+        # the README's "trees" example, in a full document, is a model
+        # this loader reads, and each row gets the leaves the text says
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r'```\n("trees":\{.*?\})\n```', readme, re.DOTALL).group(1)
+        trees = json.loads("{" + block + "}")["trees"]
+        doc = {
+            "format_version": MODEL_FORMAT_VERSION,
+            "config": {"rounds": 1, "learning_rate": 0.3, "max_depth": 6},
+            "rank_order": list(CANONICAL_RANK_ORDER),
+            "k": 24,
+            "seed": 0,
+            "trees": trees,
+        }
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(doc))
+        model = load_model(path).model
+        assert model.feature.tolist() == trees["feature"]
+        rows = np.zeros((2, 24))
+        rows[:, 3] = [0.0, 1.0]  # below and above the root's threshold 0.25
+        leaves = trees["value"]
+        want = [[leaves[1], *leaves[3:]], [leaves[2], *leaves[3:]]]
+        assert predict_logits(model, rows).tolist() == (0.5 + np.array(want)).tolist()
 
     def test_non_utf8_names_file(self, tmp_path):
         path = tmp_path / "model.json"

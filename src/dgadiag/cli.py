@@ -194,7 +194,7 @@ def cmd_evaluate(args) -> int:
     elif args.holdout is not None:
         fm = build_features(samples, bundle.rank_order, bundle.k)
         split = train_test_split(len(samples), 1.0 - args.holdout, seed)
-        report = metrics(fit_and_score(fm, *split, bundle.model.config, seed))
+        report = metrics(fit_and_score(fm, *split, bundle.model.config))
         lines = _report_lines(
             report, f"holdout report (test fraction {args.holdout}):"
         )

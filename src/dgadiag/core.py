@@ -2,10 +2,11 @@
 
 Five dissolved gases are tracked per transformer oil sample: hydrogen (H2),
 methane (CH4), ethane (C2H6), ethylene (C2H4) and acetylene (C2H2), all in ppm.
-From them a fixed family of 37 parameters is derived: simple ratios, the raw
-concentrations, four aggregate sums, and ratios against those aggregates.
-Parameter numbering is 1-based throughout (persisted files record numbers
-1..37); see `param_matrix` for the full listing.
+Each is 0 (not detected) or in 1e-9..1e6 ppm.  From them a fixed family of 37
+parameters is derived: simple ratios, the raw concentrations, four aggregate
+sums, and ratios against those aggregates; all are finite, and so are their
+rotation components.  Parameter numbering is 1-based throughout (persisted
+files record numbers 1..37); see `param_matrix` for the full listing.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ EPS_PPM = 1e-3
 # Ceiling on every gas concentration, in ppm: a million ppm is the whole
 # volume.  With EPS_PPM it bounds every single ratio by 1e9.
 MAX_PPM = 1e6
+# Floor on every nonzero gas, in ppm, far below any DGA detection limit.  Every
+# nonzero parameter is then in 1e-9 / 5e6 = 2e-16..2e9, so two distinct ones
+# differ by at least ulp(2e-16) ~ 2.5e-32; baselines stay within the signal's
+# range, so every ITD slope is below about 2e41 and every feature below 1e51.
+MIN_PPM = 1e-9
 
 
 class FaultLabel(Enum):
@@ -69,7 +75,8 @@ class DiagnosisOutcome(Enum):
 
 @dataclass(frozen=True, slots=True)
 class GasSample:
-    """One transformer's five gas concentrations (ppm), optionally labeled."""
+    """One transformer's five gas concentrations (ppm), optionally labeled;
+    each gas is 0 (not detected) or in MIN_PPM..MAX_PPM."""
 
     h2: float
     ch4: float
@@ -80,13 +87,16 @@ class GasSample:
     id: str = ""
 
     def __post_init__(self) -> None:
-        if not (0 <= self.h2 <= MAX_PPM and 0 <= self.ch4 <= MAX_PPM
-                and 0 <= self.c2h6 <= MAX_PPM and 0 <= self.c2h4 <= MAX_PPM
-                and 0 <= self.c2h2 <= MAX_PPM):
+        if not ((MIN_PPM <= self.h2 <= MAX_PPM or self.h2 == 0)
+                and (MIN_PPM <= self.ch4 <= MAX_PPM or self.ch4 == 0)
+                and (MIN_PPM <= self.c2h6 <= MAX_PPM or self.c2h6 == 0)
+                and (MIN_PPM <= self.c2h4 <= MAX_PPM or self.c2h4 == 0)
+                and (MIN_PPM <= self.c2h2 <= MAX_PPM or self.c2h2 == 0)):
             for name, value in zip(GAS_NAMES, self.gases()):  # the first bad gas
-                if not 0 <= value <= MAX_PPM:
+                if not (MIN_PPM <= value <= MAX_PPM or value == 0):
                     raise ValueError(
-                        f"gas {name} must be in 0..{MAX_PPM:g} ppm, got {value!r}"
+                        f"gas {name} must be 0 or in {MIN_PPM:g}..{MAX_PPM:g} ppm, "
+                        f"got {value!r}"
                         + (f" (sample {self.id})" if self.id else "")
                     )
 

@@ -119,8 +119,8 @@ def train_test_split(
 
 
 def smote(
-    features: np.ndarray, labels: Sequence, seed: int = 0
-) -> tuple[np.ndarray, list]:
+    features: np.ndarray, labels: Sequence[FaultLabel], seed: int = 0
+) -> tuple[np.ndarray, list[FaultLabel]]:
     """Oversample every class up to the majority count by interpolation.
 
     Each synthetic row is x + u * (x_nn - x) for a seeded-random base row x
@@ -147,7 +147,7 @@ def smote(
         if deficit == 0:
             continue
         if len(rows) < 2:
-            raise ValueError(f"cannot interpolate: class {lbl} has a single sample")
+            raise ValueError(f"cannot interpolate: class {lbl.value} has a single sample")
         pts = features[rows]
         # pairwise distances within the class, self excluded
         diff = pts[:, None, :] - pts[None, :, :]
@@ -202,7 +202,6 @@ def fit_and_score(
     train_idx: Sequence[int],
     test_idx: Sequence[int],
     config: GbtConfig,
-    seed: int,
     smote_seed: int | None = None,
 ) -> ConfusionMatrix:
     """Train on the rows `train_idx` of `fm` and count predictions on `test_idx`.
@@ -214,7 +213,7 @@ def fit_and_score(
     y_train = [fm.labels[i] for i in train_idx]
     if smote_seed is not None:
         x_train, y_train = smote(x_train, y_train, seed=smote_seed)
-    model = train(x_train, y_train, config=config, seed=seed)
+    model = train(x_train, y_train, config=config)
     actual = [fm.labels[i] for i in test_idx]
     return confusion(actual, predict_many(model, fm.x[test_idx]))
 
@@ -247,7 +246,7 @@ def kfold_cv(
         train_idx = np.setdiff1d(np.arange(len(samples)), test_idx)
         fold_seed = int(np.random.SeedSequence([seed, fold_no]).generate_state(1)[0])
         cm = fit_and_score(
-            fm, train_idx, test_idx, config, seed, fold_seed if use_smote else None
+            fm, train_idx, test_idx, config, fold_seed if use_smote else None
         )
         fold_reports.append(metrics(cm))
         pooled_counts += cm.counts

@@ -71,19 +71,8 @@ def _ranked_prefix(
 
 
 def _decompose(samples: Sequence[GasSample], signals: np.ndarray) -> FeatureMatrix:
-    """The features of `signals`, the ranked prefixes of `samples`.
-
-    Raises ValueError naming the first sample whose rotation component is
-    not finite: near-subnormal gas values can overflow an ITD slope.
-    """
-    with np.errstate(all="ignore"):  # the finiteness check below reports it
-        _, baseline, prc = itd_rows(signals)
-    if not np.isfinite(prc).all():
-        i = int(np.argmin(np.isfinite(prc).all(axis=1)))  # the first bad row
-        raise ValueError(
-            f"reading {samples[i].id or i + 1}: rotation-component features "
-            "are not finite (near-zero gas values overflow an ITD slope)"
-        )
+    """The features of `signals`, the ranked prefixes of `samples`."""
+    _, baseline, prc = itd_rows(signals)
     return FeatureMatrix(
         x=prc, labels=[s.label for s in samples], signals=signals, baseline=baseline
     )
@@ -92,11 +81,8 @@ def _decompose(samples: Sequence[GasSample], signals: np.ndarray) -> FeatureMatr
 def build_features(
     samples: Sequence[GasSample], rank_order: Sequence[int], k: int
 ) -> FeatureMatrix:
-    """Rotation-component feature rows for `samples` at feature count `k`.
-
-    Raises ValueError naming the first sample whose features are not finite;
-    a k outside the usual range is warned of once the rows are built.
-    """
+    """Rotation-component feature rows for `samples` at feature count `k`;
+    a k outside the usual range is warned of once the rows are built."""
     fm = _decompose(samples, _ranked_prefix(samples, rank_order, k))
     _warn_unusual_k(k)
     return fm
@@ -133,7 +119,7 @@ def optimal_k_search(
     curve: dict[int, float] = {}
     for k in range(k_min, k_max + 1):
         fm = _decompose(samples, ranked[:, :k])
-        cm = fit_and_score(fm, train_idx, test_idx, config, seed=split_seed)
+        cm = fit_and_score(fm, train_idx, test_idx, config)
         curve[k] = cm.trace / cm.total
     for k in curve:
         _warn_unusual_k(k)

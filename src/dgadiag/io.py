@@ -4,9 +4,10 @@ CSV schema (UTF-8, comma separator, dot decimal, header required):
 
     id,h2,ch4,c2h6,c2h4,c2h2,label
 
-Gas fields are decimals in 0..MAX_PPM (1e6 ppm); label is one of
-PD/D1/D2/T1/T2/T3 or empty for unlabeled rows; a blank id is replaced by the
-file line number.  Every malformed file raises ValueError naming the path.
+Gas fields are decimals, each 0 or in MIN_PPM..MAX_PPM (1e-9..1e6 ppm);
+label is one of PD/D1/D2/T1/T2/T3 or empty for unlabeled rows; a blank id is
+replaced by the file line number.  Every malformed file raises ValueError
+naming the path.
 Model files are versioned JSON documents carrying the boosting config, the
 rank order and k the model was trained with (k is its feature count), the
 train seed, and the full tree ensemble; `config` holds exactly the
@@ -215,14 +216,17 @@ def generate_synthetic(
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """A trained classifier plus the feature recipe it expects; `k` must
-    be the model's feature count."""
+    """A trained classifier plus the feature recipe it expects: a rank
+    order (stored as a tuple of ints) and `k`, which must be in 2..37 and
+    the model's feature count, so that every bundle saves a loadable file."""
 
     model: GbtModel
     rank_order: tuple[int, ...]
     k: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rank_order", validate_rank_order(self.rank_order))
+        _check_k(self.k)
         if self.k != self.model.n_features:
             raise ValueError(f"k = {self.k}, but the model has {self.model.n_features} features")
 
@@ -333,15 +337,11 @@ def load_model(path) -> ModelBundle:
             raise ValueError(f"config has unknown keys {', '.join(sorted(unknown))}")
         cfg = GbtConfig(**config)
         k = _integer("k", doc["k"])
-        _check_k(k)  # the k `build_features` takes
+        _check_k(k)  # before the trees, whose feature indices k bounds
         model = GbtModel(
             cfg, k, **_forest_from_json(doc["trees"], cfg, k), seed=_integer("seed", doc["seed"])
         )
-        return ModelBundle(
-            model=model,
-            rank_order=validate_rank_order(doc["rank_order"]),
-            k=k,
-        )
+        return ModelBundle(model=model, rank_order=doc["rank_order"], k=k)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from None
     except ValueError as exc:

@@ -13,7 +13,7 @@ from dgadiag.conventional import (
     iec_ratio,
     rogers,
 )
-from dgadiag.core import EPS_PPM, MAX_PPM, DiagnosisOutcome, GasSample
+from dgadiag.core import EPS_PPM, MAX_PPM, MIN_PPM, DiagnosisOutcome, GasSample
 
 # the bundled six-transformer reference rows: gases, actual fault, and the
 # printed outcome of each method
@@ -212,7 +212,7 @@ EDGE_PPM = [
     float(np.nextafter(EPS_PPM, 0)),
     float(np.nextafter(EPS_PPM, 1)),
     EPS_PPM / 2,
-    5e-324,
+    MIN_PPM,
     0.1,
     1.0,
     3.0,
@@ -221,7 +221,7 @@ EDGE_PPM = [
 ]
 gas = st.one_of(
     st.sampled_from(EDGE_PPM),
-    st.floats(min_value=0.0, max_value=MAX_PPM),
+    st.floats(min_value=MIN_PPM, max_value=MAX_PPM),
     st.integers(min_value=0, max_value=int(MAX_PPM)),
 )
 # every threshold of the Rogers and IEC code ladders, and a value past each end

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dgadiag.core import (
     EPS_PPM,
     MAX_PPM,
+    MIN_PPM,
     FaultLabel,
     GasSample,
     param_matrix,
@@ -137,15 +138,15 @@ def test_gas_sample_is_a_frozen_slotted_value():
     assert (moved.label, moved.id) == (FaultLabel.T2, "s1")
     with pytest.raises(ValueError) as exc:
         dataclasses.replace(sample, c2h6=-1.0)
-    assert str(exc.value) == "gas c2h6 must be in 0..1e+06 ppm, got -1.0 (sample s1)"
+    assert str(exc.value) == "gas c2h6 must be 0 or in 1e-09..1e+06 ppm, got -1.0 (sample s1)"
 
 
 @pytest.mark.parametrize("gases, message", [
-    ((-1, 2e6, 0, 0, 0), "gas h2 must be in 0..1e+06 ppm, got -1"),  # the first bad gas
-    ((0, 2e6, math.nan, 0, 0), "gas ch4 must be in 0..1e+06 ppm, got 2000000.0"),
-    ((0, 0, math.nan, 0, 0), "gas c2h6 must be in 0..1e+06 ppm, got nan"),
-    ((0, 0, 0, -math.inf, 0), "gas c2h4 must be in 0..1e+06 ppm, got -inf"),
-    ((0, 0, 0, 0, 1e6 + 1), "gas c2h2 must be in 0..1e+06 ppm, got 1000001.0"),
+    ((-1, 2e6, 0, 0, 0), "gas h2 must be 0 or in 1e-09..1e+06 ppm, got -1"),  # the first bad gas
+    ((0, 2e6, math.nan, 0, 0), "gas ch4 must be 0 or in 1e-09..1e+06 ppm, got 2000000.0"),
+    ((0, 0, math.nan, 0, 0), "gas c2h6 must be 0 or in 1e-09..1e+06 ppm, got nan"),
+    ((0, 0, 0, -math.inf, 0), "gas c2h4 must be 0 or in 1e-09..1e+06 ppm, got -inf"),
+    ((0, 0, 0, 0, 1e6 + 1), "gas c2h2 must be 0 or in 1e-09..1e+06 ppm, got 1000001.0"),
 ])
 def test_out_of_range_message_names_gas_and_sample(gases, message):
     with pytest.raises(ValueError) as exc:
@@ -154,6 +155,16 @@ def test_out_of_range_message_names_gas_and_sample(gases, message):
     with pytest.raises(ValueError) as exc:
         GasSample(*gases, id="r7")
     assert str(exc.value) == message + " (sample r7)"
+
+
+def test_gas_floor():
+    # a nonzero gas is at least MIN_PPM; one ulp less is refused, naming the gas
+    assert params(GasSample(0, MIN_PPM, 0, 0, 0))[14] == MIN_PPM
+    assert params(GasSample(-0.0, 0, 0, 0, 0))[13] == 0
+    with pytest.raises(ValueError, match="^gas c2h6 must be 0 or in 1e-09"):
+        GasSample(0, 0, float(np.nextafter(MIN_PPM, 0)), 0, 0)
+    with pytest.raises(ValueError, match="h2"):
+        GasSample(5e-324, 1, 1, 1, 1)
 
 
 def test_gas_ceiling():
@@ -190,14 +201,14 @@ EDGE_PPM = [
     float(np.nextafter(EPS_PPM, 0)),
     float(np.nextafter(EPS_PPM, 1)),
     5e-4,
-    1e-300,
-    5e-324,
+    MIN_PPM,
+    float(np.nextafter(MIN_PPM, 1)),
     1.0,
     MAX_PPM,
     float(np.nextafter(MAX_PPM, 0)),
 ]
 edge_gas = st.one_of(
-    st.sampled_from(EDGE_PPM), st.floats(min_value=0.0, max_value=MAX_PPM)
+    st.sampled_from(EDGE_PPM), st.floats(min_value=MIN_PPM, max_value=MAX_PPM)
 )
 edge_samples = st.lists(
     st.tuples(edge_gas, edge_gas, edge_gas, edge_gas, edge_gas).map(
@@ -221,8 +232,8 @@ def test_param_matrix_matches_scalar_oracle(samples):
 
 
 @pytest.mark.parametrize("gases", [
-    (1.0, 2.0**-53, 2.0**-53, 2.0**-53, 2.0**-53),  # pairwise adding would round up
-    (2.0**-53, 2.0**-53, 2.0**-53, 2.0**-53, 1.0),
+    (MAX_PPM, MIN_PPM, MIN_PPM, MIN_PPM, MIN_PPM),  # each addend rounds up
+    (MIN_PPM, MAX_PPM, MIN_PPM, MIN_PPM, MIN_PPM),
     (0.0, -0.0, -0.0, -0.0, -0.0),  # a sum of signed zeros keeps its sign
     (-0.0,) * 5,
 ])
@@ -230,3 +241,7 @@ def test_param_matrix_matches_scalar_oracle(samples):
 def test_aggregate_sums_add_left_to_right(gases, n):
     got = param_matrix([GasSample(*gases)] * n)
     assert got.tobytes() == np.stack([_oracle_params(GasSample(*gases))] * n).tobytes()
+    h2, ch4, c2h6, c2h4, c2h2 = gases
+    pairwise = ((h2 + ch4) + (c2h6 + c2h4)) + c2h2
+    if pairwise:  # the nonzero cases: adding pairwise gives another TH
+        assert got[0, 18] != pairwise

@@ -196,7 +196,7 @@ class TestSmote:
     def test_singleton_class_error(self):
         x = np.zeros((3, 2))
         y = [PD, PD, D1]
-        with pytest.raises(ValueError, match="cannot interpolate"):
+        with pytest.raises(ValueError, match="^cannot interpolate: class D1 has a single sample$"):
             smote(x, y, seed=0)
 
     def test_deterministic(self):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgadiag.core import FaultLabel, GasSample, param_matrix
+from dgadiag.core import (
+    EPS_PPM, GAS_NAMES, MAX_PPM, MIN_PPM, FaultLabel, GasSample, param_matrix,
+)
 from dgadiag.features import FeatureMatrix, build_features, optimal_k_search
 from dgadiag.gbt import GbtConfig
 from dgadiag.itd import itd_rows
@@ -83,14 +85,12 @@ def test_unusual_k_warning_names_the_calling_line(build):
 
 
 def test_failed_build_warns_of_nothing():
-    # the rotation component overflows at this unusual k: the error is
-    # raised and the k is not warned of
-    bad = GasSample(2.2e-309, 100, 5e-324, 5e-324, 0.001, id="bad")
-    order = CANONICAL_RANK_ORDER[15:] + CANONICAL_RANK_ORDER[:15]
+    # the rank order is refused at this unusual k: the error is raised and
+    # the k is not warned of
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ValueError, match="^reading bad: .*not finite"):
-            build_features([bad], order, 8)
+        with pytest.raises(ValueError, match="^rank order must be a permutation"):
+            build_features([ROW1], CANONICAL_RANK_ORDER[1:] + (1,), 8)
     assert caught == []
 
 
@@ -137,6 +137,35 @@ def test_one_reading_alone_is_its_row_of_the_batch(samples, order, k):
         batch = build_features(samples, order, k).x
         for i, sample in enumerate(samples):
             assert build_features([sample], order, k).x.tobytes() == batch[i].tobytes()
+
+
+# a gas's extremes: zero, the floor and the ceiling, and their neighbours
+EDGE_PPM = [0.0, -0.0, MIN_PPM, float(np.nextafter(MIN_PPM, 1)), EPS_PPM, 1.0,
+            float(np.nextafter(MAX_PPM, 0)), MAX_PPM]
+edge_gas = st.one_of(
+    st.sampled_from(EDGE_PPM),
+    st.floats(-9, 6).map(lambda e: min(max(10.0**e, MIN_PPM), MAX_PPM)),  # log-uniform
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gases=st.lists(st.tuples(*[edge_gas] * 5), min_size=1, max_size=8),
+    order=st.permutations(range(1, 38)),
+    k=st.integers(2, 37),
+)
+def test_features_of_any_accepted_gases_are_finite(gases, order, k):
+    # the gas floor bounds every ITD slope, so no gas GasSample accepts can
+    # overflow or divide by zero in the features, in any rank order at any k
+    samples = [GasSample(*g) for g in gases]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("ignore", UserWarning)  # k may lie outside 18..37
+        fm = build_features(samples, order, k)
+    assert np.isfinite(fm.x).all() and np.isfinite(fm.baseline).all()
+    below = float(np.nextafter(MIN_PPM, 0))
+    for i, name in enumerate(GAS_NAMES):
+        with pytest.raises(ValueError, match=f"^gas {name} must be 0 or in 1e-09"):
+            GasSample(*gases[0][:i], below, *gases[0][i + 1:])
 
 
 CANONICAL = list(CANONICAL_RANK_ORDER)

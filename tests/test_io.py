@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dgadiag.conventional import duval
-from dgadiag.core import CLASS_ORDER, GAS_NAMES, FaultLabel, GasSample
+from dgadiag.core import CLASS_ORDER, GAS_NAMES, MAX_PPM, MIN_PPM, FaultLabel, GasSample
 from dgadiag.features import build_features
 from dgadiag.gbt import GbtConfig, predict_logits, predict_proba_many, train
 from dgadiag.io import (
@@ -196,12 +196,13 @@ def _oracle_load_dataset(path) -> list[GasSample]:
 
 
 GOOD_GAS = st.one_of(
-    st.floats(min_value=0.0, max_value=1e6).map(repr),
+    st.floats(min_value=MIN_PPM, max_value=MAX_PPM).map(repr),
     st.integers(min_value=0, max_value=10**6).map(str),
-    st.sampled_from(["0", "-0.0", " 1.5 ", "1e3", "1_000", "5e-324", "1000000", ".5"]),
+    st.sampled_from(["0", "-0.0", " 1.5 ", "1e3", "1_000", "1e-9", "1000000", ".5"]),
 )
 NOT_A_NUMBER = st.sampled_from(["", " ", "x", "1,5", "0x10", "1e", "1..2", "\u00bd", "nan!"])
-OUT_OF_RANGE = st.sampled_from(["-1", "2e6", "nan", "inf", "-inf", "1000000.0000000002", "1e400"])
+OUT_OF_RANGE = st.sampled_from(["-1", "2e6", "nan", "inf", "-inf", "1000000.0000000002", "1e400",
+                                "5e-324", "9.999999999999999e-10"])
 GOOD_LABEL = st.sampled_from(["", " ", "PD", "D1", "D2", "T1", " T2", "T3 "])
 BAD_LABEL = st.sampled_from(["X9", "pd", "P D", "NF", "UD", "FaultLabel.PD"])
 GOOD_ID = st.sampled_from(["", "  ", "a", "q,1", 'x"y', "r 7", "12"])
@@ -301,7 +302,7 @@ csv_id = st.text(
     | st.characters(exclude_categories=("Cs",), exclude_characters="\0"),
     min_size=1,
 ).filter(lambda text: text == text.strip())
-gas_value = st.floats(min_value=0.0, max_value=1e6) | st.integers(0, 10**6)
+gas_value = st.just(0.0) | st.floats(min_value=MIN_PPM, max_value=MAX_PPM) | st.integers(0, 10**6)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -793,6 +794,20 @@ class TestModelPersistence:
         model = _toy_bundle().model
         with pytest.raises(ValueError, match="^k = 24, but the model has 20 features$"):
             ModelBundle(model=model, rank_order=CANONICAL_RANK_ORDER, k=24)
+
+    def test_every_bundle_saves_a_loadable_file(self, tmp_path):
+        # a rank order or k that load_model would refuse is refused when the
+        # bundle is built, so save_model never writes such a file
+        model = _toy_bundle().model
+        with pytest.raises(ValueError, match=r"^rank order must be a permutation of 1\.\.37$"):
+            ModelBundle(model=model, rank_order=(1, 2, 3), k=20)
+        one_column = train(np.arange(12.0)[:, None], [*CLASS_ORDER] * 2, GbtConfig(rounds=2))
+        with pytest.raises(ValueError, match=r"^k must be in 2\.\.37, got 1$"):
+            ModelBundle(model=one_column, rank_order=CANONICAL_RANK_ORDER, k=1)
+        bundle = ModelBundle(model=model, rank_order=np.array(CANONICAL_RANK_ORDER), k=20)
+        assert type(bundle.rank_order) is tuple and bundle.rank_order == CANONICAL_RANK_ORDER
+        save_model(tmp_path / "m.json", bundle)
+        assert load_model(tmp_path / "m.json").rank_order == CANONICAL_RANK_ORDER
 
     def test_readme_trees_example_loads(self, tmp_path):
         # the README's "trees" example, in a full document, is a model

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgadiag.cli import main
-from dgadiag.core import FaultLabel, GasSample, param_matrix
+from dgadiag.core import MIN_PPM, FaultLabel, GasSample, param_matrix
 from dgadiag.evaluation import confusion, fit_and_score, kfold_cv, train_test_split
 from dgadiag.features import build_features, optimal_k_search
 from dgadiag.gbt import GbtConfig, predict_many, train
@@ -75,8 +75,8 @@ class TestFitAndScore:
         samples, order = synth11
         fm = build_features(samples, order, 24)
         train_idx, test_idx = train_test_split(len(samples), 0.85, 3)
-        cm = fit_and_score(fm, train_idx, test_idx, SMALL, seed=3)
-        model = train(fm.x[train_idx], [fm.labels[i] for i in train_idx], SMALL, seed=3)
+        cm = fit_and_score(fm, train_idx, test_idx, SMALL)
+        model = train(fm.x[train_idx], [fm.labels[i] for i in train_idx], SMALL)
         expected = confusion([fm.labels[i] for i in test_idx], predict_many(model, fm.x[test_idx]))
         assert cm.counts.tolist() == expected.counts.tolist()
 
@@ -84,8 +84,8 @@ class TestFitAndScore:
         samples, order = synth11
         fm = build_features(samples, order, 24)
         train_idx, test_idx = train_test_split(len(samples), 0.85, 3)
-        plain = fit_and_score(fm, train_idx, test_idx, SMALL, seed=3)
-        oversampled = fit_and_score(fm, train_idx, test_idx, SMALL, seed=3, smote_seed=8)
+        plain = fit_and_score(fm, train_idx, test_idx, SMALL)
+        oversampled = fit_and_score(fm, train_idx, test_idx, SMALL, smote_seed=8)
         # the held-out rows are the same either way
         assert plain.counts.sum(axis=1).tolist() == oversampled.counts.sum(axis=1).tolist()
 
@@ -100,7 +100,7 @@ class TestRankedPrefix:
         assert signals[0].tolist() == [pv[num - 1] for num in order[:24]]
 
 
-gas = st.floats(min_value=0.0, max_value=1e5, allow_nan=False)
+gas = st.just(0.0) | st.floats(min_value=MIN_PPM, max_value=1e5)
 sample_lists = st.lists(
     st.tuples(gas, gas, gas, gas, gas).map(lambda g: GasSample(*g, label=FaultLabel.PD)),
     min_size=1,
@@ -118,24 +118,16 @@ sample_lists = st.lists(
 def test_rows_do_not_depend_on_the_other_samples(samples, order, k, pick):
     # the seam builds features over all samples once and then indexes rows;
     # that is only sound if a row is the same whatever else is built with it.
-    # Warnings are ignored: k may lie outside 18..37, and a subnormal gas can
-    # overflow an ITD slope on the reference path.
+    # k may lie outside 18..37, so its UserWarning is ignored; a RuntimeWarning
+    # fails the test
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore", UserWarning)
         # reference: the parameters of each sample alone, read number by number
         reference = []
         for s in samples:
             pv = param_matrix([s])[0]
             signal = np.array([pv[num - 1] for num in order[:k]])
             reference.append(itd_rows(signal[None, :])[2][0])
-        bad = [i for i, ref in enumerate(reference) if not np.all(np.isfinite(ref))]
-        if bad:  # the batch is refused, naming the first such sample
-            with pytest.raises(ValueError, match=rf"^reading {bad[0] + 1}: .*not finite"):
-                build_features(samples, order, k)
-            samples = [s for i, s in enumerate(samples) if i not in bad]
-            reference = [r for i, r in enumerate(reference) if i not in bad]
-            if not samples:
-                return
         whole = build_features(samples, order, k).x
         sub = [i % len(samples) for i in pick] or [0]
         part = build_features([samples[i] for i in sub], order, k).x

@@ -1,37 +1,24 @@
 #!/usr/bin/env python3
 """Run the full diagnosis experiment on a dataset (synthetic by default).
 
-Steps: rank parameters by skewness, sweep the feature count on a fixed
-holdout split, train at the best count, then report holdout and
-cross-validated performance.  Everything is seeded, so reruns reproduce the
-same numbers.
+Runs the seeded `dgadiag` subcommands `synth` (only without --data), `searchk`,
+`train --k <searchk's best_k>` and `evaluate --cv FOLDS --smote`, which write
+synthetic.csv, accuracy_curve.tsv and model.json into --out-dir and print the
+CV reports.  The first step that fails ends the run with the CLI's exit code:
+1 for invalid input, 2 for an I/O error.
 
-Usage:
-    python scripts/run_pipeline.py --seed 11 --out-dir runs/demo
-    python scripts/run_pipeline.py --data my.csv --kmin 18 --kmax 37
+Usage: python scripts/run_pipeline.py --seed 11 --out-dir runs/demo
 """
 
-from __future__ import annotations
-
 import argparse
+import contextlib
+import io
 import sys
-import time
 from pathlib import Path
 
-from dgadiag import (
-    GbtConfig,
-    ModelBundle,
-    build_features,
-    generate_synthetic,
-    kfold_cv,
-    load_dataset,
-    optimal_k_search,
-    rank_params,
-    save_model,
-    train,
-    write_dataset,
-)
+from dgadiag.cli import main as dgadiag
 from dgadiag.features import K_DEFAULT_MAX, K_DEFAULT_MIN
+from dgadiag.gbt import GbtConfig
 
 
 def main(argv=None) -> int:
@@ -45,52 +32,27 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", default="runs/pipeline")
     args = parser.parse_args(argv)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    config = GbtConfig(rounds=args.rounds)
-
-    if args.data:
-        samples = load_dataset(args.data)
-        print(f"loaded {len(samples)} samples from {args.data}")
-    else:
-        samples = generate_synthetic(args.seed)
-        path = out_dir / "synthetic.csv"
-        write_dataset(path, samples)
-        print(f"generated {len(samples)} synthetic samples -> {path}")
-
-    t0 = time.time()
-    order = rank_params(samples)
-    print(f"rank order (first 10): {order[:10]}")
-
-    search = optimal_k_search(
-        samples, order, k_min=args.kmin, k_max=args.kmax,
-        split_seed=args.seed, config=config,
-    )
-    curve_path = out_dir / "accuracy_curve.tsv"
-    with open(curve_path, "w") as fh:
-        fh.write("k\taccuracy\n")
-        for k, acc in sorted(search.accuracy_curve.items()):
-            fh.write(f"{k}\t{acc!r}\n")
-    print(f"feature-count sweep -> {curve_path}; best_k = {search.best_k}")
-
-    fm = build_features(samples, order, search.best_k)
-    model = train(fm.x, fm.labels, config=config, seed=args.seed)
-    model_path = out_dir / "model.json"
-    save_model(model_path, ModelBundle(model=model, rank_order=order, k=search.best_k))
-    print(f"trained on all {len(samples)} samples -> {model_path}")
-
-    cv = kfold_cv(
-        samples, folds=args.folds, seed=args.seed, use_smote=True,
-        k=search.best_k, config=config, rank_order=order,
-    )
-    print(f"{args.folds}-fold CV with oversampling:")
-    for i, rep in enumerate(cv.fold_reports, start=1):
-        print(f"  fold {i}: accuracy={rep.accuracy:.4f} kappa={rep.kappa:.4f}")
-    print(
-        f"pooled: accuracy={cv.pooled.accuracy:.4f} "
-        f"kappa={cv.pooled.kappa:.4f} macro_f1={cv.pooled.macro_f1:.4f}"
-    )
-    print(f"total time: {time.time() - t0:.1f}s")
+    out = Path(args.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        sys.stderr.write(f"i/o error: {exc}\n")
+        return 2
+    data, model = f"--data={args.data or out / 'synthetic.csv'}", f"--model={out / 'model.json'}"
+    seed, rounds = f"--seed={args.seed}", f"--rounds={args.rounds}"
+    if not args.data and (code := dgadiag(["synth", seed, f"--out={out / 'synthetic.csv'}"])):
+        return code
+    with contextlib.redirect_stdout(io.StringIO()) as searchk_out:
+        code = dgadiag(["searchk", data, f"--kmin={args.kmin}", f"--kmax={args.kmax}", seed,
+                        rounds, f"--out={out / 'accuracy_curve.tsv'}"])
+    sys.stdout.write(searchk_out.getvalue())
+    if code:
+        return code
+    best_k = searchk_out.getvalue().split("best_k\t")[1].split()[0]  # searchk's one stdout line
+    for step in (["train", data, f"--k={best_k}", seed, rounds, model],
+                 ["evaluate", data, model, f"--cv={args.folds}", "--smote", seed]):
+        if code := dgadiag(step):
+            return code
     return 0
 
 

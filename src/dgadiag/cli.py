@@ -1,7 +1,7 @@
 """Command-line surface for the diagnosis pipeline.
 
-Exit codes: 0 success, 1 validation error (bad data, bad arguments,
-malformed files), 2 I/O error.
+Exit codes: 0 success, 1 validation error (bad data or option value,
+malformed files), 2 I/O error or an option argparse rejects as malformed.
 """
 
 from __future__ import annotations

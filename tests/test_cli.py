@@ -373,7 +373,7 @@ class TestDecompose:
         data, _ = seed11_model
         dec, feat = tmp_path / "dec.tsv", tmp_path / "feat.tsv"
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # k = 2 lies outside 18..37
+            warnings.simplefilter("ignore", UserWarning)  # k = 2 lies outside 18..37
             assert main(["decompose", "--data", data, "--k", str(k), "--out", str(dec)]) == 0
             assert main(["features", "--data", data, "--k", str(k), "--out", str(feat)]) == 0
         samples = load_dataset(data)

@@ -133,7 +133,7 @@ def test_one_reading_alone_is_its_row_of_the_batch(samples, order, k):
     # a reading diagnosed on its own must get exactly the bytes of its row
     # in a batch, wherever the row falls in the batch's row blocks
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # k may lie outside 18..37
+        warnings.simplefilter("ignore", UserWarning)  # k may lie outside 18..37
         batch = build_features(samples, order, k).x
         for i, sample in enumerate(samples):
             assert build_features([sample], order, k).x.tobytes() == batch[i].tobytes()

@@ -161,3 +161,30 @@ def param_matrix(samples: list[GasSample]) -> np.ndarray:
     np.divide(rows[16], den[0:3], out=rows[9:12])
     np.add(rows[9], rows[10], out=rows[12])
     return rows[:N_PARAMS].T
+
+
+def _param_row(sample: GasSample) -> list[float]:
+    """The 37 parameters of one sample in `param_matrix`'s numbering, as
+    Python floats: the same operations in the same order, so the same bits
+    as the sample's row of `param_matrix`, without its numpy call overhead.
+    The sums start from their first term, not from -0.0 as `param_matrix`'s
+    reduction does: -0.0 + v is v for every float v."""
+    h2, ch4, c2h6, c2h4, c2h2 = map(float, _GASES(sample))
+    th = h2 + ch4 + c2h6 + c2h4 + c2h2
+    thd = ch4 + c2h4 + c2h2
+    thh = h2 + c2h4 + c2h2
+    tch = ch4 + c2h6 + c2h4 + c2h2
+    d_h2, d_ch4, d_c2h6, d_c2h4, d_th, d_thd, d_thh, d_tch = [
+        max(v, EPS_PPM) for v in (h2, ch4, c2h6, c2h4, th, thd, thh, tch)
+    ]
+    p10, p11 = c2h4 / d_h2, c2h4 / d_ch4
+    return [
+        h2 / d_th, ch4 / d_th, c2h6 / d_th, c2h4 / d_th, c2h2 / d_th,
+        c2h2 / d_h2, c2h2 / d_ch4, c2h2 / d_c2h6, c2h2 / d_c2h4,
+        p10, p11, c2h4 / d_c2h6, p10 + p11,
+        h2, ch4, c2h6, c2h4, c2h2,
+        th, thd, thh, tch,
+        h2 / d_thd, ch4 / d_thd, c2h6 / d_thd, c2h4 / d_thd, c2h2 / d_thd,
+        h2 / d_thh, ch4 / d_thh, c2h6 / d_thh, c2h4 / d_thh, c2h2 / d_thh,
+        h2 / d_tch, ch4 / d_tch, c2h6 / d_tch, c2h4 / d_tch, c2h2 / d_tch,
+    ]

@@ -6,7 +6,12 @@ proper rotation component of that k-point sequence as the features.  ITD
 works on each row alone, so the rows of a sample do not depend on which
 other samples are built with it.  `build_features` is the one builder: its
 `FeatureMatrix` holds the ranked prefixes and their ITD baselines beside
-the features, which is what the `decompose` command prints.  The search
+the features, which is what the `decompose` command prints.  It builds
+several samples with numpy (`core.param_matrix`, `itd.itd_rows`) and a
+single one, such as the CLI's one reading, in Python floats
+(`core._param_row`, `itd._itd_list`): the same operations in the same
+order, so a sample's row has the same bits either way, without numpy's
+per-call cost on a 24-value row.  The search
 sweeps k over a range, training and scoring the classifier on one fixed
 holdout split per candidate, and keeps the smallest k attaining the best
 accuracy; it takes the full 37-column prefix once and decomposes the first
@@ -21,9 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import N_PARAMS, FaultLabel, GasSample, param_matrix
+from .core import N_PARAMS, FaultLabel, GasSample, _param_row, param_matrix
 from .gbt import GbtConfig
-from .itd import itd_rows
+from .itd import _itd_list, itd_rows
 from .ranking import validate_rank_order
 
 K_DEFAULT_MIN = 18
@@ -78,12 +83,29 @@ def _decompose(samples: Sequence[GasSample], signals: np.ndarray) -> FeatureMatr
     )
 
 
+def _one_sample(sample: GasSample, rank_order: Sequence[int], k: int) -> FeatureMatrix:
+    """The features of one sample, checked as `_ranked_prefix` checks a
+    batch and built in Python floats: the bits of its row in a batch."""
+    order = validate_rank_order(rank_order)
+    _check_k(k)
+    params = _param_row(sample)
+    signal = [params[num - 1] for num in order[:k]]
+    signals = np.array([signal])
+    baseline = np.array([_itd_list(signal)])
+    return FeatureMatrix(
+        x=signals - baseline, labels=[sample.label], signals=signals, baseline=baseline
+    )
+
+
 def build_features(
     samples: Sequence[GasSample], rank_order: Sequence[int], k: int
 ) -> FeatureMatrix:
     """Rotation-component feature rows for `samples` at feature count `k`;
     a k outside the usual range is warned of once the rows are built."""
-    fm = _decompose(samples, _ranked_prefix(samples, rank_order, k))
+    if len(samples) == 1:  # one reading: a numpy call costs more than its row
+        fm = _one_sample(samples[0], rank_order, k)
+    else:
+        fm = _decompose(samples, _ranked_prefix(samples, rank_order, k))
     _warn_unusual_k(k)
     return fm
 

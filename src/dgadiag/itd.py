@@ -19,13 +19,19 @@ monotone) has no rotation component: L = x, H = 0.
 
 `itd_rows` decomposes every row of an (n, k) matrix at once, in blocks of
 rows, with the same floating-point operations in the same order as a
-per-knot loop; a single signal is a one-row matrix.  A block works on its
-raveled (C-order) values: position j of row r is flat index r * k + j.
-The nearest knot before and after every position comes from one running
-maximum and one reversed running minimum over the whole block, which stop
-at row boundaries because every row starts and ends with a knot, and the
-knot and baseline values are gathered at those flat indices.  A block
-costs a fixed few dozen numpy calls, however many rows it has.
+per-knot loop; through it, a single signal is a one-row matrix.  A block
+works on its raveled (C-order) values: position j of row r is flat index
+r * k + j.  The nearest knot before and after every position comes from
+one running maximum and one reversed running minimum over the whole block,
+which stop at row boundaries because every row starts and ends with a
+knot, and the knot and baseline values are gathered at those flat indices.
+A block costs a fixed few dozen numpy calls, however many rows it has.
+
+For one sample, `build_features` calls `_itd_list` instead: the same
+operations as a loop over one list of Python floats, so the same bits
+without numpy's per-call cost.  It is reached only with the ranked
+parameters of a valid sample, which are finite and whose slopes cannot
+overflow (see `core.MIN_PPM`).
 """
 
 from __future__ import annotations
@@ -84,6 +90,33 @@ def _baseline(x: np.ndarray, knot: np.ndarray, baseline: np.ndarray) -> None:
     lp, lq = bf[p], bf[q]
     xp = xf[p]
     bf[j] = lp + (lq - lp) / (xf[q] - xp) * (xf[j] - xp)
+
+
+def _itd_list(x: list[float]) -> list[float]:
+    """The baseline of one signal of k >= 2 finite floats whose ITD slopes
+    cannot overflow, as `itd_rows` gives it bit for bit: the knot rule of
+    `_knot_mask` and the two formulas of `_baseline`, operation for
+    operation, in Python floats."""
+    k = len(x)
+    starts = [j for j in range(1, k) if x[j] != x[j - 1]]  # run starts after 0
+    knots = [0]
+    for j, nxt in zip(starts, starts[1:]):  # the runs that have a next run
+        cur = x[j]
+        if (cur > x[j - 1]) != (x[nxt] > cur):
+            knots.append(j)
+    if len(knots) == 1:  # no interior knot: the baseline is the signal
+        return x[:]
+    knots.append(k - 1)
+    baseline = x[:]
+    for p, j, q in zip(knots, knots[1:], knots[2:]):
+        xp = x[p]
+        baseline[j] = _ALPHA * (xp + (j - p) / (q - p) * (x[q] - xp)) + (1.0 - _ALPHA) * x[j]
+    for p, q in zip(knots, knots[1:]):
+        if q - p > 1:  # positions between two knots follow the signal
+            lp, xp = baseline[p], x[p]
+            slope = (baseline[q] - lp) / (x[q] - xp)
+            baseline[p + 1:q] = [lp + slope * (v - xp) for v in x[p + 1:q]]
+    return baseline
 
 
 def itd_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

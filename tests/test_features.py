@@ -78,10 +78,11 @@ def test_k_out_of_usual_range_warns():
 
 @pytest.mark.parametrize("build", [build_features])
 def test_unusual_k_warning_names_the_calling_line(build):
-    with pytest.warns(UserWarning, match="k=5 outside") as record:
-        line = sys._getframe().f_lineno + 1
-        build([ROW1], CANONICAL_RANK_ORDER, 5)
-    assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
+    for samples in ([ROW1], [ROW1, ROW1]):  # the one-reading and the batch path
+        with pytest.warns(UserWarning, match="k=5 outside") as record:
+            line = sys._getframe().f_lineno + 1
+            build(samples, CANONICAL_RANK_ORDER, 5)
+        assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
 
 
 def test_failed_build_warns_of_nothing():
@@ -118,8 +119,8 @@ def test_determinism():
 def _readings(draw):
     """n readings across the 256-row ITD blocks: log-uniform gases with some
     zeros and some all-equal readings, so the prefixes mix plateaus with
-    strict extrema."""
-    n = draw(st.sampled_from([1, 255, 256, 257, 513]))
+    strict extrema.  At least two, so that the batch takes the numpy path."""
+    n = draw(st.sampled_from([2, 255, 256, 257, 513]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     gases = np.exp(rng.uniform(np.log(0.1), np.log(5e4), size=(n, 5)))
     gases[rng.random((n, 5)) < 0.1] = 0.0
@@ -137,6 +138,29 @@ def test_one_reading_alone_is_its_row_of_the_batch(samples, order, k):
         batch = build_features(samples, order, k).x
         for i, sample in enumerate(samples):
             assert build_features([sample], order, k).x.tobytes() == batch[i].tobytes()
+
+
+# calls refused before any row is built, and their messages; the rank order
+# is checked before k
+REFUSED_CALLS = {
+    "float entry": ((5.0,) + CANONICAL_RANK_ORDER[1:], 24, "rank order entries must be integers, got 5.0"),
+    "repeated entry": (CANONICAL_RANK_ORDER[:-1] + (28,), 24, "rank order must be a permutation of 1..37"),
+    "k = 1": (CANONICAL_RANK_ORDER, 1, "k must be in 2..37, got 1"),
+    "k = 38": (CANONICAL_RANK_ORDER, 38, "k must be in 2..37, got 38"),
+    "float entry and k = 38": ((5.0,) + CANONICAL_RANK_ORDER[1:], 38, "rank order entries must be integers, got 5.0"),
+}
+
+
+@pytest.mark.parametrize("order,k,message", REFUSED_CALLS.values(), ids=REFUSED_CALLS.keys())
+@pytest.mark.parametrize("samples", [[ROW1], [ROW1, ROW1]], ids=["one reading", "two readings"])
+def test_one_reading_is_refused_as_a_batch_is(samples, order, k, message):
+    # one reading takes its own path; it must be refused with the batch's
+    # message, and warn of no k
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_features(samples, order, k)
+    assert caught == []
 
 
 # a gas's extremes: zero, the floor and the ceiling, and their neighbours
@@ -166,6 +190,37 @@ def test_features_of_any_accepted_gases_are_finite(gases, order, k):
     for i, name in enumerate(GAS_NAMES):
         with pytest.raises(ValueError, match=f"^gas {name} must be 0 or in 1e-09"):
             GasSample(*gases[0][:i], below, *gases[0][i + 1:])
+
+
+# the one-reading path's edges: EDGE_PPM, the clamp EPS_PPM and its
+# neighbours, all drawn from a few values so that gases and parameters repeat
+ONE_ROW_PPM = EDGE_PPM + [float(np.nextafter(EPS_PPM, 0)), float(np.nextafter(EPS_PPM, 1))]
+
+
+@st.composite
+def _edge_batches(draw):
+    """2..6 samples on the gas edges, some with five equal gases."""
+    gas = st.sampled_from(ONE_ROW_PPM + draw(st.lists(edge_gas, min_size=1, max_size=3)))
+    rows = draw(st.lists(
+        st.tuples(*[gas] * 5) | gas.map(lambda g: (g,) * 5), min_size=2, max_size=6
+    ))
+    return [GasSample(*g) for g in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(samples=_edge_batches(), order=st.permutations(range(1, 38)), k=st.integers(2, 37))
+def test_one_reading_path_gives_the_bits_of_the_batch_path(samples, order, k):
+    # build_features takes Python floats for one sample and numpy for two or
+    # more; every array of a sample's FeatureMatrix must be its batch row
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # k may lie outside 18..37
+        batch = build_features(samples, order, k)
+        for i, sample in enumerate(samples):
+            one = build_features([sample], order, k)
+            for name in ("x", "signals", "baseline"):
+                got, want = getattr(one, name), getattr(batch, name)[i : i + 1]
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (name, sample)
 
 
 CANONICAL = list(CANONICAL_RANK_ORDER)

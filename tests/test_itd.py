@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dgadiag.core import EPS_PPM, MAX_PPM
-from dgadiag.itd import itd_rows
+from dgadiag.core import EPS_PPM, MAX_PPM, MIN_PPM, GasSample, param_matrix
+from dgadiag.itd import _itd_list, itd_rows
 
 signals = hnp.arrays(
     np.float64,
@@ -265,3 +265,29 @@ def test_batched_itd_checks():
         itd_rows(np.zeros((3, 1)))
     with pytest.raises(ValueError, match="finite"):
         itd_rows(np.array([[1.0, 2.0, 1.0], [1.0, np.inf, 0.0]]))
+
+
+# gases a valid sample may hold: 0, the floor and ceiling, the ratio clamp
+# and their neighbours, or log-uniform; few per draw, so that values repeat
+_SAMPLE_PPM = [0.0, -0.0, MIN_PPM, np.nextafter(MIN_PPM, 1.0), EPS_PPM,
+               np.nextafter(EPS_PPM, 0.0), np.nextafter(EPS_PPM, 1.0), 1.0,
+               np.nextafter(MAX_PPM, 0.0), MAX_PPM]
+
+
+@st.composite
+def _sample_signals(draw):
+    """A ranked parameter prefix of a valid sample: the signals `_itd_list`
+    is given."""
+    pool = _SAMPLE_PPM + draw(st.lists(st.floats(-9, 6).map(lambda e: min(max(10.0**e, MIN_PPM), MAX_PPM)), max_size=3))
+    gases = draw(st.tuples(*[st.sampled_from(pool)] * 5))
+    order = draw(st.permutations(range(37)))
+    k = draw(st.integers(2, 37))
+    return param_matrix([GasSample(*map(float, gases))])[0, order[:k]]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_sample_signals())
+def test_list_itd_matches_the_loop_oracle(x):
+    _, want_baseline, _ = _oracle_itd(x)
+    got = np.array(_itd_list(x.tolist()))
+    assert got.tobytes() == want_baseline.tobytes()

@@ -272,7 +272,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_synth(args) -> int:
     counts = DEFAULT_SYNTH_COUNTS
-    if args.counts:
+    if args.counts is not None:
         try:
             counts = tuple(int(c) for c in args.counts.split(","))
         except ValueError:

@@ -6,7 +6,9 @@ Each is 0 (not detected) or in 1e-9..1e6 ppm.  From them a fixed family of 37
 parameters is derived: simple ratios, the raw concentrations, four aggregate
 sums, and ratios against those aggregates; all are finite, and so are their
 rotation components.  Parameter numbering is 1-based throughout (persisted
-files record numbers 1..37); see `param_matrix` for the full listing.
+files record numbers 1..37); see `param_matrix` for the full listing.  The
+listing is written once, in `_params`: `param_matrix` evaluates it on numpy
+gas columns for a batch and `_param_row` on one sample's Python floats.
 """
 
 from __future__ import annotations
@@ -108,13 +110,29 @@ GAS_NAMES = ("h2", "ch4", "c2h6", "c2h4", "c2h2")
 _GASES = attrgetter(*GAS_NAMES)  # a sample's five gases, as `GasSample.gases`
 
 
-# _SUM_TERMS[t, j]: the row (see `param_matrix`) of term t of aggregate sum
-# j (TH, THD, THH, TCH), a gas in rows 13-17, or row 37, which holds -0.0
-# and pads the shorter sums: adding -0.0 leaves any float unchanged, -0.0
-# itself included.
-_SUM_TERMS = np.array(
-    [[13, 14, 15, 16, 17], [14, 16, 17, 37, 37], [13, 16, 17, 37, 37], [14, 15, 16, 17, 37]]
-).T
+def _params(h2, ch4, c2h6, c2h4, c2h2, larger):
+    """The 37 parameters of `param_matrix`'s listing, in its order, from the
+    five gases: Python floats with `larger=max`, or numpy gas arrays with
+    `larger=np.maximum`.  The operations and their order are the same
+    either way, so a sample gets the same bits from both."""
+    th = h2 + ch4 + c2h6 + c2h4 + c2h2
+    thd = ch4 + c2h4 + c2h2
+    thh = h2 + c2h4 + c2h2
+    tch = ch4 + c2h6 + c2h4 + c2h2
+    d_h2, d_ch4, d_c2h6, d_c2h4, d_th, d_thd, d_thh, d_tch = [
+        larger(den, EPS_PPM) for den in (h2, ch4, c2h6, c2h4, th, thd, thh, tch)
+    ]
+    p10, p11 = c2h4 / d_h2, c2h4 / d_ch4
+    return [
+        h2 / d_th, ch4 / d_th, c2h6 / d_th, c2h4 / d_th, c2h2 / d_th,
+        c2h2 / d_h2, c2h2 / d_ch4, c2h2 / d_c2h6, c2h2 / d_c2h4,
+        p10, p11, c2h4 / d_c2h6, p10 + p11,
+        h2, ch4, c2h6, c2h4, c2h2,
+        th, thd, thh, tch,
+        h2 / d_thd, ch4 / d_thd, c2h6 / d_thd, c2h4 / d_thd, c2h2 / d_thd,
+        h2 / d_thh, ch4 / d_thh, c2h6 / d_thh, c2h4 / d_thh, c2h2 / d_thh,
+        h2 / d_tch, ch4 / d_tch, c2h6 / d_tch, c2h4 / d_tch, c2h2 / d_tch,
+    ]
 
 
 def param_matrix(samples: list[GasSample]) -> np.ndarray:
@@ -138,53 +156,20 @@ def param_matrix(samples: list[GasSample]) -> np.ndarray:
     Sums run left to right as written.  Every denominator is clamped below
     at EPS_PPM before dividing, so all entries are finite even for all-zero
     samples; with gases at most MAX_PPM no ratio exceeds 1e9 (twice
-    that for parameter 13).  The matrix is the transpose of a
-    parameter-major array, so each column is contiguous.
+    that for parameter 13).  `_params` evaluates the listing on the five
+    gas columns; the matrix is the transpose of its parameter-major array,
+    so each column is contiguous.
     """
     if not samples:
         raise ValueError("empty sample list")
     n = len(samples)
-    # row i - 1 holds parameter i, one column per sample; row 37 the -0.0 pad
-    rows = np.empty((N_PARAMS + 1, n))
-    gases = rows[13:18]
-    gases[...] = np.fromiter(
+    gases = np.fromiter(
         chain.from_iterable(map(_GASES, samples)), np.float64, 5 * n
-    ).reshape(n, 5).T
-    rows[N_PARAMS] = -0.0
-    # axis 0 holds the terms, so the reduction adds them in order; starting
-    # from -0.0 keeps the sign of an all-zero sum
-    rows[18:22] = np.add.reduce(rows[_SUM_TERMS], axis=0, initial=-0.0)
-    den = np.maximum(rows[13:22], EPS_PPM)  # the gases, then the sums
-    np.divide(gases, den[5], out=rows[0:5])
-    np.divide(gases, den[6:, None], out=rows[22:37].reshape(3, 5, n))
-    np.divide(rows[17], den[0:4], out=rows[5:9])
-    np.divide(rows[16], den[0:3], out=rows[9:12])
-    np.add(rows[9], rows[10], out=rows[12])
-    return rows[:N_PARAMS].T
+    ).reshape(n, 5).T.copy()  # one contiguous row per gas
+    return np.array(_params(*gases, np.maximum)).T
 
 
 def _param_row(sample: GasSample) -> list[float]:
-    """The 37 parameters of one sample in `param_matrix`'s numbering, as
-    Python floats: the same operations in the same order, so the same bits
-    as the sample's row of `param_matrix`, without its numpy call overhead.
-    The sums start from their first term, not from -0.0 as `param_matrix`'s
-    reduction does: -0.0 + v is v for every float v."""
-    h2, ch4, c2h6, c2h4, c2h2 = map(float, _GASES(sample))
-    th = h2 + ch4 + c2h6 + c2h4 + c2h2
-    thd = ch4 + c2h4 + c2h2
-    thh = h2 + c2h4 + c2h2
-    tch = ch4 + c2h6 + c2h4 + c2h2
-    d_h2, d_ch4, d_c2h6, d_c2h4, d_th, d_thd, d_thh, d_tch = [
-        max(v, EPS_PPM) for v in (h2, ch4, c2h6, c2h4, th, thd, thh, tch)
-    ]
-    p10, p11 = c2h4 / d_h2, c2h4 / d_ch4
-    return [
-        h2 / d_th, ch4 / d_th, c2h6 / d_th, c2h4 / d_th, c2h2 / d_th,
-        c2h2 / d_h2, c2h2 / d_ch4, c2h2 / d_c2h6, c2h2 / d_c2h4,
-        p10, p11, c2h4 / d_c2h6, p10 + p11,
-        h2, ch4, c2h6, c2h4, c2h2,
-        th, thd, thh, tch,
-        h2 / d_thd, ch4 / d_thd, c2h6 / d_thd, c2h4 / d_thd, c2h2 / d_thd,
-        h2 / d_thh, ch4 / d_thh, c2h6 / d_thh, c2h4 / d_thh, c2h2 / d_thh,
-        h2 / d_tch, ch4 / d_tch, c2h6 / d_tch, c2h4 / d_tch, c2h2 / d_tch,
-    ]
+    """The 37 parameters of one sample as Python floats: the bits of its
+    row of `param_matrix`, without numpy's per-call cost."""
+    return _params(*map(float, _GASES(sample)), max)

@@ -6,16 +6,17 @@ proper rotation component of that k-point sequence as the features.  ITD
 works on each row alone, so the rows of a sample do not depend on which
 other samples are built with it.  `build_features` is the one builder: its
 `FeatureMatrix` holds the ranked prefixes and their ITD baselines beside
-the features, which is what the `decompose` command prints.  It builds
-several samples with numpy (`core.param_matrix`, `itd.itd_rows`) and a
-single one, such as the CLI's one reading, in Python floats
-(`core._param_row`, `itd._itd_list`): the same operations in the same
-order, so a sample's row has the same bits either way, without numpy's
-per-call cost on a 24-value row.  The search
-sweeps k over a range, training and scoring the classifier on one fixed
-holdout split per candidate, and keeps the smallest k attaining the best
-accuracy; it takes the full 37-column prefix once and decomposes the first
-k columns of it for each k, as `build_features` would.
+the features, which is what the `decompose` command prints.  It checks
+its input once, then builds several samples with numpy
+(`core.param_matrix`, `itd.itd_rows`) and a single one, such as the CLI's
+one reading, in Python floats (`core._param_row`, `itd._itd_list`): both
+evaluate the one parameter listing of `core._params`, and the two ITDs do
+the same operations in the same order, so a sample's row has the same
+bits either way, without numpy's per-call cost on a 24-value row.  The
+search sweeps k over a range, training and scoring the classifier on one
+fixed holdout split per candidate, and keeps the smallest k attaining the
+best accuracy; it takes the full 37-column prefix once and decomposes the
+first k columns of it for each k, as `build_features` would.
 """
 
 from __future__ import annotations
@@ -64,15 +65,21 @@ def _warn_unusual_k(k: int) -> None:
         )
 
 
-def _ranked_prefix(
+def _checked_prefix(
     samples: Sequence[GasSample], rank_order: Sequence[int], k: int
-) -> np.ndarray:
-    """The (n, k) signals: each sample's parameters in rank order, first k."""
+) -> tuple[int, ...]:
+    """The parameter numbers of the first k ranks, once `samples`,
+    `rank_order` and `k` have been checked in that order."""
     if not samples:
         raise ValueError("empty sample list")
     order = validate_rank_order(rank_order)
     _check_k(k)
-    return param_matrix(samples)[:, np.array(order[:k]) - 1]
+    return order[:k]
+
+
+def _ranked_prefix(samples: Sequence[GasSample], prefix: Sequence[int]) -> np.ndarray:
+    """The (n, k) signals: each sample's parameters numbered `prefix`, in order."""
+    return param_matrix(samples)[:, np.array(prefix) - 1]
 
 
 def _decompose(samples: Sequence[GasSample], signals: np.ndarray) -> FeatureMatrix:
@@ -83,13 +90,11 @@ def _decompose(samples: Sequence[GasSample], signals: np.ndarray) -> FeatureMatr
     )
 
 
-def _one_sample(sample: GasSample, rank_order: Sequence[int], k: int) -> FeatureMatrix:
-    """The features of one sample, checked as `_ranked_prefix` checks a
-    batch and built in Python floats: the bits of its row in a batch."""
-    order = validate_rank_order(rank_order)
-    _check_k(k)
+def _one_sample(sample: GasSample, prefix: Sequence[int]) -> FeatureMatrix:
+    """The features of one sample, built in Python floats: the bits of its
+    row in a batch."""
     params = _param_row(sample)
-    signal = [params[num - 1] for num in order[:k]]
+    signal = [params[num - 1] for num in prefix]
     signals = np.array([signal])
     baseline = np.array([_itd_list(signal)])
     return FeatureMatrix(
@@ -102,10 +107,11 @@ def build_features(
 ) -> FeatureMatrix:
     """Rotation-component feature rows for `samples` at feature count `k`;
     a k outside the usual range is warned of once the rows are built."""
+    prefix = _checked_prefix(samples, rank_order, k)
     if len(samples) == 1:  # one reading: a numpy call costs more than its row
-        fm = _one_sample(samples[0], rank_order, k)
+        fm = _one_sample(samples[0], prefix)
     else:
-        fm = _decompose(samples, _ranked_prefix(samples, rank_order, k))
+        fm = _decompose(samples, _ranked_prefix(samples, prefix))
     _warn_unusual_k(k)
     return fm
 
@@ -137,7 +143,8 @@ def optimal_k_search(
     _check_k(k_max)
 
     train_idx, test_idx = train_test_split(len(samples), train_frac, split_seed)
-    ranked = _ranked_prefix(samples, rank_order, N_PARAMS)  # every k's prefix
+    order = _checked_prefix(samples, rank_order, N_PARAMS)
+    ranked = _ranked_prefix(samples, order)  # every k's prefix
     curve: dict[int, float] = {}
     for k in range(k_min, k_max + 1):
         fm = _decompose(samples, ranked[:, :k])

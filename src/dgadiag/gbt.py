@@ -519,7 +519,8 @@ def predict_proba_many(model: GbtModel, x: np.ndarray) -> np.ndarray:
 
 
 def predict_many(model: GbtModel, x: np.ndarray) -> list[FaultLabel]:
-    """Argmax class of each row; ties resolve to the earliest class in
-    CLASS_ORDER."""
-    probs = predict_proba_many(model, x)
-    return [CLASS_ORDER[i] for i in probs.argmax(axis=1).tolist()]
+    """Argmax class of each row's logits; ties resolve to the earliest
+    class in CLASS_ORDER.  The logits, not their softmax: two logits one ulp
+    apart can round to equal probabilities."""
+    logits = predict_logits(model, x)
+    return [CLASS_ORDER[i] for i in logits.argmax(axis=1).tolist()]

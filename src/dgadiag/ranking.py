@@ -62,9 +62,12 @@ def rank_params(dataset: Sequence[GasSample]) -> tuple[int, ...]:
     Ties break toward the lower parameter number, so the result is
     deterministic.  Needs at least two samples.
     """
+    dataset = list(dataset)
     if not dataset:
         raise ValueError("empty dataset")
-    matrix = param_matrix(list(dataset))
+    if len(dataset) < 2:
+        raise ValueError(f"ranking needs at least two samples, got {len(dataset)}")
+    matrix = param_matrix(dataset)
     skews = [skewness(matrix[:, j]) for j in range(N_PARAMS)]
     order = sorted(range(1, N_PARAMS + 1), key=lambda num: (skews[num - 1], num))
     return tuple(order)

@@ -86,6 +86,22 @@ class TestRank:
         rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
         assert rows == [[str(pos), str(pos), "0.0"] for pos in range(1, 38)]
 
+    @pytest.mark.parametrize("command", [
+        "rank", "train --model {tmp}/m.json", "searchk --out {tmp}/curve.tsv",
+        "features --k 24", "decompose --k 24 --out {tmp}/d.tsv",
+    ])
+    @pytest.mark.parametrize("rows, message", [
+        ([], "empty dataset"),
+        (["a,292,346,32,313,196,D2"], "ranking needs at least two samples, got 1"),
+    ], ids=["no-row", "one-row"])
+    def test_fewer_than_two_rows_are_refused_by_name(
+        self, capsys, tmp_path, command, rows, message
+    ):
+        data = tmp_path / "few.csv"
+        data.write_text("\n".join(["id,h2,ch4,c2h6,c2h4,c2h2,label", *rows]) + "\n")
+        argv = command.format(tmp=tmp_path).split() + ["--data", str(data)]
+        assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
     def test_requires_data_without_canonical(self, capsys):
         with pytest.raises(SystemExit):
             main(["rank"])
@@ -148,6 +164,12 @@ class TestSynth:
         )
         assert code == 1
         assert "error" in err
+
+    def test_empty_counts_are_refused(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code, _, err = run(capsys, ["synth", "--seed", "1", "--out", str(out), "--counts", ""])
+        assert (code, err) == (1, "error: bad --counts value ''\n")
+        assert not out.exists()
 
 
 class TestTrainDiagnoseEvaluate:

@@ -12,6 +12,7 @@ from dgadiag.core import (
     MIN_PPM,
     FaultLabel,
     GasSample,
+    _param_row,
     param_matrix,
 )
 
@@ -226,6 +227,8 @@ def test_param_matrix_matches_scalar_oracle(samples):
     expected = np.stack([_oracle_params(s) for s in samples])
     assert got.shape == (len(samples), 37)
     assert got.tobytes() == expected.tobytes()
+    # the float evaluation of the same listing, signed zeros included
+    assert np.array([_param_row(s) for s in samples]).tobytes() == expected.tobytes()
     ratios = np.delete(got, np.s_[12:22], axis=1)
     assert np.all(ratios <= MAX_PPM / EPS_PPM)
     assert np.all(got[:, 12] <= 2 * MAX_PPM / EPS_PPM)
@@ -240,7 +243,9 @@ def test_param_matrix_matches_scalar_oracle(samples):
 @pytest.mark.parametrize("n", [1, 9, 300])
 def test_aggregate_sums_add_left_to_right(gases, n):
     got = param_matrix([GasSample(*gases)] * n)
-    assert got.tobytes() == np.stack([_oracle_params(GasSample(*gases))] * n).tobytes()
+    expected = _oracle_params(GasSample(*gases))
+    assert got.tobytes() == np.stack([expected] * n).tobytes()
+    assert np.array(_param_row(GasSample(*gases))).tobytes() == expected.tobytes()
     h2, ch4, c2h6, c2h4, c2h2 = gases
     pairwise = ((h2 + ch4) + (c2h6 + c2h4)) + c2h2
     if pairwise:  # the nonzero cases: adding pairwise gives another TH

@@ -159,6 +159,23 @@ def test_argmax_example():
     assert CLASS_ORDER[int(np.argmax(proba))] == FaultLabel.D2
 
 
+def test_label_is_the_argmax_of_the_logits_at_a_one_ulp_gap():
+    # one round of single-leaf trees: PD's logit is a, D1's the next float
+    # above it, the rest the base score.  Their softmax can round PD's and
+    # D1's probabilities equal (it does with numpy 2.4's exp on x86-64), so
+    # a label taken from it could be PD.
+    a = 0.8217701239287258
+    logits = [a, math.nextafter(a, math.inf)] + [gbt.BASE_SCORE] * 4
+    round_trees = [
+        Tree(np.array([-1]), np.array([-1]), np.array([v - gbt.BASE_SCORE]))
+        for v in logits
+    ]
+    model = _model_of([round_trees], GbtConfig(rounds=1), 1)
+    x = np.zeros((1, 1))
+    assert predict_logits(model, x).tolist() == [logits]  # v - 0.5 is exact here
+    assert predict_many(model, x) == [FaultLabel.D1]
+
+
 def test_row_length_mismatch():
     model = _model_of([], GbtConfig(), 4)
     with pytest.raises(ValueError, match="4 features"):

@@ -241,6 +241,8 @@ def cmd_diagnose(args) -> int:
 
 def cmd_conventional(args) -> int:
     samples = load_dataset(args.data)
+    if not samples:
+        raise ValueError("empty dataset")
     _check_tsv_ids(samples)
     methods = {"duval": duval, "rogers": rogers, "iec": iec_ratio}
     chosen = list(methods) if args.method == "all" else [args.method]
@@ -278,6 +280,8 @@ def cmd_synth(args) -> int:
         except ValueError:
             raise ValueError(f"bad --counts value {args.counts!r}") from None
     samples = generate_synthetic(args.seed, counts)
+    if not samples:  # every data command would refuse the file
+        raise ValueError(f"--counts {args.counts} draws no samples")
     write_dataset(args.out, samples)
     sys.stdout.write(f"wrote\t{args.out}\tn={len(samples)}\n")
     return 0

@@ -86,18 +86,23 @@ Preorder puts a node's left child right after it, so no array stores it,
 and `value` holds a split's threshold at an internal node and the weight
 at a leaf, as XGBoost's `split_conditions` does.  Training appends to
 them, `dgadiag.io` writes them as three lists, and `GbtModel.trees` gives
-`Tree` views (numpy slices) of them.
+`Tree` views (numpy slices) of them.  However it was built, a model checks
+them when it is: signed integer ids, whole rounds of non-empty trees,
+arrays of one length, finite values, features below its feature count,
+right children past the left child within the tree, and leaves that cannot
+add up to a non-finite logit, so that no walk can index out of range or
+loop.
 
 For prediction a model also derives, once, absolute child ids, the roots
 of the trees of every round that has a split, and each round's root
-values.  A block of rows walks all of those trees at once, one tree level
-of every (row, tree) pair per numpy step, dropping the pairs that reach a
-leaf.  Rounds whose trees are all single leaves need no walk.  For each
-block of 64 rows the base score, the single-leaf values and the walked
-leaf values are stacked as one (1 + rounds, rows, classes) array and added
-along the round axis in one numpy reduction, which adds them in round
-order; every logit gets the same floating-point additions in the same
-order as the values training accumulated.
+values.  Prediction is one loop over blocks of 128 rows.  A block walks
+all of those trees at once, one tree level of every (row, tree) pair per
+numpy step, dropping the pairs that reach a leaf; rounds whose trees are
+all single leaves need no walk.  Then the base score, the single-leaf
+values and the walked leaf values are stacked as one (1 + rounds, rows,
+classes) array and added along the round axis in one numpy reduction,
+which adds them in round order; every logit gets the same floating-point
+additions in the same order as the values training accumulated.
 """
 
 from __future__ import annotations
@@ -114,8 +119,7 @@ from .core import CLASS_ORDER, N_CLASSES, FaultLabel
 BASE_SCORE = 0.5  # initial logit for every class
 REG_LAMBDA = 1.0  # lambda: L2 penalty on leaf weights, > 0 so no gain is NaN
 MIN_CHILD_WEIGHT = 1.0  # mcw: hessian mass each child of a split must carry
-_BLOCK_ROWS = 256  # bounds the (rows x walked trees) pair arrays of one walk
-_SUM_ROWS = 64  # bounds the (rounds x classes x rows) terms summed at once
+_BLOCK_ROWS = 128  # rows walked and summed at once: measured faster than 64 or 256
 
 
 @dataclass(frozen=True)
@@ -171,7 +175,8 @@ class _Forest(NamedTuple):
 class GbtModel:
     """A trained ensemble: three read-only node arrays holding every tree,
     [round][class] with classes in CLASS_ORDER, each in preorder with child
-    ids counted from its root as in `Tree`, and each tree's node count."""
+    ids counted from its root as in `Tree`, and each tree's node count.
+    Raises ValueError on arrays that fail the module docstring's checks."""
 
     config: GbtConfig
     n_features: int
@@ -197,16 +202,39 @@ class GbtModel:
 
 
 def _flatten(model: GbtModel) -> _Forest:
-    sizes = model.sizes
+    """The walk's tables for `model`, whose node arrays it checks first."""
+    sizes, feature, right, value = model.sizes, model.feature, model.right, model.value
+    if not sizes.dtype.kind == feature.dtype.kind == right.dtype.kind == "i":
+        raise ValueError("feature, right and sizes must be signed integer arrays")
+    if sizes.size % N_CLASSES:
+        raise ValueError(f"{sizes.size} trees are not whole rounds of {N_CLASSES}")
+    if sizes.size and sizes.min() < 1:
+        raise ValueError("empty tree")
+    if not feature.size == right.size == value.size == sizes.sum():
+        raise ValueError("feature, right and value must each have sum(sizes) entries")
+    if not np.isfinite(value).all():
+        raise ValueError("non-finite threshold or leaf value")
     starts = np.cumsum(sizes) - sizes
-    terms = np.concatenate([np.full(N_CLASSES, BASE_SCORE), model.value[starts]])
-    split = (sizes > 1).reshape(-1, N_CLASSES).any(axis=1)  # more than one node: a split
+    internal = feature != -1
+    # a logit is the base score plus one leaf per tree of its class, so this
+    # bounds every logit
+    leaves = np.where(internal, 0.0, np.abs(value))
+    if not math.isfinite(BASE_SCORE + sum(np.maximum.reduceat(leaves, starts).tolist())):
+        raise ValueError("leaf values can add up to a non-finite logit")
+    if np.any((feature[internal] < 0) | (feature[internal] >= model.n_features)):
+        raise ValueError(f"feature index out of range 0..{model.n_features - 1}")
     offset = np.repeat(starts, sizes)
-    internal = model.feature >= 0
-    node = np.arange(model.feature.size)
+    node = np.arange(feature.size)
+    # ids count from the tree's root and the left child is node + 1, so this
+    # keeps both children past their parent and inside the tree
+    low, high = (node - offset + 1)[internal], np.repeat(sizes, sizes)[internal]
+    if np.any((right[internal] <= low) | (right[internal] >= high)):
+        raise ValueError("child index must point past its parent within the tree")
     child = np.empty(2 * node.size, dtype=np.intp)
     child[0::2] = np.where(internal, node + 1, node)
-    child[1::2] = np.where(internal, model.right + offset, node)
+    child[1::2] = np.where(internal, right + offset, node)
+    terms = np.concatenate([np.full(N_CLASSES, BASE_SCORE), value[starts]])
+    split = (sizes > 1).reshape(-1, N_CLASSES).any(axis=1)  # more than one node: a split
     return _Forest(
         child=child,
         roots=starts.reshape(-1, N_CLASSES)[split].ravel(),
@@ -455,33 +483,6 @@ def train(
     )
 
 
-def _walk(model: GbtModel, x: np.ndarray) -> np.ndarray:
-    """The leaf value each row of the C-contiguous `x` reaches in each walked
-    tree of `model`, as an (n, walked trees) array."""
-    forest = model._forest
-    n, k = x.shape
-    n_trees = forest.roots.size
-    out = np.empty((n, n_trees), dtype=np.float64)
-    for lo in range(0, n, _BLOCK_ROWS):
-        rows = min(_BLOCK_ROWS, n - lo)
-        block = x[lo : lo + rows].ravel()
-        # pair p is (row p // n_trees, tree p % n_trees); `at` its x offset
-        node = np.empty((rows, n_trees), dtype=np.intp)
-        node[...] = forest.roots
-        node = node.ravel()
-        at = np.arange(0, rows * k, k).repeat(n_trees)
-        live = (model.feature[node] >= 0).nonzero()[0]
-        while live.size:
-            here = node[live]
-            # not below the threshold: the right child, as in `Tree`
-            right = block[at[live] + model.feature[here]] >= model.value[here]
-            here = forest.child[2 * here + right]
-            node[live] = here
-            live = live[model.feature[here] >= 0]
-        out[lo : lo + rows] = model.value[node].reshape(rows, n_trees)
-    return out
-
-
 def predict_logits(model: GbtModel, x: np.ndarray) -> np.ndarray:
     """Accumulated per-class logits for each row.
 
@@ -497,18 +498,33 @@ def predict_logits(model: GbtModel, x: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("feature values must be finite")
     forest = model._forest
-    n = x.shape[0]
-    # [split round][row][class], the layout of `block` below
-    leaves = _walk(model, x).reshape(n, -1, N_CLASSES).transpose(1, 0, 2)
-    # rows x classes; the reduction over the terms axis adds each round in
-    # order, as `logits += term` round by round would
+    n, k = x.shape
+    n_trees = forest.roots.size
     logits = np.empty((n, N_CLASSES), dtype=np.float64)
-    block = np.empty((forest.terms.shape[0], min(n, _SUM_ROWS), N_CLASSES), dtype=np.float64)
-    block[...] = forest.terms.reshape(-1, 1, N_CLASSES)  # rounds without a split stay as filled
-    for lo in range(0, n, _SUM_ROWS):
-        rows = min(_SUM_ROWS, n - lo)
-        part = block[:, :rows]
-        part[forest.split] = leaves[:, lo : lo + rows]
+    # [term][row][class]; the rows of rounds without a split stay as filled
+    stack = np.empty((forest.terms.shape[0], min(n, _BLOCK_ROWS), N_CLASSES), dtype=np.float64)
+    stack[...] = forest.terms.reshape(-1, 1, N_CLASSES)
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, n - lo)
+        block = x[lo : lo + rows].ravel()
+        # pair p is (row p // n_trees, walked tree p % n_trees); `at` its x offset
+        node = np.empty((rows, n_trees), dtype=np.intp)
+        node[...] = forest.roots
+        node = node.ravel()
+        at = np.arange(0, rows * k, k).repeat(n_trees)
+        live = (model.feature[node] >= 0).nonzero()[0]
+        while live.size:
+            here = node[live]
+            # not below the threshold: the right child, as in `Tree`
+            right = block[at[live] + model.feature[here]] >= model.value[here]
+            here = forest.child[2 * here + right]
+            node[live] = here
+            live = live[model.feature[here] >= 0]
+        leaves = model.value[node].reshape(rows, forest.split.size, N_CLASSES)
+        part = stack[:, :rows]
+        part[forest.split] = leaves.transpose(1, 0, 2)
+        # the reduction over the term axis adds each round in order, as
+        # `logits += term` round by round would
         np.add.reduce(part, axis=0, out=logits[lo : lo + rows])
     return logits
 

@@ -19,17 +19,17 @@ preorder one after another, child ids counted from the tree's root.  A
 left child is the node after its parent, and value is a split's threshold
 or a leaf's weight.  The class order, class count and base score are the
 package's constants (CLASS_ORDER, its length and `gbt.BASE_SCORE`), not
-file contents.  `load_model` rejects any structure the prediction walk
-could index out of range or loop on, and any other format version.  All
-writes go through a temp file + rename so readers never observe partial
-output.
+file contents.  `load_model` checks the document's shape (its keys, the
+version, the tree count, and each list's type and length) and leaves the
+trees to `GbtModel`, which refuses any structure the prediction walk could
+index out of range or loop on, however the model was built.  All writes go
+through a temp file + rename so readers never observe partial output.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import numbers
 import os
 import tempfile
@@ -42,7 +42,7 @@ import numpy as np
 
 from .core import CLASS_ORDER, GAS_NAMES, N_CLASSES, FaultLabel, GasSample
 from .features import _check_k
-from .gbt import BASE_SCORE, GbtConfig, GbtModel, Tree
+from .gbt import GbtConfig, GbtModel, Tree
 from .ranking import validate_rank_order
 
 CSV_HEADER = ["id", "h2", "ch4", "c2h6", "c2h4", "c2h2", "label"]
@@ -231,21 +231,18 @@ class ModelBundle:
             raise ValueError(f"k = {self.k}, but the model has {self.model.n_features} features")
 
 
-def _forest_from_json(doc_trees: dict, cfg: GbtConfig, n_features: int) -> dict[str, np.ndarray]:
+def _forest_from_json(doc_trees: dict, cfg: GbtConfig) -> dict[str, np.ndarray]:
     """The node arrays and node counts of a model document, as `GbtModel`
-    fields.
+    fields; `GbtModel` checks the trees they hold.
 
-    Raises ValueError on a tree count that does not match the config, on
-    any tree the prediction walk could index out of range or loop on, and
-    on leaf values that could add up to a non-finite logit.
+    Raises ValueError on a tree count that does not match the config, an
+    unknown key, or a list of the wrong type or length.
     """
     sizes = doc_trees["node_counts"]
     if not set(map(type, sizes)) <= {int}:  # a JSON object yields its str keys
         raise ValueError("trees.node_counts is not an integer list")
     if len(sizes) != cfg.rounds * N_CLASSES:
         raise ValueError(f"expected {cfg.rounds} rounds of {N_CLASSES} trees")
-    if min(sizes) < 1:
-        raise ValueError("empty tree")
     unknown = doc_trees.keys() - {"node_counts", *Tree._fields}
     if unknown:
         raise ValueError(f"trees has unknown keys {', '.join(sorted(unknown))}")
@@ -258,27 +255,7 @@ def _forest_from_json(doc_trees: dict, cfg: GbtConfig, n_features: int) -> dict[
             kind = "an integer" if index else "a number"
             raise ValueError(f"trees.{name} is not {kind} list of sum(node_counts) entries")
         arrays[name] = np.array(column, dtype=np.int64 if index else np.float64)
-    feature, right, value = arrays.values()
-    if not np.all(np.isfinite(value)):
-        raise ValueError("non-finite threshold or leaf value")
-
-    sizes = np.array(sizes, dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    internal = feature != -1
-    # a logit is the base score plus one leaf per tree of its class, so this
-    # bounds every logit
-    leaves = np.where(internal, 0.0, np.abs(value))
-    reach = BASE_SCORE + sum(np.maximum.reduceat(leaves, starts).tolist())
-    if not math.isfinite(reach):
-        raise ValueError("leaf values can add up to a non-finite logit")
-    node = (np.arange(feature.size) - np.repeat(starts, sizes))[internal]
-    size = np.repeat(sizes, sizes)[internal]
-    if np.any((feature[internal] < 0) | (feature[internal] >= n_features)):
-        raise ValueError(f"feature index out of range 0..{n_features - 1}")
-    # the left child is node + 1, so this keeps both children inside the tree
-    if np.any((right[internal] <= node + 1) | (right[internal] >= size)):
-        raise ValueError("child index must point past its parent within the tree")
-    return {**arrays, "sizes": sizes}
+    return {**arrays, "sizes": np.array(sizes, dtype=np.intp)}
 
 
 def _integer(name: str, value) -> int:
@@ -305,8 +282,8 @@ def save_model(path, bundle: ModelBundle) -> None:
 
 
 def load_model(path) -> ModelBundle:
-    """Parse and check a model file fully before constructing anything;
-    corrupt, version-mismatched or structurally invalid files raise
+    """Parse a model file into a bundle; corrupt, version-mismatched or
+    structurally invalid files (`GbtModel` checks the trees) raise
     ValueError naming the file."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -339,7 +316,7 @@ def load_model(path) -> ModelBundle:
         k = _integer("k", doc["k"])
         _check_k(k)  # before the trees, whose feature indices k bounds
         model = GbtModel(
-            cfg, k, **_forest_from_json(doc["trees"], cfg, k), seed=_integer("seed", doc["seed"])
+            cfg, k, **_forest_from_json(doc["trees"], cfg), seed=_integer("seed", doc["seed"])
         )
         return ModelBundle(model=model, rank_order=doc["rank_order"], k=k)
     except (KeyError, TypeError, OverflowError) as exc:

@@ -123,6 +123,15 @@ class TestConventional:
             ("T2", "UD", "UD"),
         ]
 
+    def test_header_only_file_is_refused(self, capsys, tmp_path):
+        # as `rank`, `train` and the other data commands refuse it
+        data, out = tmp_path / "empty.csv", tmp_path / "out.tsv"
+        data.write_text("id,h2,ch4,c2h6,c2h4,c2h2,label\n")
+        argv = ["conventional", "--data", str(data), "--out", str(out)]
+        assert run(capsys, argv) == (1, "", "error: empty dataset\n")
+        assert not out.exists()
+        assert run(capsys, argv[:3]) == (1, "", "error: empty dataset\n")
+
     def test_single_method(self, capsys, table_csv):
         code, out, _ = run(capsys, ["conventional", "--data", table_csv, "--method", "duval"])
         assert out.splitlines()[0] == "id\tactual\tduval"
@@ -169,6 +178,13 @@ class TestSynth:
         out = tmp_path / "x.csv"
         code, _, err = run(capsys, ["synth", "--seed", "1", "--out", str(out), "--counts", ""])
         assert (code, err) == (1, "error: bad --counts value ''\n")
+        assert not out.exists()
+
+    def test_all_zero_counts_are_refused(self, tmp_path, capsys):
+        # a header-only file, which every data command would refuse
+        out = tmp_path / "x.csv"
+        argv = ["synth", "--seed", "1", "--out", str(out), "--counts", "0,0,0,0,0,0"]
+        assert run(capsys, argv) == (1, "", "error: --counts 0,0,0,0,0,0 draws no samples\n")
         assert not out.exists()
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from dgadiag.conventional import duval
 from dgadiag.core import CLASS_ORDER, GAS_NAMES, MAX_PPM, MIN_PPM, FaultLabel, GasSample
 from dgadiag.features import build_features
-from dgadiag.gbt import GbtConfig, predict_logits, predict_proba_many, train
+from dgadiag.gbt import GbtConfig, GbtModel, predict_logits, predict_proba_many, train
 from dgadiag.io import (
     CSV_HEADER,
     DEFAULT_SYNTH_COUNTS,
@@ -411,6 +411,7 @@ def test_generate_synthetic_matches_per_gas_draws(seed, counts):
 
 
 NODE_FIELDS = ["feature", "right", "value"]
+NODE_DTYPES = [np.int64, np.int64, np.float64]
 
 
 def _toy_bundle() -> ModelBundle:
@@ -655,6 +656,78 @@ def _mutated_model(tmp_path, mutate):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def _value_one_short(doc):
+    doc["trees"]["value"].pop()
+
+
+def _negative_feature(doc):
+    root, _ = _split_root(doc["trees"])
+    doc["trees"]["feature"][root] = -2  # only -1 marks a leaf
+
+
+def _model_of_doc(doc) -> GbtModel:
+    """A `GbtModel` built in memory from a model document's fields, without
+    `load_model`."""
+    trees = doc["trees"]
+    return GbtModel(
+        GbtConfig(**doc["config"]),
+        doc["k"],
+        *(np.array(trees[name], dtype) for name, dtype in zip(NODE_FIELDS, NODE_DTYPES)),
+        sizes=np.array(trees["node_counts"], dtype=np.intp),
+        seed=doc["seed"],
+    )
+
+
+# mutations of the trees and the message `GbtModel` names each with, however
+# the model was built; the messages of the first eight are those of
+# `load_model`, which reports the last three as faults of the document
+TREE_FAULTS = [
+    (_zero_node_count, "empty tree"),
+    (_child_into_next_tree, "child index must point past its parent within the tree"),
+    (_right_child_is_left_child, "child index must point past its parent within the tree"),
+    (_backward_child, "child index must point past its parent within the tree"),
+    (_feature_out_of_range, r"feature index out of range 0\.\.19"),
+    (_negative_feature, r"feature index out of range 0\.\.19"),
+    (_nan_threshold, "non-finite threshold or leaf value"),
+    (_overflowing_leaves, "leaf values can add up to a non-finite logit"),
+    (_counts_sum_mismatch, r"feature, right and value must each have sum\(sizes\) entries"),
+    (_value_one_short, r"feature, right and value must each have sum\(sizes\) entries"),
+    (_short_count_list, "47 trees are not whole rounds of 6"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", TREE_FAULTS,
+                         ids=[mutate.__name__ for mutate, _ in TREE_FAULTS])
+def test_tree_faults_are_refused_in_memory(mutate, message):
+    # a model built by hand gets the checks a loaded one does; at construction,
+    # so that no walk runs on it (with the root's right child at the root,
+    # the walk never ends)
+    doc = json.loads(_toy_model_text())
+    mutate(doc)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _model_of_doc(doc)
+
+
+@pytest.mark.parametrize("name", ["feature", "right", "sizes"])
+def test_ids_must_be_signed_integers(name):
+    # a float feature index would pass every other check, then raise
+    # IndexError inside the walk
+    model = _model_of_doc(json.loads(_toy_model_text()))
+    arrays = {n: getattr(model, n) for n in (*NODE_FIELDS, "sizes")}
+    arrays[name] = arrays[name].astype(np.float64)
+    with pytest.raises(ValueError, match="^feature, right and sizes must be signed integer arrays$"):
+        GbtModel(model.config, model.n_features, **arrays)
+
+
+def test_document_fields_build_the_loaded_model(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(_toy_model_text())
+    loaded = load_model(path).model
+    built = _model_of_doc(json.loads(_toy_model_text()))
+    rows = np.random.default_rng(1).normal(size=(50, loaded.n_features))
+    assert predict_logits(built, rows).tobytes() == predict_logits(loaded, rows).tobytes()
 
 
 class TestModelPersistence:

@@ -1,5 +1,9 @@
 """Command-line surface for the diagnosis pipeline.
 
+Every command that reads `--data` reads it through `_load`, which refuses a
+file with no rows, and every table goes out through `_emit`, which refuses a
+field that TSV cannot carry before it writes anything.
+
 Exit codes: 0 success, 1 validation error (bad data or option value,
 malformed files), 2 I/O error or an option argparse rejects as malformed.
 """
@@ -12,7 +16,7 @@ import sys
 import warnings
 
 from .conventional import duval, iec_ratio, rogers
-from .core import CLASS_ORDER, GasSample, param_matrix
+from .core import CLASS_ORDER, GAS_NAMES, GasSample, param_matrix
 from .evaluation import confusion, fit_and_score, kfold_cv, metrics, train_test_split
 from .features import K_DEFAULT_MAX, K_DEFAULT_MIN, build_features, optimal_k_search
 from .gbt import GbtConfig, predict_many, train
@@ -29,21 +33,25 @@ from .io import (
 from .ranking import CANONICAL_RANK_ORDER, rank_params, skewness
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _load(path) -> list[GasSample]:
+    samples = load_dataset(path)
+    if not samples:
+        raise ValueError("empty dataset")
+    return samples
+
+
+def _emit(out_path: str | None, header: list[str], rows: list[list[str]]) -> None:
+    """Write a TSV table to `out_path`, or to stdout when it is None."""
+    text = "".join("\t".join(row) + "\n" for row in [header, *rows])
+    # each line has one separator per column, so a tab or line break inside a
+    # field (it would shift or split its row) adds one; only an id can hold it
+    if "\r" in text or text.count("\t") + text.count("\n") != (len(rows) + 1) * len(header):
+        bad = next(f for row in rows for f in row if "\t" in f or "\n" in f or "\r" in f)
+        raise ValueError(f"id {bad!r} holds a tab or line break, which TSV output cannot carry")
     if out_path:
         atomic_write_text(out_path, text)
     else:
         sys.stdout.write(text)
-
-
-def _check_tsv_ids(samples) -> None:
-    """Refuse an id that TSV output cannot carry: a tab in it would shift its
-    row's columns, and a line break would split the row."""
-    for s in samples:
-        if "\t" in s.id or "\n" in s.id or "\r" in s.id:
-            raise ValueError(
-                f"id {s.id!r} holds a tab or line break, which TSV output cannot carry"
-            )
 
 
 def _rank_order_for(args, samples):
@@ -68,36 +76,36 @@ def _add_gbt_args(parser: argparse.ArgumentParser) -> None:
 
 def cmd_rank(args) -> int:
     if args.canonical:
-        lines = ["position\tparam"]
-        lines += [f"{pos}\t{num}" for pos, num in enumerate(CANONICAL_RANK_ORDER, start=1)]
+        header = ["position", "param"]
+        rows = [[str(pos), str(num)] for pos, num in enumerate(CANONICAL_RANK_ORDER, start=1)]
     else:
-        samples = load_dataset(args.data)
+        samples = _load(args.data)
         order = rank_params(samples)
         matrix = param_matrix(samples)
-        lines = ["position\tparam\tskewness"]
-        for pos, num in enumerate(order, start=1):
-            lines.append(f"{pos}\t{num}\t{skewness(matrix[:, num - 1])!r}")
-    _emit("\n".join(lines) + "\n", args.out)
+        header = ["position", "param", "skewness"]
+        rows = [
+            [str(pos), str(num), repr(skewness(matrix[:, num - 1]))]
+            for pos, num in enumerate(order, start=1)
+        ]
+    _emit(args.out, header, rows)
     return 0
 
 
 def cmd_features(args) -> int:
-    samples = load_dataset(args.data)
-    _check_tsv_ids(samples)
+    samples = _load(args.data)
     order = _rank_order_for(args, samples)
     fm = build_features(samples, order, args.k)
     header = ["id", "label"] + [f"h{j}" for j in range(1, args.k + 1)]
-    lines = ["\t".join(header)]
-    for s, row in zip(samples, fm.x):
-        label = s.label.value if s.label is not None else ""
-        values = "\t".join(repr(float(v)) for v in row)
-        lines.append(f"{s.id}\t{label}\t{values}")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = [
+        [s.id, s.label.value if s.label is not None else "", *(repr(float(v)) for v in row)]
+        for s, row in zip(samples, fm.x)
+    ]
+    _emit(args.out, header, rows)
     return 0
 
 
 def cmd_searchk(args) -> int:
-    samples = load_dataset(args.data)
+    samples = _load(args.data)
     order = _rank_order_for(args, samples)
     result = optimal_k_search(
         samples,
@@ -108,16 +116,15 @@ def cmd_searchk(args) -> int:
         train_frac=args.train_frac,
         config=_gbt_config(args),
     )
-    lines = ["k\taccuracy"]
-    lines += [f"{k}\t{acc!r}" for k, acc in sorted(result.accuracy_curve.items())]
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = [[str(k), repr(acc)] for k, acc in sorted(result.accuracy_curve.items())]
+    _emit(args.out, ["k", "accuracy"], rows)
     sys.stdout.write(f"best_k\t{result.best_k}\n")
     return 0
 
 
 def cmd_train(args) -> int:
     config = _gbt_config(args)
-    samples = load_dataset(args.data)
+    samples = _load(args.data)
     order = _rank_order_for(args, samples)
     fm = build_features(samples, order, args.k)
     model = train(fm.x, fm.labels, config=config, seed=args.seed)
@@ -165,7 +172,7 @@ def cmd_evaluate(args) -> int:
     if args.holdout is not None and not 0.0 < 1.0 - args.holdout < 1.0:
         raise ValueError(f"--holdout must be in (0, 1), got {args.holdout}")
     seed = args.seed or 0
-    samples = load_dataset(args.data)
+    samples = _load(args.data)
     if any(s.label is None for s in samples):
         raise ValueError("evaluation requires labeled samples")
     bundle = load_model(args.model)
@@ -217,58 +224,47 @@ def cmd_diagnose(args) -> int:
     if not args.data and any(v is None for v in gases):
         raise ValueError("provide --data or all five of --h2 --ch4 --c2h6 --c2h4 --c2h2")
     bundle = load_model(args.model)
-    samples = load_dataset(args.data) if args.data else [GasSample(*gases, id="cli")]
-    _check_tsv_ids(samples)
+    samples = _load(args.data) if args.data else [GasSample(*gases, id="cli")]
     fm = build_features(samples, bundle.rank_order, bundle.k)
     predicted = predict_many(bundle.model, fm.x)
     if args.compare:
-        lines = [
-            "id\th2\tch4\tc2h6\tc2h4\tc2h2\tactual\tduval\trogers\tiec\tpredicted"
+        header = ["id", *GAS_NAMES, "actual", "duval", "rogers", "iec", "predicted"]
+        rows = [
+            [s.id, *(repr(float(g)) for g in s.gases()),
+             s.label.value if s.label is not None else "",
+             duval(s).value, rogers(s).value, iec_ratio(s).value, pred.value]
+            for s, pred in zip(samples, predicted)
         ]
-        for s, pred in zip(samples, predicted):
-            actual = s.label.value if s.label is not None else ""
-            gases_txt = "\t".join(repr(float(g)) for g in s.gases())
-            lines.append(
-                f"{s.id}\t{gases_txt}\t{actual}\t{duval(s).value}"
-                f"\t{rogers(s).value}\t{iec_ratio(s).value}\t{pred.value}"
-            )
     else:
-        lines = ["id\tpredicted"]
-        lines += [f"{s.id}\t{p.value}" for s, p in zip(samples, predicted)]
-    _emit("\n".join(lines) + "\n", args.out)
+        header = ["id", "predicted"]
+        rows = [[s.id, p.value] for s, p in zip(samples, predicted)]
+    _emit(args.out, header, rows)
     return 0
 
 
 def cmd_conventional(args) -> int:
-    samples = load_dataset(args.data)
-    if not samples:
-        raise ValueError("empty dataset")
-    _check_tsv_ids(samples)
+    samples = _load(args.data)
     methods = {"duval": duval, "rogers": rogers, "iec": iec_ratio}
     chosen = list(methods) if args.method == "all" else [args.method]
-    lines = ["\t".join(["id", "actual"] + chosen)]
-    for s in samples:
-        actual = s.label.value if s.label is not None else ""
-        outcomes = "\t".join(methods[m](s).value for m in chosen)
-        lines.append(f"{s.id}\t{actual}\t{outcomes}")
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = [
+        [s.id, s.label.value if s.label is not None else "",
+         *(methods[m](s).value for m in chosen)]
+        for s in samples
+    ]
+    _emit(args.out, ["id", "actual", *chosen], rows)
     return 0
 
 
 def cmd_decompose(args) -> int:
-    samples = load_dataset(args.data)
-    _check_tsv_ids(samples)
+    samples = _load(args.data)
     order = _rank_order_for(args, samples)
     fm = build_features(samples, order, args.k)
-    lines = ["id\tposition\tparam\tvalue\tbaseline\tprc"]
-    for s, signal, baseline_row, prc_row in zip(samples, fm.signals, fm.baseline, fm.x):
-        columns = zip(order, signal, baseline_row, prc_row)
-        for pos, (num, value, baseline, prc) in enumerate(columns, start=1):
-            lines.append(
-                f"{s.id}\t{pos}\t{num}\t{float(value)!r}"
-                f"\t{float(baseline)!r}\t{float(prc)!r}"
-            )
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = [
+        [s.id, str(pos), str(num), repr(float(value)), repr(float(base)), repr(float(prc))]
+        for s, *columns in zip(samples, fm.signals, fm.baseline, fm.x)
+        for pos, (num, value, base, prc) in enumerate(zip(order, *columns), start=1)
+    ]
+    _emit(args.out, ["id", "position", "param", "value", "baseline", "prc"], rows)
     return 0
 
 

@@ -86,21 +86,31 @@ class TestRank:
         rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
         assert rows == [[str(pos), str(pos), "0.0"] for pos in range(1, 38)]
 
-    @pytest.mark.parametrize("command", [
+    RANKING = [
         "rank", "train --model {tmp}/m.json", "searchk --out {tmp}/curve.tsv",
         "features --k 24", "decompose --k 24 --out {tmp}/d.tsv",
+    ]
+    # one row is enough for these, since no ranking runs first
+    NOT_RANKING = [
+        "diagnose --model {model} --out {tmp}/p.tsv", "evaluate --model {model} --json {tmp}/r.json",
+        "evaluate --model {model} --holdout 0.2", "evaluate --model {model} --cv 5",
+        "features --k 24 --canonical", "decompose --k 24 --canonical --out {tmp}/d.tsv",
+    ]
+
+    @pytest.mark.parametrize("command, rows, message", [
+        *(pytest.param(c, [], "empty dataset", id=f"no-row-{c}") for c in RANKING + NOT_RANKING),
+        *(pytest.param(c, ["a,292,346,32,313,196,D2"],
+                       "ranking needs at least two samples, got 1", id=f"one-row-{c}")
+          for c in RANKING),
     ])
-    @pytest.mark.parametrize("rows, message", [
-        ([], "empty dataset"),
-        (["a,292,346,32,313,196,D2"], "ranking needs at least two samples, got 1"),
-    ], ids=["no-row", "one-row"])
     def test_fewer_than_two_rows_are_refused_by_name(
-        self, capsys, tmp_path, command, rows, message
+        self, capsys, tmp_path, table_model, command, rows, message
     ):
         data = tmp_path / "few.csv"
         data.write_text("\n".join(["id,h2,ch4,c2h6,c2h4,c2h2,label", *rows]) + "\n")
-        argv = command.format(tmp=tmp_path).split() + ["--data", str(data)]
+        argv = command.format(tmp=tmp_path, model=table_model[1]).split() + ["--data", str(data)]
         assert run(capsys, argv) == (1, "", f"error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["few.csv"]  # no --out, --json or model
 
     def test_requires_data_without_canonical(self, capsys):
         with pytest.raises(SystemExit):
@@ -441,6 +451,70 @@ class TestFeaturesCommand:
         assert len(lines) == 7
 
 
+# the sha256 of every table the CLI writes, on the `synth --seed 11` file and
+# on the bundled Table IV rows; `diagnose` uses the model that
+# `train --k 24 --seed 5` fits to the synth file
+TABLE_ARGV = {
+    "rank": "rank --data {data}",
+    "rank-canonical": "rank --canonical",
+    "features": "features --data {data} --k 24",
+    "features-canonical": "features --data {data} --k 24 --canonical",
+    "decompose": "decompose --data {data} --k 24 --out {out}",
+    "diagnose": "diagnose --data {data} --model {model}",
+    "diagnose-compare": "diagnose --data {data} --model {model} --compare",
+    "diagnose-reading": "diagnose --h2 292 --ch4 346 --c2h6 32 --c2h4 313 --c2h2 196"
+                        " --model {model}",
+    "diagnose-reading-compare": "diagnose --h2 292 --ch4 346 --c2h6 32 --c2h4 313 --c2h2 196"
+                                " --model {model} --compare",
+    "conventional": "conventional --data {data}",
+    "conventional-iec": "conventional --data {data} --method iec",
+    "searchk": "searchk --data {data} --kmin 18 --kmax 21 --rounds 8 --max-depth 3 --out {out}",
+}
+TABLE_DIGESTS = {
+    "synth/rank": "fdbb6a4a7986426ffa8d6d58e3067783d384f578493892f9ced2d1b10d33c86e",
+    "synth/rank-canonical": "9e67640cf8d930aa81236659cc7a654de148d0cc3d3b7fff492d3c692c047558",
+    "synth/features": "69fe7e92718f7f3ab7456a4b724b1f367506815cadf62febc4c5d5211ec156b9",
+    "synth/features-canonical": "52a95c651d5e3e741d365468b8f86ccc852ac8ff0ba25f06dcfd05681aefefc5",
+    "synth/decompose": "81c033144a89e1cb2df9c01b34f16510e15721a587d8cad5618485da705b568a",
+    "synth/diagnose": "26032e216773d4a64f20951eb29359b2e33ec6b29b5e62acff54de4200212f50",
+    "synth/diagnose-compare": "accae8d959a2c0b7bb3e59aa833ef10b6c87989243252bf3b6fe0bc13d9aeebd",
+    "synth/diagnose-reading": "6a81990572e8723c9b01b52a06797af161244f778cfd9724b78129447ca44036",
+    "synth/diagnose-reading-compare":
+        "49434fa426990284e972d002029e33cdaae2b6c83d12e3e55b6647132090568d",
+    "synth/conventional": "b1e0d08dcfb65f483d44e85f463c57eaa46e43cdf7ceb82a4db1ff70fe4177f5",
+    "synth/conventional-iec": "246dc5b656b375f6419928969a51a90c2441781bc90aa9e4a7a384d796bad1d3",
+    "synth/searchk": "2e3834f2e034be5874332bb4697e688dcc44c469275ffbb16a812063391dcd14",
+    "table/rank": "5ab9a242b21907d7b783cbac0f97952b35c19471f8ed6fded433078b5097794d",
+    "table/features": "859ab410c52cdfa958e4f8b8ab767bd80dad73ffd98b7c9b191b6d3a24796144",
+    "table/features-canonical": "6b542270945c66f703b2c50dc3a8a714a9cbd4cad2df0e454291f9f84c3ffb58",
+    "table/decompose": "b466ea4bc881c39419a10f9ac13dc2e942d65520822510229ead9d263bdd696c",
+    "table/diagnose": "44c4d614d7b122bfe475ebf92b2cd51290c69599c52bbed72960ba97146bdfff",
+    "table/diagnose-compare": "e39d712e86e1a84d8db8b502c34ef861b4b046e8b50f9062a076c14d20aa18be",
+    "table/conventional": "d76b59c51d28b531b062df7d6f6a00727ee3587fdde79220d467ee04702c548c",
+    "table/conventional-iec": "7d40794488b3db1d302357ac201b5486c55519ae75a75d42b7629b74e2a4bc21",
+    "table/searchk": "9cd1af37a2ae192f3943551c2f4775372b91b48f9c6736fc9a8ff4bc615f33a6",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_DIGESTS))
+def test_table_is_byte_identical(capsys, tmp_path, seed11_model, table_csv, case):
+    source, name = case.split("/")
+    data, model = seed11_model
+    out = tmp_path / "out.tsv"
+    argv = TABLE_ARGV[name].format(
+        data=data if source == "synth" else table_csv, model=model, out=out
+    ).split()
+    code, stdout, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    if "--out" in argv:
+        table = out.read_bytes()
+    else:  # the same bytes go to --out
+        table = stdout.encode()
+        assert run(capsys, [*argv, "--out", str(out)]) == (0, "", "")
+        assert out.read_bytes() == table
+    assert hashlib.sha256(table).hexdigest() == TABLE_DIGESTS[case]
+
+
 class TestExitCodes:
     def test_invalid_model_is_validation_error(self, capsys, tmp_path, synth_csv):
         path = tmp_path / "model.json"
@@ -597,6 +671,32 @@ class TestExitCodes:
             f"error: id {bad_id!r} holds a tab or line break, which TSV output cannot carry\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("train", ["--model", "{dir}/m.json", "--rounds", "3"]),
+        ("rank", []),
+        ("searchk", ["--out", "{dir}/curve.tsv", "--rounds", "2"]),
+        ("evaluate", ["--model", "{model}"]),
+    ])
+    def test_command_that_prints_no_id_takes_any_id(
+        self, capsys, tmp_path, table_model, command, extra
+    ):
+        # the TSV check sits with the table writer, not the loader
+        def outputs(name, bad_id):
+            samples = load_table_iv()
+            samples[2] = dataclasses.replace(samples[2], id=bad_id or samples[2].id)
+            folder = tmp_path / name
+            folder.mkdir()
+            write_dataset(folder / "in.csv", samples)
+            argv = [command, "--data", str(folder / "in.csv"),
+                    *(a.format(dir=folder, model=table_model[1]) for a in extra)]
+            code, out, err = run(capsys, argv)
+            files = {p.name: p.read_bytes() for p in folder.iterdir() if p.name != "in.csv"}
+            return code, out.replace(str(folder), "{dir}"), err, files
+
+        plain = outputs("plain", None)
+        assert plain[0] == 0
+        assert outputs("tabbed", "a\tb") == plain
 
     def test_gas_above_ceiling(self, capsys, tmp_path, synth_csv):
         model = str(tmp_path / "m.json")

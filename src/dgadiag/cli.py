@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import fields
 
 from .conventional import duval, iec_ratio, rogers
 from .core import CLASS_ORDER, GAS_NAMES, GasSample, param_matrix
@@ -31,6 +32,8 @@ from .io import (
     write_dataset,
 )
 from .ranking import CANONICAL_RANK_ORDER, rank_params, skewness
+
+_RULES = {"duval": duval, "rogers": rogers, "iec": iec_ratio}  # by name, in column order
 
 
 def _load(path) -> list[GasSample]:
@@ -59,19 +62,14 @@ def _rank_order_for(args, samples):
 
 
 def _gbt_config(args) -> GbtConfig:
-    return GbtConfig(
-        rounds=args.rounds,
-        learning_rate=args.learning_rate,
-        max_depth=args.max_depth,
-    )
+    return GbtConfig(**{f.name: getattr(args, f.name) for f in fields(GbtConfig)})
 
 
 def _add_gbt_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rounds", type=int, default=GbtConfig.rounds)
-    parser.add_argument(
-        "--learning-rate", type=float, default=GbtConfig.learning_rate
-    )
-    parser.add_argument("--max-depth", type=int, default=GbtConfig.max_depth)
+    """One option per `GbtConfig` field, `--max-depth` for `max_depth`."""
+    for f in fields(GbtConfig):
+        option = "--" + f.name.replace("_", "-")
+        parser.add_argument(option, type=type(f.default), default=f.default)
 
 
 def cmd_rank(args) -> int:
@@ -133,24 +131,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _report_lines(report, title: str) -> list[str]:
-    names = [label.value for label in CLASS_ORDER]
-    lines = [title, "confusion (rows actual, cols predicted):"]
-    lines.append("\t" + "\t".join(names))
-    for i, name in enumerate(names):
-        lines.append(name + "\t" + "\t".join(str(int(v)) for v in report.matrix.counts[i]))
-    lines.append("class\tsensitivity\tprecision\tf1")
-    for i, name in enumerate(names):
-        lines.append(
-            f"{name}\t{report.sensitivity[i]:.4f}\t{report.precision[i]:.4f}"
-            f"\t{report.f1[i]:.4f}"
-        )
-    lines.append(f"accuracy\t{report.accuracy:.4f}")
-    lines.append(f"macro_f1\t{report.macro_f1:.4f}")
-    lines.append(f"kappa\t{report.kappa:.4f}")
-    return lines
-
-
 def _report_json(report) -> dict:
     return {
         "confusion": report.matrix.counts.tolist(),
@@ -162,6 +142,20 @@ def _report_json(report) -> dict:
         "macro_f1": report.macro_f1,
         "kappa": report.kappa,
     }
+
+
+def _report_lines(doc: dict, title: str) -> list[str]:
+    """The text form of a `_report_json` document."""
+    names = doc["class_order"]
+    lines = [title, "confusion (rows actual, cols predicted):", "\t" + "\t".join(names)]
+    lines += [name + "\t" + "\t".join(map(str, row)) for name, row in zip(names, doc["confusion"])]
+    lines.append("class\tsensitivity\tprecision\tf1")
+    lines += [
+        f"{name}\t{s:.4f}\t{p:.4f}\t{f:.4f}"
+        for name, s, p, f in zip(names, doc["sensitivity"], doc["precision"], doc["f1"])
+    ]
+    lines += [f"{key}\t{doc[key]:.4f}" for key in ("accuracy", "macro_f1", "kappa")]
+    return lines
 
 
 def cmd_evaluate(args) -> int:
@@ -176,21 +170,9 @@ def cmd_evaluate(args) -> int:
     if any(s.label is None for s in samples):
         raise ValueError("evaluation requires labeled samples")
     bundle = load_model(args.model)
-    doc: dict
     if args.cv is not None:
-        result = kfold_cv(
-            samples,
-            bundle.rank_order,
-            bundle.k,
-            folds=args.cv,
-            seed=seed,
-            use_smote=args.smote,
-            config=bundle.model.config,
-        )
-        lines: list[str] = []
-        for i, rep in enumerate(result.fold_reports, start=1):
-            lines.append(f"fold {i}: accuracy={rep.accuracy:.4f} kappa={rep.kappa:.4f}")
-        lines += _report_lines(result.pooled, "pooled out-of-fold report:")
+        result = kfold_cv(samples, bundle.rank_order, bundle.k, folds=args.cv, seed=seed,
+                          use_smote=args.smote, config=bundle.model.config)
         doc = {
             "mode": "cv",
             "folds": args.cv,
@@ -198,19 +180,24 @@ def cmd_evaluate(args) -> int:
             "fold_reports": [_report_json(r) for r in result.fold_reports],
             "pooled": _report_json(result.pooled),
         }
-    elif args.holdout is not None:
-        fm = build_features(samples, bundle.rank_order, bundle.k)
-        split = train_test_split(len(samples), 1.0 - args.holdout, seed)
-        report = metrics(fit_and_score(fm, *split, bundle.model.config))
-        lines = _report_lines(
-            report, f"holdout report (test fraction {args.holdout}):"
-        )
-        doc = {"mode": "holdout", "test_fraction": args.holdout, "report": _report_json(report)}
+        lines = [
+            f"fold {i}: accuracy={r['accuracy']:.4f} kappa={r['kappa']:.4f}"
+            for i, r in enumerate(doc["fold_reports"], start=1)
+        ]
+        lines += _report_lines(doc["pooled"], "pooled out-of-fold report:")
     else:
         fm = build_features(samples, bundle.rank_order, bundle.k)
-        report = metrics(confusion(fm.labels, predict_many(bundle.model, fm.x)))
-        lines = _report_lines(report, "report (model applied to the full file):")
-        doc = {"mode": "apply", "report": _report_json(report)}
+        if args.holdout is not None:
+            split = train_test_split(len(samples), 1.0 - args.holdout, seed)
+            matrix = fit_and_score(fm, *split, bundle.model.config)
+            doc = {"mode": "holdout", "test_fraction": args.holdout}
+            title = f"holdout report (test fraction {args.holdout}):"
+        else:
+            matrix = confusion(fm.labels, predict_many(bundle.model, fm.x))
+            doc = {"mode": "apply"}
+            title = "report (model applied to the full file):"
+        doc["report"] = _report_json(metrics(matrix))
+        lines = _report_lines(doc["report"], title)
     sys.stdout.write("\n".join(lines) + "\n")
     if args.json:
         atomic_write_text(args.json, json.dumps(doc, indent=1) + "\n")
@@ -218,21 +205,21 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    gases = (args.h2, args.ch4, args.c2h6, args.c2h4, args.c2h2)
+    gases = [getattr(args, gas) for gas in GAS_NAMES]
     if args.data and any(v is not None for v in gases):
         raise ValueError("give --data or the five gases, not both")
     if not args.data and any(v is None for v in gases):
-        raise ValueError("provide --data or all five of --h2 --ch4 --c2h6 --c2h4 --c2h2")
+        raise ValueError("provide --data or all five of " + " ".join(f"--{g}" for g in GAS_NAMES))
     bundle = load_model(args.model)
     samples = _load(args.data) if args.data else [GasSample(*gases, id="cli")]
     fm = build_features(samples, bundle.rank_order, bundle.k)
     predicted = predict_many(bundle.model, fm.x)
     if args.compare:
-        header = ["id", *GAS_NAMES, "actual", "duval", "rogers", "iec", "predicted"]
+        header = ["id", *GAS_NAMES, "actual", *_RULES, "predicted"]
         rows = [
             [s.id, *(repr(float(g)) for g in s.gases()),
              s.label.value if s.label is not None else "",
-             duval(s).value, rogers(s).value, iec_ratio(s).value, pred.value]
+             *(rule(s).value for rule in _RULES.values()), pred.value]
             for s, pred in zip(samples, predicted)
         ]
     else:
@@ -244,11 +231,10 @@ def cmd_diagnose(args) -> int:
 
 def cmd_conventional(args) -> int:
     samples = _load(args.data)
-    methods = {"duval": duval, "rogers": rogers, "iec": iec_ratio}
-    chosen = list(methods) if args.method == "all" else [args.method]
+    chosen = list(_RULES) if args.method == "all" else [args.method]
     rows = [
         [s.id, s.label.value if s.label is not None else "",
-         *(methods[m](s).value for m in chosen)]
+         *(_RULES[m](s).value for m in chosen)]
         for s in samples
     ]
     _emit(args.out, ["id", "actual", *chosen], rows)
@@ -290,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rank", help="rank the 37 parameters by skewness")
-    p.add_argument("--data")
-    p.add_argument("--canonical", action="store_true")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--data")
+    source.add_argument("--canonical", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_rank)
 
@@ -335,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", help="predict fault classes")
     p.add_argument("--data")
-    for gas in ("h2", "ch4", "c2h6", "c2h4", "c2h2"):
+    for gas in GAS_NAMES:
         p.add_argument(f"--{gas}", type=float)
     p.add_argument("--model", required=True)
     p.add_argument("--compare", action="store_true")
@@ -344,9 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conventional", help="run the rule-based methods")
     p.add_argument("--data", required=True)
-    p.add_argument(
-        "--method", choices=["duval", "rogers", "iec", "all"], default="all"
-    )
+    p.add_argument("--method", choices=[*_RULES, "all"], default="all")
     p.add_argument("--out")
     p.set_defaults(func=cmd_conventional)
 
@@ -369,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "rank" and not args.canonical and not args.data:
-        parser.error("rank requires --data unless --canonical is given")
     try:
         seed = getattr(args, "seed", None)
         if seed is not None and seed < 0:  # one check for every subcommand with a --seed

@@ -27,14 +27,6 @@ class ConfusionMatrix:
 
     counts: np.ndarray
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def trace(self) -> int:
-        return int(np.trace(self.counts))
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -50,6 +42,7 @@ class EvalReport:
 def confusion(
     actual: Sequence[FaultLabel], predicted: Sequence[FaultLabel]
 ) -> ConfusionMatrix:
+    """Count (actual, predicted) pairs; raises ValueError on a label outside CLASS_ORDER."""
     if len(actual) != len(predicted):
         raise ValueError("actual/predicted length mismatch")
     if len(actual) == 0:
@@ -57,6 +50,8 @@ def confusion(
     counts = np.zeros((len(CLASS_ORDER), len(CLASS_ORDER)), dtype=np.int64)
     index = {label: i for i, label in enumerate(CLASS_ORDER)}
     for a, p in zip(actual, predicted):
+        if a not in index or p not in index:  # None, say, for an unlabeled sample
+            raise ValueError(f"label {a if a not in index else p!r} is not in CLASS_ORDER")
         counts[index[a], index[p]] += 1
     return ConfusionMatrix(counts=counts)
 

@@ -132,7 +132,7 @@ def optimal_k_search(
     accuracy resolve to the smallest k.  A k outside the usual range is
     warned of once the search has succeeded.
     """
-    from .evaluation import fit_and_score, train_test_split
+    from .evaluation import fit_and_score, metrics, train_test_split
 
     samples = list(samples)
     if any(s.label is None for s in samples):
@@ -148,8 +148,7 @@ def optimal_k_search(
     curve: dict[int, float] = {}
     for k in range(k_min, k_max + 1):
         fm = _decompose(samples, ranked[:, :k])
-        cm = fit_and_score(fm, train_idx, test_idx, config)
-        curve[k] = cm.trace / cm.total
+        curve[k] = metrics(fit_and_score(fm, train_idx, test_idx, config)).accuracy
     for k in curve:
         _warn_unusual_k(k)
 

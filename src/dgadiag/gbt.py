@@ -74,11 +74,12 @@ gain exceeds the bound by at most about 16 m eps (1 + S^2/lambda)
 nodes; lambda = 1 keeps it at 1e-9 (1+m)(1 + S^2)(1 + H).)
 
 A round works on class-major (classes, n) arrays of logits,
-probabilities, gradients and hessians, allocated once per call, and
-computes the six root leaf weights as one vector.  A class whose root
-carries less than twice MIN_CHILD_WEIGHT of hessian mass cannot split; it
-gets its one-leaf tree without growing it, which is most trees after the
-first rounds, and a round where every root is a leaf is one in-place add.
+probabilities (`_softmax` along the class axis, the module's one softmax),
+gradients and hessians, allocated once per call, and computes the six
+root leaf weights as one vector.  A class whose root carries less than
+twice MIN_CHILD_WEIGHT of hessian mass cannot split; it gets its one-leaf
+tree without growing it, which is most trees after the first rounds, and
+a round where every root is a leaf is one in-place add.
 
 A model is three flat node arrays (feature, right, value) holding every
 tree, [round][class], each in preorder, plus each tree's node count.
@@ -243,10 +244,11 @@ def _flatten(model: GbtModel) -> _Forest:
     )
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    p = logits - logits.max(axis=1, keepdims=True)
+def _softmax(logits: np.ndarray, axis: int = 1, out: np.ndarray | None = None) -> np.ndarray:
+    """The softmax of `logits` along `axis`, written to `out` if given."""
+    p = np.subtract(logits, logits.max(axis=axis, keepdims=True), out=out)
     np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
+    p /= p.sum(axis=axis, keepdims=True)
     return p
 
 
@@ -446,17 +448,14 @@ def train(
 
     # Class-major (classes, n) buffers: one contiguous row per class, so a
     # root sum reduces in the same order as the grower's `g[idx].sum()` and
-    # the two agree bit for bit.  A sum over the six classes of a column adds
-    # them in class order, as `_softmax` does along a row.
+    # the two agree bit for bit.  `_softmax` along axis 0 adds the six classes
+    # of a column in class order, as it does along a row of `predict_proba_many`.
     logits = np.full((N_CLASSES, n), BASE_SCORE, dtype=np.float64)
     p, grad, hess = (np.empty_like(logits) for _ in range(3))
-    column = np.empty(n, dtype=np.float64)
     nodes: list[tuple] = []  # (feature, right, value)
     sizes: list[int] = []
     for _ in range(config.rounds):
-        np.subtract(logits, np.max(logits, axis=0, out=column), out=p)
-        np.exp(p, out=p)
-        p /= np.sum(p, axis=0, out=column)
+        _softmax(logits, axis=0, out=p)
         np.subtract(p, onehot, out=grad)
         np.subtract(1.0, p, out=hess)
         hess *= p

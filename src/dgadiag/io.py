@@ -45,7 +45,7 @@ from .features import _check_k
 from .gbt import GbtConfig, GbtModel, Tree
 from .ranking import validate_rank_order
 
-CSV_HEADER = ["id", "h2", "ch4", "c2h6", "c2h4", "c2h2", "label"]
+CSV_HEADER = ["id", *GAS_NAMES, "label"]
 _LABELS = {label.value: label for label in FaultLabel}  # FaultLabel(text), as a lookup
 MODEL_FORMAT_VERSION = 5
 
@@ -218,7 +218,8 @@ def generate_synthetic(
 class ModelBundle:
     """A trained classifier plus the feature recipe it expects: a rank
     order (stored as a tuple of ints) and `k`, which must be in 2..37 and
-    the model's feature count, so that every bundle saves a loadable file."""
+    the model's feature count, and a model of `config.rounds` rounds, so
+    that every bundle saves a loadable file."""
 
     model: GbtModel
     rank_order: tuple[int, ...]
@@ -229,6 +230,9 @@ class ModelBundle:
         _check_k(self.k)
         if self.k != self.model.n_features:
             raise ValueError(f"k = {self.k}, but the model has {self.model.n_features} features")
+        trees, rounds = self.model.sizes.size, self.model.config.rounds
+        if trees != rounds * N_CLASSES:
+            raise ValueError(f"the model has {trees} trees, not {rounds} rounds of {N_CLASSES}")
 
 
 def _forest_from_json(doc_trees: dict, cfg: GbtConfig) -> dict[str, np.ndarray]:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -14,8 +15,17 @@ from hypothesis import strategies as st
 
 from dgadiag import cli
 from dgadiag.cli import main
-from dgadiag.core import param_matrix
-from dgadiag.io import load_dataset, load_table_iv, write_dataset
+from dgadiag.core import CLASS_ORDER, param_matrix
+from dgadiag.evaluation import (
+    confusion,
+    fit_and_score,
+    kfold_cv,
+    metrics,
+    train_test_split,
+)
+from dgadiag.features import build_features
+from dgadiag.gbt import predict_many
+from dgadiag.io import load_dataset, load_model, load_table_iv, write_dataset
 from dgadiag.ranking import rank_params
 
 
@@ -115,6 +125,14 @@ class TestRank:
     def test_requires_data_without_canonical(self, capsys):
         with pytest.raises(SystemExit):
             main(["rank"])
+
+    def test_refuses_data_with_canonical(self, capsys):
+        # the canonical order was printed and the file never read
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", "--canonical", "--data", "/nonexistent.csv"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "error: argument --data: not allowed with argument --canonical" in err
 
 
 class TestConventional:
@@ -513,6 +531,184 @@ def test_table_is_byte_identical(capsys, tmp_path, seed11_model, table_csv, case
         assert run(capsys, [*argv, "--out", str(out)]) == (0, "", "")
         assert out.read_bytes() == table
     assert hashlib.sha256(table).hexdigest() == TABLE_DIGESTS[case]
+
+
+
+# The report renderers of the last version that built the text and the JSON
+# report side by side from an EvalReport, kept as the oracle of `evaluate`.
+def _oracle_report_lines(report, title):
+    names = [label.value for label in CLASS_ORDER]
+    lines = [title, "confusion (rows actual, cols predicted):"]
+    lines.append("\t" + "\t".join(names))
+    for i, name in enumerate(names):
+        lines.append(name + "\t" + "\t".join(str(int(v)) for v in report.matrix.counts[i]))
+    lines.append("class\tsensitivity\tprecision\tf1")
+    for i, name in enumerate(names):
+        lines.append(
+            f"{name}\t{report.sensitivity[i]:.4f}\t{report.precision[i]:.4f}"
+            f"\t{report.f1[i]:.4f}"
+        )
+    lines.append(f"accuracy\t{report.accuracy:.4f}")
+    lines.append(f"macro_f1\t{report.macro_f1:.4f}")
+    lines.append(f"kappa\t{report.kappa:.4f}")
+    return lines
+
+
+def _oracle_report_json(report):
+    return {
+        "confusion": report.matrix.counts.tolist(),
+        "class_order": [label.value for label in CLASS_ORDER],
+        "sensitivity": report.sensitivity.tolist(),
+        "precision": report.precision.tolist(),
+        "f1": report.f1.tolist(),
+        "accuracy": report.accuracy,
+        "macro_f1": report.macro_f1,
+        "kappa": report.kappa,
+    }
+
+
+def _oracle_evaluate(data, model, holdout=None, cv=None, smote=False, seed=0):
+    """`evaluate`'s stdout text and JSON document, from the library's results
+    rendered by the oracle."""
+    samples, bundle = load_dataset(data), load_model(model)
+    config = bundle.model.config
+    if cv is not None:
+        result = kfold_cv(samples, bundle.rank_order, bundle.k, folds=cv, seed=seed,
+                          use_smote=smote, config=config)
+        lines = [f"fold {i}: accuracy={rep.accuracy:.4f} kappa={rep.kappa:.4f}"
+                 for i, rep in enumerate(result.fold_reports, start=1)]
+        lines += _oracle_report_lines(result.pooled, "pooled out-of-fold report:")
+        doc = {
+            "mode": "cv",
+            "folds": cv,
+            "smote": smote,
+            "fold_reports": [_oracle_report_json(r) for r in result.fold_reports],
+            "pooled": _oracle_report_json(result.pooled),
+        }
+    else:
+        fm = build_features(samples, bundle.rank_order, bundle.k)
+        if holdout is not None:
+            split = train_test_split(len(samples), 1.0 - holdout, seed)
+            report = metrics(fit_and_score(fm, *split, config))
+            lines = _oracle_report_lines(report, f"holdout report (test fraction {holdout}):")
+            doc = {"mode": "holdout", "test_fraction": holdout,
+                   "report": _oracle_report_json(report)}
+        else:
+            report = metrics(confusion(fm.labels, predict_many(bundle.model, fm.x)))
+            lines = _oracle_report_lines(report, "report (model applied to the full file):")
+            doc = {"mode": "apply", "report": _oracle_report_json(report)}
+    return "\n".join(lines) + "\n", json.dumps(doc, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("flags, oracle", [
+    pytest.param([], {}, id="apply"),
+    pytest.param(["--holdout", "0.2", "--seed", "3"], dict(holdout=0.2, seed=3), id="holdout"),
+    pytest.param(["--cv", "5", "--seed", "2"], dict(cv=5, seed=2), id="cv"),
+    pytest.param(["--cv", "3", "--smote", "--seed", "1"], dict(cv=3, smote=True, seed=1),
+                 id="cv-smote"),
+])
+def test_evaluate_report_matches_the_oracle(capsys, tmp_path, seed11_model, flags, oracle):
+    data, model = seed11_model
+    report = tmp_path / "report.json"
+    argv = ["evaluate", "--data", data, "--model", model, *flags, "--json", str(report)]
+    code, stdout, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    text, doc = _oracle_evaluate(data, model, **oracle)
+    assert stdout == text
+    assert report.read_bytes() == doc.encode()
+
+
+# Every option of every subcommand as (option strings, dest, type, default,
+# required, choices), then its mutually exclusive groups as (dests,
+# required); argparse's own --help is left out.
+OPTION_TABLE = {
+    "rank": ([
+        ("--data", "data", None, None, False, None),
+        ("--canonical", "canonical", None, False, False, None),
+        ("--out", "out", None, None, False, None),
+    ], [(("data", "canonical"), True)]),
+    "features": ([
+        ("--data", "data", None, None, True, None),
+        ("--k", "k", int, None, True, None),
+        ("--canonical", "canonical", None, False, False, None),
+        ("--out", "out", None, None, False, None),
+    ], []),
+    "searchk": ([
+        ("--data", "data", None, None, True, None),
+        ("--kmin", "kmin", int, 18, False, None),
+        ("--kmax", "kmax", int, 37, False, None),
+        ("--seed", "seed", int, 0, False, None),
+        ("--train-frac", "train_frac", float, 0.85, False, None),
+        ("--canonical", "canonical", None, False, False, None),
+        ("--out", "out", None, None, True, None),
+        ("--rounds", "rounds", int, 100, False, None),
+        ("--learning-rate", "learning_rate", float, 0.3, False, None),
+        ("--max-depth", "max_depth", int, 6, False, None),
+    ], []),
+    "train": ([
+        ("--data", "data", None, None, True, None),
+        ("--k", "k", int, 24, False, None),
+        ("--seed", "seed", int, 0, False, None),
+        ("--model", "model", None, None, True, None),
+        ("--canonical", "canonical", None, False, False, None),
+        ("--rounds", "rounds", int, 100, False, None),
+        ("--learning-rate", "learning_rate", float, 0.3, False, None),
+        ("--max-depth", "max_depth", int, 6, False, None),
+    ], []),
+    "evaluate": ([
+        ("--data", "data", None, None, True, None),
+        ("--model", "model", None, None, True, None),
+        ("--holdout", "holdout", float, None, False, None),
+        ("--cv", "cv", int, None, False, None),
+        ("--smote", "smote", None, False, False, None),
+        ("--seed", "seed", int, None, False, None),
+        ("--json", "json", None, None, False, None),
+    ], [(("holdout", "cv"), False)]),
+    "diagnose": ([
+        ("--data", "data", None, None, False, None),
+        ("--h2", "h2", float, None, False, None),
+        ("--ch4", "ch4", float, None, False, None),
+        ("--c2h6", "c2h6", float, None, False, None),
+        ("--c2h4", "c2h4", float, None, False, None),
+        ("--c2h2", "c2h2", float, None, False, None),
+        ("--model", "model", None, None, True, None),
+        ("--compare", "compare", None, False, False, None),
+        ("--out", "out", None, None, False, None),
+    ], []),
+    "conventional": ([
+        ("--data", "data", None, None, True, None),
+        ("--method", "method", None, "all", False, ["duval", "rogers", "iec", "all"]),
+        ("--out", "out", None, None, False, None),
+    ], []),
+    "decompose": ([
+        ("--data", "data", None, None, True, None),
+        ("--k", "k", int, None, True, None),
+        ("--canonical", "canonical", None, False, False, None),
+        ("--out", "out", None, None, True, None),
+    ], []),
+    "synth": ([
+        ("--seed", "seed", int, None, True, None),
+        ("--out", "out", None, None, True, None),
+        ("--counts", "counts", None, None, False, None),
+    ], []),
+}
+
+
+def test_option_surface_matches_the_table():
+    """Every subcommand's options, in order, with their types and defaults:
+    an option added, dropped or changed anywhere fails this."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: (
+            [(", ".join(a.option_strings), a.dest, a.type, a.default, a.required, a.choices)
+             for a in p._actions if not isinstance(a, argparse._HelpAction)],
+            [(tuple(a.dest for a in g._group_actions), g.required)
+             for g in p._mutually_exclusive_groups],
+        )
+        for name, p in sub.choices.items()
+    }
+    assert list(surface.items()) == list(OPTION_TABLE.items())
 
 
 class TestExitCodes:

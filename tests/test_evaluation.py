@@ -30,7 +30,7 @@ class TestConfusion:
     def test_single_pair(self):
         cm = confusion([PD], [PD])
         assert cm.counts[0, 0] == 1
-        assert cm.total == 1
+        assert cm.counts.sum() == 1
 
     def test_reference_row_sums(self):
         cm = ConfusionMatrix(counts=REFERENCE_HOLDOUT_CONFUSION)
@@ -47,6 +47,14 @@ class TestConfusion:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             confusion([PD], [PD, D1])
+
+    @pytest.mark.parametrize("actual, predicted, bad", [
+        ([None], [PD], "None"), ([PD, D1], [T3, "T3"], "'T3'"),
+    ])
+    def test_label_outside_class_order_is_named(self, actual, predicted, bad):
+        # an unlabeled sample's None raised a bare KeyError
+        with pytest.raises(ValueError, match=f"^label {bad} is not in CLASS_ORDER$"):
+            confusion(actual, predicted)
 
     def test_reconstruction_from_label_pairs(self):
         pairs = []
@@ -273,7 +281,7 @@ class TestKfoldCv:
                           config=self.TINY_CONFIG)
         summed = sum(r.matrix.counts for r in result.fold_reports)
         assert np.array_equal(result.pooled.matrix.counts, summed)
-        assert result.pooled.matrix.total == 30
+        assert result.pooled.matrix.counts.sum() == 30
 
     def test_unlabeled_samples_rejected(self):
         samples = _archetype_samples(per_class=5, seed=5)

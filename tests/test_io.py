@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -881,6 +882,12 @@ class TestModelPersistence:
         assert type(bundle.rank_order) is tuple and bundle.rank_order == CANONICAL_RANK_ORDER
         save_model(tmp_path / "m.json", bundle)
         assert load_model(tmp_path / "m.json").rank_order == CANONICAL_RANK_ORDER
+
+    def test_bundle_refuses_trees_that_do_not_match_the_rounds(self):
+        # saved, such a model made a file that load_model refused
+        model = dataclasses.replace(_toy_bundle().model, config=GbtConfig(rounds=5))
+        with pytest.raises(ValueError, match="^the model has 48 trees, not 5 rounds of 6$"):
+            ModelBundle(model=model, rank_order=CANONICAL_RANK_ORDER, k=20)
 
     def test_readme_trees_example_loads(self, tmp_path):
         # the README's "trees" example, in a full document, is a model

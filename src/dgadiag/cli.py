@@ -17,7 +17,7 @@ import warnings
 from dataclasses import fields
 
 from .conventional import duval, iec_ratio, rogers
-from .core import CLASS_ORDER, GAS_NAMES, GasSample, param_matrix
+from .core import CLASS_ORDER, GAS_NAMES, GasSample
 from .evaluation import confusion, fit_and_score, kfold_cv, metrics, train_test_split
 from .features import K_DEFAULT_MAX, K_DEFAULT_MIN, build_features, optimal_k_search
 from .gbt import GbtConfig, predict_many, train
@@ -31,7 +31,7 @@ from .io import (
     save_model,
     write_dataset,
 )
-from .ranking import CANONICAL_RANK_ORDER, rank_params, skewness
+from .ranking import CANONICAL_RANK_ORDER, _ranked_skews, rank_params
 
 _RULES = {"duval": duval, "rogers": rogers, "iec": iec_ratio}  # by name, in column order
 
@@ -77,14 +77,9 @@ def cmd_rank(args) -> int:
         header = ["position", "param"]
         rows = [[str(pos), str(num)] for pos, num in enumerate(CANONICAL_RANK_ORDER, start=1)]
     else:
-        samples = _load(args.data)
-        order = rank_params(samples)
-        matrix = param_matrix(samples)
+        ranked = _ranked_skews(_load(args.data))
         header = ["position", "param", "skewness"]
-        rows = [
-            [str(pos), str(num), repr(skewness(matrix[:, num - 1]))]
-            for pos, num in enumerate(order, start=1)
-        ]
+        rows = [[str(pos), str(num), repr(skew)] for pos, (skew, num) in enumerate(ranked, start=1)]
     _emit(args.out, header, rows)
     return 0
 

@@ -8,6 +8,7 @@ kappa; cross-validation can oversample the training folds with SMOTE.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -167,6 +168,8 @@ def stratified_folds(
     labels: Sequence[FaultLabel], folds: int, seed: int
 ) -> list[np.ndarray]:
     """Seeded stratified fold assignment; per-class counts differ by <= 1."""
+    if isinstance(folds, bool) or not isinstance(folds, numbers.Integral):
+        raise ValueError(f"folds must be an integer, got {folds!r}")
     if folds < 2:
         raise ValueError("folds must be >= 2")
     rng = np.random.default_rng(seed)

@@ -21,6 +21,7 @@ first k columns of it for each k, as `build_features` would.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,9 +51,13 @@ class KSearchResult:
     best_k: int
 
 
-def _check_k(k: int) -> None:
+def _check_k(k: int) -> int:
+    """`k` as an `int`, once it is an integer of any type but bool in 2..37."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 2 <= k <= N_PARAMS:
         raise ValueError(f"k must be in 2..{N_PARAMS}, got {k}")
+    return int(k)
 
 
 def _warn_unusual_k(k: int) -> None:
@@ -73,8 +78,7 @@ def _checked_prefix(
     if not samples:
         raise ValueError("empty sample list")
     order = validate_rank_order(rank_order)
-    _check_k(k)
-    return order[:k]
+    return order[: _check_k(k)]
 
 
 def _ranked_prefix(samples: Sequence[GasSample], prefix: Sequence[int]) -> np.ndarray:
@@ -139,8 +143,7 @@ def optimal_k_search(
         raise ValueError("feature-count search requires labeled samples")
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
-    _check_k(k_min)
-    _check_k(k_max)
+    k_min, k_max = _check_k(k_min), _check_k(k_max)
 
     train_idx, test_idx = train_test_split(len(samples), train_frac, split_seed)
     order = _checked_prefix(samples, rank_order, N_PARAMS)

@@ -88,11 +88,11 @@ and `value` holds a split's threshold at an internal node and the weight
 at a leaf, as XGBoost's `split_conditions` does.  Training appends to
 them, `dgadiag.io` writes them as three lists, and `GbtModel.trees` gives
 `Tree` views (numpy slices) of them.  However it was built, a model checks
-them when it is: signed integer ids, whole rounds of non-empty trees,
-arrays of one length, finite values, features below its feature count,
-right children past the left child within the tree, and leaves that cannot
-add up to a non-finite logit, so that no walk can index out of range or
-loop.
+them when it is: signed integer ids, `config.rounds` rounds of non-empty
+trees, arrays of one length, finite values, features below its feature
+count, right children past the left child within the tree, and leaves that
+cannot add up to a non-finite logit, so that no walk can index out of
+range or loop.
 
 For prediction a model also derives, once, absolute child ids, the roots
 of the trees of every round that has a split, and each round's root
@@ -177,7 +177,8 @@ class GbtModel:
     """A trained ensemble: three read-only node arrays holding every tree,
     [round][class] with classes in CLASS_ORDER, each in preorder with child
     ids counted from its root as in `Tree`, and each tree's node count.
-    Raises ValueError on arrays that fail the module docstring's checks."""
+    Raises ValueError on arrays that fail the module docstring's checks, or
+    on a seed that is not an integer (any integer type but bool, kept as int)."""
 
     config: GbtConfig
     n_features: int
@@ -189,6 +190,9 @@ class GbtModel:
     _forest: _Forest = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         for name in (*Tree._fields, "sizes"):
             getattr(self, name).setflags(write=False)
         object.__setattr__(self, "_forest", _flatten(self))
@@ -207,11 +211,13 @@ def _flatten(model: GbtModel) -> _Forest:
     sizes, feature, right, value = model.sizes, model.feature, model.right, model.value
     if not sizes.dtype.kind == feature.dtype.kind == right.dtype.kind == "i":
         raise ValueError("feature, right and sizes must be signed integer arrays")
-    if sizes.size % N_CLASSES:
-        raise ValueError(f"{sizes.size} trees are not whole rounds of {N_CLASSES}")
-    if sizes.size and sizes.min() < 1:
+    trees, rounds = sizes.size, model.config.rounds
+    if trees != rounds * N_CLASSES:
+        raise ValueError(f"the model has {trees} trees, not {rounds} rounds of {N_CLASSES}")
+    if sizes.min() < 1:
         raise ValueError("empty tree")
-    if not feature.size == right.size == value.size == sizes.sum():
+    # summed in Python ints: an int64 sum of huge counts could wrap round to the length
+    if not feature.size == right.size == value.size == sum(sizes.tolist()):
         raise ValueError("feature, right and value must each have sum(sizes) entries")
     if not np.isfinite(value).all():
         raise ValueError("non-finite threshold or leaf value")
@@ -419,8 +425,6 @@ def train(
     not a FaultLabel (such as None for an unlabeled sample), fewer than
     two distinct labels, or a seed that is not an integer.
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:
         raise ValueError("feature matrix must be 2-D and non-empty")
@@ -478,7 +482,7 @@ def train(
         x.shape[1],
         *map(np.array, zip(*nodes)),  # int64 and float64 columns
         sizes=np.array(sizes, dtype=np.intp),
-        seed=int(seed),
+        seed=seed,
     )
 
 

@@ -19,10 +19,12 @@ preorder one after another, child ids counted from the tree's root.  A
 left child is the node after its parent, and value is a split's threshold
 or a leaf's weight.  The class order, class count and base score are the
 package's constants (CLASS_ORDER, its length and `gbt.BASE_SCORE`), not
-file contents.  `load_model` checks the document's shape (its keys, the
-version, the tree count, and each list's type and length) and leaves the
-trees to `GbtModel`, which refuses any structure the prediction walk could
-index out of range or loop on, however the model was built.  All writes go
+file contents.  `load_model` checks the document's keys, its version and
+the element types of the tree lists, and passes the plain values to the
+types that own their rules, as in memory: `GbtConfig` checks the config,
+`features._check_k` k, `validate_rank_order` the rank order, and
+`GbtModel` the seed and the trees (their count, lengths, and any structure
+the prediction walk could index out of range or loop on).  All writes go
 through a temp file + rename so readers never observe partial output.
 """
 
@@ -40,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CLASS_ORDER, GAS_NAMES, N_CLASSES, FaultLabel, GasSample
+from .core import CLASS_ORDER, GAS_NAMES, FaultLabel, GasSample
 from .features import _check_k
 from .gbt import GbtConfig, GbtModel, Tree
 from .ranking import validate_rank_order
@@ -73,6 +75,7 @@ SYNTH_GAS_RANGES: dict[FaultLabel, dict[str, tuple[float, float]]] = {
     ),
 }
 
+# the original dataset's class counts (`reference.REFERENCE_CLASS_COUNTS`)
 DEFAULT_SYNTH_COUNTS: tuple[int, ...] = (42, 67, 113, 80, 21, 53)
 
 
@@ -217,9 +220,9 @@ def generate_synthetic(
 @dataclass(frozen=True)
 class ModelBundle:
     """A trained classifier plus the feature recipe it expects: a rank
-    order (stored as a tuple of ints) and `k`, which must be in 2..37 and
-    the model's feature count, and a model of `config.rounds` rounds, so
-    that every bundle saves a loadable file."""
+    order (stored as a tuple of ints) and `k` (stored as an int), which must
+    be in 2..37 and the model's feature count, so that every bundle saves a
+    file that `load_model` reads back equal."""
 
     model: GbtModel
     rank_order: tuple[int, ...]
@@ -227,46 +230,28 @@ class ModelBundle:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rank_order", validate_rank_order(self.rank_order))
-        _check_k(self.k)
+        object.__setattr__(self, "k", _check_k(self.k))
         if self.k != self.model.n_features:
             raise ValueError(f"k = {self.k}, but the model has {self.model.n_features} features")
-        trees, rounds = self.model.sizes.size, self.model.config.rounds
-        if trees != rounds * N_CLASSES:
-            raise ValueError(f"the model has {trees} trees, not {rounds} rounds of {N_CLASSES}")
 
 
-def _forest_from_json(doc_trees: dict, cfg: GbtConfig) -> dict[str, np.ndarray]:
-    """The node arrays and node counts of a model document, as `GbtModel`
-    fields; `GbtModel` checks the trees they hold.
-
-    Raises ValueError on a tree count that does not match the config, an
-    unknown key, or a list of the wrong type or length.
-    """
-    sizes = doc_trees["node_counts"]
-    if not set(map(type, sizes)) <= {int}:  # a JSON object yields its str keys
-        raise ValueError("trees.node_counts is not an integer list")
-    if len(sizes) != cfg.rounds * N_CLASSES:
-        raise ValueError(f"expected {cfg.rounds} rounds of {N_CLASSES} trees")
-    unknown = doc_trees.keys() - {"node_counts", *Tree._fields}
-    if unknown:
-        raise ValueError(f"trees has unknown keys {', '.join(sorted(unknown))}")
+def _forest_from_json(doc_trees: dict) -> dict[str, np.ndarray]:
+    """The node counts and node arrays of a model document, as `GbtModel`
+    fields, which `GbtModel` checks.  Raises ValueError on a list of other
+    than JSON integers (JSON numbers for "value"), or an unknown key."""
     arrays = {}
-    for name in Tree._fields:
+    for name in ("node_counts", *Tree._fields):
         column = doc_trees[name]
         index = name != "value"
-        types = {int} if index else {int, float}
-        if len(column) != sum(sizes) or not set(map(type, column)) <= types:
-            kind = "an integer" if index else "a number"
-            raise ValueError(f"trees.{name} is not {kind} list of sum(node_counts) entries")
+        if not set(map(type, column)) <= ({int} if index else {int, float}):
+            # a JSON object yields its str keys
+            raise ValueError(f"trees.{name} is not {'an integer' if index else 'a number'} list")
         arrays[name] = np.array(column, dtype=np.int64 if index else np.float64)
-    return {**arrays, "sizes": np.array(sizes, dtype=np.intp)}
-
-
-def _integer(name: str, value) -> int:
-    """`value` if it is a JSON integer (not a bool, float or string)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
+    unknown = doc_trees.keys() - arrays.keys()
+    if unknown:
+        raise ValueError(f"trees has unknown keys {', '.join(sorted(unknown))}")
+    arrays["sizes"] = arrays.pop("node_counts").astype(np.intp, copy=False)
+    return arrays
 
 
 def save_model(path, bundle: ModelBundle) -> None:
@@ -287,8 +272,8 @@ def save_model(path, bundle: ModelBundle) -> None:
 
 def load_model(path) -> ModelBundle:
     """Parse a model file into a bundle; corrupt, version-mismatched or
-    structurally invalid files (`GbtModel` checks the trees) raise
-    ValueError naming the file."""
+    structurally invalid files (the bundle and its model check the values)
+    raise ValueError naming the file."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -316,11 +301,9 @@ def load_model(path) -> ModelBundle:
             raise ValueError(f"config lacks {', '.join(sorted(missing))}")
         if unknown:
             raise ValueError(f"config has unknown keys {', '.join(sorted(unknown))}")
-        cfg = GbtConfig(**config)
-        k = _integer("k", doc["k"])
-        _check_k(k)  # before the trees, whose feature indices k bounds
+        k = _check_k(doc["k"])  # before the trees, whose feature indices k bounds
         model = GbtModel(
-            cfg, k, **_forest_from_json(doc["trees"], cfg), seed=_integer("seed", doc["seed"])
+            GbtConfig(**config), k, **_forest_from_json(doc["trees"]), seed=doc["seed"]
         )
         return ModelBundle(model=model, rank_order=doc["rank_order"], k=k)
     except (KeyError, TypeError, OverflowError) as exc:

@@ -56,21 +56,23 @@ def skewness(values: Sequence[float]) -> float:
     return m3 / m2**1.5
 
 
-def rank_params(dataset: Sequence[GasSample]) -> tuple[int, ...]:
-    """Order the 37 parameter numbers by ascending skewness over the dataset.
-
-    Ties break toward the lower parameter number, so the result is
-    deterministic.  Needs at least two samples.
-    """
+def _ranked_skews(dataset: Sequence[GasSample]) -> list[tuple[float, int]]:
+    """(skewness, parameter number) of the 37 parameters over the dataset,
+    in rank order: ascending skewness, ties toward the lower number."""
     dataset = list(dataset)
     if not dataset:
         raise ValueError("empty dataset")
     if len(dataset) < 2:
         raise ValueError(f"ranking needs at least two samples, got {len(dataset)}")
     matrix = param_matrix(dataset)
-    skews = [skewness(matrix[:, j]) for j in range(N_PARAMS)]
-    order = sorted(range(1, N_PARAMS + 1), key=lambda num: (skews[num - 1], num))
-    return tuple(order)
+    return sorted((skewness(matrix[:, num - 1]), num) for num in _PARAM_NUMBERS)
+
+
+def rank_params(dataset: Sequence[GasSample]) -> tuple[int, ...]:
+    """Order the 37 parameter numbers by ascending skewness over the dataset,
+    ties toward the lower number, so the result is deterministic.  Needs at
+    least two samples."""
+    return tuple(num for _, num in _ranked_skews(dataset))
 
 
 def validate_rank_order(order: Sequence[int]) -> tuple[int, ...]:

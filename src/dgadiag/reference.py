@@ -13,10 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from .core import CLASS_ORDER
+from .io import DEFAULT_SYNTH_COUNTS
 
 # Class distribution of the original dataset, canonical class order
-# (PD, D1, D2, T1, T2, T3).
-REFERENCE_CLASS_COUNTS: tuple[int, ...] = (42, 67, 113, 80, 21, 53)
+# (PD, D1, D2, T1, T2, T3): the synthetic generator's default counts.
+REFERENCE_CLASS_COUNTS: tuple[int, ...] = DEFAULT_SYNTH_COUNTS
 REFERENCE_DATASET_SIZE = 376
 
 # Realized train/test sizes reported for the original holdout experiment.

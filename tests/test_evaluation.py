@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,8 @@ class TestStratifiedFolds:
         labels = [PD] * 10 + [T2] * 2
         with pytest.raises(ValueError, match="T2"):
             stratified_folds(labels, 5, seed=0)
+        with pytest.raises(ValueError, match=r"^folds must be an integer, got 3\.0$"):
+            stratified_folds(labels, 3.0, seed=0)
 
     def test_deterministic(self):
         labels = [CLASS_ORDER[i % 6] for i in range(60)]
@@ -288,6 +292,15 @@ class TestKfoldCv:
         samples[0] = GasSample(*samples[0].gases(), label=None, id="x")
         with pytest.raises(ValueError, match="label"):
             kfold_cv(samples, rank_params(samples), 18, folds=5, config=self.TINY_CONFIG)
+
+    @pytest.mark.parametrize("k, folds, message", [
+        (24.0, 5, "k must be an integer, got 24.0"),
+        (18, 3.0, "folds must be an integer, got 3.0"),
+    ])
+    def test_non_integer_arguments_are_refused_by_name(self, k, folds, message):
+        samples = _archetype_samples(per_class=5, seed=5)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            kfold_cv(samples, rank_params(samples), k, folds=folds, config=self.TINY_CONFIG)
 
     def test_stratification_error_propagates(self):
         samples = _archetype_samples(per_class=3, seed=6)

@@ -138,7 +138,7 @@ def test_constant_features_tied_counts_break_to_pd():
 
 
 def test_untrained_model_uniform_probabilities():
-    model = _model_of([], GbtConfig(), 4)
+    model = _base_score_model(4)
     probs = predict_proba_many(model, np.zeros((1, 4)))
     assert np.allclose(probs, np.full((1, 6), 1 / 6), atol=1e-15)
     assert predict_many(model, np.zeros((1, 4))) == [FaultLabel.PD]  # tie -> first class
@@ -177,7 +177,7 @@ def test_label_is_the_argmax_of_the_logits_at_a_one_ulp_gap():
 
 
 def test_row_length_mismatch():
-    model = _model_of([], GbtConfig(), 4)
+    model = _base_score_model(4)
     with pytest.raises(ValueError, match="4 features"):
         predict_proba_many(model, np.zeros((1, 3)))
     with pytest.raises(ValueError, match="2-D"):
@@ -212,7 +212,7 @@ def test_non_finite_features():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_predict_rejects_non_finite_rows(bad):
-    model = _model_of([], GbtConfig(), 6)
+    model = _base_score_model(6)
     rows = np.zeros((3, 6))
     rows[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
@@ -824,13 +824,16 @@ def _model_of(trees, config, n_features):
     """A `GbtModel` of the [round][class] `trees`, their node arrays
     concatenated."""
     flat = [tree for round_trees in trees for tree in round_trees]
-    dtypes = (np.int64, np.int64, np.float64)
-    arrays = [
-        np.concatenate([np.empty(0, dtype)] + [getattr(t, name) for t in flat])
-        for name, dtype in zip(Tree._fields, dtypes)
-    ]
+    arrays = [np.concatenate([getattr(t, name) for t in flat]) for name in Tree._fields]
     sizes = np.array([tree.feature.size for tree in flat], dtype=np.intp)
     return GbtModel(config, n_features, *arrays, sizes=sizes)
+
+
+def _base_score_model(n_features):
+    """One round of weight-0 leaves, the least model: every logit is the
+    base score."""
+    leaf = Tree(np.array([-1]), np.array([-1]), np.array([0.0]))
+    return _model_of([[leaf] * len(CLASS_ORDER)], GbtConfig(rounds=1), n_features)
 
 
 def _sample_rows(rng, kind, n, d):
@@ -952,7 +955,7 @@ def _flatten_per_tree(model):
 @given(
     seed=st.integers(0, 2**32 - 1),
     d=st.integers(1, 6),
-    rounds=st.integers(0, 8),
+    rounds=st.integers(1, 8),
     max_depth=st.integers(1, 6),
     source=st.sampled_from(["trained", "random"]),
     kind=st.sampled_from(["normal", "grid", "constant"]),
@@ -961,9 +964,7 @@ def test_flatten_matches_per_tree_construction(
     seed, d, rounds, max_depth, source, kind
 ):
     rng = np.random.default_rng(seed)
-    if rounds == 0:
-        model = _model_of([], GbtConfig(), d)
-    elif source == "trained":
+    if source == "trained":
         y = rng.integers(0, len(CLASS_ORDER), size=80)
         y[:2] = [0, 1]
         cfg = GbtConfig(rounds=rounds, max_depth=max_depth)
@@ -1007,10 +1008,11 @@ def test_trees_are_views_of_the_node_arrays():
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 700])
 @pytest.mark.parametrize("base_score", [None, 0, 1, 3])  # None: BASE_SCORE as it is
 def test_zero_tree_model_predicts_base_score(n, base_score, monkeypatch):
-    # the walk takes its first term from gbt.BASE_SCORE, whatever that is
+    # the walk takes its first term from gbt.BASE_SCORE, whatever that is;
+    # a model holds at least one round, here of weight-0 leaves
     if base_score is not None:
         monkeypatch.setattr(gbt, "BASE_SCORE", float(base_score))
-    model = _model_of([], GbtConfig(), 3)
+    model = _base_score_model(3)
     x = np.random.default_rng(n).normal(size=(n, 3))
     got = predict_logits(model, x)
     assert got.tobytes() == np.full((n, len(CLASS_ORDER)), gbt.BASE_SCORE).tobytes()

@@ -480,6 +480,19 @@ def _short_count_list(doc):
     counts[-2] += counts.pop()
 
 
+def _wrapping_counts(doc):
+    # 2**62 more nodes in each of four trees: an int64 sum of the counts
+    # wraps round to the length of the lists
+    for tree in range(4):
+        doc["trees"]["node_counts"][tree] += 2**62
+
+
+def _extra_round(doc):
+    # a round of one-leaf trees more, all lists matching it, and rounds unchanged
+    for _ in CLASS_ORDER:
+        _extra_tree_in_round(doc)
+
+
 def _child_into_next_tree(doc):
     root, size = _split_root(doc["trees"])
     doc["trees"]["right"][root] = size  # the root of the next tree
@@ -561,9 +574,11 @@ def _format_v3(doc):
 # mutations of the node counts and the message that names each fault
 NODE_COUNT_FAULTS = [
     (_zero_node_count, "empty tree"),
-    (_counts_sum_mismatch, r"trees\.feature is not an integer list of sum\(node_counts\)"),
-    (_short_count_list, "expected 8 rounds of 6 trees"),
-    (_extra_tree_in_round, "expected 8 rounds of 6 trees"),
+    (_counts_sum_mismatch, r"feature, right and value must each have sum\(sizes\) entries"),
+    (_short_count_list, "the model has 47 trees, not 8 rounds of 6"),
+    (_extra_tree_in_round, "the model has 49 trees, not 8 rounds of 6"),
+    (_extra_round, "the model has 54 trees, not 8 rounds of 6"),
+    (_wrapping_counts, r"feature, right and value must each have sum\(sizes\) entries"),
     (_child_into_next_tree, "child index must point past its parent within the tree"),
     (_right_child_is_left_child, "child index must point past its parent within the tree"),
 ]
@@ -682,8 +697,7 @@ def _model_of_doc(doc) -> GbtModel:
 
 
 # mutations of the trees and the message `GbtModel` names each with, however
-# the model was built; the messages of the first eight are those of
-# `load_model`, which reports the last three as faults of the document
+# the model was built: `load_model` gives the same
 TREE_FAULTS = [
     (_zero_node_count, "empty tree"),
     (_child_into_next_tree, "child index must point past its parent within the tree"),
@@ -695,7 +709,7 @@ TREE_FAULTS = [
     (_overflowing_leaves, "leaf values can add up to a non-finite logit"),
     (_counts_sum_mismatch, r"feature, right and value must each have sum\(sizes\) entries"),
     (_value_one_short, r"feature, right and value must each have sum\(sizes\) entries"),
-    (_short_count_list, "47 trees are not whole rounds of 6"),
+    (_short_count_list, "the model has 47 trees, not 8 rounds of 6"),
 ]
 
 
@@ -729,6 +743,48 @@ def test_document_fields_build_the_loaded_model(tmp_path):
     built = _model_of_doc(json.loads(_toy_model_text()))
     rows = np.random.default_rng(1).normal(size=(50, loaded.n_features))
     assert predict_logits(built, rows).tobytes() == predict_logits(loaded, rows).tobytes()
+
+
+# k and seed values of each kind a caller may pass, with whether the toy
+# model (20 features, 8 rounds) accepts them
+K_VALUES = [(20, True), (np.int64(20), True), (np.uint8(20), True), (21, False),
+            (20.0, False), (np.float64(20.0), False), (True, False), ("20", False)]
+SEED_VALUES = [(0, True), (np.int64(3), True), (np.uint16(7), True), (2**70, True),
+               (2.5, False), (3.0, False), (True, False), (np.bool_(False), False),
+               ("x", False), (None, False)]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    k=st.sampled_from(K_VALUES),
+    seed=st.sampled_from(SEED_VALUES),
+    extra_rounds=st.sampled_from([-1, 0, 1]),
+    order=st.sampled_from([CANONICAL_RANK_ORDER, list(CANONICAL_RANK_ORDER),
+                           np.array(CANONICAL_RANK_ORDER, dtype=np.int16)]),
+)
+def test_every_bundle_saves_a_file_that_loads_back_equal(tmp_path, k, seed, extra_rounds, order):
+    # a value the loader would refuse is refused by name when the model or
+    # the bundle is built; any bundle that is built reads back equal
+    (k, k_ok), (seed, seed_ok) = k, seed
+    checks = {"k": k_ok, "seed": seed_ok, "rounds": extra_rounds == 0}
+    faults = {name for name, ok in checks.items() if not ok}
+    base = _model_of_doc(json.loads(_toy_model_text()))
+    try:
+        model = dataclasses.replace(base, config=GbtConfig(rounds=8 + extra_rounds), seed=seed)
+        bundle = ModelBundle(model=model, rank_order=order, k=k)
+    except ValueError as exc:
+        named = "rounds" if " rounds of " in str(exc) else str(exc).split()[0]
+        assert named in faults, exc
+        return
+    assert not faults
+    path = tmp_path / "model.json"
+    save_model(path, bundle)
+    loaded = load_model(path)
+    assert type(loaded.k) is type(bundle.k) is int and loaded.k == k
+    assert type(loaded.model.seed) is type(bundle.model.seed) is int and loaded.model.seed == seed
+    assert loaded.rank_order == bundle.rank_order == CANONICAL_RANK_ORDER
+    rows = np.random.default_rng(0).normal(size=(40, 20))
+    assert predict_logits(loaded.model, rows).tobytes() == predict_logits(bundle.model, rows).tobytes()
 
 
 class TestModelPersistence:
@@ -884,10 +940,10 @@ class TestModelPersistence:
         assert load_model(tmp_path / "m.json").rank_order == CANONICAL_RANK_ORDER
 
     def test_bundle_refuses_trees_that_do_not_match_the_rounds(self):
-        # saved, such a model made a file that load_model refused
-        model = dataclasses.replace(_toy_bundle().model, config=GbtConfig(rounds=5))
+        # a model whose tree count is not its rounds is refused when it is
+        # built, so no bundle holds one and saves a file load_model refuses
         with pytest.raises(ValueError, match="^the model has 48 trees, not 5 rounds of 6$"):
-            ModelBundle(model=model, rank_order=CANONICAL_RANK_ORDER, k=20)
+            dataclasses.replace(_toy_bundle().model, config=GbtConfig(rounds=5))
 
     def test_readme_trees_example_loads(self, tmp_path):
         # the README's "trees" example, in a full document, is a model

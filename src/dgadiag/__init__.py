@@ -17,16 +17,13 @@ from .core import (
 )
 from .evaluation import (
     ConfusionMatrix,
-    CvResult,
-    EvalReport,
     confusion,
     kfold_cv,
     metrics,
     smote,
-    stratified_folds,
     train_test_split,
 )
-from .features import FeatureMatrix, KSearchResult, build_features, optimal_k_search
+from .features import FeatureMatrix, build_features, optimal_k_search
 from .gbt import GbtConfig, GbtModel, predict_many, predict_proba_many, train
 from .io import (
     ModelBundle,
@@ -38,31 +35,21 @@ from .io import (
     write_dataset,
 )
 from .itd import itd_rows
-from .ranking import (
-    CANONICAL_RANK_ORDER,
-    AnovaResult,
-    anova_pvalue,
-    rank_params,
-    skewness,
-)
+from .ranking import CANONICAL_RANK_ORDER, anova_pvalue, rank_params, skewness
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnovaResult",
     "CANONICAL_RANK_ORDER",
     "CLASS_ORDER",
     "ConfusionMatrix",
-    "CvResult",
     "DiagnosisOutcome",
     "EPS_PPM",
-    "EvalReport",
     "FaultLabel",
     "FeatureMatrix",
     "GasSample",
     "GbtConfig",
     "GbtModel",
-    "KSearchResult",
     "ModelBundle",
     "anova_pvalue",
     "build_features",
@@ -85,7 +72,6 @@ __all__ = [
     "save_model",
     "skewness",
     "smote",
-    "stratified_folds",
     "train",
     "train_test_split",
     "write_dataset",

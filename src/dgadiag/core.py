@@ -9,10 +9,13 @@ rotation components.  Parameter numbering is 1-based throughout (persisted
 files record numbers 1..37); see `param_matrix` for the full listing.  The
 listing is written once, in `_params`: `param_matrix` evaluates it on numpy
 gas columns for a batch and `_param_row` on one sample's Python floats.
+Each argument rule has one owner here: `_integer` (any integer type but
+bool), `_rng` (a non-negative integer seed) and `_class_indices` (labels).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -53,6 +56,28 @@ class FaultLabel(Enum):
 CLASS_ORDER: tuple[FaultLabel, ...] = tuple(FaultLabel)
 N_CLASSES = len(CLASS_ORDER)
 N_PARAMS = 37
+
+
+def _integer(name: str, value) -> int:
+    """`value` as an `int`, once it is an integer of any type but bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _rng(seed) -> np.random.Generator:
+    """The generator of `seed`, once it is a non-negative integer."""
+    if _integer("seed", seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(int(seed))
+
+
+def _class_indices(labels) -> np.ndarray:
+    """The `CLASS_ORDER` index of each label, once each is a `FaultLabel`."""
+    bad = [label for label in labels if not isinstance(label, FaultLabel)]
+    if bad:
+        raise ValueError(f"label {bad[0]!r} is not a FaultLabel: samples must be labeled")
+    return np.array([CLASS_ORDER.index(label) for label in labels], dtype=np.intp)
 
 
 class DiagnosisOutcome(Enum):

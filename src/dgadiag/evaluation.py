@@ -4,17 +4,17 @@ and stratified cross-validation with per-fold retraining.
 Class imbalance is the norm in DGA datasets, so beyond plain accuracy the
 report carries per-class sensitivity/precision/F1, macro-F1 and Cohen's
 kappa; cross-validation can oversample the training folds with SMOTE.
+Seeds, labels and integer arguments are checked by `core`'s one owner of each rule.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import CLASS_ORDER, FaultLabel, GasSample
+from .core import CLASS_ORDER, N_CLASSES, FaultLabel, GasSample, _class_indices, _integer, _rng
 from .features import FeatureMatrix, build_features
 from .gbt import GbtConfig, predict_many, train
 
@@ -43,17 +43,13 @@ class EvalReport:
 def confusion(
     actual: Sequence[FaultLabel], predicted: Sequence[FaultLabel]
 ) -> ConfusionMatrix:
-    """Count (actual, predicted) pairs; raises ValueError on a label outside CLASS_ORDER."""
+    """Count (actual, predicted) pairs; raises ValueError on a label not a FaultLabel."""
     if len(actual) != len(predicted):
         raise ValueError("actual/predicted length mismatch")
     if len(actual) == 0:
         raise ValueError("empty label sequences")
-    counts = np.zeros((len(CLASS_ORDER), len(CLASS_ORDER)), dtype=np.int64)
-    index = {label: i for i, label in enumerate(CLASS_ORDER)}
-    for a, p in zip(actual, predicted):
-        if a not in index or p not in index:  # None, say, for an unlabeled sample
-            raise ValueError(f"label {a if a not in index else p!r} is not in CLASS_ORDER")
-        counts[index[a], index[p]] += 1
+    counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
+    np.add.at(counts, (_class_indices(actual), _class_indices(predicted)), 1)
     return ConfusionMatrix(counts=counts)
 
 
@@ -105,12 +101,13 @@ def train_test_split(
     index arrays; the train size is round(n * train_frac), half up."""
     if not 0.0 < train_frac < 1.0:
         raise ValueError("train_frac must be in (0, 1)")
+    n = _integer("n", n)
     if n < 2:
         raise ValueError("need at least 2 items to split")
     n_train = int(np.floor(n * train_frac + 0.5))
     if n_train == 0 or n_train == n:
         raise ValueError(f"degenerate split sizes ({n_train}, {n - n_train}) for n={n}")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = _rng(seed).permutation(n)
     return perm[:n_train], perm[n_train:]
 
 
@@ -130,15 +127,14 @@ def smote(
         raise ValueError("features must be 2-D with one row per label")
 
     labels = list(labels)
-    class_rows: dict = {}
-    for i, lbl in enumerate(labels):
-        class_rows.setdefault(lbl, []).append(i)
-    target = max(len(rows) for rows in class_rows.values())
+    y = _class_indices(labels)
+    target = int(np.bincount(y).max())
 
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     new_rows: list[np.ndarray] = []
     new_labels: list = []
-    for lbl, rows in class_rows.items():
+    for c in dict.fromkeys(y.tolist()):  # classes in order of first appearance
+        rows, lbl = np.flatnonzero(y == c), CLASS_ORDER[c]
         deficit = target - len(rows)
         if deficit == 0:
             continue
@@ -168,14 +164,14 @@ def stratified_folds(
     labels: Sequence[FaultLabel], folds: int, seed: int
 ) -> list[np.ndarray]:
     """Seeded stratified fold assignment; per-class counts differ by <= 1."""
-    if isinstance(folds, bool) or not isinstance(folds, numbers.Integral):
-        raise ValueError(f"folds must be an integer, got {folds!r}")
+    folds = _integer("folds", folds)
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    rng = np.random.default_rng(seed)
+    y = _class_indices(labels)
+    rng = _rng(seed)
     assignments = [[] for _ in range(folds)]
-    for label in CLASS_ORDER:
-        idx = np.array([i for i, lbl in enumerate(labels) if lbl == label])
+    for c, label in enumerate(CLASS_ORDER):
+        idx = np.flatnonzero(y == c)
         if idx.size == 0:
             continue
         if idx.size < folds:
@@ -239,7 +235,7 @@ def kfold_cv(
     fm = build_features(samples, rank_order, k)
 
     fold_reports: list[EvalReport] = []
-    pooled_counts = np.zeros((len(CLASS_ORDER), len(CLASS_ORDER)), dtype=np.int64)
+    pooled_counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     for fold_no, test_idx in enumerate(stratified_folds(fm.labels, folds, seed)):
         train_idx = np.setdiff1d(np.arange(len(samples)), test_idx)
         fold_seed = int(np.random.SeedSequence([seed, fold_no]).generate_state(1)[0])

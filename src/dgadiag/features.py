@@ -21,14 +21,13 @@ first k columns of it for each k, as `build_features` would.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import N_PARAMS, FaultLabel, GasSample, _param_row, param_matrix
+from .core import N_PARAMS, FaultLabel, GasSample, _integer, _param_row, param_matrix
 from .gbt import GbtConfig
 from .itd import _itd_list, itd_rows
 from .ranking import validate_rank_order
@@ -53,11 +52,10 @@ class KSearchResult:
 
 def _check_k(k: int) -> int:
     """`k` as an `int`, once it is an integer of any type but bool in 2..37."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise ValueError(f"k must be an integer, got {k!r}")
+    k = _integer("k", k)
     if not 2 <= k <= N_PARAMS:
         raise ValueError(f"k must be in 2..{N_PARAMS}, got {k}")
-    return int(k)
+    return k
 
 
 def _warn_unusual_k(k: int) -> None:
@@ -133,7 +131,8 @@ def optimal_k_search(
 
     The same seeded train/test split of the samples is reused for every k so
     the curve isolates the effect of the feature count.  Ties for the best
-    accuracy resolve to the smallest k.  A k outside the usual range is
+    accuracy resolve to the smallest k.  `k_min` and `k_max` must be
+    integers, then in order, then in 2..37.  A k outside the usual range is
     warned of once the search has succeeded.
     """
     from .evaluation import fit_and_score, metrics, train_test_split
@@ -141,6 +140,7 @@ def optimal_k_search(
     samples = list(samples)
     if any(s.label is None for s in samples):
         raise ValueError("feature-count search requires labeled samples")
+    k_min, k_max = _integer("k_min", k_min), _integer("k_max", k_max)
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
     k_min, k_max = _check_k(k_min), _check_k(k_max)

@@ -115,7 +115,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CLASS_ORDER, N_CLASSES, FaultLabel
+from .core import CLASS_ORDER, N_CLASSES, FaultLabel, _class_indices, _integer
 
 BASE_SCORE = 0.5  # initial logit for every class
 REG_LAMBDA = 1.0  # lambda: L2 penalty on leaf weights, > 0 so no gain is NaN
@@ -132,14 +132,14 @@ class GbtConfig:
     def __post_init__(self) -> None:
         for name, value in list(vars(self).items()):
             integer = name != "learning_rate"
-            kind = numbers.Integral if integer else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind):
-                must = "an integer" if integer else "a number"
-                raise ValueError(f"{name} must be {must}, got {value!r}")
+            if integer:
+                value = _integer(name, value)
+            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not (value >= 1 if integer else 0.0 < value <= 1.0):  # NaN fails too
                 raise ValueError(f"{name} must be {'>= 1' if integer else 'in (0, 1]'}")
             # a numpy scalar passes: store the Python number, which JSON writes
-            object.__setattr__(self, name, int(value) if integer else float(value))
+            object.__setattr__(self, name, value if integer else float(value))
 
 
 class Tree(NamedTuple):
@@ -190,9 +190,7 @@ class GbtModel:
     _forest: _Forest = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         for name in (*Tree._fields, "sizes"):
             getattr(self, name).setflags(write=False)
         object.__setattr__(self, "_forest", _flatten(self))
@@ -430,11 +428,9 @@ def train(
         raise ValueError("feature matrix must be 2-D and non-empty")
     if not np.all(np.isfinite(x)):
         raise ValueError("feature values must be finite")
-    if not all(isinstance(label, FaultLabel) for label in y):
-        raise ValueError("training requires labeled samples")
+    y_idx = _class_indices(y)
     if len(y) != x.shape[0]:
         raise ValueError("feature/label length mismatch")
-    y_idx = np.array([CLASS_ORDER.index(label) for label in y], dtype=np.intp)
     if np.unique(y_idx).size < 2:
         raise ValueError("degenerate labels: need at least two classes")
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
 import tempfile
 from dataclasses import asdict, dataclass, fields
@@ -42,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CLASS_ORDER, GAS_NAMES, FaultLabel, GasSample
+from .core import CLASS_ORDER, GAS_NAMES, FaultLabel, GasSample, _integer, _rng
 from .features import _check_k
 from .gbt import GbtConfig, GbtModel, Tree
 from .ranking import validate_rank_order
@@ -195,19 +194,20 @@ def generate_synthetic(
     """Draw labeled samples per class from the documented log-uniform ranges.
 
     `counts` gives the number of samples per class in canonical class order,
-    each an integer >= 0.  Output is deterministic in `seed`: each class
-    takes one `Generator.uniform` call over a (count, 5) array of log-gases,
-    filled in C order (sample by sample, gases in `GAS_NAMES` order), the
-    order of the per-gas scalar draws it replaced: a seed's samples are unchanged.
+    each an integer >= 0.  Output is deterministic in `seed`, a non-negative
+    integer: each class takes one `Generator.uniform` call over a (count, 5)
+    array of log-gases, filled in C order (sample by sample, gases in
+    `GAS_NAMES` order), the order of the per-gas scalar draws it replaced:
+    a seed's samples are unchanged.
     """
     counts = list(counts)
     if len(counts) != len(CLASS_ORDER):
         raise ValueError(f"expected {len(CLASS_ORDER)} class counts, got {len(counts)}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     samples: list[GasSample] = []
     for label, count in zip(CLASS_ORDER, counts):
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 0:
-            raise ValueError(f"{label.value} count must be an integer >= 0, got {count!r}")
+        if _integer(f"{label.value} count", count) < 0:
+            raise ValueError(f"{label.value} count must be >= 0, got {count!r}")
         bounds = np.log([SYNTH_GAS_RANGES[label][name] for name in GAS_NAMES])  # (5, 2)
         draws = rng.uniform(bounds[:, 0], bounds[:, 1], size=(count, len(GAS_NAMES)))
         samples += [

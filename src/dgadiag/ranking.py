@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import N_PARAMS, GasSample, param_matrix
+from .core import N_PARAMS, GasSample, _integer, param_matrix
 from .special import f_sf
 
 # Rank positions 1..37 (lowest skewness first) measured on the original
@@ -77,14 +77,10 @@ def rank_params(dataset: Sequence[GasSample]) -> tuple[int, ...]:
 
 def validate_rank_order(order: Sequence[int]) -> tuple[int, ...]:
     """Check that `order` is a permutation of 1..37 and return it as a tuple
-    of ints.  Entries must be Python or numpy integers, not bools, floats or
-    strings."""
+    of ints.  Entries must be integers of any type but bool."""
     order = tuple(order)
     if not set(map(type, order)) <= {int}:  # numpy integers, or a bad entry
-        for v in order:
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"rank order entries must be integers, got {v!r}")
-        order = tuple(map(int, order))
+        order = tuple(_integer("rank order entry", v) for v in order)
     if sorted(order) != _PARAM_NUMBERS:
         raise ValueError(f"rank order must be a permutation of 1..{N_PARAMS}")
     return order

@@ -316,7 +316,7 @@ class TestTrainDiagnoseEvaluate:
             warnings.simplefilter("always")
             code, out, err = run(capsys, ["train", "--data", str(data), "--k", "5",
                                           "--rounds", "2", "--model", str(model)])
-        assert (code, out, err) == (1, "", "error: training requires labeled samples\n")
+        assert (code, out, err) == (1, "", "error: label None is not a FaultLabel: samples must be labeled\n")
         assert caught == [] and not model.exists()
 
     def test_failed_cv_warns_of_nothing(self, capsys, tmp_path, table_csv):

@@ -55,7 +55,7 @@ class TestConfusion:
     ])
     def test_label_outside_class_order_is_named(self, actual, predicted, bad):
         # an unlabeled sample's None raised a bare KeyError
-        with pytest.raises(ValueError, match=f"^label {bad} is not in CLASS_ORDER$"):
+        with pytest.raises(ValueError, match=f"^label {bad} is not a FaultLabel: samples must be labeled$"):
             confusion(actual, predicted)
 
     def test_reconstruction_from_label_pairs(self):

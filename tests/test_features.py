@@ -143,12 +143,12 @@ def test_one_reading_alone_is_its_row_of_the_batch(samples, order, k):
 # calls refused before any row is built, and their messages; the rank order
 # is checked before k
 REFUSED_CALLS = {
-    "float entry": ((5.0,) + CANONICAL_RANK_ORDER[1:], 24, "rank order entries must be integers, got 5.0"),
+    "float entry": ((5.0,) + CANONICAL_RANK_ORDER[1:], 24, "rank order entry must be an integer, got 5.0"),
     "repeated entry": (CANONICAL_RANK_ORDER[:-1] + (28,), 24, "rank order must be a permutation of 1..37"),
     "k = 1": (CANONICAL_RANK_ORDER, 1, "k must be in 2..37, got 1"),
     "k = 38": (CANONICAL_RANK_ORDER, 38, "k must be in 2..37, got 38"),
     "k = 24.0": (CANONICAL_RANK_ORDER, 24.0, "k must be an integer, got 24.0"),
-    "float entry and k = 38": ((5.0,) + CANONICAL_RANK_ORDER[1:], 38, "rank order entries must be integers, got 5.0"),
+    "float entry and k = 38": ((5.0,) + CANONICAL_RANK_ORDER[1:], 38, "rank order entry must be an integer, got 5.0"),
 }
 
 
@@ -259,7 +259,7 @@ def test_rank_order_entries_must_be_integers(build, where, bad):
     order = [np.int64(v) for v in CANONICAL]
     order[where] = bad
     order.append(1.5)
-    message = f"rank order entries must be integers, got {bad!r}"
+    message = f"rank order entry must be an integer, got {bad!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build([ROW1], order, 24)
 
@@ -332,13 +332,13 @@ class TestOptimalKSearch:
                 samples, CANONICAL_RANK_ORDER, k_min=25, k_max=20,
                 config=SMALL_CONFIG,
             )
-        with pytest.raises(ValueError, match=r"^k must be an integer, got 24\.0$"):
+        with pytest.raises(ValueError, match=r"^k_min must be an integer, got 24\.0$"):
             optimal_k_search(samples, CANONICAL_RANK_ORDER, k_min=24.0, config=SMALL_CONFIG)
 
     @pytest.mark.parametrize("k_max, train_frac, message", [
         (20, 0.05, "degenerate labels"),  # a one-row training split
         (40, 0.85, "k must be in 2..37, got 40"),
-        (24.0, 0.85, "k must be an integer, got 24.0"),
+        (24.0, 0.85, "k_max must be an integer, got 24.0"),
     ])
     def test_failed_search_warns_of_nothing(self, k_max, train_frac, message):
         # k = 10..17 were warned of before the search failed on its first

@@ -200,7 +200,7 @@ def test_empty_matrix():
 def test_labels_must_be_fault_labels(y):
     # class indices, unlabeled samples and label strings are refused alike
     x = np.random.default_rng(0).normal(size=(4, 2))
-    with pytest.raises(ValueError, match="training requires labeled samples"):
+    with pytest.raises(ValueError, match="is not a FaultLabel: samples must be labeled"):
         train(x, y)
 
 

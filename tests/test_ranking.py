@@ -125,12 +125,12 @@ class TestCanonicalOrder:
         got = validate_rank_order(np.arange(1, 38))  # numpy integers are fine
         assert got == tuple(range(1, 38)) and all(type(v) is int for v in got)
         for bad in (1.9, 1.0, "1", True, np.float64(1.0), np.bool_(True)):
-            with pytest.raises(ValueError, match="must be integers"):
+            with pytest.raises(ValueError, match="must be an integer"):
                 validate_rank_order([bad, *range(2, 38)])
 
     def test_build_features_rejects_a_float_rank(self):
         samples = generate_synthetic(11, counts=(2,) * 6)
-        with pytest.raises(ValueError, match="must be integers, got 1.9"):
+        with pytest.raises(ValueError, match="must be an integer, got 1.9"):
             build_features(samples, [1.9, *range(2, 38)], 24)
 
 

@@ -162,8 +162,6 @@ def cmd_evaluate(args) -> int:
         raise ValueError(f"--holdout must be in (0, 1), got {args.holdout}")
     seed = args.seed or 0
     samples = _load(args.data)
-    if any(s.label is None for s in samples):
-        raise ValueError("evaluation requires labeled samples")
     bundle = load_model(args.model)
     if args.cv is not None:
         result = kfold_cv(samples, bundle.rank_order, bundle.k, folds=args.cv, seed=seed,
@@ -350,9 +348,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        seed = getattr(args, "seed", None)
-        if seed is not None and seed < 0:  # one check for every subcommand with a --seed
-            raise ValueError(f"--seed must be a non-negative integer, got {seed}")
         with warnings.catch_warnings(record=True) as deferred:
             code = args.func(args)
     except ValueError as exc:

@@ -10,7 +10,8 @@ files record numbers 1..37); see `param_matrix` for the full listing.  The
 listing is written once, in `_params`: `param_matrix` evaluates it on numpy
 gas columns for a batch and `_param_row` on one sample's Python floats.
 Each argument rule has one owner here: `_integer` (any integer type but
-bool), `_rng` (a non-negative integer seed) and `_class_indices` (labels).
+bool), `_real` (any real type but bool), `_seed` (a non-negative integer, for
+`_rng`), `_class_indices` (labels) and `GasSample` (a label or None).
 """
 
 from __future__ import annotations
@@ -65,11 +66,28 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    """`value` as a `float`, once it is a real number of any type but bool
+    that a float can hold."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name} must be a number, got an integer too large for a float") from None
+
+
+def _seed(value) -> int:
+    """`value` as an `int`, once it is a non-negative integer."""
+    seed = _integer("seed", value)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
+    return seed
+
+
 def _rng(seed) -> np.random.Generator:
-    """The generator of `seed`, once it is a non-negative integer."""
-    if _integer("seed", seed) < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return np.random.default_rng(int(seed))
+    """The generator of `seed`, once `_seed` has checked it."""
+    return np.random.default_rng(_seed(seed))
 
 
 def _class_indices(labels) -> np.ndarray:
@@ -102,8 +120,8 @@ class DiagnosisOutcome(Enum):
 
 @dataclass(frozen=True, slots=True)
 class GasSample:
-    """One transformer's five gas concentrations (ppm), optionally labeled;
-    each gas is 0 (not detected) or in MIN_PPM..MAX_PPM."""
+    """One transformer's five gas concentrations (ppm) and its FaultLabel or
+    None; each gas is 0 (not detected) or in MIN_PPM..MAX_PPM."""
 
     h2: float
     ch4: float
@@ -114,6 +132,8 @@ class GasSample:
     id: str = ""
 
     def __post_init__(self) -> None:
+        if self.label is not None and not isinstance(self.label, FaultLabel):
+            raise ValueError(f"label {self.label!r} is not a FaultLabel or None")
         if not ((MIN_PPM <= self.h2 <= MAX_PPM or self.h2 == 0)
                 and (MIN_PPM <= self.ch4 <= MAX_PPM or self.ch4 == 0)
                 and (MIN_PPM <= self.c2h6 <= MAX_PPM or self.c2h6 == 0)

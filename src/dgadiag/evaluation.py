@@ -4,7 +4,7 @@ and stratified cross-validation with per-fold retraining.
 Class imbalance is the norm in DGA datasets, so beyond plain accuracy the
 report carries per-class sensitivity/precision/F1, macro-F1 and Cohen's
 kappa; cross-validation can oversample the training folds with SMOTE.
-Seeds, labels and integer arguments are checked by `core`'s one owner of each rule.
+Seeds, labels, integers and reals are checked by `core`'s one owner of each.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CLASS_ORDER, N_CLASSES, FaultLabel, GasSample, _class_indices, _integer, _rng
+from .core import (CLASS_ORDER, N_CLASSES, FaultLabel, GasSample, _class_indices, _integer,
+                   _real, _rng)
 from .features import FeatureMatrix, build_features
 from .gbt import GbtConfig, predict_many, train
 
@@ -46,8 +47,6 @@ def confusion(
     """Count (actual, predicted) pairs; raises ValueError on a label not a FaultLabel."""
     if len(actual) != len(predicted):
         raise ValueError("actual/predicted length mismatch")
-    if len(actual) == 0:
-        raise ValueError("empty label sequences")
     counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(counts, (_class_indices(actual), _class_indices(predicted)), 1)
     return ConfusionMatrix(counts=counts)
@@ -99,13 +98,12 @@ def train_test_split(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded uniform shuffle of the indices 0..n-1 into train and test
     index arrays; the train size is round(n * train_frac), half up."""
+    train_frac = _real("train_frac", train_frac)
     if not 0.0 < train_frac < 1.0:
         raise ValueError("train_frac must be in (0, 1)")
     n = _integer("n", n)
-    if n < 2:
-        raise ValueError("need at least 2 items to split")
     n_train = int(np.floor(n * train_frac + 0.5))
-    if n_train == 0 or n_train == n:
+    if not 0 < n_train < n:  # both sides non-empty, so n >= 2
         raise ValueError(f"degenerate split sizes ({n_train}, {n - n_train}) for n={n}")
     perm = _rng(seed).permutation(n)
     return perm[:n_train], perm[n_train:]
@@ -230,8 +228,6 @@ def kfold_cv(
     index), so fold results do not depend on execution order.
     """
     samples = list(dataset)
-    if any(s.label is None for s in samples):
-        raise ValueError("cross-validation requires labeled samples")
     fm = build_features(samples, rank_order, k)
 
     fold_reports: list[EvalReport] = []

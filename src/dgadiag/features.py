@@ -6,8 +6,8 @@ proper rotation component of that k-point sequence as the features.  ITD
 works on each row alone, so the rows of a sample do not depend on which
 other samples are built with it.  `build_features` is the one builder: its
 `FeatureMatrix` holds the ranked prefixes and their ITD baselines beside
-the features, which is what the `decompose` command prints.  It checks
-its input once, then builds several samples with numpy
+the features, which is what the `decompose` command prints.  It checks the
+rank order and k once, then builds several samples with numpy
 (`core.param_matrix`, `itd.itd_rows`) and a single one, such as the CLI's
 one reading, in Python floats (`core._param_row`, `itd._itd_list`): both
 evaluate the one parameter listing of `core._params`, and the two ITDs do
@@ -68,13 +68,10 @@ def _warn_unusual_k(k: int) -> None:
         )
 
 
-def _checked_prefix(
-    samples: Sequence[GasSample], rank_order: Sequence[int], k: int
-) -> tuple[int, ...]:
-    """The parameter numbers of the first k ranks, once `samples`,
-    `rank_order` and `k` have been checked in that order."""
-    if not samples:
-        raise ValueError("empty sample list")
+def _checked_prefix(rank_order: Sequence[int], k: int) -> tuple[int, ...]:
+    """The parameter numbers of the first k ranks, once `rank_order` and `k`
+    have been checked in that order; `param_matrix` refuses an empty sample
+    list."""
     order = validate_rank_order(rank_order)
     return order[: _check_k(k)]
 
@@ -109,7 +106,7 @@ def build_features(
 ) -> FeatureMatrix:
     """Rotation-component feature rows for `samples` at feature count `k`;
     a k outside the usual range is warned of once the rows are built."""
-    prefix = _checked_prefix(samples, rank_order, k)
+    prefix = _checked_prefix(rank_order, k)
     if len(samples) == 1:  # one reading: a numpy call costs more than its row
         fm = _one_sample(samples[0], prefix)
     else:
@@ -132,21 +129,20 @@ def optimal_k_search(
     The same seeded train/test split of the samples is reused for every k so
     the curve isolates the effect of the feature count.  Ties for the best
     accuracy resolve to the smallest k.  `k_min` and `k_max` must be
-    integers, then in order, then in 2..37.  A k outside the usual range is
-    warned of once the search has succeeded.
+    integers, then in order, then in 2..37; an unlabeled sample is refused
+    by training or scoring.  A k outside the usual range is warned of once
+    the search has succeeded.
     """
     from .evaluation import fit_and_score, metrics, train_test_split
 
     samples = list(samples)
-    if any(s.label is None for s in samples):
-        raise ValueError("feature-count search requires labeled samples")
     k_min, k_max = _integer("k_min", k_min), _integer("k_max", k_max)
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
     k_min, k_max = _check_k(k_min), _check_k(k_max)
 
     train_idx, test_idx = train_test_split(len(samples), train_frac, split_seed)
-    order = _checked_prefix(samples, rank_order, N_PARAMS)
+    order = _checked_prefix(rank_order, N_PARAMS)
     ranked = _ranked_prefix(samples, order)  # every k's prefix
     curve: dict[int, float] = {}
     for k in range(k_min, k_max + 1):

@@ -109,13 +109,12 @@ additions in the same order as the values training accumulated.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CLASS_ORDER, N_CLASSES, FaultLabel, _class_indices, _integer
+from .core import CLASS_ORDER, N_CLASSES, FaultLabel, _class_indices, _integer, _real, _seed
 
 BASE_SCORE = 0.5  # initial logit for every class
 REG_LAMBDA = 1.0  # lambda: L2 penalty on leaf weights, > 0 so no gain is NaN
@@ -132,14 +131,11 @@ class GbtConfig:
     def __post_init__(self) -> None:
         for name, value in list(vars(self).items()):
             integer = name != "learning_rate"
-            if integer:
-                value = _integer(name, value)
-            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+            # a numpy scalar passes: store the Python number, which JSON writes
+            value = _integer(name, value) if integer else _real(name, value)
             if not (value >= 1 if integer else 0.0 < value <= 1.0):  # NaN fails too
                 raise ValueError(f"{name} must be {'>= 1' if integer else 'in (0, 1]'}")
-            # a numpy scalar passes: store the Python number, which JSON writes
-            object.__setattr__(self, name, value if integer else float(value))
+            object.__setattr__(self, name, value)
 
 
 class Tree(NamedTuple):
@@ -178,7 +174,7 @@ class GbtModel:
     [round][class] with classes in CLASS_ORDER, each in preorder with child
     ids counted from its root as in `Tree`, and each tree's node count.
     Raises ValueError on arrays that fail the module docstring's checks, or
-    on a seed that is not an integer (any integer type but bool, kept as int)."""
+    on a seed that `core._seed` refuses (any other is kept as an int)."""
 
     config: GbtConfig
     n_features: int
@@ -190,7 +186,7 @@ class GbtModel:
     _forest: _Forest = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "seed", _seed(self.seed))
         for name in (*Tree._fields, "sizes"):
             getattr(self, name).setflags(write=False)
         object.__setattr__(self, "_forest", _flatten(self))
@@ -421,7 +417,7 @@ def train(
 
     Raises ValueError on empty input, non-finite features, a label that is
     not a FaultLabel (such as None for an unlabeled sample), fewer than
-    two distinct labels, or a seed that is not an integer.
+    two distinct labels, or a seed that is not a non-negative integer.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:

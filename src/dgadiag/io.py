@@ -235,21 +235,29 @@ class ModelBundle:
             raise ValueError(f"k = {self.k}, but the model has {self.model.n_features} features")
 
 
-def _forest_from_json(doc_trees: dict) -> dict[str, np.ndarray]:
+def _exact_keys(name: str, obj, keys) -> dict:
+    """`obj`, once it is a JSON object with exactly the `keys`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} is not a JSON object")
+    missing, unknown = keys - obj.keys(), obj.keys() - keys
+    if missing:
+        raise ValueError(f"{name} lacks {', '.join(sorted(missing))}")
+    if unknown:
+        raise ValueError(f"{name} has unknown keys {', '.join(sorted(unknown))}")
+    return obj
+
+
+def _forest_from_json(doc_trees) -> dict[str, np.ndarray]:
     """The node counts and node arrays of a model document, as `GbtModel`
-    fields, which `GbtModel` checks.  Raises ValueError on a list of other
-    than JSON integers (JSON numbers for "value"), or an unknown key."""
+    fields, which `GbtModel` checks.  Raises ValueError on a missing or
+    unknown key, or a list of other than JSON integers (numbers for "value")."""
     arrays = {}
-    for name in ("node_counts", *Tree._fields):
-        column = doc_trees[name]
+    for name, column in _exact_keys("trees", doc_trees, {"node_counts", *Tree._fields}).items():
         index = name != "value"
         if not set(map(type, column)) <= ({int} if index else {int, float}):
             # a JSON object yields its str keys
             raise ValueError(f"trees.{name} is not {'an integer' if index else 'a number'} list")
         arrays[name] = np.array(column, dtype=np.int64 if index else np.float64)
-    unknown = doc_trees.keys() - arrays.keys()
-    if unknown:
-        raise ValueError(f"trees has unknown keys {', '.join(sorted(unknown))}")
     arrays["sizes"] = arrays.pop("node_counts").astype(np.intp, copy=False)
     return arrays
 
@@ -285,22 +293,12 @@ def load_model(path) -> ModelBundle:
     try:
         version = doc["format_version"]
         if version != MODEL_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported format_version {version!r}, "
-                f"expected {MODEL_FORMAT_VERSION}"
-            )
-        # a key the loader would ignore, such as one an older format had, is
-        # refused rather than silently dropped
-        unknown = doc.keys() - {"format_version", "config", "rank_order", "k", "seed", "trees"}
-        if unknown:
-            raise ValueError(f"model file has unknown keys {', '.join(sorted(unknown))}")
-        config = {**doc["config"]}
-        keys = {f.name for f in fields(GbtConfig)}
-        missing, unknown = keys - config.keys(), config.keys() - keys
-        if missing:
-            raise ValueError(f"config lacks {', '.join(sorted(missing))}")
-        if unknown:
-            raise ValueError(f"config has unknown keys {', '.join(sorted(unknown))}")
+            raise ValueError(f"unsupported format_version {version!r}, "
+                             f"expected {MODEL_FORMAT_VERSION}")
+        # a key the loader would ignore (an older format's) is refused, not dropped
+        keys = {"format_version", "config", "rank_order", "k", "seed", "trees"}
+        _exact_keys("model file", doc, keys)
+        config = _exact_keys("config", doc["config"], {f.name for f in fields(GbtConfig)})
         k = _check_k(doc["k"])  # before the trees, whose feature indices k bounds
         model = GbtModel(
             GbtConfig(**config), k, **_forest_from_json(doc["trees"]), seed=doc["seed"]

@@ -60,8 +60,6 @@ def _ranked_skews(dataset: Sequence[GasSample]) -> list[tuple[float, int]]:
     """(skewness, parameter number) of the 37 parameters over the dataset,
     in rank order: ascending skewness, ties toward the lower number."""
     dataset = list(dataset)
-    if not dataset:
-        raise ValueError("empty dataset")
     if len(dataset) < 2:
         raise ValueError(f"ranking needs at least two samples, got {len(dataset)}")
     matrix = param_matrix(dataset)

@@ -1,11 +1,12 @@
 """The package's argument rules, each written once in `dgadiag.core`.
 
-Every public entry point that takes an integer, an RNG seed or class labels
-refuses a bad one with a ValueError naming it, and a numpy integer gives
-the bits of the same int.
+Every public entry point that takes an integer, a real number, an RNG seed
+or class labels refuses a bad one with a ValueError naming it, and a numpy
+integer or float gives the bits of the same int or float.
 """
 
 import dataclasses
+import json
 import re
 from pathlib import Path
 
@@ -15,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dgadiag
+from dgadiag.cli import main
+from dgadiag.core import GasSample
 from dgadiag.evaluation import confusion, kfold_cv, smote, stratified_folds, train_test_split
 from dgadiag.features import build_features, optimal_k_search
 from dgadiag.gbt import GbtConfig, train
-from dgadiag.io import ModelBundle, generate_synthetic
+from dgadiag.io import ModelBundle, generate_synthetic, load_model, save_model, write_dataset
 from dgadiag.ranking import CANONICAL_RANK_ORDER
 
 SAMPLES = generate_synthetic(5, counts=(4,) * 6)  # four of each class, in class order
@@ -54,14 +57,24 @@ INTEGERS = {
         lambda v: optimal_k_search(SAMPLES, CANONICAL_RANK_ORDER, 18, 19, v, config=CONFIG),
         "seed", 3, True),
     "build_features k": (lambda v: build_features(SAMPLES, CANONICAL_RANK_ORDER, v), "k", 18, False),
-    "train seed": (lambda v: train(X, Y, CONFIG, seed=v), "seed", 3, False),
+    "train seed": (lambda v: train(X, Y, CONFIG, seed=v), "seed", 3, True),
     "GbtConfig rounds": (lambda v: GbtConfig(rounds=v), "rounds", 2, False),
     "GbtConfig max_depth": (lambda v: GbtConfig(max_depth=v), "max_depth", 2, False),
-    "GbtModel seed": (lambda v: dataclasses.replace(MODEL, seed=v), "seed", 3, False),
+    "GbtModel seed": (lambda v: dataclasses.replace(MODEL, seed=v), "seed", 3, True),
     "ModelBundle k": (lambda v: ModelBundle(MODEL, CANONICAL_RANK_ORDER, v), "k", 18, False),
     "ModelBundle rank_order": (
         lambda v: ModelBundle(MODEL, (v, *CANONICAL_RANK_ORDER[1:]), 18),
         "rank order entry", CANONICAL_RANK_ORDER[0], False),
+}
+
+# id -> (call taking the value, the name its refusal gives, a good value)
+REALS = {
+    "train_test_split train_frac": (lambda v: train_test_split(10, v, 0), "train_frac", 0.5),
+    "optimal_k_search train_frac": (
+        lambda v: optimal_k_search(SAMPLES, CANONICAL_RANK_ORDER, 18, 19, train_frac=v,
+                                   config=CONFIG),
+        "train_frac", 0.75),
+    "GbtConfig learning_rate": (lambda v: GbtConfig(learning_rate=v), "learning_rate", 0.3),
 }
 
 # id -> call taking a list of labels of the first rows of SAMPLES
@@ -79,12 +92,20 @@ def _refusals():
         for bad in (2.5, True, None, "3", -1) if seeds else (2.5, True, None, "3"):
             must = "a non-negative integer" if bad == -1 else "an integer"
             yield pytest.param(call, bad, f"{name} must be {must}, got {bad!r}", id=f"{row}={bad!r}")
+    for row, (call, name, _) in REALS.items():
+        for bad in ("0.5", None, True):
+            yield pytest.param(call, bad, f"{name} must be a number, got {bad!r}", id=f"{row}={bad!r}")
+        message = f"{name} must be a number, got an integer too large for a float"
+        yield pytest.param(call, 10**400, message, id=f"{row}=10**400")
     for row, call in LABELS.items():
         for bad in (None, "PD", 0):  # an unlabeled sample, a label's text, a class index
             labels = Y[:8]  # four PD, four D1
             labels[5] = bad
             message = f"label {bad!r} is not a FaultLabel: samples must be labeled"
             yield pytest.param(call, labels, message, id=f"{row} holding {bad!r}")
+    for bad in ("PD", 0):  # a sample is built with a FaultLabel or None
+        yield pytest.param(lambda v: GasSample(1, 2, 3, 4, 5, label=v), bad,
+                           f"label {bad!r} is not a FaultLabel or None", id=f"GasSample label={bad!r}")
 
 
 @pytest.mark.parametrize("call, bad, message", _refusals())
@@ -116,6 +137,23 @@ def test_a_numpy_integer_gives_the_bits_of_the_int(call, good):
     assert _bits(call(np.int64(good))) == _bits(call(good))
 
 
+@pytest.mark.parametrize("call, good", [(row[0], row[2]) for row in REALS.values()],
+                         ids=REALS.keys())
+def test_a_numpy_float_gives_the_bits_of_the_float(call, good):
+    assert _bits(call(np.float64(good))) == _bits(call(good))
+
+
+def test_load_model_refuses_a_negative_seed(tmp_path):
+    # only the library could write one, and `GbtModel` now refuses it
+    path = tmp_path / "model.json"
+    save_model(path, ModelBundle(MODEL, CANONICAL_RANK_ORDER, 18))
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, "seed": -1}))
+    message = f"{path}: seed must be a non-negative integer, got -1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("call", [row[0] for row in INTEGERS.values() if row[3]],
                          ids=[name for name, row in INTEGERS.items() if row[3]])
 @settings(max_examples=10, deadline=None)
@@ -125,12 +163,56 @@ def test_any_seed_as_a_numpy_integer_gives_the_bits_of_the_int(call, seed, numpy
 
 
 def test_only_core_writes_the_integer_and_seed_rules():
-    # a second copy of either rule is how the copies came to disagree
+    # a second copy of a rule is how the copies came to disagree; the real
+    # number rule is held to the same
     sources = Path(dgadiag.__file__).parent.glob("*.py")
+    rules = ("numbers.Integral", "numbers.Real", "default_rng(")
     writers = {
         (path.name, rule)
         for path in sources
-        for rule in ("numbers.Integral", "default_rng(")
+        for rule in rules
         if rule in path.read_text(encoding="utf-8")
     }
-    assert writers == {("core.py", "numbers.Integral"), ("core.py", "default_rng(")}
+    assert writers == {("core.py", rule) for rule in rules}
+
+
+UNLABELED = "label None is not a FaultLabel: samples must be labeled"
+POSITIONS = {"first": 0, "middle": len(SAMPLES) // 2, "last": len(SAMPLES) - 1}
+
+
+def _unlabeled_at(row: int) -> list:
+    """SAMPLES with row `row` unlabeled."""
+    samples = list(SAMPLES)
+    samples[row] = dataclasses.replace(samples[row], label=None)
+    return samples
+
+
+@pytest.mark.parametrize("row", POSITIONS.values(), ids=POSITIONS.keys())
+def test_kfold_cv_refuses_an_unlabeled_row(row):
+    with pytest.raises(ValueError, match=f"^{UNLABELED}$"):
+        kfold_cv(_unlabeled_at(row), CANONICAL_RANK_ORDER, 18, 2, config=CONFIG)
+
+
+@pytest.mark.parametrize("side", ["train", "test"])
+@pytest.mark.parametrize("position", POSITIONS)
+def test_optimal_k_search_refuses_an_unlabeled_row(side, position):
+    # training meets a row of the train split, scoring one of the test split
+    split = dict(zip(["train", "test"], train_test_split(len(SAMPLES), 0.75, 0)))[side]
+    row = sorted(split.tolist())[{"first": 0, "middle": len(split) // 2, "last": -1}[position]]
+    with pytest.raises(ValueError, match=f"^{UNLABELED}$"):
+        optimal_k_search(_unlabeled_at(row), CANONICAL_RANK_ORDER, 18, 19, train_frac=0.75,
+                         config=CONFIG)
+
+
+@pytest.mark.parametrize("mode", [[], ["--holdout", "0.25"], ["--cv", "2"]],
+                         ids=["apply", "holdout", "cv"])
+@pytest.mark.parametrize("row", POSITIONS.values(), ids=POSITIONS.keys())
+def test_cli_evaluate_refuses_an_unlabeled_row(capsys, tmp_path, mode, row):
+    data, model, report = tmp_path / "data.csv", tmp_path / "model.json", tmp_path / "report.json"
+    write_dataset(data, _unlabeled_at(row))
+    save_model(model, ModelBundle(MODEL, CANONICAL_RANK_ORDER, 18))
+    capsys.readouterr()
+    argv = ["evaluate", "--data", str(data), "--model", str(model), "--json", str(report), *mode]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {UNLABELED}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "model.json"]

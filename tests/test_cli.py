@@ -1054,10 +1054,17 @@ def _seed_argv(command, data, model, tmp):
 @pytest.mark.parametrize("command", ["synth", "searchk", "train", "evaluate-holdout",
                                      "evaluate-cv", "evaluate-apply"])
 def test_negative_seed_is_refused_by_name(capsys, table_model, command):
-    # numpy refused it without naming the flag, and `train` stored it
+    # numpy refused it without naming the flag, and `train` stored it; the
+    # seed's one owner refuses it now, `train` once it has trained, and
+    # `evaluate` without --holdout or --cv reads no seed at all
+    (table_model[2] / "m.json").unlink(missing_ok=True)  # `train`'s model file
     code, out, err = run(capsys, _seed_argv(command, *table_model) + ["--seed", "-1"])
     assert (code, out) == (1, "")
-    assert err == "error: --seed must be a non-negative integer, got -1\n"
+    if command == "evaluate-apply":
+        assert err == "error: --seed requires --holdout or --cv\n"
+    else:
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+    assert not (table_model[2] / "m.json").exists()
 
 
 BAD_NUMBER_TEXT = ["", "x", "1e", "0x10", "1_0", " 5 ", "nan", "-inf", "1e400", "2.5", "-0"]

@@ -832,7 +832,7 @@ class TestModelPersistence:
     def test_missing_key(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(json.dumps({"format_version": MODEL_FORMAT_VERSION}))
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(ValueError, match=": model file lacks config, k, rank_order, seed, trees$"):
             load_model(path)
 
     def test_trees_are_flat_lists(self, tmp_path):

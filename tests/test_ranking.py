@@ -72,7 +72,7 @@ class TestRankParams:
         assert rank_params(samples) == tuple(range(1, 38))
 
     def test_empty_dataset(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^ranking needs at least two samples, got 0$"):
             rank_params([])
 
     def test_symmetric_before_right_skewed(self):

@@ -73,7 +73,7 @@ def test_run_pipeline(tmp_path):
 @pytest.mark.parametrize("argv, code, message", [
     (["--data", "bad.csv"], 1, "error: bad.csv:2: gas ch4 is not a number: 'x'\n"),
     (["--kmin", "40"], 1, "error: k_min 40 exceeds k_max 37\n"),
-    (["--seed", "-1"], 1, "error: --seed must be a non-negative integer, got -1\n"),
+    (["--seed", "-1"], 1, "error: seed must be a non-negative integer, got -1\n"),
     (["--out-dir", "bad.csv"], 2, "i/o error: "),  # the rest is the OS's wording
 ], ids=["bad-gas", "kmin-above-kmax", "negative-seed", "out-dir-is-a-file"])
 def test_run_pipeline_fails_with_one_error_line(tmp_path, argv, code, message):

@@ -34,7 +34,6 @@ from .io import (
     save_model,
     write_dataset,
 )
-from .itd import itd_rows
 from .ranking import CANONICAL_RANK_ORDER, anova_pvalue, rank_params, skewness
 
 __version__ = "0.1.0"
@@ -57,7 +56,6 @@ __all__ = [
     "duval",
     "generate_synthetic",
     "iec_ratio",
-    "itd_rows",
     "kfold_cv",
     "load_dataset",
     "load_model",

@@ -349,6 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         with warnings.catch_warnings(record=True) as deferred:
+            warnings.simplefilter("always")  # record each one; the user's filters act below
             code = args.func(args)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")

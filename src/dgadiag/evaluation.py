@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (CLASS_ORDER, N_CLASSES, FaultLabel, GasSample, _class_indices, _integer,
                    _real, _rng)
-from .features import FeatureMatrix, build_features
+from .features import FeatureMatrix, _build, _checked_prefix, _warn_unusual_k
 from .gbt import GbtConfig, predict_many, train
 
 _SMOTE_NEIGHBORS = 5  # nearest same-class neighbors a synthetic row can head for
@@ -102,6 +102,8 @@ def train_test_split(
     if not 0.0 < train_frac < 1.0:
         raise ValueError("train_frac must be in (0, 1)")
     n = _integer("n", n)
+    if n > np.iinfo(np.intp).max:  # its digits are not printed: there may be thousands
+        raise ValueError(f"n must be at most {np.iinfo(np.intp).max}, numpy's largest index")
     n_train = int(np.floor(n * train_frac + 0.5))
     if not 0 < n_train < n:  # both sides non-empty, so n >= 2
         raise ValueError(f"degenerate split sizes ({n_train}, {n - n_train}) for n={n}")
@@ -222,13 +224,14 @@ def kfold_cv(
     """Stratified k-fold cross-validation of the full feature+classifier
     pipeline at rank order `rank_order` and feature count `k`.
 
-    Features are built once and the classifier is retrained per fold.  With
-    `use_smote`, oversampling is applied to the training folds only, never
-    the held-out fold.  Per-fold RNG streams are derived from (seed, fold
-    index), so fold results do not depend on execution order.
+    Features are built once, as `build_features` builds them, and the
+    classifier is retrained per fold.  With `use_smote`, oversampling is
+    applied to the training folds only, never the held-out fold.  Per-fold
+    RNG streams are derived from (seed, fold index), so fold results do not
+    depend on execution order.  An unusual k is warned of as the last step.
     """
     samples = list(dataset)
-    fm = build_features(samples, rank_order, k)
+    fm = _build(samples, _checked_prefix(rank_order, k))
 
     fold_reports: list[EvalReport] = []
     pooled_counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
@@ -242,4 +245,5 @@ def kfold_cv(
         pooled_counts += cm.counts
 
     pooled = metrics(ConfusionMatrix(counts=pooled_counts))
+    _warn_unusual_k(k)
     return CvResult(fold_reports=fold_reports, pooled=pooled)

@@ -27,7 +27,7 @@ which stop at row boundaries because every row starts and ends with a
 knot, and the knot and baseline values are gathered at those flat indices.
 A block costs a fixed few dozen numpy calls, however many rows it has.
 
-For one sample, `build_features` calls `_itd_list` instead: the same
+For one sample, `features._build` calls `_itd_list` instead: the same
 operations as a loop over one list of Python floats, so the same bits
 without numpy's per-call cost.  It is reached only with the ranked
 parameters of a valid sample, which are finite and whose slopes cannot

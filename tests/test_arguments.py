@@ -92,6 +92,10 @@ def _refusals():
         for bad in (2.5, True, None, "3", -1) if seeds else (2.5, True, None, "3"):
             must = "a non-negative integer" if bad == -1 else "an integer"
             yield pytest.param(call, bad, f"{name} must be {must}, got {bad!r}", id=f"{row}={bad!r}")
+    for text, bad in {"2**63": 2**63, "10**400": 10**400}.items():  # past numpy's largest index
+        message = f"n must be at most {np.iinfo(np.intp).max}, numpy's largest index"
+        yield pytest.param(INTEGERS["train_test_split n"][0], bad, message,
+                           id=f"train_test_split n={text}")
     for row, (call, name, _) in REALS.items():
         for bad in ("0.5", None, True):
             yield pytest.param(call, bad, f"{name} must be a number, got {bad!r}", id=f"{row}={bad!r}")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dgadiag.core import (
     EPS_PPM, GAS_NAMES, MAX_PPM, MIN_PPM, FaultLabel, GasSample, param_matrix,
 )
+from dgadiag.evaluation import kfold_cv
 from dgadiag.features import FeatureMatrix, build_features, optimal_k_search
 from dgadiag.gbt import GbtConfig
 from dgadiag.itd import itd_rows
@@ -93,6 +94,31 @@ def test_failed_build_warns_of_nothing():
         with pytest.raises(ValueError, match="^rank order must be a permutation"):
             build_features([ROW1], CANONICAL_RANK_ORDER[1:] + (1,), 8)
     assert caught == []
+
+
+PD_ROW = GasSample(10, 20, 3, 4, 5, label=FaultLabel.PD, id="p1")
+
+
+@pytest.mark.parametrize("samples, message", [
+    ([ROW1] * 4 + [GasSample(292, 346, 32, 313, 196)],
+     "label None is not a FaultLabel: samples must be labeled"),
+    ([ROW1] * 4 + [PD_ROW], "stratification impossible: class PD has 1 samples, fewer than 2 folds"),
+], ids=["an unlabeled row", "a class of fewer rows than folds"])
+def test_failed_cv_warns_of_nothing(samples, message):
+    # the folds are refused after the rows are built at this unusual k: the
+    # error is raised and the k is not warned of
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            kfold_cv(samples, CANONICAL_RANK_ORDER, 10, 2)
+    assert caught == []
+
+
+def test_cv_warns_of_an_unusual_k_once_at_the_calling_line():
+    with pytest.warns(UserWarning, match="k=10 outside") as record:
+        line = sys._getframe().f_lineno + 1
+        kfold_cv([ROW1, ROW1, PD_ROW, PD_ROW], CANONICAL_RANK_ORDER, 10, 2, config=SMALL_CONFIG)
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, line)]
 
 
 def test_invalid_inputs():
@@ -334,6 +360,10 @@ class TestOptimalKSearch:
             )
         with pytest.raises(ValueError, match=r"^k_min must be an integer, got 24\.0$"):
             optimal_k_search(samples, CANONICAL_RANK_ORDER, k_min=24.0, config=SMALL_CONFIG)
+
+    def test_rank_order_is_checked_before_k(self):
+        with pytest.raises(ValueError, match=r"^rank order must be a permutation of 1\.\.37$"):
+            optimal_k_search([ROW1, ROW1], [1] * 37, k_min=40, k_max=41)
 
     @pytest.mark.parametrize("k_max, train_frac, message", [
         (20, 0.05, "degenerate labels"),  # a one-row training split

@@ -231,7 +231,7 @@ def kfold_cv(
     depend on execution order.  An unusual k is warned of as the last step.
     """
     samples = list(dataset)
-    fm = _build(samples, _checked_prefix(rank_order, k))
+    fm, = _build(samples, _checked_prefix(rank_order, k), [k])
 
     fold_reports: list[EvalReport] = []
     pooled_counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)

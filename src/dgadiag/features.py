@@ -16,6 +16,7 @@ same order, so a sample's row has the same bits either way, without
 numpy's per-call cost on a 24-value row.  Each public call checks the rank
 order, then k, once, and warns of an unusual k as its last step, so a call
 that raises has warned of nothing.  The search sweeps k over a range,
+taking every candidate's rows from one evaluation of the 37 parameters,
 training and scoring the classifier on one fixed holdout split per
 candidate, and keeps the smallest k attaining the best accuracy.
 """
@@ -24,11 +25,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import N_PARAMS, FaultLabel, GasSample, _integer, _param_row, param_matrix
+from .core import N_PARAMS, FaultLabel, GasSample, _integer, _param_row, _shown, param_matrix
 from .gbt import GbtConfig
 from .itd import _itd_list, itd_rows
 from .ranking import validate_rank_order
@@ -55,7 +56,7 @@ def _check_k(k: int) -> int:
     """`k` as an `int`, once it is an integer of any type but bool in 2..37."""
     k = _integer("k", k)
     if not 2 <= k <= N_PARAMS:
-        raise ValueError(f"k must be in 2..{N_PARAMS}, got {k}")
+        raise ValueError(f"k must be in 2..{N_PARAMS}, got {_shown(k)}")
     return k
 
 
@@ -76,20 +77,28 @@ def _checked_prefix(rank_order: Sequence[int], k: int) -> tuple[int, ...]:
     return order[: _check_k(k)]
 
 
-def _build(samples: Sequence[GasSample], prefix: Sequence[int]) -> FeatureMatrix:
-    """The features of `samples` on the parameters numbered `prefix`, in order;
-    one reading is built in Python floats, to the bits of its batch row."""
-    if len(samples) == 1:  # one reading: a numpy call costs more than its row
+def _build(
+    samples: Sequence[GasSample], order: Sequence[int], ks: Sequence[int]
+) -> Iterator[FeatureMatrix]:
+    """The features of `samples` on the parameters numbered `order[:k]`, for
+    each k of `ks` in turn, all from one evaluation of the 37 parameters; one
+    reading is built in Python floats, to the bits of its batch row."""
+    one = len(samples) == 1  # one reading: a numpy call costs more than its row
+    if one:
         params = _param_row(samples[0])
-        signal = [params[num - 1] for num in prefix]
-        signals, baseline = np.array([signal]), np.array([_itd_list(signal)])
-        x = signals - baseline
-    else:
-        signals = param_matrix(samples)[:, np.array(prefix) - 1]
-        _, baseline, x = itd_rows(signals)
-    return FeatureMatrix(
-        x=x, labels=[s.label for s in samples], signals=signals, baseline=baseline
-    )
+        ranked = [params[num - 1] for num in order[: max(ks)]]
+    else:  # only the ranked columns are kept: a live (n, 37) matrix slows the ITD
+        ranked = param_matrix(samples)[:, np.array(order[: max(ks)]) - 1]
+    labels = [s.label for s in samples]
+    for k in ks:
+        if one:
+            signal = ranked[:k]
+            signals, baseline = np.array([signal]), np.array([_itd_list(signal)])
+            x = signals - baseline
+        else:
+            signals = ranked[:, :k]
+            _, baseline, x = itd_rows(signals)
+        yield FeatureMatrix(x=x, labels=labels, signals=signals, baseline=baseline)
 
 
 def build_features(
@@ -97,7 +106,7 @@ def build_features(
 ) -> FeatureMatrix:
     """Rotation-component feature rows for `samples` at feature count `k`;
     a k outside the usual range is warned of once the rows are built."""
-    fm = _build(samples, _checked_prefix(rank_order, k))
+    fm, = _build(samples, _checked_prefix(rank_order, k), [k])
     _warn_unusual_k(k)
     return fm
 
@@ -130,8 +139,8 @@ def optimal_k_search(
 
     train_idx, test_idx = train_test_split(len(samples), train_frac, split_seed)
     curve: dict[int, float] = {}
-    for k in range(k_min, k_max + 1):
-        fm = _build(samples, order[:k])
+    ks = range(k_min, k_max + 1)
+    for k, fm in zip(ks, _build(samples, order, ks)):
         curve[k] = metrics(fit_and_score(fm, train_idx, test_idx, config)).accuracy
     for k in curve:
         _warn_unusual_k(k)

@@ -94,16 +94,24 @@ count, right children past the left child within the tree, and leaves that
 cannot add up to a non-finite logit, so that no walk can index out of
 range or loop.
 
-For prediction a model also derives, once, absolute child ids, the roots
-of the trees of every round that has a split, and each round's root
-values.  Prediction is one loop over blocks of 128 rows.  A block walks
-all of those trees at once, one tree level of every (row, tree) pair per
-numpy step, dropping the pairs that reach a leaf; rounds whose trees are
-all single leaves need no walk.  Then the base score, the single-leaf
-values and the walked leaf values are stacked as one (1 + rounds, rows,
-classes) array and added along the round axis in one numpy reduction,
-which adds them in round order; every logit gets the same floating-point
-additions in the same order as the values training accumulated.
+For prediction a model also derives, once, absolute child ids, each
+node's split column (0 at a leaf), each tree's depth, the trees that
+split in deepest-first order (ties in round, then class order), how many
+of them are deeper than each level, and each one's (round, class) slot.
+Prediction is one loop over blocks of 128 rows.  A block lays out its
+(row, tree) pairs tree by tree in that order and walks one tree level of
+them per numpy step; the pairs still walking at a level are the prefix
+of those whose trees are deeper than it, a slice, so no step filters the
+pairs that reached a leaf.  A pair whose path ends above its tree's
+depth sits at a leaf, which is its own child and reads column 0, so the
+steps left change nothing.  The trees that do not split need no walk:
+their root is their leaf.  Then the base score, the root values and the
+walked leaf values, each in its (round, class) slot, are stacked as one
+(1 + rounds, rows, classes) array and added along the round axis in one
+numpy reduction, which adds them in round order; every logit gets the
+same floating-point additions in the same order as the values training
+accumulated.  Walking all trees at once is the flat-forest idea of
+QuickScorer/Treelite (Lucchese et al., SIGIR 2015).
 """
 
 from __future__ import annotations
@@ -156,16 +164,21 @@ class _Forest(NamedTuple):
     """What the walk needs beyond a model's node arrays.
 
     The logits of a row are the sum of the `terms` rows in order: the base
-    score, then one row per round.  A round with no split adds its root
-    values; the row of the i-th round with a split, `split[i]`, is replaced
-    by the leaves its trees reach, found by walking the `N_CLASSES` trees
-    from `N_CLASSES * i` on in `roots`.
+    score, then each round's root values.  The walk replaces the root value
+    of each tree that splits, in its `terms` row `term` and class `cls`,
+    by the leaf the row reaches.  Those trees are walked deepest first
+    (ties in round, then class order) from `roots`, and `deeper[l]` of them
+    are deeper than l, so level l walks only them.  A leaf is its own child
+    and reads `column` 0, so a step on it leaves it where it is.
     """
 
     child: np.ndarray  # intp, [2 * i] left and [2 * i + 1] right child of node i
-    roots: np.ndarray  # intp, root node of each walked tree, [split round][class]
-    terms: np.ndarray  # (1 + rounds, N_CLASSES, 1) base score, then root values
-    split: np.ndarray  # intp, the `terms` row of each round with a split, ascending
+    column: np.ndarray  # intp, the feature node i splits on, 0 at a leaf
+    roots: np.ndarray  # intp, root node of each walked tree, deepest first
+    deeper: np.ndarray  # intp, [l] how many walked trees are deeper than l
+    term: np.ndarray  # intp, the `terms` row of each walked tree
+    cls: np.ndarray  # intp, the class of each walked tree
+    terms: np.ndarray  # (1 + rounds, N_CLASSES) base score, then root values
 
 
 @dataclass(frozen=True)
@@ -234,13 +247,29 @@ def _flatten(model: GbtModel) -> _Forest:
     child = np.empty(2 * node.size, dtype=np.intp)
     child[0::2] = np.where(internal, node + 1, node)
     child[1::2] = np.where(internal, right + offset, node)
-    terms = np.concatenate([np.full(N_CLASSES, BASE_SCORE), value[starts]])
-    split = (sizes > 1).reshape(-1, N_CLASSES).any(axis=1)  # more than one node: a split
+    # Each node's depth, level by level from the roots: a level is the
+    # children of the last one's internal nodes, each once (`np.unique`
+    # would import numpy.ma, 20-40 ms of a cold CLI run), so a node that two
+    # parents reach ends at its deepest level.  A tree's depth is that of
+    # its deepest node; a tree of depth 0 is a single leaf.
+    depth = np.zeros(node.size, dtype=np.intp)
+    level, d = starts, 0
+    while level.size:
+        d += 1
+        reached = child.reshape(-1, 2)[level[internal[level]]].ravel()
+        level = np.flatnonzero(np.bincount(reached, minlength=node.size))
+        depth[level] = d
+    tree_depth = np.maximum.reduceat(depth, starts)
+    walked = np.flatnonzero(tree_depth)
+    walked = walked[np.argsort(-tree_depth[walked], kind="stable")]
     return _Forest(
         child=child,
-        roots=starts.reshape(-1, N_CLASSES)[split].ravel(),
-        terms=terms.reshape(-1, N_CLASSES, 1),
-        split=np.flatnonzero(split) + 1,
+        column=np.where(internal, feature, 0).astype(np.intp),
+        roots=starts[walked],
+        deeper=(walked.size - np.cumsum(np.bincount(tree_depth[walked])))[:-1],
+        term=walked // N_CLASSES + 1,
+        cls=walked % N_CLASSES,
+        terms=np.concatenate([[BASE_SCORE] * N_CLASSES, value[starts]]).reshape(-1, N_CLASSES),
     )
 
 
@@ -495,29 +524,32 @@ def predict_logits(model: GbtModel, x: np.ndarray) -> np.ndarray:
     forest = model._forest
     n, k = x.shape
     n_trees = forest.roots.size
+    deeper = forest.deeper.tolist()
     logits = np.empty((n, N_CLASSES), dtype=np.float64)
-    # [term][row][class]; the rows of rounds without a split stay as filled
+    # [term][row][class]; the slots of trees without a split stay as filled
     stack = np.empty((forest.terms.shape[0], min(n, _BLOCK_ROWS), N_CLASSES), dtype=np.float64)
-    stack[...] = forest.terms.reshape(-1, 1, N_CLASSES)
+    stack[...] = forest.terms[:, None]
     for lo in range(0, n, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, n - lo)
         block = x[lo : lo + rows].ravel()
-        # pair p is (row p // n_trees, walked tree p % n_trees); `at` its x offset
-        node = np.empty((rows, n_trees), dtype=np.intp)
-        node[...] = forest.roots
-        node = node.ravel()
-        at = np.arange(0, rows * k, k).repeat(n_trees)
-        live = (model.feature[node] >= 0).nonzero()[0]
-        while live.size:
-            here = node[live]
+        # pair p is (walked tree p // rows, row p % rows), deepest tree
+        # first, so the pairs still walking at a level are a prefix; `at`
+        # is the pair's row offset in `block`
+        node = forest.roots.repeat(rows)
+        at = np.empty((n_trees, rows), dtype=np.intp)
+        at[...] = np.arange(0, rows * k, k)
+        at = at.ravel()
+        for walking in deeper:
+            here = node[: walking * rows]
+            index = forest.column[here]
+            index += at[: here.size]
             # not below the threshold: the right child, as in `Tree`
-            right = block[at[live] + model.feature[here]] >= model.value[here]
-            here = forest.child[2 * here + right]
-            node[live] = here
-            live = live[model.feature[here] >= 0]
-        leaves = model.value[node].reshape(rows, forest.split.size, N_CLASSES)
+            right = block[index] >= model.value[here]
+            index = here * 2
+            index += right
+            forest.child.take(index, out=here, mode="clip")  # ids are in range: no check
         part = stack[:, :rows]
-        part[forest.split] = leaves.transpose(1, 0, 2)
+        part[forest.term, :, forest.cls] = model.value[node].reshape(n_trees, rows)
         # the reduction over the term axis adds each round in order, as
         # `logits += term` round by round would
         np.add.reduce(part, axis=0, out=logits[lo : lo + rows])

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import CLASS_ORDER, GAS_NAMES, FaultLabel, GasSample, _integer, _rng
+from .core import CLASS_ORDER, GAS_NAMES, FaultLabel, GasSample, _integer, _rng, _shown
 from .features import _check_k
 from .gbt import GbtConfig, GbtModel, Tree
 from .ranking import validate_rank_order
@@ -99,10 +99,9 @@ def atomic_write_text(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
-def _csv_rows(path):
-    """The records of a UTF-8 CSV file, each as (file line it starts on,
-    fields); a decoding or CSV syntax error becomes a ValueError naming the
-    path and line."""
+def load_dataset(path) -> list[GasSample]:
+    """Read gas samples from a UTF-8 CSV file; raises ValueError naming the
+    first bad line, or the line of a decoding or CSV syntax error."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -111,51 +110,47 @@ def _csv_rows(path):
         line_no = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
     reader = csv.reader(StringIO(text, newline=""))
-    line_no = 1
+    samples: list[GasSample] = []
     try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected header {CSV_HEADER}")
+        if [h.strip().lower() for h in header] != CSV_HEADER:
+            raise ValueError(f"{path}: bad header {header!r}, expected {CSV_HEADER}")
+        start = reader.line_num + 1
         for row in reader:
-            yield line_no, row
-            line_no = reader.line_num + 1  # a quoted field may span lines
+            line_no, start = start, reader.line_num + 1  # a quoted field may span lines
+            try:
+                ident, h2, ch4, c2h6, c2h4, c2h2, label_text = row
+            except ValueError:
+                if not row:
+                    continue
+                raise ValueError(
+                    f"{path}:{line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}"
+                ) from None
+            try:
+                h2, ch4, c2h6, c2h4, c2h2 = (
+                    float(h2), float(ch4), float(c2h6), float(c2h4), float(c2h2)
+                )
+            except ValueError:
+                for name, text in zip(GAS_NAMES, row[1:6]):  # the first bad gas
+                    try:
+                        float(text)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}:{line_no}: gas {name} is not a number: {text!r}"
+                        ) from None
+            label_text = label_text.strip()
+            label = _LABELS.get(label_text)
+            if label is None and label_text:
+                raise ValueError(f"{path}:{line_no}: unknown label {label_text!r}")
+            try:
+                sample = GasSample(h2, ch4, c2h6, c2h4, c2h2, label, ident.strip() or str(line_no))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+            samples.append(sample)
     except csv.Error as exc:
         raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-
-
-def load_dataset(path) -> list[GasSample]:
-    """Read gas samples from a CSV file; raises ValueError naming the first
-    bad line."""
-    samples: list[GasSample] = []
-    rows = _csv_rows(path)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise ValueError(f"{path}: empty file, expected header {CSV_HEADER}")
-    if [h.strip().lower() for h in header] != CSV_HEADER:
-        raise ValueError(f"{path}: bad header {header!r}, expected {CSV_HEADER}")
-    for line_no, row in rows:
-        if not row:
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise ValueError(
-                f"{path}:{line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}"
-            )
-        try:
-            gases = list(map(float, row[1:6]))
-        except ValueError:
-            for name, text in zip(GAS_NAMES, row[1:6]):  # the first bad gas
-                try:
-                    float(text)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{line_no}: gas {name} is not a number: {text!r}"
-                    ) from None
-        label_text = row[6].strip()
-        label = _LABELS.get(label_text)
-        if label is None and label_text:
-            raise ValueError(f"{path}:{line_no}: unknown label {label_text!r}")
-        try:
-            samples.append(GasSample(*gases, label, row[0].strip() or str(line_no)))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line_no}: {exc}") from None
     return samples
 
 
@@ -207,7 +202,7 @@ def generate_synthetic(
     samples: list[GasSample] = []
     for label, count in zip(CLASS_ORDER, counts):
         if _integer(f"{label.value} count", count) < 0:
-            raise ValueError(f"{label.value} count must be >= 0, got {count!r}")
+            raise ValueError(f"{label.value} count must be >= 0, got {_shown(count)}")
         bounds = np.log([SYNTH_GAS_RANGES[label][name] for name in GAS_NAMES])  # (5, 2)
         draws = rng.uniform(bounds[:, 0], bounds[:, 1], size=(count, len(GAS_NAMES)))
         samples += [
@@ -288,7 +283,7 @@ def load_model(path) -> ModelBundle:
         doc = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an integer past the digit limit
         raise ValueError(f"{path}: corrupt model file: {exc}") from None
     try:
         version = doc["format_version"]

@@ -8,6 +8,7 @@ integer or float gives the bits of the same int or float.
 import dataclasses
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,38 @@ def _refusals():
 
 @pytest.mark.parametrize("call, bad, message", _refusals())
 def test_a_bad_argument_is_refused_by_name(call, bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)
+
+
+HUGE = 10**5000  # past the digits Python converts an int to text with
+TOO_LONG = f"number of over {sys.get_int_max_str_digits()} digits"
+
+
+def _huge_refusals():
+    for row, (call, name, _, seeds) in INTEGERS.items():
+        if seeds:
+            message = f"{name} must be a non-negative integer, got a negative {TOO_LONG}"
+            yield pytest.param(call, -HUGE, message, id=f"{row}=-10**5000")
+    yield pytest.param(INTEGERS["generate_synthetic counts"][0], -HUGE,
+                       f"D2 count must be >= 0, got a negative {TOO_LONG}", id="counts=-10**5000")
+    for row in ("kfold_cv k", "build_features k"):
+        yield pytest.param(INTEGERS[row][0], HUGE, f"k must be in 2..37, got a {TOO_LONG}",
+                           id=f"{row}=10**5000")
+    yield pytest.param(lambda v: GasSample(v, 0, 0, 0, 0), HUGE,
+                       f"gas h2 must be 0 or in 1e-09..1e+06 ppm, got a {TOO_LONG}",
+                       id="GasSample h2=10**5000")
+    yield pytest.param(lambda v: GasSample(1, 2, 3, 4, 5, label=v), -HUGE,
+                       f"label a negative {TOO_LONG} is not a FaultLabel or None",
+                       id="GasSample label=-10**5000")
+    yield pytest.param(LABELS["train y"], [*Y[:7], HUGE],
+                       f"label a {TOO_LONG} is not a FaultLabel: samples must be labeled",
+                       id="train y holding 10**5000")
+
+
+@pytest.mark.parametrize("call, bad, message", _huge_refusals())
+def test_a_huge_integer_is_refused_without_its_digits(call, bad, message):
+    # `repr` of such an int raises Python's own digit-limit ValueError
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(bad)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -140,6 +141,57 @@ def test_gas_sample_is_a_frozen_slotted_value():
     with pytest.raises(ValueError) as exc:
         dataclasses.replace(sample, c2h6=-1.0)
     assert str(exc.value) == "gas c2h6 must be 0 or in 1e-09..1e+06 ppm, got -1.0 (sample s1)"
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _GeneratedSample:
+    """`GasSample`'s fields with the `__init__` that dataclasses generates:
+    the reference for what its own `__init__` keeps."""
+
+    h2: float
+    ch4: float
+    c2h6: float
+    c2h4: float
+    c2h2: float
+    label: FaultLabel | None = None
+    id: str = ""
+
+
+def test_gas_sample_init_keeps_the_dataclass_behaviour():
+    def params(cls):
+        return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+
+    assert params(GasSample) == params(_GeneratedSample)
+    assert GasSample.__match_args__ == _GeneratedSample.__match_args__
+    assert GasSample.__slots__ == _GeneratedSample.__slots__
+    fields = [(f.name, f.default) for f in dataclasses.fields(GasSample)]
+    assert fields == [(f.name, f.default) for f in dataclasses.fields(_GeneratedSample)]
+    for args, kwargs in [
+        ((1.5, 2.0, 0.0, 4.0, 5.0), {}),
+        ((1, 2, 3), {"c2h4": 4, "c2h2": 0.0, "id": "k"}),
+        ((), {"h2": 0.0, "ch4": -0.0, "c2h6": 1e-9, "c2h4": 1e6, "c2h2": 7, "label": FaultLabel.D1}),
+        ((0.5, 0.5, 0.5, 0.5, 0.5, FaultLabel.PD, "s"), {}),
+    ]:
+        sample, want = GasSample(*args, **kwargs), _GeneratedSample(*args, **kwargs)
+        assert repr(sample) == repr(want).replace("_GeneratedSample", "GasSample")
+        assert dataclasses.astuple(sample) == dataclasses.astuple(want)
+        assert hash(sample) == hash(want)
+        assert sample == GasSample(*args, **kwargs) and sample != want
+        match sample:
+            case GasSample(h2, ch4, c2h6, c2h4, c2h2, label, id):
+                assert (h2, ch4, c2h6, c2h4, c2h2, label, id) == dataclasses.astuple(want)
+        moved = dataclasses.replace(sample, c2h2=9.0, id="moved")
+        assert dataclasses.astuple(moved) == dataclasses.astuple(
+            dataclasses.replace(want, c2h2=9.0, id="moved"))
+        for name in GasSample.__match_args__:
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"'{name}'"):
+                setattr(sample, name, 1.0)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"'{name}'"):
+                delattr(sample, name)
+    with pytest.raises(TypeError):
+        GasSample(1, 2, 3, 4)  # a missing gas, as the generated __init__ refuses it
+    with pytest.raises(TypeError):
+        GasSample(1, 2, 3, 4, 5, colour="red")
 
 
 @pytest.mark.parametrize("gases, message", [

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from dgadiag import gbt
 from dgadiag.core import CLASS_ORDER, FaultLabel
-from dgadiag.features import build_features
+from dgadiag.features import build_features, optimal_k_search
 from dgadiag.gbt import (
     GbtConfig,
     GbtModel,
@@ -720,6 +720,55 @@ def test_default_train_skips_the_nodes_that_cannot_gain(monkeypatch):
     assert len(calls) == 113
 
 
+def test_work_counts_of_the_seed_11_k_search(monkeypatch):
+    """Exact work of one `optimal_k_search` with the library defaults on the
+    seed-11 survey: unlike a timing, no host noise moves these counts, and
+    a change that claims less work moves them."""
+    samples = generate_synthetic(11)
+    counts = {"searches": 0, "elements": 0, "bounds": 0}
+    search, bound = gbt._best_split, gbt._cannot_gain
+
+    def counted_search(gh, g_sum, h_sum, rows, xs):
+        counts["searches"] += 1
+        counts["elements"] += rows.size  # (feature, row) pairs scanned
+        return search(gh, g_sum, h_sum, rows, xs)
+
+    def counted_bound(*args):
+        counts["bounds"] += 1
+        return bound(*args)
+
+    monkeypatch.setattr(gbt, "_best_split", counted_search)
+    monkeypatch.setattr(gbt, "_cannot_gain", counted_bound)
+    result = optimal_k_search(samples, rank_params(samples))
+    assert counts == {"searches": 2047, "elements": 12_361_656, "bounds": 2230}
+    assert result.best_k == 30
+
+
+def test_work_counts_of_predicting_the_seed_11_rows():
+    """Exact work of predicting the 376 training rows with the seed-11 model
+    of `train --k 24 --seed 5`, counted by a walk on the test side."""
+    samples = generate_synthetic(11)
+    fm = build_features(samples, rank_params(samples), 24)
+    model = train(fm.x, fm.labels, seed=5)
+    # the trees of the rounds with a split, by depth: 21 of them are leaves
+    in_split_rounds = [t for r in model.trees if any(t.feature[0] >= 0 for t in r) for t in r]
+    assert len(in_split_rounds) == 84
+    assert np.bincount([_depth(tree) for tree in in_split_rounds]).tolist() == [21, 30, 31, 1, 1]
+    steps = 0  # internal nodes passed on the way to the leaves
+    for row in fm.x.tolist():
+        for tree in in_split_rounds:
+            i = 0
+            while tree.feature[i] >= 0:
+                steps += 1
+                i = i + 1 if row[tree.feature[i]] < tree.value[i] else tree.right[i]
+    assert steps == 28_859
+    # the walk starts the 63 trees that split and steps the pairs of the
+    # trees still deeper than each level, a step on a leaf included
+    forest = model._forest
+    assert forest.roots.size == 63 and forest.deeper.tolist() == [63, 33, 2, 1]
+    assert len(fm.x) * sum(forest.deeper.tolist()) == 376 * 99 == 37_224
+
+
 def _oracle_logits(model, x):
     """Plain per-row walk over the tree arrays, adding leaf values in
     round, then class order."""
@@ -846,26 +895,27 @@ def _sample_rows(rng, kind, n, d):
     return np.zeros((n, d))  # "constant": training grows single leaves only
 
 
-def _random_tree(rng, d, max_depth):
+def _random_tree(rng, d, max_depth, spine=False):
     """A tree of random shape up to `max_depth`, thresholds on the grid of
     `_sample_rows`, leaf values spread over five decades so that adding them
-    in another order changes the sum."""
+    in another order changes the sum.  With `spine`, the path of left
+    children splits all the way down, so the tree is `max_depth` deep."""
     nodes = []
 
-    def grow(depth):
+    def grow(depth, spine):
         node = len(nodes)
         nodes.append(None)
-        if depth < max_depth and rng.random() < 0.6:
+        if depth < max_depth and (spine or rng.random() < 0.6):
             feature = int(rng.integers(0, d))
             threshold = float(rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0, 3.0]))
-            grow(depth + 1)  # the left child, node + 1
-            right = grow(depth + 1)
+            grow(depth + 1, spine)  # the left child, node + 1
+            right = grow(depth + 1, False)
             nodes[node] = (feature, right, threshold)
         else:
             nodes[node] = (-1, -1, float(rng.normal() * 10.0 ** rng.integers(-2, 3)))
         return node
 
-    grow(0)
+    grow(0, spine)
     dtypes = (np.int64, np.int64, np.float64)
     return Tree(*(np.array(c, dtype=t) for c, t in zip(zip(*nodes), dtypes)))
 
@@ -879,6 +929,18 @@ def _random_model(rng, d, rounds, max_depth):
     return _model_of(trees, GbtConfig(rounds=rounds, max_depth=max_depth), d)
 
 
+def _one_deep_model(rng, d, rounds, max_depth):
+    """Trees of depth 0 or 1 but one, anywhere, that is `max_depth` deep: the
+    walk's levels below 1 walk that tree alone."""
+    trees = [[_random_tree(rng, d, 1) for _ in CLASS_ORDER] for _ in range(rounds)]
+    r, c = int(rng.integers(rounds)), int(rng.integers(len(CLASS_ORDER)))
+    trees[r][c] = _random_tree(rng, d, max_depth, spine=True)
+    return _model_of(trees, GbtConfig(rounds=rounds, max_depth=max_depth), d)
+
+
+_MODEL_SOURCES = {"random": _random_model, "one deep": _one_deep_model}
+
+
 def test_flat_forest_matches_per_tree_walk(tmp_path_factory):
     # n straddles the row block of the flat-forest walk (128 rows); d starts
     # at 2, the least k a model file may hold
@@ -890,8 +952,8 @@ def test_flat_forest_matches_per_tree_walk(tmp_path_factory):
         n=st.sampled_from([1, 127, 128, 129, 257, 700]),
         d=st.integers(2, 6),
         rounds=st.integers(1, 6),
-        max_depth=st.integers(1, 6),
-        source=st.sampled_from(["trained", "random"]),
+        max_depth=st.integers(1, 9),
+        source=st.sampled_from(["trained", *_MODEL_SOURCES]),
         kind=st.sampled_from(["normal", "grid", "constant"]),
     )
     def check(seed, n, d, rounds, max_depth, source, kind):
@@ -904,12 +966,14 @@ def test_flat_forest_matches_per_tree_walk(tmp_path_factory):
             if kind != "constant":
                 split.append(np.mean(built.sizes > 1))
         else:
-            built = _random_model(rng, d, rounds, max_depth)
+            built = _MODEL_SOURCES[source](rng, d, rounds, max_depth)
         path = tmp_path_factory.mktemp("forest") / "model.json"
         save_model(path, ModelBundle(built, CANONICAL_RANK_ORDER, d))
         model = load_model(path).model
         if source == "trained" and kind == "constant":
             assert all(tree.feature.tolist() == [-1] for r in model.trees for tree in r)
+        if source == "one deep":
+            assert model._forest.deeper.tolist()[1:] == [1] * (max_depth - 1)
 
         x = _sample_rows(rng, kind, n, d)
         got = predict_logits(model, x)
@@ -923,31 +987,64 @@ def test_flat_forest_matches_per_tree_walk(tmp_path_factory):
     assert np.mean(split) >= 0.8, np.mean(split)  # 1.0 in four runs
 
 
+def test_walk_reaches_the_leaves_two_parents_share():
+    # A model file may hold a tree whose nodes share a child: here node 2 is
+    # the right child of the root and the left child of node 1, so the tree
+    # is 3 deep along 0, 1, 2, 3 (row 0.0), though node 2 is 1 deep along
+    # 0, 2.  A walk of 2 levels would leave row 0.0 at node 2.
+    shared = Tree(
+        np.array([0, 0, 0, -1, -1]),
+        np.array([2, 3, 4, -1, -1]),
+        np.array([1.0, 2.0, 3.0, 10.0, 100.0]),
+    )
+    leaf = Tree(np.array([-1]), np.array([-1]), np.array([0.25]))
+    model = _model_of([[shared, *[leaf] * (len(CLASS_ORDER) - 1)]], GbtConfig(rounds=1), 1)
+    assert model._forest.deeper.tolist() == [1, 1, 1]
+    x = np.array([[0.0], [1.5], [2.5], [3.5]])
+    got = predict_logits(model, x)
+    assert got[:, 0].tolist() == [gbt.BASE_SCORE + v for v in (10.0, 10.0, 10.0, 100.0)]
+    assert repr(got.tolist()) == repr(_oracle_logits(model, x))
+
+
+def _depth(tree, i=0):
+    """The depth of the subtree of `tree` at node i, read recursively."""
+    if tree.feature[i] < 0:
+        return 0
+    return 1 + max(_depth(tree, i + 1), _depth(tree, tree.right[i]))
+
+
 def _flatten_per_tree(model):
     """Reference: the walk's arrays read node by node from the `trees`
-    views, each root value as a numpy scalar, a round walked when any of
-    its roots splits."""
-    child, roots, split, start = [], [], [], 0
+    views, each root value as a numpy scalar, and the trees that split
+    sorted by depth, deepest first, ties in round, then class order."""
+    child, column, walked, start = [], [], [], 0
     terms = [[gbt.BASE_SCORE] * len(CLASS_ORDER)]
     for r, round_trees in enumerate(model.trees):
         terms.append([tree.value[0] for tree in round_trees])
-        walked = any(tree.feature[0] >= 0 for tree in round_trees)
-        if walked:
-            split.append(r + 1)
-        for tree in round_trees:
-            if walked:
-                roots.append(start)
+        for c, tree in enumerate(round_trees):
+            if depth := _depth(tree):
+                walked.append((depth, start, r + 1, c))
             for i in range(tree.feature.size):
                 if tree.feature[i] >= 0:
                     child += [start + i + 1, start + tree.right[i]]
-                else:  # a leaf is its own child
+                    column.append(tree.feature[i])
+                else:  # a leaf is its own child, and reads column 0
                     child += [start + i, start + i]
+                    column.append(0)
             start += tree.feature.size
+    walked.sort(key=lambda tree: -tree[0])  # a stable sort
+    depths = [tree[0] for tree in walked]
+    deeper = [sum(depth > level for depth in depths) for level in range(max(depths, default=0))]
+    index = [np.array(a, dtype=np.intp) for a in (child, column, deeper)]
+    roots, term, cls = (np.array([t[i] for t in walked], dtype=np.intp) for i in (1, 2, 3))
     return _Forest(
-        child=np.array(child, dtype=np.intp),
-        roots=np.array(roots, dtype=np.intp),
-        terms=np.array(terms, dtype=np.float64).reshape(-1, len(CLASS_ORDER), 1),
-        split=np.array(split, dtype=np.intp),
+        child=index[0],
+        column=index[1],
+        roots=roots,
+        deeper=index[2],
+        term=term,
+        cls=cls,
+        terms=np.array(terms, dtype=np.float64),
     )
 
 
@@ -956,8 +1053,8 @@ def _flatten_per_tree(model):
     seed=st.integers(0, 2**32 - 1),
     d=st.integers(1, 6),
     rounds=st.integers(1, 8),
-    max_depth=st.integers(1, 6),
-    source=st.sampled_from(["trained", "random"]),
+    max_depth=st.integers(1, 9),
+    source=st.sampled_from(["trained", *_MODEL_SOURCES]),
     kind=st.sampled_from(["normal", "grid", "constant"]),
 )
 def test_flatten_matches_per_tree_construction(
@@ -970,10 +1067,10 @@ def test_flatten_matches_per_tree_construction(
         cfg = GbtConfig(rounds=rounds, max_depth=max_depth)
         model = train(_sample_rows(rng, kind, 80, d), _labels(y), cfg)
     else:
-        model = _random_model(rng, d, rounds, max_depth)
+        model = _MODEL_SOURCES[source](rng, d, rounds, max_depth)
     got = _flatten(model)
     want = _flatten_per_tree(model)
-    assert got.split.size == got.roots.size // len(CLASS_ORDER)
+    assert got.roots.size == np.count_nonzero(model.sizes > 1)  # the trees that split
     for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
@@ -986,10 +1083,11 @@ def test_trees_are_views_of_the_node_arrays():
     cfg = GbtConfig(rounds=12, max_depth=3)
     model = train(x, y, cfg)
     # no per-tree arrays: the model's arrays are the three node arrays, the
-    # node counts and the walk's four derived arrays
+    # node counts and the walk's seven derived tables
     assert Tree._fields == ("feature", "right", "value")
     arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 4 and all(isinstance(v, np.ndarray) for v in model._forest)
+    assert _Forest._fields == ("child", "column", "roots", "deeper", "term", "cls", "terms")
     assert not any(isinstance(v, list) for v in vars(model).values())
     assert model.sizes.size == cfg.rounds * len(CLASS_ORDER)
     assert model.sizes.sum() == model.feature.size

@@ -29,7 +29,6 @@ from dgadiag.io import (
     load_model,
     load_table_iv,
     save_model,
-    _csv_rows,
     write_dataset,
 )
 from dgadiag.ranking import CANONICAL_RANK_ORDER
@@ -156,19 +155,40 @@ def test_mutated_csv_loads_or_raises_value_error(tmp_path, edits):
         assert all(isinstance(s, GasSample) for s in samples)
 
 
+def _oracle_csv_rows(path):
+    """The records of a UTF-8 CSV file, each as (file line it starts on,
+    fields), as `load_dataset` read them through a generator before it
+    became one loop over `csv.reader`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line_no}: not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(StringIO(text, newline=""))
+    line_no = 1
+    try:
+        for row in reader:
+            yield line_no, row
+            line_no = reader.line_num + 1  # a quoted field may span lines
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def _oracle_load_dataset(path) -> list[GasSample]:
-    """`load_dataset` as written before its row loop was trimmed: one
-    `float` call per gas, the label through the FaultLabel call, keyword
+    """`load_dataset` as written over `_oracle_csv_rows`, with one `float`
+    call per gas, the label through the FaultLabel call and keyword
     construction.  The reference for the differential test below."""
     samples: list[GasSample] = []
-    rows = (row for _, row in _csv_rows(path))
+    rows = _oracle_csv_rows(path)
     try:
-        header = next(rows)
+        _, header = next(rows)
     except StopIteration:
         raise ValueError(f"{path}: empty file, expected header {CSV_HEADER}")
     if [h.strip().lower() for h in header] != CSV_HEADER:
         raise ValueError(f"{path}: bad header {header!r}, expected {CSV_HEADER}")
-    for line_no, row in enumerate(rows, start=2):
+    for line_no, row in rows:
         if not row:
             continue
         if len(row) != len(CSV_HEADER):
@@ -206,7 +226,9 @@ OUT_OF_RANGE = st.sampled_from(["-1", "2e6", "nan", "inf", "-inf", "1000000.0000
                                 "5e-324", "9.999999999999999e-10"])
 GOOD_LABEL = st.sampled_from(["", " ", "PD", "D1", "D2", "T1", " T2", "T3 "])
 BAD_LABEL = st.sampled_from(["X9", "pd", "P D", "NF", "UD", "FaultLabel.PD"])
-GOOD_ID = st.sampled_from(["", "  ", "a", "q,1", 'x"y', "r 7", "12"])
+# quoted ids may span lines, and one of only white space takes the number
+# of the line its record starts on
+GOOD_ID = st.sampled_from(["", "  ", "a", "q,1", 'x"y', "r 7", "12", "a\nb", "\r\n", " \n\n "])
 
 
 @st.composite
@@ -226,14 +248,18 @@ def csv_row(draw) -> list[str]:
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=st.lists(csv_row(), max_size=8))
-def test_load_dataset_matches_the_oracle(tmp_path, rows):
+@given(
+    rows=st.lists(csv_row(), max_size=8),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    tail=st.sampled_from(["", "", "\n\n", '"an id never closed,1', "a\0b,1,1,1,1,1,PD\n"]),
+)
+def test_load_dataset_matches_the_oracle(tmp_path, rows, newline, tail):
     text = StringIO()
-    writer = csv.writer(text, lineterminator="\n")
+    writer = csv.writer(text, lineterminator=newline)
     writer.writerow(CSV_HEADER)
     writer.writerows(rows)
     path = tmp_path / "rows.csv"
-    path.write_text(text.getvalue(), encoding="utf-8")
+    path.write_bytes((text.getvalue() + tail).encode("utf-8"))
     try:
         expected = _oracle_load_dataset(path)
     except ValueError as exc:
@@ -981,6 +1007,13 @@ class TestModelPersistence:
         path = tmp_path / "model.json"
         path.write_text("[" * 100_000)
         with pytest.raises(ValueError, match=r"model\.json: corrupt"):
+            load_model(path)
+
+    def test_an_integer_past_the_digit_limit_is_corrupt(self, tmp_path):
+        # json refuses to read it with a ValueError that names no file
+        path = tmp_path / "model.json"
+        path.write_text('{"format_version": 1' + "0" * 5000 + "}")
+        with pytest.raises(ValueError, match=r"model\.json: corrupt model file: .*4300 digits"):
             load_model(path)
 
 

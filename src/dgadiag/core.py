@@ -10,8 +10,9 @@ files record numbers 1..37); see `param_matrix` for the full listing.  The
 listing is written once, in `_params`: `param_matrix` evaluates it on numpy
 gas columns for a batch and `_param_row` on one sample's Python floats.
 Each argument rule has one owner here: `_integer` (any integer type but
-bool), `_real` (any real type but bool), `_seed` (a non-negative integer, for
-`_rng`), `_class_indices` (labels) and `GasSample` (a label or None).
+bool), `_real` (any real type but bool, a gas of `GasSample` too), `_seed`
+(a non-negative integer, for `_rng`), `_class_indices` (labels) and
+`GasSample` (a label or None).
 Their refusals show the value through `_shown`, which stands in for an
 integer too long for `repr` (over Python's 4300-digit default limit).
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from enum import Enum
 from itertools import chain
 from operator import attrgetter
@@ -134,7 +135,8 @@ class DiagnosisOutcome(Enum):
 @dataclass(frozen=True, slots=True)
 class GasSample:
     """One transformer's five gas concentrations (ppm) and its FaultLabel or
-    None; each gas is 0 (not detected) or in MIN_PPM..MAX_PPM."""
+    None; each gas is a real number that `_real` takes, 0 (not detected) or
+    in MIN_PPM..MAX_PPM, and is stored as given."""
 
     h2: float
     ch4: float
@@ -146,6 +148,9 @@ class GasSample:
 
     def __init__(self, h2: float, ch4: float, c2h6: float, c2h4: float, c2h2: float,
                  label: FaultLabel | None = None, id: str = "") -> None:
+        if not type(h2) is type(ch4) is type(c2h6) is type(c2h4) is type(c2h2) is float:
+            for name, value in zip(GAS_NAMES, (h2, ch4, c2h6, c2h4, c2h2)):
+                _real(f"gas {name}", value)  # a bool, a string or None is no gas
         # The slots' own setters: the generated frozen __init__ makes one
         # `object.__setattr__` call per field, about 1.6 us a sample against
         # 0.8 us here (Python 3.11).
@@ -179,6 +184,16 @@ class GasSample:
 _set_h2, _set_ch4, _set_c2h6, _set_c2h4, _set_c2h2, _set_label, _set_id = (
     vars(GasSample)[f.name].__set__ for f in fields(GasSample)
 )
+
+
+def _frozen(self, name, *value):
+    """GasSample's __setattr__ and __delattr__, with the dataclass's messages:
+    its own refused a field, but called super() on the class `slots=True`
+    replaced for any other name, which raised TypeError (Python 3.11)."""
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+GasSample.__setattr__ = GasSample.__delattr__ = _frozen
 GAS_NAMES = ("h2", "ch4", "c2h6", "c2h4", "c2h2")
 _GASES = attrgetter(*GAS_NAMES)  # a sample's five gases, as `GasSample.gases`
 

@@ -22,7 +22,7 @@ from .gbt import GbtConfig, predict_many, train
 _SMOTE_NEIGHBORS = 5  # nearest same-class neighbors a synthetic row can head for
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
     """6x6 counts; rows are actual classes, columns predictions, both in
     canonical class order."""
@@ -30,7 +30,7 @@ class ConfusionMatrix:
     counts: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
     matrix: ConfusionMatrix
     sensitivity: np.ndarray  # per class, recall on the actual rows
@@ -185,7 +185,7 @@ def stratified_folds(
     return [np.array(sorted(fold), dtype=np.intp) for fold in assignments]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CvResult:
     fold_reports: list[EvalReport]
     pooled: EvalReport  # metrics of the summed out-of-fold confusion matrix

@@ -38,7 +38,7 @@ K_DEFAULT_MIN = 18
 K_DEFAULT_MAX = 37
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     x: np.ndarray  # (n, k) rotation-component coefficients, signals - baseline
     labels: list[FaultLabel | None]

@@ -81,37 +81,26 @@ twice MIN_CHILD_WEIGHT of hessian mass cannot split; it gets its one-leaf
 tree without growing it, which is most trees after the first rounds, and
 a round where every root is a leaf is one in-place add.
 
-A model is three flat node arrays (feature, right, value) holding every
-tree, [round][class], each in preorder, plus each tree's node count.
-Preorder puts a node's left child right after it, so no array stores it,
-and `value` holds a split's threshold at an internal node and the weight
-at a leaf, as XGBoost's `split_conditions` does.  Training appends to
-them, `dgadiag.io` writes them as three lists, and `GbtModel.trees` gives
-`Tree` views (numpy slices) of them.  However it was built, a model checks
-them when it is: signed integer ids, `config.rounds` rounds of non-empty
-trees, arrays of one length, finite values, features below its feature
-count, right children past the left child within the tree, and leaves that
-cannot add up to a non-finite logit, so that no walk can index out of
-range or loop.
+A model is its trees' preorders and nothing else: two flat node arrays,
+feature (-1 at a leaf) and value (a split's threshold, a leaf's weight,
+as XGBoost's `split_conditions`), every tree [round][class].  Every split
+has two children and preorder puts the left one right after it, so the
+leaf marks fix the rest.  Counting +1 per split and -1 per leaf, a tree's
+nodes add up to -1 and no proper prefix of them to less than 0: tree t
+ends where the running count first reaches -(t+1), and a split's left
+subtree ends where the count first falls one below the split's own, with
+the right child next.  However it was built, a model checks its arrays
+when it is (a signed integer feature, flat arrays of one length, finite
+values, exactly `config.rounds` rounds of whole trees, features below its
+feature count, leaves that cannot add up to a non-finite logit), so no
+walk can index out of range, and derives the walk's tables (`_Forest`)
+once.
 
-For prediction a model also derives, once, absolute child ids, each
-node's split column (0 at a leaf), each tree's depth, the trees that
-split in deepest-first order (ties in round, then class order), how many
-of them are deeper than each level, and each one's (round, class) slot.
-Prediction is one loop over blocks of 128 rows.  A block lays out its
-(row, tree) pairs tree by tree in that order and walks one tree level of
-them per numpy step; the pairs still walking at a level are the prefix
-of those whose trees are deeper than it, a slice, so no step filters the
-pairs that reached a leaf.  A pair whose path ends above its tree's
-depth sits at a leaf, which is its own child and reads column 0, so the
-steps left change nothing.  The trees that do not split need no walk:
-their root is their leaf.  Then the base score, the root values and the
-walked leaf values, each in its (round, class) slot, are stacked as one
-(1 + rounds, rows, classes) array and added along the round axis in one
-numpy reduction, which adds them in round order; every logit gets the
-same floating-point additions in the same order as the values training
-accumulated.  Walking all trees at once is the flat-forest idea of
-QuickScorer/Treelite (Lucchese et al., SIGIR 2015).
+Prediction walks all trees at once, the flat-forest idea of
+QuickScorer/Treelite (Lucchese et al., SIGIR 2015): blocks of 128 rows,
+one tree level of every (row, tree) pair per numpy step, then one numpy
+reduction that adds the rounds in order, so every logit gets the
+floating-point additions training made.
 """
 
 from __future__ import annotations
@@ -150,13 +139,12 @@ class Tree(NamedTuple):
     """One regression tree as node arrays in preorder; node 0 is the root.
 
     A row at internal node i moves to its left child i + 1 when its
-    `feature[i]` value is below the threshold `value[i]` and to `right[i]`
-    otherwise, which sits after the left child's subtree.  Leaves carry
-    feature and right -1 and their weight in `value`.
+    `feature[i]` value is below the threshold `value[i]`, and otherwise to
+    its right child, the node after the left child's subtree.  Leaves carry
+    feature -1 and their weight in `value`.
     """
 
     feature: np.ndarray  # int64
-    right: np.ndarray  # int64
     value: np.ndarray  # float64
 
 
@@ -168,10 +156,12 @@ class _Forest(NamedTuple):
     of each tree that splits, in its `terms` row `term` and class `cls`,
     by the leaf the row reaches.  Those trees are walked deepest first
     (ties in round, then class order) from `roots`, and `deeper[l]` of them
-    are deeper than l, so level l walks only them.  A leaf is its own child
+    are deeper than l, so level l walks only a prefix of the (row, tree)
+    pairs and no step filters out those at a leaf.  A leaf is its own child
     and reads `column` 0, so a step on it leaves it where it is.
     """
 
+    starts: np.ndarray  # intp, first node of each tree, [round][class]
     child: np.ndarray  # intp, [2 * i] left and [2 * i + 1] right child of node i
     column: np.ndarray  # intp, the feature node i splits on, 0 at a leaf
     roots: np.ndarray  # intp, root node of each walked tree, deepest first
@@ -181,55 +171,54 @@ class _Forest(NamedTuple):
     terms: np.ndarray  # (1 + rounds, N_CLASSES) base score, then root values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GbtModel:
-    """A trained ensemble: three read-only node arrays holding every tree,
-    [round][class] with classes in CLASS_ORDER, each in preorder with child
-    ids counted from its root as in `Tree`, and each tree's node count.
-    Raises ValueError on arrays that fail the module docstring's checks, or
-    on a seed that `core._seed` refuses (any other is kept as an int)."""
+    """A trained ensemble: two read-only node arrays holding every tree,
+    [round][class] with classes in CLASS_ORDER, each in preorder as in
+    `Tree`.  Raises ValueError on arrays that fail the module docstring's
+    checks, or on a seed that `core._seed` refuses (any other is kept as an
+    int).  Compares and hashes by identity."""
 
     config: GbtConfig
     n_features: int
     feature: np.ndarray  # int64, -1 at leaves
-    right: np.ndarray  # int64, -1 at leaves
     value: np.ndarray  # float64, the threshold at internal nodes, the weight at leaves
-    sizes: np.ndarray  # intp, node count of each tree, [round][class]
     seed: int = 0
-    _forest: _Forest = field(init=False, repr=False, compare=False)
+    _forest: _Forest = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", _seed(self.seed))
-        for name in (*Tree._fields, "sizes"):
+        for name in Tree._fields:
             getattr(self, name).setflags(write=False)
         object.__setattr__(self, "_forest", _flatten(self))
 
     @property
     def trees(self) -> list[list[Tree]]:
         """[round][class] `Tree` views of the node arrays."""
-        ends = np.cumsum(self.sizes).tolist()
-        nodes = [getattr(self, name) for name in Tree._fields]
-        trees = [Tree(*(a[b - n : b] for a in nodes)) for n, b in zip(self.sizes.tolist(), ends)]
+        bounds = [*self._forest.starts.tolist(), self.feature.size]
+        trees = [Tree(self.feature[a:b], self.value[a:b]) for a, b in zip(bounds, bounds[1:])]
         return [trees[r : r + N_CLASSES] for r in range(0, len(trees), N_CLASSES)]
 
 
 def _flatten(model: GbtModel) -> _Forest:
     """The walk's tables for `model`, whose node arrays it checks first."""
-    sizes, feature, right, value = model.sizes, model.feature, model.right, model.value
-    if not sizes.dtype.kind == feature.dtype.kind == right.dtype.kind == "i":
-        raise ValueError("feature, right and sizes must be signed integer arrays")
-    trees, rounds = sizes.size, model.config.rounds
-    if trees != rounds * N_CLASSES:
-        raise ValueError(f"the model has {trees} trees, not {rounds} rounds of {N_CLASSES}")
-    if sizes.min() < 1:
-        raise ValueError("empty tree")
-    # summed in Python ints: an int64 sum of huge counts could wrap round to the length
-    if not feature.size == right.size == value.size == sum(sizes.tolist()):
-        raise ValueError("feature, right and value must each have sum(sizes) entries")
+    feature, value, rounds = model.feature, model.value, model.config.rounds
+    if feature.dtype.kind != "i":
+        raise ValueError("feature must be a signed integer array")
+    if not feature.ndim == value.ndim == 1 or feature.size != value.size:
+        raise ValueError("feature and value must be flat arrays with one entry per node")
     if not np.isfinite(value).all():
         raise ValueError("non-finite threshold or leaf value")
-    starts = np.cumsum(sizes) - sizes
+    n = feature.size
     internal = feature != -1
+    # tree t ends where the count first reaches -(t+1), below 0 and every count before it
+    count = np.cumsum(np.where(internal, 1, -1))
+    ends = np.flatnonzero(count < np.minimum.accumulate(np.concatenate([[0], count[:-1]])))
+    whole = ends[-1] + 1 if ends.size else 0  # the nodes of whole trees
+    cut = ", then part of one" if whole < n else ""
+    if ends.size != rounds * N_CLASSES or cut:
+        raise ValueError(f"the model has {ends.size} trees{cut}, not {rounds} rounds of {N_CLASSES}")
+    starts = np.concatenate([[0], ends[:-1] + 1])
     # a logit is the base score plus one leaf per tree of its class, so this
     # bounds every logit
     leaves = np.where(internal, 0.0, np.abs(value))
@@ -237,32 +226,29 @@ def _flatten(model: GbtModel) -> _Forest:
         raise ValueError("leaf values can add up to a non-finite logit")
     if np.any((feature[internal] < 0) | (feature[internal] >= model.n_features)):
         raise ValueError(f"feature index out of range 0..{model.n_features - 1}")
-    offset = np.repeat(starts, sizes)
-    node = np.arange(feature.size)
-    # ids count from the tree's root and the left child is node + 1, so this
-    # keeps both children past their parent and inside the tree
-    low, high = (node - offset + 1)[internal], np.repeat(sizes, sizes)[internal]
-    if np.any((right[internal] <= low) | (right[internal] >= high)):
-        raise ValueError("child index must point past its parent within the tree")
-    child = np.empty(2 * node.size, dtype=np.intp)
-    child[0::2] = np.where(internal, node + 1, node)
-    child[1::2] = np.where(internal, right + offset, node)
-    # Each node's depth, level by level from the roots: a level is the
-    # children of the last one's internal nodes, each once (`np.unique`
-    # would import numpy.ma, 20-40 ms of a cold CLI run), so a node that two
-    # parents reach ends at its deepest level.  A tree's depth is that of
-    # its deepest node; a tree of depth 0 is a single leaf.
-    depth = np.zeros(node.size, dtype=np.intp)
+    # The left subtree of split i ends at the first later node whose count
+    # is count[i] - 1: the first key at or past (count[i] - 1, i + 1) in
+    # (count, node) order.  Its right child is the node after that one.
+    node = np.arange(n)
+    key = np.sort(count * (n + 1) + node)
+    split = np.flatnonzero(internal)
+    left_end = key[np.searchsorted(key, (count[split] - 1) * (n + 1) + split + 1)] % (n + 1)
+    child = np.repeat(node, 2)  # a leaf is its own child
+    child[2 * split] += 1
+    child[2 * split + 1] = left_end + 1
+    # Each node's depth, level by level from the roots; a tree's depth is
+    # that of its deepest node, and a tree of depth 0 is a single leaf.
+    depth = np.zeros(n, dtype=np.intp)
     level, d = starts, 0
     while level.size:
         d += 1
-        reached = child.reshape(-1, 2)[level[internal[level]]].ravel()
-        level = np.flatnonzero(np.bincount(reached, minlength=node.size))
+        level = child.reshape(-1, 2)[level[internal[level]]].ravel()
         depth[level] = d
     tree_depth = np.maximum.reduceat(depth, starts)
     walked = np.flatnonzero(tree_depth)
     walked = walked[np.argsort(-tree_depth[walked], kind="stable")]
     return _Forest(
+        starts=starts,
         child=child,
         column=np.where(internal, feature, 0).astype(np.intp),
         roots=starts[walked],
@@ -364,9 +350,9 @@ def _build_tree(
     nodes: list[tuple],
     columns: Sequence[int],
 ) -> np.ndarray:
-    """Grow one tree, appending its nodes to `nodes` as (feature, right,
-    value) in preorder, with child ids counted from its root; return the
-    leaf value each row lands in.
+    """Grow one tree, appending each node to `nodes` as (feature, value)
+    once its split is decided, in preorder; return the leaf value each row
+    lands in.
 
     `xt` is the (k, n) feature-major matrix, `presort[j]` lists the row ids
     in ascending order of `xt[j]`, ties by row id
@@ -376,7 +362,6 @@ def _build_tree(
     """
     eta = cfg.learning_rate
     n_feat, n = xt.shape
-    root = len(nodes)
     row_value = np.empty(n, dtype=np.float64)
     gh = np.empty(n, dtype=np.complex128)
     gh.real = g
@@ -388,27 +373,27 @@ def _build_tree(
         xs: np.ndarray,
         keep: np.ndarray | None,
         depth: int,
-    ) -> int:
+    ) -> None:
         """`idx` holds the node's row ids ascending; `rows`/`xs` the
         parent's sorted rows and values, of which `keep` marks the node's
         (None at the root, whose arrays are already its own)."""
-        node = len(nodes) - root
         g_node, h_node = g[idx], h[idx]
         g_sum = float(g_node.sum())
         h_sum = float(h_node.sum())
         weight = -eta * g_sum / (h_sum + REG_LAMBDA)
-        nodes.append((-1, -1, weight))  # a leaf unless a split is kept
-        row_value[idx] = weight
+        row_value[idx] = weight  # the children's leaves overwrite it if it splits
         if (
             depth >= cfg.max_depth
             or idx.size < 2
             or h_sum < 2.0 * MIN_CHILD_WEIGHT
         ):
-            return node
+            nodes.append((-1, weight))
+            return
 
         if keep is not None:  # not the root, which nearly always splits
             if _cannot_gain(g_node, h_node, g_sum, h_sum):
-                return node
+                nodes.append((-1, weight))
+                return
             # The node's rows in ascending value order per feature, ties by
             # row id: the parent's order with the other child's rows taken out.
             take = np.flatnonzero(keep)
@@ -417,19 +402,19 @@ def _build_tree(
         del g_node, h_node  # the children need none of this node's arrays
         gain, feat, pos = _best_split(gh, g_sum, h_sum, rows, xs)
         if not gain > 0.0:
-            return node
+            nodes.append((-1, weight))
+            return
 
         lo, hi = xs[feat, pos], xs[feat, pos + 1]
         threshold = 0.5 * lo + 0.5 * hi
         if threshold <= lo:  # adjacent floats: keep "< threshold" == "<= lo"
             threshold = hi
+        nodes.append((columns[feat], float(threshold)))
         goes_left = xt[feat] < threshold
         in_left = goes_left[rows]
         mask = goes_left[idx]
-        grow(idx[mask], rows, xs, in_left, depth + 1)  # node + 1, the left child
-        right = grow(idx[~mask], rows, xs, ~in_left, depth + 1)
-        nodes[root + node] = (columns[feat], right, float(threshold))
-        return node
+        grow(idx[mask], rows, xs, in_left, depth + 1)  # the left child, next in preorder
+        grow(idx[~mask], rows, xs, ~in_left, depth + 1)
 
     grow(np.arange(n, dtype=np.intp), presort, xs, None, 0)
     del grow  # grow refers to itself: break the cycle so its arrays go now, not at the next GC
@@ -477,8 +462,7 @@ def train(
     # of a column in class order, as it does along a row of `predict_proba_many`.
     logits = np.full((N_CLASSES, n), BASE_SCORE, dtype=np.float64)
     p, grad, hess = (np.empty_like(logits) for _ in range(3))
-    nodes: list[tuple] = []  # (feature, right, value)
-    sizes: list[int] = []
+    nodes: list[tuple] = []  # (feature, value)
     for _ in range(config.rounds):
         _softmax(logits, axis=0, out=p)
         np.subtract(p, onehot, out=grad)
@@ -489,20 +473,17 @@ def train(
         leaf = h_sums < min_root_h  # these roots cannot split: one leaf each
         np.add(logits, weights[:, None], out=logits, where=leaf[:, None])
         for c, (weight, is_leaf) in enumerate(zip(weights.tolist(), leaf.tolist())):
-            start = len(nodes)
             if is_leaf:
-                nodes.append((-1, -1, weight))
+                nodes.append((-1, weight))
             else:
                 logits[c] += _build_tree(
                     xt, grad[c], hess[c], config, presort, xs, nodes, columns
                 )
-            sizes.append(len(nodes) - start)
 
     return GbtModel(
         config,
         x.shape[1],
         *map(np.array, zip(*nodes)),  # int64 and float64 columns
-        sizes=np.array(sizes, dtype=np.intp),
         seed=seed,
     )
 

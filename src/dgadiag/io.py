@@ -12,20 +12,21 @@ Model files are versioned JSON documents carrying the boosting config, the
 rank order and k the model was trained with (k is its feature count), the
 train seed, and the full tree ensemble; `config` holds exactly the
 `GbtConfig` fields, and neither the document nor "trees" holds any other
-key.  Format version 5 stores the ensemble as the `GbtModel` node arrays:
-under "trees", a "node_counts" list (one entry per tree, [round][class])
-and the three lists feature, right and value, every tree's nodes in
-preorder one after another, child ids counted from the tree's root.  A
-left child is the node after its parent, and value is a split's threshold
-or a leaf's weight.  The class order, class count and base score are the
-package's constants (CLASS_ORDER, its length and `gbt.BASE_SCORE`), not
-file contents.  `load_model` checks the document's keys, its version and
-the element types of the tree lists, and passes the plain values to the
-types that own their rules, as in memory: `GbtConfig` checks the config,
-`features._check_k` k, `validate_rank_order` the rank order, and
-`GbtModel` the seed and the trees (their count, lengths, and any structure
-the prediction walk could index out of range or loop on).  All writes go
-through a temp file + rename so readers never observe partial output.
+key.  Format version 6 stores the ensemble as the `GbtModel` node arrays:
+under "trees", the two lists feature and value, every tree's nodes in
+preorder one after another, [round][class].  feature is -1 at a leaf, and
+value is a split's threshold or a leaf's weight; the leaf marks fix where
+each tree ends and where each right child is (see `dgadiag.gbt`).  The
+class order, class count and base score are the package's constants
+(CLASS_ORDER, its length and `gbt.BASE_SCORE`), not file contents.
+`load_model` checks the document's keys, its version and the element types
+of the tree lists, and passes the plain values to the types that own their
+rules, as in memory: `GbtConfig` checks the config, `features._check_k` k,
+`validate_rank_order` the rank order, and `GbtModel` the seed and the
+trees (lists of one length that parse into `config.rounds` rounds of whole
+trees, finite values, features below k, and leaves with a finite sum).
+All writes go through a temp file + rename so readers never observe
+partial output.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .ranking import validate_rank_order
 
 CSV_HEADER = ["id", *GAS_NAMES, "label"]
 _LABELS = {label.value: label for label in FaultLabel}  # FaultLabel(text), as a lookup
-MODEL_FORMAT_VERSION = 5
+MODEL_FORMAT_VERSION = 6
 
 # Per-class log-uniform gas ranges (ppm) for the synthetic generator, chosen
 # so each class's draws land in its own Duval-triangle zone with probability
@@ -212,12 +213,13 @@ def generate_synthetic(
     return samples
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelBundle:
     """A trained classifier plus the feature recipe it expects: a rank
     order (stored as a tuple of ints) and `k` (stored as an int), which must
     be in 2..37 and the model's feature count, so that every bundle saves a
-    file that `load_model` reads back equal."""
+    file that `load_model` reads back with equal fields.  Compares and
+    hashes by identity."""
 
     model: GbtModel
     rank_order: tuple[int, ...]
@@ -243,17 +245,16 @@ def _exact_keys(name: str, obj, keys) -> dict:
 
 
 def _forest_from_json(doc_trees) -> dict[str, np.ndarray]:
-    """The node counts and node arrays of a model document, as `GbtModel`
-    fields, which `GbtModel` checks.  Raises ValueError on a missing or
-    unknown key, or a list of other than JSON integers (numbers for "value")."""
+    """The node arrays of a model document, as `GbtModel` fields, which
+    `GbtModel` checks.  Raises ValueError on a missing or unknown key, or a
+    list of other than JSON integers (numbers for "value")."""
     arrays = {}
-    for name, column in _exact_keys("trees", doc_trees, {"node_counts", *Tree._fields}).items():
+    for name, column in _exact_keys("trees", doc_trees, set(Tree._fields)).items():
         index = name != "value"
         if not set(map(type, column)) <= ({int} if index else {int, float}):
             # a JSON object yields its str keys
             raise ValueError(f"trees.{name} is not {'an integer' if index else 'a number'} list")
         arrays[name] = np.array(column, dtype=np.int64 if index else np.float64)
-    arrays["sizes"] = arrays.pop("node_counts").astype(np.intp, copy=False)
     return arrays
 
 
@@ -265,10 +266,7 @@ def save_model(path, bundle: ModelBundle) -> None:
         "rank_order": list(bundle.rank_order),
         "k": bundle.k,
         "seed": model.seed,
-        "trees": {
-            "node_counts": model.sizes.tolist(),
-            **{name: getattr(model, name).tolist() for name in Tree._fields},
-        },
+        "trees": {name: getattr(model, name).tolist() for name in Tree._fields},
     }
     atomic_write_text(str(path), json.dumps(doc, separators=(",", ":")) + "\n")
 

@@ -111,6 +111,9 @@ def _refusals():
     for bad in ("PD", 0):  # a sample is built with a FaultLabel or None
         yield pytest.param(lambda v: GasSample(1, 2, 3, 4, 5, label=v), bad,
                            f"label {bad!r} is not a FaultLabel or None", id=f"GasSample label={bad!r}")
+    for bad in ("5", None, True):  # a gas is a real number, as `_real` takes it
+        yield pytest.param(lambda v: GasSample(1.0, 2.0, v, 4.0, 5.0), bad,
+                           f"gas c2h6 must be a number, got {bad!r}", id=f"GasSample c2h6={bad!r}")
 
 
 @pytest.mark.parametrize("call, bad, message", _refusals())
@@ -133,8 +136,8 @@ def _huge_refusals():
     for row in ("kfold_cv k", "build_features k"):
         yield pytest.param(INTEGERS[row][0], HUGE, f"k must be in 2..37, got a {TOO_LONG}",
                            id=f"{row}=10**5000")
-    yield pytest.param(lambda v: GasSample(v, 0, 0, 0, 0), HUGE,
-                       f"gas h2 must be 0 or in 1e-09..1e+06 ppm, got a {TOO_LONG}",
+    yield pytest.param(lambda v: GasSample(v, 0, 0, 0, 0), HUGE,  # refused by `_real`
+                       "gas h2 must be a number, got an integer too large for a float",
                        id="GasSample h2=10**5000")
     yield pytest.param(lambda v: GasSample(1, 2, 3, 4, 5, label=v), -HUGE,
                        f"label a negative {TOO_LONG} is not a FaultLabel or None",

@@ -5,6 +5,8 @@ import hashlib
 import inspect
 import io
 import json
+import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -261,13 +263,23 @@ class TestTrainDiagnoseEvaluate:
         )
 
     def test_model_file_is_byte_identical(self, seed11_model):
-        # pins the format-v5 bytes of a seeded training run; the same model
-        # took 29,213 bytes as format v4, 29,358 as v3 and 62,486 as v2
+        # pins the format-v6 bytes of a seeded training run; the same model
+        # took 23,664 bytes as format v5, 29,213 as v4, 29,358 as v3 and
+        # 62,486 as v2
         _, model = seed11_model
         assert hashlib.sha256(Path(model).read_bytes()).hexdigest() == (
-            "f2ace5eab1797e78343a4a877fcadd6074062edc4ce904319f0978f5aac18b2e"
+            "55f2a5f7e13e753046c4dbdd76f74335ab7f0f2cd4c65c7984f7f4818e3cde40"
         )
-        assert Path(model).stat().st_size <= 23_664
+        assert Path(model).stat().st_size <= 20_126
+
+    def test_model_nodes_are_those_of_format_v5(self, seed11_model):
+        # format 6 dropped only the lists the leaf marks fix: the feature
+        # and value lists are those the format-v5 file of the same run held
+        _, model = seed11_model
+        trees = json.loads(Path(model).read_text())["trees"]
+        assert hashlib.sha256(repr([trees["feature"], trees["value"]]).encode()).hexdigest() == (
+            "5e1cddae739e3c1699051dc834ad160a175949e05e9e771beb7ff7593d676dbb"
+        )
 
     def test_evaluate_holdout(self, capsys, tmp_path, synth_csv):
         model = str(tmp_path / "m.json")
@@ -711,6 +723,28 @@ def test_option_surface_matches_the_table():
     assert list(surface.items()) == list(OPTION_TABLE.items())
 
 
+def test_readme_command_line_block_runs_as_written(capsys, tmp_path, monkeypatch):
+    """Each `dgadiag` line of the README's "Command line" block exits 0, run
+    in order from the block's own `synth`, and its `train` writes a model
+    file of the size the README's "Model file" section states."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.DOTALL).group(1)
+    lines = [
+        line for line in block.replace("\\\n", " ").splitlines()
+        if line.strip() and not line.startswith("#")
+    ]
+    assert lines[0].startswith("dgadiag synth ") and all(line.startswith("dgadiag ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        code, _, err = run(capsys, argv)
+        assert code == 0, (line, err)
+    stated = re.search(r"The\s+seed-11\s+model\s+\(`synth --seed 11`,\s+`train --k 24 --seed 5`\)"
+                       r"\s+takes\s+([\d,]+)\s+bytes", readme).group(1)
+    assert "train --data data.csv --k 24 --seed 5 --model model.json" in block
+    assert (tmp_path / "model.json").stat().st_size == int(stated.replace(",", ""))
+
+
 class TestExitCodes:
     def test_invalid_model_is_validation_error(self, capsys, tmp_path, synth_csv):
         path = tmp_path / "model.json"
@@ -746,11 +780,10 @@ class TestExitCodes:
         # the seed-11 model rewritten as format v2: one dict per tree
         _, model = seed11_model
         doc = json.loads(Path(model).read_text())
-        flat, start, trees = doc["trees"], 0, []
-        for size in flat.pop("node_counts"):
-            trees.append({name: nodes[start : start + size] for name, nodes in flat.items()})
-            start += size
-        doc["trees"] = [trees[r : r + 6] for r in range(0, len(trees), 6)]
+        doc["trees"] = [
+            [{"feature": t.feature.tolist(), "value": t.value.tolist()} for t in round_trees]
+            for round_trees in load_model(model).model.trees
+        ]
         doc["format_version"] = 2
         path = tmp_path / "v2.json"
         path.write_text(json.dumps(doc))
@@ -777,7 +810,29 @@ class TestExitCodes:
             "--c2h4", "313", "--c2h2", "196", "--model", str(path),
         ])
         assert (code, out) == (1, "")
-        assert err == f"error: {path}: unsupported format_version 3, expected 5\n"
+        assert err == f"error: {path}: unsupported format_version 3, expected 6\n"
+
+    def test_v5_model_file_is_refused(self, capsys, seed11_model, tmp_path):
+        # the seed-11 model as format v5 wrote it, with each tree's node count
+        # and each split's right child, which the leaf marks fix
+        _, model = seed11_model
+        doc = json.loads(Path(model).read_text())
+        forest = load_model(model).model._forest
+        trees = doc["trees"]
+        starts = forest.starts.tolist()
+        trees["node_counts"] = np.diff([*starts, len(trees["feature"])]).tolist()
+        tree_of = np.repeat(forest.starts, trees["node_counts"])
+        right = forest.child[1::2] - tree_of
+        trees["right"] = np.where(np.array(trees["feature"]) >= 0, right, -1).tolist()
+        doc["format_version"] = 5
+        path = tmp_path / "v5.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [
+            "diagnose", "--h2", "292", "--ch4", "346", "--c2h6", "32",
+            "--c2h4", "313", "--c2h2", "196", "--model", str(path),
+        ])
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: unsupported format_version 5, expected 6\n"
 
     def test_nan_reg_lambda_model_fails_holdout(self, capsys, tmp_path, synth_csv):
         # such a file loaded, and the holdout retrained to all-PD labels; lambda

@@ -143,6 +143,26 @@ def test_gas_sample_is_a_frozen_slotted_value():
     assert str(exc.value) == "gas c2h6 must be 0 or in 1e-09..1e+06 ppm, got -1.0 (sample s1)"
 
 
+def test_gas_sample_refuses_every_assignment_and_any_gas_that_is_no_number():
+    # a name that is not a field raised TypeError from the dataclass's
+    # super() call on the class `slots=True` replaced
+    sample = GasSample(1.5, 2.0, 0.0, 4.0, 5.0)
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'extra'$"):
+        sample.extra = 1
+    with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'extra'$"):
+        del sample.extra
+    # a gas that is no float goes through `_real`: a string or None raised
+    # TypeError from the range check, and True built a sample
+    for bad in ("5", None, True, np.bool_(True), [1.0]):
+        with pytest.raises(ValueError, match=r"^gas h2 must be a number, got "):
+            GasSample(bad, 0.0, 0.0, 0.0, 0.0)
+    # any other real number is kept as given, its value range-checked
+    kept = GasSample(1, np.int64(2), np.float32(0.5), np.float64(4.0), 5.0)
+    assert [type(g) for g in kept.gases()] == [int, np.int64, np.float32, np.float64, float]
+    with pytest.raises(ValueError, match="^gas ch4 must be 0 or in 1e-09..1e"):
+        GasSample(1.0, np.int64(-2), 0.0, 0.0, 0.0)
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class _GeneratedSample:
     """`GasSample`'s fields with the `__init__` that dataclasses generates:

@@ -1,3 +1,4 @@
+import copy
 import re
 
 import numpy as np
@@ -15,9 +16,10 @@ from dgadiag.evaluation import (
     stratified_folds,
     train_test_split,
 )
-from dgadiag.gbt import GbtConfig
-from dgadiag.io import SYNTH_GAS_RANGES
-from dgadiag.ranking import rank_params
+from dgadiag.features import build_features
+from dgadiag.gbt import GbtConfig, train
+from dgadiag.io import SYNTH_GAS_RANGES, ModelBundle, generate_synthetic
+from dgadiag.ranking import CANONICAL_RANK_ORDER, rank_params
 from dgadiag.reference import (
     REFERENCE_ACCURACY_PCT,
     REFERENCE_F1,
@@ -306,3 +308,21 @@ class TestKfoldCv:
         samples = _archetype_samples(per_class=3, seed=6)
         with pytest.raises(ValueError, match="stratification impossible"):
             kfold_cv(samples, rank_params(samples), 18, folds=5, config=self.TINY_CONFIG)
+
+
+def test_array_holding_records_compare_and_hash_by_identity():
+    # generated `==` compared their arrays and raised ValueError, and the
+    # generated hash raised TypeError; each record now is only equal to itself
+    samples = generate_synthetic(3, counts=(4,) * 6)
+    cv = kfold_cv(samples, CANONICAL_RANK_ORDER, 18, 2, config=GbtConfig(rounds=2, max_depth=2))
+    fm = build_features(samples, CANONICAL_RANK_ORDER, 18)
+    model = train(fm.x, fm.labels, GbtConfig(rounds=2, max_depth=2))
+    bundle = ModelBundle(model, CANONICAL_RANK_ORDER, 18)
+    records = [model, bundle, fm, cv.pooled.matrix, cv.pooled, cv]
+    assert [type(r).__name__ for r in records] == [
+        "GbtModel", "ModelBundle", "FeatureMatrix", "ConfusionMatrix", "EvalReport", "CvResult"]
+    for record in records:
+        twin = copy.copy(record)
+        assert record == record and not record != record
+        assert record != twin and not record == twin
+        assert len({record, twin, record}) == 2

@@ -90,7 +90,7 @@ def test_training_leaves_no_reference_cycles():
     x, y = _one_hot_points(16)
     config = GbtConfig(rounds=3)
     model = train(x, y, config, seed=0)  # first-call set-up (numpy's lazy imports) makes cycles
-    assert model.sizes.min() > 1  # every tree was grown
+    assert np.all(model.feature[model._forest.starts] >= 0)  # every root split
     gc.collect()
     gc.disable()
     try:
@@ -167,7 +167,7 @@ def test_label_is_the_argmax_of_the_logits_at_a_one_ulp_gap():
     a = 0.8217701239287258
     logits = [a, math.nextafter(a, math.inf)] + [gbt.BASE_SCORE] * 4
     round_trees = [
-        Tree(np.array([-1]), np.array([-1]), np.array([v - gbt.BASE_SCORE]))
+        Tree(np.array([-1]), np.array([v - gbt.BASE_SCORE]))
         for v in logits
     ]
     model = _model_of([round_trees], GbtConfig(rounds=1), 1)
@@ -282,16 +282,11 @@ def test_tree_depth_bounded():
     cfg = GbtConfig(rounds=3, max_depth=3)
     model = train(x, y, cfg, seed=0)
 
-    def depth(tree, i):
-        if tree.feature[i] < 0:
-            assert np.isfinite(tree.value[i])
-            return 0
-        assert 0 <= tree.feature[i] < x.shape[1]
-        return 1 + max(depth(tree, i + 1), depth(tree, tree.right[i]))
-
     for round_trees in model.trees:
         for tree in round_trees:
-            assert depth(tree, 0) <= cfg.max_depth
+            assert np.isfinite(tree.value).all()
+            assert np.all(tree.feature < x.shape[1])
+            assert _depth(tree) <= cfg.max_depth
 
 
 def _brute_force_best_split(x, g, h):
@@ -333,7 +328,7 @@ def test_root_split_matches_brute_force(seed):
     _, feat, thr, mask = oracle
     assert tree.feature.tolist() == [feat, -1, -1]
     assert tree.value[0] == pytest.approx(thr, rel=1e-12)
-    left, right = 1, tree.right[0]
+    left, right = 1, 2
     eta, lam = cfg.learning_rate, gbt.REG_LAMBDA
     assert tree.value[left] == pytest.approx(
         -eta * g[mask].sum() / (h[mask].sum() + lam), rel=1e-12
@@ -351,14 +346,16 @@ def _grow_presorted(x, g, h, cfg):
     xt = np.ascontiguousarray(x.T)
     presort = np.argsort(xt, axis=1, kind="stable")
     xs = np.take_along_axis(xt, presort, axis=1)
-    nodes = [(-1, -1, 0.25)]  # child ids count from the tree's own root
+    nodes = [(-1, 0.25)]
     row_value = _build_tree(xt, g, h, cfg, presort, xs, nodes, range(x.shape[1]))
     return Tree(*map(np.array, zip(*nodes[1:]))), row_value
 
 
 def _oracle_build_tree(x, g, h, cfg):
     """Reference: `_build_tree` with a stable argsort of the node's rows at
-    every node; returns the three node arrays and the per-row leaf values."""
+    every node, which writes a placeholder leaf and patches in a split once
+    its right child is known; returns the `Tree`, each node's right child
+    (-1 at a leaf) and the per-row leaf values."""
     eta = cfg.learning_rate
     lam, mcw = gbt.REG_LAMBDA, gbt.MIN_CHILD_WEIGHT
     nodes = []
@@ -403,7 +400,8 @@ def _oracle_build_tree(x, g, h, cfg):
         return node
 
     grow(np.arange(x.shape[0], dtype=np.intp), 0)
-    return [np.array(column) for column in zip(*nodes)], row_value
+    feature, right, value = map(np.array, zip(*nodes))
+    return Tree(feature, value), right, row_value
 
 
 def test_presorted_split_search_matches_per_node_argsort():
@@ -436,10 +434,11 @@ def test_presorted_split_search_matches_per_node_argsort():
             g = np.round(g)
         cfg = GbtConfig(max_depth=max_depth)
         tree, row_value = _grow_presorted(x, g, h, cfg)
-        oracle_arrays, oracle_value = _oracle_build_tree(x, g, h, cfg)
-        for got, want in zip(tree, oracle_arrays):
+        oracle_tree, oracle_right, oracle_value = _oracle_build_tree(x, g, h, cfg)
+        for got, want in zip(tree, oracle_tree, strict=True):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+        assert _right(tree).tolist() == oracle_right.tolist()
         assert row_value.tobytes() == oracle_value.tobytes()
         split.append(tree.feature[0] >= 0)
 
@@ -449,20 +448,25 @@ def test_presorted_split_search_matches_per_node_argsort():
 
 def _assert_train_matches_oracle(x, y, cfg):
     """Every tree of `train` equals the oracle's, grown on the gradients of
-    the oracle's own training loop."""
+    the oracle's own training loop, and the model's derived child links are
+    the oracle grower's."""
     n = x.shape[0]
     model = train(x, y, cfg)
     assert len(model.trees) == cfg.rounds
     onehot = np.zeros((n, len(CLASS_ORDER)))
     onehot[np.arange(n), [CLASS_ORDER.index(label) for label in y]] = 1.0
     logits = np.full((n, len(CLASS_ORDER)), 0.5)
+    starts = iter(model._forest.starts.tolist())
     for round_trees in model.trees:
         p = _softmax(logits)
         grad, hess = p - onehot, p * (1.0 - p)
         for c, tree in enumerate(round_trees):
-            arrays, row_value = _oracle_build_tree(x, grad[:, c], hess[:, c], cfg)
-            assert [a.dtype for a in tree] == [a.dtype for a in arrays]
-            assert [a.tobytes() for a in tree] == [a.tobytes() for a in arrays]
+            oracle, right, row_value = _oracle_build_tree(x, grad[:, c], hess[:, c], cfg)
+            assert [a.dtype for a in tree] == [a.dtype for a in oracle]
+            assert [a.tobytes() for a in tree] == [a.tobytes() for a in oracle]
+            start, split = next(starts), np.flatnonzero(tree.feature >= 0)
+            child = model._forest.child.reshape(-1, 2)[start + split] - start
+            assert child.tolist() == [[i + 1, right[i]] for i in split.tolist()]
             logits[:, c] += row_value
     return model
 
@@ -496,7 +500,7 @@ def test_train_matches_per_node_argsort():
         y[:2] = [0, 1]
         cfg = GbtConfig(rounds=rounds, max_depth=max_depth)
         model = _assert_train_matches_oracle(x, _labels(y), cfg)
-        split.append(np.mean(model.sizes > 1))
+        split.append(_split_share(model))
 
     check()
     assert np.mean(split) >= 0.1, np.mean(split)  # 0.18-0.23 in four runs
@@ -564,8 +568,8 @@ def test_narrow_hessian_window_matches_per_node_argsort(seed):
     h[rng.choice(n, size=4 + seed % 3, replace=False)] = 0.9
     cfg = GbtConfig(max_depth=3)
     tree, row_value = _grow_presorted(x, g, h, cfg)
-    oracle_arrays, oracle_value = _oracle_build_tree(x, g, h, cfg)
-    assert [a.tobytes() for a in tree] == [a.tobytes() for a in oracle_arrays]
+    oracle_tree, _, oracle_value = _oracle_build_tree(x, g, h, cfg)
+    assert [a.tobytes() for a in tree] == [a.tobytes() for a in oracle_tree]
     assert row_value.tobytes() == oracle_value.tobytes()
 
 
@@ -581,8 +585,8 @@ def test_split_at_the_edge_of_the_hessian_window(edge):
     g = np.where(np.arange(16) < cut, -1.0, 1.0)
     cfg = GbtConfig(max_depth=1)
     tree, _ = _grow_presorted(x, g, h, cfg)
-    oracle_arrays, _ = _oracle_build_tree(x, g, h, cfg)
-    assert [a.tobytes() for a in tree] == [a.tobytes() for a in oracle_arrays]
+    oracle_tree, _, _ = _oracle_build_tree(x, g, h, cfg)
+    assert [a.tobytes() for a in tree] == [a.tobytes() for a in oracle_tree]
     assert tree.feature[0] == 0 and tree.value[0] == cut - 0.5
 
 
@@ -663,8 +667,8 @@ def test_a_node_of_one_ratio_is_never_searched(ratio, monkeypatch):
     search = gbt._best_split
     monkeypatch.setattr(gbt, "_best_split", lambda *a: searched.append(a[3].shape) or search(*a))
     tree, _ = _grow_presorted(x, g, h, cfg)
-    oracle_arrays, _ = _oracle_build_tree(x, g, h, cfg)
-    assert [a.tobytes() for a in tree] == [a.tobytes() for a in oracle_arrays]
+    oracle_tree, _, _ = _oracle_build_tree(x, g, h, cfg)
+    assert [a.tobytes() for a in tree] == [a.tobytes() for a in oracle_tree]
     assert tree.feature.tolist() == [0, -1, -1]
     assert searched == [(3, n)]  # the root only
 
@@ -755,12 +759,13 @@ def test_work_counts_of_predicting_the_seed_11_rows():
     assert len(in_split_rounds) == 84
     assert np.bincount([_depth(tree) for tree in in_split_rounds]).tolist() == [21, 30, 31, 1, 1]
     steps = 0  # internal nodes passed on the way to the leaves
+    rights = [_right(tree) for tree in in_split_rounds]
     for row in fm.x.tolist():
-        for tree in in_split_rounds:
+        for tree, right in zip(in_split_rounds, rights):
             i = 0
             while tree.feature[i] >= 0:
                 steps += 1
-                i = i + 1 if row[tree.feature[i]] < tree.value[i] else tree.right[i]
+                i = i + 1 if row[tree.feature[i]] < tree.value[i] else right[i]
     assert steps == 28_859
     # the walk starts the 63 trees that split and steps the pairs of the
     # trees still deeper than each level, a step on a leaf included
@@ -773,15 +778,15 @@ def _oracle_logits(model, x):
     """Plain per-row walk over the tree arrays, adding leaf values in
     round, then class order."""
     out = []
+    trees = [(c, t, _right(t)) for round_trees in model.trees for c, t in enumerate(round_trees)]
     for row in x.tolist():
         logits = [gbt.BASE_SCORE] * len(CLASS_ORDER)
-        for round_trees in model.trees:
-            for c, tree in enumerate(round_trees):
-                i = 0
-                while tree.feature[i] >= 0:
-                    below = row[tree.feature[i]] < tree.value[i]
-                    i = i + 1 if below else tree.right[i]
-                logits[c] += float(tree.value[i])
+        for c, tree, right in trees:
+            i = 0
+            while tree.feature[i] >= 0:
+                below = row[tree.feature[i]] < tree.value[i]
+                i = i + 1 if below else right[i]
+            logits[c] += float(tree.value[i])
         out.append(logits)
     return out
 
@@ -808,7 +813,7 @@ def test_predict_logits_matches_per_row_walk():
         model = train(x[:n], y, GbtConfig(rounds=rounds, max_depth=max_depth), seed=seed)
         got = predict_logits(model, x)
         assert repr(got.tolist()) == repr(_oracle_logits(model, x))
-        split.append(np.mean(model.sizes > 1))
+        split.append(_split_share(model))
 
     check()
     assert np.mean(split) >= 0.25, np.mean(split)  # 0.41-0.48 in four runs
@@ -850,9 +855,10 @@ def _leaf_values(tree, x, rows):
         return tree.value[0]
     node = np.zeros(rows.size, dtype=np.intp)
     feat = tree.feature[node]
+    right = _right(tree)
     while (internal := feat >= 0).any():
         go_left = x[rows, feat] < tree.value[node]
-        child = np.where(go_left, node + 1, tree.right[node])
+        child = np.where(go_left, node + 1, right[node])
         node = np.where(internal, child, node)
         feat = tree.feature[node]
     return tree.value[node]
@@ -874,14 +880,13 @@ def _model_of(trees, config, n_features):
     concatenated."""
     flat = [tree for round_trees in trees for tree in round_trees]
     arrays = [np.concatenate([getattr(t, name) for t in flat]) for name in Tree._fields]
-    sizes = np.array([tree.feature.size for tree in flat], dtype=np.intp)
-    return GbtModel(config, n_features, *arrays, sizes=sizes)
+    return GbtModel(config, n_features, *arrays)
 
 
 def _base_score_model(n_features):
     """One round of weight-0 leaves, the least model: every logit is the
     base score."""
-    leaf = Tree(np.array([-1]), np.array([-1]), np.array([0.0]))
+    leaf = Tree(np.array([-1]), np.array([0.0]))
     return _model_of([[leaf] * len(CLASS_ORDER)], GbtConfig(rounds=1), n_features)
 
 
@@ -895,29 +900,34 @@ def _sample_rows(rng, kind, n, d):
     return np.zeros((n, d))  # "constant": training grows single leaves only
 
 
-def _random_tree(rng, d, max_depth, spine=False):
+def _grown_tree(rng, d, max_depth, spine=False):
     """A tree of random shape up to `max_depth`, thresholds on the grid of
     `_sample_rows`, leaf values spread over five decades so that adding them
-    in another order changes the sum.  With `spine`, the path of left
+    in another order changes the sum, and each node's right child (-1 at a
+    leaf), recorded as the tree grows.  With `spine`, the path of left
     children splits all the way down, so the tree is `max_depth` deep."""
-    nodes = []
+    nodes, right = [], []
 
     def grow(depth, spine):
         node = len(nodes)
-        nodes.append(None)
+        right.append(-1)
         if depth < max_depth and (spine or rng.random() < 0.6):
             feature = int(rng.integers(0, d))
             threshold = float(rng.choice([-0.0, 0.0, 0.5, 1.0, 2.0, 3.0]))
+            nodes.append((feature, threshold))
             grow(depth + 1, spine)  # the left child, node + 1
-            right = grow(depth + 1, False)
-            nodes[node] = (feature, right, threshold)
+            right[node] = len(nodes)
+            grow(depth + 1, False)
         else:
-            nodes[node] = (-1, -1, float(rng.normal() * 10.0 ** rng.integers(-2, 3)))
-        return node
+            nodes.append((-1, float(rng.normal() * 10.0 ** rng.integers(-2, 3))))
 
     grow(0, spine)
-    dtypes = (np.int64, np.int64, np.float64)
-    return Tree(*(np.array(c, dtype=t) for c, t in zip(zip(*nodes), dtypes)))
+    feature, value = zip(*nodes)
+    return Tree(np.array(feature, dtype=np.int64), np.array(value, dtype=np.float64)), right
+
+
+def _random_tree(rng, d, max_depth, spine=False):
+    return _grown_tree(rng, d, max_depth, spine)[0]
 
 
 def _random_model(rng, d, rounds, max_depth):
@@ -964,7 +974,7 @@ def test_flat_forest_matches_per_tree_walk(tmp_path_factory):
             cfg = GbtConfig(rounds=rounds, max_depth=max_depth)
             built = train(_sample_rows(rng, kind, 160, d), _labels(y), cfg, seed=seed)
             if kind != "constant":
-                split.append(np.mean(built.sizes > 1))
+                split.append(_split_share(built))
         else:
             built = _MODEL_SOURCES[source](rng, d, rounds, max_depth)
         path = tmp_path_factory.mktemp("forest") / "model.json"
@@ -987,46 +997,51 @@ def test_flat_forest_matches_per_tree_walk(tmp_path_factory):
     assert np.mean(split) >= 0.8, np.mean(split)  # 1.0 in four runs
 
 
-def test_walk_reaches_the_leaves_two_parents_share():
-    # A model file may hold a tree whose nodes share a child: here node 2 is
-    # the right child of the root and the left child of node 1, so the tree
-    # is 3 deep along 0, 1, 2, 3 (row 0.0), though node 2 is 1 deep along
-    # 0, 2.  A walk of 2 levels would leave row 0.0 at node 2.
-    shared = Tree(
-        np.array([0, 0, 0, -1, -1]),
-        np.array([2, 3, 4, -1, -1]),
-        np.array([1.0, 2.0, 3.0, 10.0, 100.0]),
-    )
-    leaf = Tree(np.array([-1]), np.array([-1]), np.array([0.25]))
-    model = _model_of([[shared, *[leaf] * (len(CLASS_ORDER) - 1)]], GbtConfig(rounds=1), 1)
-    assert model._forest.deeper.tolist() == [1, 1, 1]
-    x = np.array([[0.0], [1.5], [2.5], [3.5]])
-    got = predict_logits(model, x)
-    assert got[:, 0].tolist() == [gbt.BASE_SCORE + v for v in (10.0, 10.0, 10.0, 100.0)]
-    assert repr(got.tolist()) == repr(_oracle_logits(model, x))
+def _right(tree):
+    """Each node's right child in one preorder `Tree` (-1 at a leaf), by a
+    recursive-descent parse: a split's left subtree starts right after it,
+    and its right child right after that subtree."""
+    right = np.full(tree.feature.size, -1)
+
+    def parse(i):  # the node after the subtree at i
+        if tree.feature[i] < 0:
+            return i + 1
+        right[i] = parse(i + 1)
+        return parse(right[i])
+
+    assert parse(0) == tree.feature.size  # one whole tree
+    return right
 
 
-def _depth(tree, i=0):
+def _depth(tree, i=0, right=None):
     """The depth of the subtree of `tree` at node i, read recursively."""
     if tree.feature[i] < 0:
         return 0
-    return 1 + max(_depth(tree, i + 1), _depth(tree, tree.right[i]))
+    right = _right(tree) if right is None else right
+    return 1 + max(_depth(tree, i + 1, right), _depth(tree, right[i], right))
+
+
+def _split_share(model):
+    """The share of `model`'s trees whose root splits."""
+    return np.mean([tree.feature[0] >= 0 for round_trees in model.trees for tree in round_trees])
 
 
 def _flatten_per_tree(model):
     """Reference: the walk's arrays read node by node from the `trees`
     views, each root value as a numpy scalar, and the trees that split
     sorted by depth, deepest first, ties in round, then class order."""
-    child, column, walked, start = [], [], [], 0
+    starts, child, column, walked, start = [], [], [], [], 0
     terms = [[gbt.BASE_SCORE] * len(CLASS_ORDER)]
     for r, round_trees in enumerate(model.trees):
         terms.append([tree.value[0] for tree in round_trees])
         for c, tree in enumerate(round_trees):
-            if depth := _depth(tree):
+            starts.append(start)
+            right = _right(tree)
+            if depth := _depth(tree, 0, right):
                 walked.append((depth, start, r + 1, c))
             for i in range(tree.feature.size):
                 if tree.feature[i] >= 0:
-                    child += [start + i + 1, start + tree.right[i]]
+                    child += [start + i + 1, start + right[i]]
                     column.append(tree.feature[i])
                 else:  # a leaf is its own child, and reads column 0
                     child += [start + i, start + i]
@@ -1035,13 +1050,14 @@ def _flatten_per_tree(model):
     walked.sort(key=lambda tree: -tree[0])  # a stable sort
     depths = [tree[0] for tree in walked]
     deeper = [sum(depth > level for depth in depths) for level in range(max(depths, default=0))]
-    index = [np.array(a, dtype=np.intp) for a in (child, column, deeper)]
+    index = [np.array(a, dtype=np.intp) for a in (starts, child, column, deeper)]
     roots, term, cls = (np.array([t[i] for t in walked], dtype=np.intp) for i in (1, 2, 3))
     return _Forest(
-        child=index[0],
-        column=index[1],
+        starts=index[0],
+        child=index[1],
+        column=index[2],
         roots=roots,
-        deeper=index[2],
+        deeper=index[3],
         term=term,
         cls=cls,
         terms=np.array(terms, dtype=np.float64),
@@ -1070,10 +1086,51 @@ def test_flatten_matches_per_tree_construction(
         model = _MODEL_SOURCES[source](rng, d, rounds, max_depth)
     got = _flatten(model)
     want = _flatten_per_tree(model)
-    assert got.roots.size == np.count_nonzero(model.sizes > 1)  # the trees that split
+    assert got.roots.size == np.count_nonzero(model.feature[got.starts] >= 0)  # the trees that split
     for a, b in zip(got, want, strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_trees=st.integers(1, 20),
+    max_depth=st.integers(0, 9),
+)
+def test_tree_starts_and_child_links_are_derived_from_the_leaf_marks(seed, n_trees, max_depth):
+    # the links `_flatten` derives from `feature` alone are those the
+    # random grower recorded; the node list is the preorders one after another
+    rng = np.random.default_rng(seed)
+    grown = [
+        _grown_tree(rng, 3, int(rng.integers(0, max_depth + 1)), spine=rng.random() < 0.3)
+        for _ in range(n_trees)
+    ]
+    trees = [tree for tree, _ in grown]
+    starts = np.cumsum([0] + [tree.feature.size for tree in trees])[:-1]
+    child = [
+        [start + i + 1, start + r] if r >= 0 else [start + i] * 2
+        for start, (_, right) in zip(starts.tolist(), grown)
+        for i, r in enumerate(right)
+    ]
+    feature, value = (np.concatenate(column) for column in zip(*trees))
+    for tree, right in grown:
+        assert _right(tree).tolist() == right
+    # as `n_trees` rounds of one tree each: only the count per round is fixed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gbt, "N_CLASSES", 1)
+        model = GbtModel(GbtConfig(rounds=n_trees), 3, feature, value)
+        assert model._forest.starts.tolist() == starts.tolist()
+        assert model._forest.child.reshape(-1, 2).tolist() == child
+        # one node short or one leaf more: no longer n_trees whole trees
+        cases = [
+            (feature[:-1], n_trees - 1, trees[-1].feature.size > 1),  # part of the last tree left
+            (np.append(feature, -1), n_trees + 1, False),
+        ]
+        for nodes, whole, part in cases:
+            message = f"the model has {whole} trees{', then part of one' if part else ''}"
+            with pytest.raises(ValueError, match=f"^{message}, not {n_trees} rounds of 1$"):
+                GbtModel(GbtConfig(rounds=n_trees), 3, nodes, np.zeros(nodes.size))
 
 
 def test_trees_are_views_of_the_node_arrays():
@@ -1082,15 +1139,17 @@ def test_trees_are_views_of_the_node_arrays():
     y = [CLASS_ORDER[i % 6] for i in range(60)]
     cfg = GbtConfig(rounds=12, max_depth=3)
     model = train(x, y, cfg)
-    # no per-tree arrays: the model's arrays are the three node arrays, the
-    # node counts and the walk's seven derived tables
-    assert Tree._fields == ("feature", "right", "value")
+    # no per-tree arrays: the model's arrays are the two node arrays and the
+    # walk's eight derived tables
+    assert Tree._fields == ("feature", "value")
+    assert [f.name for f in dataclasses.fields(GbtModel) if f.init] == [
+        "config", "n_features", "feature", "value", "seed"]
     arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 4 and all(isinstance(v, np.ndarray) for v in model._forest)
-    assert _Forest._fields == ("child", "column", "roots", "deeper", "term", "cls", "terms")
+    assert len(arrays) == 2 and all(isinstance(v, np.ndarray) for v in model._forest)
+    assert _Forest._fields == (
+        "starts", "child", "column", "roots", "deeper", "term", "cls", "terms")
     assert not any(isinstance(v, list) for v in vars(model).values())
-    assert model.sizes.size == cfg.rounds * len(CLASS_ORDER)
-    assert model.sizes.sum() == model.feature.size
+    assert model._forest.starts.size == cfg.rounds * len(CLASS_ORDER)
     trees = model.trees
     assert [len(r) for r in trees] == [len(CLASS_ORDER)] * cfg.rounds
     for name in Tree._fields:

@@ -438,8 +438,8 @@ def test_generate_synthetic_matches_per_gas_draws(seed, counts):
     ]
 
 
-NODE_FIELDS = ["feature", "right", "value"]
-NODE_DTYPES = [np.int64, np.int64, np.float64]
+NODE_FIELDS = ["feature", "value"]
+NODE_DTYPES = [np.int64, np.float64]
 
 
 def _toy_bundle() -> ModelBundle:
@@ -450,10 +450,36 @@ def _toy_bundle() -> ModelBundle:
     return ModelBundle(model=model, rank_order=order, k=20)
 
 
+def _tree_sizes(feature) -> list[int]:
+    """The node count of each whole tree in a preorder node list, read one
+    node at a time: a tree ends when it has no open child left."""
+    sizes, size, open_children = [], 0, 1
+    for f in feature:
+        size += 1
+        open_children += 1 if f != -1 else -1
+        if open_children == 0:
+            sizes.append(size)
+            size, open_children = 0, 1
+    return sizes
+
+
+def _right_children(feature) -> list[int]:
+    """Each node's right child counted from its tree's root, -1 at a leaf,
+    as format 5 stored them: a split's left subtree is the first whole tree
+    after it."""
+    right, start = [], 0
+    for size in _tree_sizes(feature):
+        for i in range(start, start + size):
+            split = feature[i] != -1
+            right.append(i - start + 1 + _tree_sizes(feature[i + 1 :])[0] if split else -1)
+        start += size
+    return right
+
+
 def _split_root(trees) -> tuple[int, int]:
     """(node index, node count) of the first tree whose root splits."""
     start = 0
-    for size in trees["node_counts"]:
+    for size in _tree_sizes(trees["feature"]):
         if trees["feature"][start] >= 0:
             return start, size
         start += size
@@ -466,19 +492,14 @@ def _feature_out_of_range(doc):
 
 
 def _extra_tree_in_round(doc):
-    # a one-leaf tree more: node_counts one longer, the lists still match it
-    for name, leaf in zip(["node_counts", *NODE_FIELDS], [1, -1, -1, 0.0]):
+    # a one-leaf tree more
+    for name, leaf in zip(NODE_FIELDS, [-1, 0.0]):
         doc["trees"][name].append(leaf)
 
 
 def _no_trees(doc):
-    for name in ["node_counts", *NODE_FIELDS]:
+    for name in NODE_FIELDS:
         doc["trees"][name] = []
-
-
-def _backward_child(doc):
-    root, _ = _split_root(doc["trees"])
-    doc["trees"]["right"][root] = 0
 
 
 def _nan_threshold(doc):
@@ -491,44 +512,42 @@ def _unequal_lengths(doc):
 
 
 def _zero_node_count(doc):
-    # the first tree's nodes handed to the second, so the sum still matches
-    counts = doc["trees"]["node_counts"]
-    counts[1] += counts[0]
-    counts[0] = 0
-
-
-def _counts_sum_mismatch(doc):
-    doc["trees"]["node_counts"][-1] += 1
-
-
-def _short_count_list(doc):
-    # the last two trees counted as one: the sum still matches
-    counts = doc["trees"]["node_counts"]
-    counts[-2] += counts.pop()
-
-
-def _wrapping_counts(doc):
-    # 2**62 more nodes in each of four trees: an int64 sum of the counts
-    # wraps round to the length of the lists
-    for tree in range(4):
-        doc["trees"]["node_counts"][tree] += 2**62
+    # the first tree emptied: a tree of no nodes is no tree at all, so one
+    # tree is missing
+    size = _tree_sizes(doc["trees"]["feature"])[0]
+    for name in NODE_FIELDS:
+        del doc["trees"][name][:size]
 
 
 def _extra_round(doc):
-    # a round of one-leaf trees more, all lists matching it, and rounds unchanged
+    # a round of one-leaf trees more, and rounds unchanged
     for _ in CLASS_ORDER:
         _extra_tree_in_round(doc)
 
 
 def _child_into_next_tree(doc):
+    # the last leaf of the first tree that splits marked a split: its two
+    # children are the next two trees, so two trees fewer
     root, size = _split_root(doc["trees"])
-    doc["trees"]["right"][root] = size  # the root of the next tree
+    doc["trees"]["feature"][root + size - 1] = 0
 
 
-def _right_child_is_left_child(doc):
-    # the left child is the node after its parent: the right one must follow it
+def _root_marked_a_leaf(doc):
+    # the first split root marked a leaf: its two subtrees read as two trees more
     root, _ = _split_root(doc["trees"])
-    doc["trees"]["right"][root] = 1
+    doc["trees"]["feature"][root] = -1
+
+
+def _last_leaf_marked_a_split(doc):
+    # the last node marked a split: the lists end inside the last tree
+    doc["trees"]["feature"][-1] = 0
+
+
+def _cut_inside_a_tree(doc):
+    # both lists cut just before the last node of the first tree that splits
+    root, size = _split_root(doc["trees"])
+    for name in NODE_FIELDS:
+        del doc["trees"][name][root + size - 1 :]
 
 
 def _k_mismatch(doc):
@@ -572,10 +591,23 @@ def _v3_keys(doc):
     doc.update(base_score=0.5, class_order=CLASS_NAMES, n_features=doc["k"])
 
 
+def _v5_trees(doc):
+    # format 5's node counts and right children, which the leaf marks fix;
+    # with format_version 6 they are refused, not ignored
+    trees = doc["trees"]
+    trees["node_counts"] = _tree_sizes(trees["feature"])
+    trees["right"] = _right_children(trees["feature"])
+
+
+def _format_v5(doc):
+    _v5_trees(doc)
+    doc["format_version"] = 5
+
+
 def _v4_trees(doc):
-    # format 4's five node lists: the left child stored, and the threshold
-    # apart from the leaf weight, which was 0.0 at internal nodes; with
-    # format_version 5 these would read as trees whose thresholds are all 0.0
+    # format 4's node lists: format 5's, the left child stored, and the
+    # threshold apart from the leaf weight, which was 0.0 at internal nodes
+    _v5_trees(doc)
     trees = doc["trees"]
     position = [i for size in trees["node_counts"] for i in range(size)]
     split = [feature >= 0 for feature in trees["feature"]]
@@ -598,16 +630,16 @@ def _format_v3(doc):
     doc["format_version"] = 3
 
 
-# mutations of the node counts and the message that names each fault
+# mutations of the node lists that change how many trees they parse into,
+# and the message that names each fault
 NODE_COUNT_FAULTS = [
-    (_zero_node_count, "empty tree"),
-    (_counts_sum_mismatch, r"feature, right and value must each have sum\(sizes\) entries"),
-    (_short_count_list, "the model has 47 trees, not 8 rounds of 6"),
+    (_zero_node_count, "the model has 47 trees, not 8 rounds of 6"),
     (_extra_tree_in_round, "the model has 49 trees, not 8 rounds of 6"),
     (_extra_round, "the model has 54 trees, not 8 rounds of 6"),
-    (_wrapping_counts, r"feature, right and value must each have sum\(sizes\) entries"),
-    (_child_into_next_tree, "child index must point past its parent within the tree"),
-    (_right_child_is_left_child, "child index must point past its parent within the tree"),
+    (_child_into_next_tree, "the model has 46 trees, not 8 rounds of 6"),
+    (_root_marked_a_leaf, "the model has 50 trees, not 8 rounds of 6"),
+    (_last_leaf_marked_a_split, "the model has 47 trees, then part of one, not 8 rounds of 6"),
+    (_cut_inside_a_tree, r"the model has \d+ trees, then part of one, not 8 rounds of 6"),
 ]
 
 
@@ -631,18 +663,20 @@ CONFIG_KEY_FAULTS = [
     (_config_keeps_reg_lambda, "config has unknown keys reg_lambda"),
     (_n_classes_five, "config has unknown keys n_classes"),
     (_v3_keys, "model file has unknown keys base_score, class_order, n_features"),
-    (_format_v3, "unsupported format_version 3, expected 5"),
-    (_format_v4, "unsupported format_version 4, expected 5"),
-    (_v4_trees, "trees has unknown keys left, threshold"),
+    (_format_v3, "unsupported format_version 3, expected 6"),
+    (_format_v4, "unsupported format_version 4, expected 6"),
+    (_format_v5, "unsupported format_version 5, expected 6"),
+    (_v4_trees, "trees has unknown keys left, node_counts, right, threshold"),
+    (_v5_trees, "trees has unknown keys node_counts, right"),
 ]
 
 
 def _overflowing_leaves(doc):
     # each leaf is finite, but a row reaching both sums to an infinite logit:
     # the last node of the class-0 trees of rounds 0 and 1
-    counts = doc["trees"]["node_counts"]
+    ends = np.cumsum(_tree_sizes(doc["trees"]["feature"])) - 1
     for tree in 0, len(CLASS_ORDER):
-        doc["trees"]["value"][sum(counts[: tree + 1]) - 1] = 1e308
+        doc["trees"]["value"][int(ends[tree])] = 1e308
 
 
 def _set(*keys, value):
@@ -684,7 +718,7 @@ LOOSE_FIELDS = {
     "reg_lambda-bool": _set("config", "reg_lambda", value=True),
     "learning_rate-string": _set("config", "learning_rate", value="0.3"),
     "feature-bool": _set_root("feature", True),
-    "right-float": _set_root("right", 2.0),
+    "feature-float": _set_root("feature", 2.0),
     "threshold-bool": _set_root("value", True),  # a split node's value is its threshold
 }
 
@@ -718,7 +752,6 @@ def _model_of_doc(doc) -> GbtModel:
         GbtConfig(**doc["config"]),
         doc["k"],
         *(np.array(trees[name], dtype) for name, dtype in zip(NODE_FIELDS, NODE_DTYPES)),
-        sizes=np.array(trees["node_counts"], dtype=np.intp),
         seed=doc["seed"],
     )
 
@@ -726,41 +759,48 @@ def _model_of_doc(doc) -> GbtModel:
 # mutations of the trees and the message `GbtModel` names each with, however
 # the model was built: `load_model` gives the same
 TREE_FAULTS = [
-    (_zero_node_count, "empty tree"),
-    (_child_into_next_tree, "child index must point past its parent within the tree"),
-    (_right_child_is_left_child, "child index must point past its parent within the tree"),
-    (_backward_child, "child index must point past its parent within the tree"),
+    (_zero_node_count, "the model has 47 trees, not 8 rounds of 6"),
+    (_child_into_next_tree, "the model has 46 trees, not 8 rounds of 6"),
+    (_last_leaf_marked_a_split, "the model has 47 trees, then part of one, not 8 rounds of 6"),
     (_feature_out_of_range, r"feature index out of range 0\.\.19"),
     (_negative_feature, r"feature index out of range 0\.\.19"),
     (_nan_threshold, "non-finite threshold or leaf value"),
     (_overflowing_leaves, "leaf values can add up to a non-finite logit"),
-    (_counts_sum_mismatch, r"feature, right and value must each have sum\(sizes\) entries"),
-    (_value_one_short, r"feature, right and value must each have sum\(sizes\) entries"),
-    (_short_count_list, "the model has 47 trees, not 8 rounds of 6"),
+    (_value_one_short, "feature and value must be flat arrays with one entry per node"),
 ]
 
 
 @pytest.mark.parametrize("mutate, message", TREE_FAULTS,
                          ids=[mutate.__name__ for mutate, _ in TREE_FAULTS])
 def test_tree_faults_are_refused_in_memory(mutate, message):
-    # a model built by hand gets the checks a loaded one does; at construction,
-    # so that no walk runs on it (with the root's right child at the root,
-    # the walk never ends)
+    # a model built by hand gets the checks a loaded one does, at
+    # construction, so that no walk runs on it
     doc = json.loads(_toy_model_text())
     mutate(doc)
     with pytest.raises(ValueError, match=f"^{message}$"):
         _model_of_doc(doc)
 
 
-@pytest.mark.parametrize("name", ["feature", "right", "sizes"])
+def test_node_arrays_must_be_flat():
+    # a (rounds, classes) or column-shaped array raised IndexError or
+    # TypeError from the checks themselves
+    model = _model_of_doc(json.loads(_toy_model_text()))
+    for feature, value in [(model.feature[:, None], model.value),
+                           (model.feature[None], model.value[None])]:
+        with pytest.raises(ValueError, match="^feature and value must be flat arrays with one entry per node$"):
+            GbtModel(model.config, model.n_features, feature, value)
+
+
+@pytest.mark.parametrize("name", ["feature"])
 def test_ids_must_be_signed_integers(name):
     # a float feature index would pass every other check, then raise
-    # IndexError inside the walk
+    # IndexError inside the walk; an unsigned one has no -1 leaf mark
     model = _model_of_doc(json.loads(_toy_model_text()))
-    arrays = {n: getattr(model, n) for n in (*NODE_FIELDS, "sizes")}
-    arrays[name] = arrays[name].astype(np.float64)
-    with pytest.raises(ValueError, match="^feature, right and sizes must be signed integer arrays$"):
-        GbtModel(model.config, model.n_features, **arrays)
+    for dtype in (np.float64, np.uint64):
+        arrays = {n: getattr(model, n) for n in NODE_FIELDS}
+        arrays[name] = arrays[name].astype(dtype)
+        with pytest.raises(ValueError, match=f"^{name} must be a signed integer array$"):
+            GbtModel(model.config, model.n_features, **arrays)
 
 
 def test_document_fields_build_the_loaded_model(tmp_path):
@@ -865,12 +905,15 @@ class TestModelPersistence:
         bundle = _toy_bundle()
         path = tmp_path / "model.json"
         save_model(path, bundle)
-        trees = json.loads(path.read_text())["trees"]
-        assert list(trees) == ["node_counts", *NODE_FIELDS]
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["format_version", "config", "rank_order", "k", "seed", "trees"]
+        trees = doc["trees"]
+        assert list(trees) == NODE_FIELDS
         model = bundle.model
-        assert len(trees["node_counts"]) == model.config.rounds * len(CLASS_ORDER)
-        assert trees["node_counts"] == model.sizes.tolist()
-        assert sum(trees["node_counts"]) == len(trees["feature"])
+        sizes = _tree_sizes(trees["feature"])
+        assert len(sizes) == model.config.rounds * len(CLASS_ORDER)
+        assert sum(sizes) == len(trees["feature"]) == len(trees["value"])
+        assert np.cumsum([0, *sizes[:-1]]).tolist() == model._forest.starts.tolist()
         for name in NODE_FIELDS:
             assert trees[name] == getattr(model, name).tolist()
 
@@ -878,7 +921,6 @@ class TestModelPersistence:
         _feature_out_of_range,
         _extra_tree_in_round,
         _no_trees,
-        _backward_child,
         _nan_threshold,
         _unequal_lengths,
         _k_mismatch,
@@ -890,17 +932,19 @@ class TestModelPersistence:
         _infinite_base_score,
         _overflowing_leaves,
         _zero_node_count,
-        _counts_sum_mismatch,
-        _short_count_list,
         _child_into_next_tree,
-        _right_child_is_left_child,
+        _root_marked_a_leaf,
+        _last_leaf_marked_a_split,
+        _cut_inside_a_tree,
         _config_lacks_keys,
         _config_unknown_key,
         _config_keeps_reg_lambda,
         _v3_keys,
         _format_v3,
         _format_v4,
+        _format_v5,
         _v4_trees,
+        _v5_trees,
         *(pytest.param(m, id=name) for name, m in LOOSE_FIELDS.items()),
     ])
     def test_invalid_structure_rejected(self, tmp_path, mutate):
@@ -912,7 +956,7 @@ class TestModelPersistence:
                              ids=[mutate.__name__ for mutate, _ in NODE_COUNT_FAULTS])
     def test_node_count_faults_are_named(self, tmp_path, mutate, message):
         path = _mutated_model(tmp_path, mutate)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
             load_model(path)
 
     @pytest.mark.parametrize("mutate, message", CONFIG_KEY_FAULTS,
@@ -1038,7 +1082,27 @@ JSON_VALUES = [
 @given(data=st.data())
 def test_mutated_model_loads_or_raises_value_error(tmp_path, data):
     doc = json.loads(_toy_model_text())
-    for _ in range(data.draw(st.integers(1, 3))):
+    trees = doc["trees"]
+    for _ in range(data.draw(st.integers(0, 2))):
+        # the node lists: a leaf mark flipped either way, or one list or both
+        # cut short or extended by nodes of any kind
+        kind = data.draw(st.sampled_from(["flip", "truncate", "extend"]))
+        names = data.draw(st.sampled_from([NODE_FIELDS, ["feature"], ["value"]]))
+        feature = trees["feature"]
+        if kind == "flip" and feature:
+            i = data.draw(st.integers(0, len(feature) - 1))
+            feature[i] = data.draw(st.integers(-1, doc["k"] - 1)) if feature[i] == -1 else -1
+        elif kind == "truncate":
+            cut = data.draw(st.integers(0, len(feature)))
+            for name in names:
+                del trees[name][cut:]
+        elif kind == "extend":
+            for _ in range(data.draw(st.integers(1, 7))):
+                for name in names:
+                    trees[name].append(
+                        data.draw(st.integers(-1, doc["k"] - 1)) if name == "feature"
+                        else data.draw(st.sampled_from([0.0, -1.5, 2.0, 1e308])))
+    for _ in range(data.draw(st.integers(0, 3))):
         # walk down from the top, so that every level is mutated often
         parent, key = doc, data.draw(st.sampled_from(list(doc)))
         while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(st.booleans()):

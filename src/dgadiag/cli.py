@@ -359,7 +359,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     # a command warns (of a k outside the usual range) only once it has succeeded
     for w in deferred:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        try:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        except Warning as exc:  # a filter made it an error, but the command is done
+            sys.stderr.write(f"warning: {exc}\n")
     return code
 
 

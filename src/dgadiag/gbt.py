@@ -89,12 +89,12 @@ leaf marks fix the rest.  Counting +1 per split and -1 per leaf, a tree's
 nodes add up to -1 and no proper prefix of them to less than 0: tree t
 ends where the running count first reaches -(t+1), and a split's left
 subtree ends where the count first falls one below the split's own, with
-the right child next.  However it was built, a model checks its arrays
-when it is (a signed integer feature, flat arrays of one length, finite
-values, exactly `config.rounds` rounds of whole trees, features below its
-feature count, leaves that cannot add up to a non-finite logit), so no
-walk can index out of range, and derives the walk's tables (`_Forest`)
-once.
+the right child next.  `NODE_ARRAYS` names and types the arrays.  However
+it was built, a model keeps its own read-only copies of them and checks
+them (flat arrays of one length, finite values, exactly `config.rounds`
+rounds of whole trees, features below its feature count, leaves that
+cannot add up to a non-finite logit), so no walk can index out of range,
+and derives the walk's tables (`_Forest`) once.
 
 Prediction walks all trees at once, the flat-forest idea of
 QuickScorer/Treelite (Lucchese et al., SIGIR 2015): blocks of 128 rows,
@@ -135,6 +135,10 @@ class GbtConfig:
             object.__setattr__(self, name, value)
 
 
+# each node array: the numpy dtype kinds it takes, those in words, the dtype a model keeps
+NODE_ARRAYS = {"feature": ("i", "a signed integer", np.int64), "value": ("iuf", "a real", np.float64)}
+
+
 class Tree(NamedTuple):
     """One regression tree as node arrays in preorder; node 0 is the root.
 
@@ -144,8 +148,8 @@ class Tree(NamedTuple):
     feature -1 and their weight in `value`.
     """
 
-    feature: np.ndarray  # int64
-    value: np.ndarray  # float64
+    feature: np.ndarray
+    value: np.ndarray
 
 
 class _Forest(NamedTuple):
@@ -173,23 +177,31 @@ class _Forest(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class GbtModel:
-    """A trained ensemble: two read-only node arrays holding every tree,
-    [round][class] with classes in CLASS_ORDER, each in preorder as in
-    `Tree`.  Raises ValueError on arrays that fail the module docstring's
-    checks, or on a seed that `core._seed` refuses (any other is kept as an
-    int).  Compares and hashes by identity."""
+    """A trained ensemble: two node arrays holding every tree, [round][class]
+    with classes in CLASS_ORDER, each in preorder as in `Tree`.  Keeps a
+    read-only copy of each array (or list or tuple) in its `NODE_ARRAYS`
+    dtype; raises ValueError on one of a kind that table refuses or that
+    fails the module docstring's checks, or on an `n_features` or seed that
+    `core._integer` or `core._seed` refuses (both are kept as ints).
+    Compares and hashes by identity."""
 
     config: GbtConfig
     n_features: int
-    feature: np.ndarray  # int64, -1 at leaves
-    value: np.ndarray  # float64, the threshold at internal nodes, the weight at leaves
+    feature: np.ndarray  # -1 at leaves
+    value: np.ndarray  # the threshold at internal nodes, the weight at leaves
     seed: int = 0
     _forest: _Forest = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", _seed(self.seed))
-        for name in Tree._fields:
-            getattr(self, name).setflags(write=False)
+        object.__setattr__(self, "n_features", _integer("n_features", self.n_features))
+        for name, (kinds, kind_words, dtype) in NODE_ARRAYS.items():
+            given = np.asarray(getattr(self, name))
+            if given.size and given.dtype.kind not in kinds:  # an empty list reads as float
+                raise ValueError(f"{name} must be {kind_words} array")
+            own = given.astype(dtype)  # a copy, whatever the caller later does to theirs
+            own.setflags(write=False)
+            object.__setattr__(self, name, own)
         object.__setattr__(self, "_forest", _flatten(self))
 
     @property
@@ -203,8 +215,6 @@ class GbtModel:
 def _flatten(model: GbtModel) -> _Forest:
     """The walk's tables for `model`, whose node arrays it checks first."""
     feature, value, rounds = model.feature, model.value, model.config.rounds
-    if feature.dtype.kind != "i":
-        raise ValueError("feature must be a signed integer array")
     if not feature.ndim == value.ndim == 1 or feature.size != value.size:
         raise ValueError("feature and value must be flat arrays with one entry per node")
     if not np.isfinite(value).all():
@@ -431,8 +441,9 @@ def train(
 
     Raises ValueError on empty input, non-finite features, a label that is
     not a FaultLabel (such as None for an unlabeled sample), fewer than
-    two distinct labels, or a seed that is not a non-negative integer.
+    two distinct labels, or a seed `core._seed` refuses, all before training.
     """
+    seed = _seed(seed)
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:
         raise ValueError("feature matrix must be 2-D and non-empty")
@@ -480,12 +491,7 @@ def train(
                     xt, grad[c], hess[c], config, presort, xs, nodes, columns
                 )
 
-    return GbtModel(
-        config,
-        x.shape[1],
-        *map(np.array, zip(*nodes)),  # int64 and float64 columns
-        seed=seed,
-    )
+    return GbtModel(config, x.shape[1], *zip(*nodes), seed=seed)
 
 
 def predict_logits(model: GbtModel, x: np.ndarray) -> np.ndarray:

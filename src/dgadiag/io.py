@@ -19,11 +19,12 @@ value is a split's threshold or a leaf's weight; the leaf marks fix where
 each tree ends and where each right child is (see `dgadiag.gbt`).  The
 class order, class count and base score are the package's constants
 (CLASS_ORDER, its length and `gbt.BASE_SCORE`), not file contents.
-`load_model` checks the document's keys, its version and the element types
-of the tree lists, and passes the plain values to the types that own their
-rules, as in memory: `GbtConfig` checks the config, `features._check_k` k,
-`validate_rank_order` the rank order, and `GbtModel` the seed and the
-trees (lists of one length that parse into `config.rounds` rounds of whole
+`load_model` checks the document's keys, its version and that each tree
+list holds JSON numbers and no bools, and passes the plain values to the
+types that own their rules, as in memory: `GbtConfig` checks the config,
+`features._check_k` k, `validate_rank_order` the rank order, and
+`GbtModel` the seed and the trees (each list's kind, per `NODE_ARRAYS`,
+lists of one length that parse into `config.rounds` rounds of whole
 trees, finite values, features below k, and leaves with a finite sum).
 All writes go through a temp file + rename so readers never observe
 partial output.
@@ -44,7 +45,7 @@ import numpy as np
 
 from .core import CLASS_ORDER, GAS_NAMES, FaultLabel, GasSample, _integer, _rng, _shown
 from .features import _check_k
-from .gbt import GbtConfig, GbtModel, Tree
+from .gbt import NODE_ARRAYS, GbtConfig, GbtModel
 from .ranking import validate_rank_order
 
 CSV_HEADER = ["id", *GAS_NAMES, "label"]
@@ -244,20 +245,6 @@ def _exact_keys(name: str, obj, keys) -> dict:
     return obj
 
 
-def _forest_from_json(doc_trees) -> dict[str, np.ndarray]:
-    """The node arrays of a model document, as `GbtModel` fields, which
-    `GbtModel` checks.  Raises ValueError on a missing or unknown key, or a
-    list of other than JSON integers (numbers for "value")."""
-    arrays = {}
-    for name, column in _exact_keys("trees", doc_trees, set(Tree._fields)).items():
-        index = name != "value"
-        if not set(map(type, column)) <= ({int} if index else {int, float}):
-            # a JSON object yields its str keys
-            raise ValueError(f"trees.{name} is not {'an integer' if index else 'a number'} list")
-        arrays[name] = np.array(column, dtype=np.int64 if index else np.float64)
-    return arrays
-
-
 def save_model(path, bundle: ModelBundle) -> None:
     model = bundle.model
     doc = {
@@ -266,7 +253,7 @@ def save_model(path, bundle: ModelBundle) -> None:
         "rank_order": list(bundle.rank_order),
         "k": bundle.k,
         "seed": model.seed,
-        "trees": {name: getattr(model, name).tolist() for name in Tree._fields},
+        "trees": {name: getattr(model, name).tolist() for name in NODE_ARRAYS},
     }
     atomic_write_text(str(path), json.dumps(doc, separators=(",", ":")) + "\n")
 
@@ -293,9 +280,12 @@ def load_model(path) -> ModelBundle:
         _exact_keys("model file", doc, keys)
         config = _exact_keys("config", doc["config"], {f.name for f in fields(GbtConfig)})
         k = _check_k(doc["k"])  # before the trees, whose feature indices k bounds
-        model = GbtModel(
-            GbtConfig(**config), k, **_forest_from_json(doc["trees"]), seed=doc["seed"]
-        )
+        trees = _exact_keys("trees", doc["trees"], NODE_ARRAYS.keys())
+        for name, column in trees.items():
+            # numpy would read a bool as a number; GbtModel checks each list's kind
+            if not isinstance(column, list) or not set(map(type, column)) <= {int, float}:
+                raise ValueError(f"trees.{name} is not a list of numbers")
+        model = GbtModel(GbtConfig(**config), k, **trees, seed=doc["seed"])
         return ModelBundle(model=model, rank_order=doc["rank_order"], k=k)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from None

@@ -62,6 +62,8 @@ INTEGERS = {
     "GbtConfig rounds": (lambda v: GbtConfig(rounds=v), "rounds", 2, False),
     "GbtConfig max_depth": (lambda v: GbtConfig(max_depth=v), "max_depth", 2, False),
     "GbtModel seed": (lambda v: dataclasses.replace(MODEL, seed=v), "seed", 3, True),
+    "GbtModel n_features": (
+        lambda v: dataclasses.replace(MODEL, n_features=v), "n_features", 18, False),
     "ModelBundle k": (lambda v: ModelBundle(MODEL, CANONICAL_RANK_ORDER, v), "k", 18, False),
     "ModelBundle rank_order": (
         lambda v: ModelBundle(MODEL, (v, *CANONICAL_RANK_ORDER[1:]), 18),

@@ -5,8 +5,11 @@ import hashlib
 import inspect
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -479,6 +482,26 @@ class TestFeaturesCommand:
         assert lines[0].split("\t")[:2] == ["id", "label"]
         assert len(lines[0].split("\t")) == 20
         assert len(lines) == 7
+
+    def test_warning_made_an_error_after_success_is_one_line(self, tmp_path, table_csv):
+        # the command had written its file when the re-emitted k warning
+        # raised, which exited 1 with a traceback
+        src = Path(cli.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        outputs = {}
+        for flags in ([], ["-W", "error::UserWarning"]):
+            out = tmp_path / f"f{len(flags)}.tsv"
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "dgadiag", "features", "--data", table_csv,
+                 "--k", "10", "--out", str(out)],
+                capture_output=True, text=True, timeout=120, env=env)
+            outputs[bool(flags)] = out.read_bytes()
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert [line for line in proc.stderr.splitlines() if line.startswith("warning:")] == [
+            "warning: k=10 outside the usual 18..37 range"]
+        assert outputs[True] == outputs[False]
 
 
 # the sha256 of every table the CLI writes, on the `synth --seed 11` file and

@@ -259,6 +259,18 @@ def test_non_integer_seeds_are_refused_by_name(seed):
         train(np.eye(6), list(CLASS_ORDER), GbtConfig(rounds=2), seed=seed)
 
 
+@pytest.mark.parametrize("seed", [-1, True])
+def test_train_refuses_a_bad_seed_before_it_trains(seed, monkeypatch):
+    def grow(*args):  # the model refused a negative seed once every round had run
+        raise AssertionError("a tree was grown")
+
+    monkeypatch.setattr(gbt, "_build_tree", grow)
+    x = np.random.default_rng(0).normal(size=(60, 4))
+    y = [CLASS_ORDER[i % 6] for i in range(60)]
+    with pytest.raises(ValueError, match="^seed must be a"):
+        train(x, y, GbtConfig(rounds=3), seed=seed)
+
+
 def test_per_feature_scale_invariance():
     rng = np.random.default_rng(17)
     x = rng.normal(size=(80, 4))
@@ -879,7 +891,7 @@ def _model_of(trees, config, n_features):
     """A `GbtModel` of the [round][class] `trees`, their node arrays
     concatenated."""
     flat = [tree for round_trees in trees for tree in round_trees]
-    arrays = [np.concatenate([getattr(t, name) for t in flat]) for name in Tree._fields]
+    arrays = [np.concatenate([getattr(t, name) for t in flat]) for name in gbt.NODE_ARRAYS]
     return GbtModel(config, n_features, *arrays)
 
 
@@ -1141,7 +1153,7 @@ def test_trees_are_views_of_the_node_arrays():
     model = train(x, y, cfg)
     # no per-tree arrays: the model's arrays are the two node arrays and the
     # walk's eight derived tables
-    assert Tree._fields == ("feature", "value")
+    assert tuple(gbt.NODE_ARRAYS) == Tree._fields == ("feature", "value")
     assert [f.name for f in dataclasses.fields(GbtModel) if f.init] == [
         "config", "n_features", "feature", "value", "seed"]
     arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
@@ -1152,9 +1164,9 @@ def test_trees_are_views_of_the_node_arrays():
     assert model._forest.starts.size == cfg.rounds * len(CLASS_ORDER)
     trees = model.trees
     assert [len(r) for r in trees] == [len(CLASS_ORDER)] * cfg.rounds
-    for name in Tree._fields:
+    for name, (_, _, dtype) in gbt.NODE_ARRAYS.items():
         flat = getattr(model, name)
-        assert not flat.flags.writeable
+        assert flat.dtype == dtype and not flat.flags.writeable
         parts = [getattr(tree, name) for r in trees for tree in r]
         assert all(np.shares_memory(part, flat) for part in parts if part.size)
         assert np.concatenate(parts).tobytes() == flat.tobytes()

@@ -803,6 +803,80 @@ def test_ids_must_be_signed_integers(name):
             GbtModel(model.config, model.n_features, **arrays)
 
 
+def test_values_must_be_real():
+    # a complex value lost its imaginary part with only a ComplexWarning,
+    # and an object one raised TypeError from the finiteness check
+    model = _model_of_doc(json.loads(_toy_model_text()))
+    for dtype in (np.complex128, object, bool, str):
+        with pytest.raises(ValueError, match="^value must be a real array$"):
+            GbtModel(model.config, model.n_features, model.feature, model.value.astype(dtype))
+
+
+# mutations that give a tree list elements of a kind the model refuses, and
+# the message the loader names each with
+NODE_KIND_FAULTS = {
+    "feature-float": (_set_root("feature", 2.0), "feature must be a signed integer array"),
+    "feature-past-int64": (_set_root("feature", 2**63), "feature must be a signed integer array"),
+    "value-past-float": (_set_root("value", 10**400), "value must be a real array"),
+    "feature-bool": (_set_root("feature", True), "trees.feature is not a list of numbers"),
+    "value-bool": (_set_root("value", False), "trees.value is not a list of numbers"),
+    "value-string": (_set_root("value", "0.5"), "trees.value is not a list of numbers"),
+    "value-object": (_set("trees", "value", value={}), "trees.value is not a list of numbers"),
+}
+
+
+@pytest.mark.parametrize("mutate, message", NODE_KIND_FAULTS.values(), ids=NODE_KIND_FAULTS.keys())
+def test_loader_names_the_node_list_of_a_wrong_kind(tmp_path, mutate, message):
+    path = _mutated_model(tmp_path, mutate)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
+        load_model(path)
+
+
+# dtypes of each numpy kind, and the kinds each node array accepts, in words
+KIND_DTYPES = [np.int8, np.int32, np.int64, np.uint8, np.uint64, np.float16, np.float32,
+               np.float64, np.longdouble, np.complex64, np.bool_, object, np.str_,
+               "datetime64[s]", "timedelta64[s]"]
+ACCEPTED_KINDS = {"feature": ("i", "a signed integer"), "value": ("iuf", "a real")}
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(NODE_FIELDS), dtype=st.sampled_from(KIND_DTYPES),
+       form=st.sampled_from([np.asarray, list, tuple]))
+def test_node_arrays_are_refused_by_name_or_kept_as_own_copies(name, dtype, form):
+    doc = json.loads(_toy_model_text())
+    model = _model_of_doc(doc)
+    base = getattr(model, name).astype(dtype)
+    if form is not np.asarray and base.dtype.kind == "O":
+        return  # a list of an object array's elements is a list of Python numbers
+    arrays = {n: getattr(model, n) for n in NODE_FIELDS}
+    arrays[name] = form(base[:])  # an array's base is `base`
+    kinds, kind_words = ACCEPTED_KINDS[name]
+    if base.dtype.kind not in kinds:
+        with pytest.raises(ValueError, match=f"^{name} must be {kind_words} array$"):
+            GbtModel(model.config, model.n_features, **arrays)
+        return
+    built = GbtModel(model.config, model.n_features, **arrays)
+    own = getattr(built, name)
+    assert own.dtype == dict(zip(NODE_FIELDS, NODE_DTYPES))[name] and not own.flags.writeable
+    assert own.tolist() == base.astype(own.dtype).tolist()
+    assert not np.shares_memory(own, base)
+    assert form is not np.asarray or arrays[name].flags.writeable  # the caller's array
+    rows = np.random.default_rng(0).normal(scale=4.0, size=(40, model.n_features))
+    bundle = ModelBundle(built, doc["rank_order"], doc["k"])
+
+    def outputs():
+        with tempfile.TemporaryDirectory() as tmp:
+            save_model(os.path.join(tmp, "m.json"), bundle)
+            saved = Path(tmp, "m.json").read_bytes()
+        return predict_logits(built, rows).tobytes(), saved
+
+    before = outputs()
+    base[...] = base[::-1]  # the model's first split moves to the last node
+    if isinstance(arrays[name], list):
+        arrays[name].reverse()
+    assert outputs() == before
+
+
 def test_document_fields_build_the_loaded_model(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(_toy_model_text())

@@ -22,11 +22,13 @@ nothing stochastic to drive.
 (PRC positions 1 and k always are): they have no split anywhere, and a
 node records the original index of the column it splits on.  It sorts
 each other column once per call (a stable sort, so equal values keep row
-order) and gathers the sorted values, both feature-major.  A split
-partitions its node's sorted rows and values into the two children's with
-one mask, so every node searches its own rows in value order without
-sorting them again, and ties between equal values still resolve by row
-index.
+order) and gathers the sorted values, both feature-major.  A tree grows
+in one loop over a stack of the nodes still to grow, a split's left child
+first, so nodes come out in preorder, and a leaf adds its weight to its
+rows' logits where it is decided.  A split hands each child the parent's
+sorted rows and values with one mask of the child's own, so every node
+searches its own rows in value order without sorting them again, and ties
+between equal values still resolve by row index.
 
 A tree packs each row's g and h into one complex number (g the real part,
 h the imaginary), so one `cumsum` of a node's sorted rows gives the left
@@ -36,8 +38,7 @@ minus them.  The gain and its validity mask are computed on contiguous
 copies of GL and HL, in place, with the gain's operations in the order of
 the formula above, so equal gains stay equal and tie as stated.
 REG_LAMBDA > 0 keeps every denominator positive, so no gain is NaN.  The
-search runs in `_best_split`, whose temporaries are freed before the
-node's children are grown.
+search runs in `_best_split`, whose temporaries are freed when it returns.
 
 Below the root, `_cannot_gain` first tries to show that no split of a
 node can gain; such a node is the leaf the search would have made, so
@@ -359,62 +360,52 @@ def _build_tree(
     xs: np.ndarray,
     nodes: list[tuple],
     columns: Sequence[int],
-) -> np.ndarray:
+    logits: np.ndarray,
+) -> None:
     """Grow one tree, appending each node to `nodes` as (feature, value)
-    once its split is decided, in preorder; return the leaf value each row
-    lands in.
+    once its split is decided, in preorder, and adding each leaf's weight
+    to `logits` at the rows that land in it.
 
     `xt` is the (k, n) feature-major matrix, `presort[j]` lists the row ids
     in ascending order of `xt[j]`, ties by row id
     (`np.argsort(xt, axis=1, kind="stable")`), and `xs` holds those values,
     `np.take_along_axis(xt, presort, axis=1)`.  A node that splits on row j
-    of them records feature `columns[j]`.
+    of them records feature `columns[j]`.  A node is a leaf unless it passes
+    the stop rules (depth, size, hessian mass), `_cannot_gain` does not rule
+    it out below the root, and `_best_split` finds a positive gain.
     """
     eta = cfg.learning_rate
     n_feat, n = xt.shape
-    row_value = np.empty(n, dtype=np.float64)
     gh = np.empty(n, dtype=np.complex128)
     gh.real = g
     gh.imag = h
-
-    def grow(
-        idx: np.ndarray,
-        rows: np.ndarray,
-        xs: np.ndarray,
-        keep: np.ndarray | None,
-        depth: int,
-    ) -> None:
-        """`idx` holds the node's row ids ascending; `rows`/`xs` the
-        parent's sorted rows and values, of which `keep` marks the node's
-        (None at the root, whose arrays are already its own)."""
+    # The nodes still to grow, the next one last: its row ids ascending, its
+    # parent's sorted rows and values, the `keep` mask of those that are the
+    # node's own (None at the root, whose arrays are already its own) and
+    # its depth.  A split pushes its right child, then its left, so the left
+    # child is grown next and nodes are appended in preorder.
+    stack = [(np.arange(n, dtype=np.intp), presort, xs, None, 0)]
+    while stack:
+        idx, rows, xs, keep, depth = stack.pop()
         g_node, h_node = g[idx], h[idx]
         g_sum = float(g_node.sum())
         h_sum = float(h_node.sum())
-        weight = -eta * g_sum / (h_sum + REG_LAMBDA)
-        row_value[idx] = weight  # the children's leaves overwrite it if it splits
-        if (
-            depth >= cfg.max_depth
-            or idx.size < 2
-            or h_sum < 2.0 * MIN_CHILD_WEIGHT
-        ):
-            nodes.append((-1, weight))
-            return
-
-        if keep is not None:  # not the root, which nearly always splits
-            if _cannot_gain(g_node, h_node, g_sum, h_sum):
-                nodes.append((-1, weight))
-                return
-            # The node's rows in ascending value order per feature, ties by
-            # row id: the parent's order with the other child's rows taken out.
-            take = np.flatnonzero(keep)
-            rows = rows.ravel()[take].reshape(n_feat, idx.size)
-            xs = xs.ravel()[take].reshape(n_feat, idx.size)
-        del g_node, h_node  # the children need none of this node's arrays
-        gain, feat, pos = _best_split(gh, g_sum, h_sum, rows, xs)
+        gain = 0.0  # a leaf unless the search finds a split that gains
+        if not (depth >= cfg.max_depth or idx.size < 2 or h_sum < 2.0 * MIN_CHILD_WEIGHT
+                # not tried at the root, which nearly always splits
+                or keep is not None and _cannot_gain(g_node, h_node, g_sum, h_sum)):
+            if keep is not None:
+                # The node's rows in ascending value order per feature, ties by
+                # row id: the parent's order with the other child's rows taken out.
+                take = np.flatnonzero(keep)
+                rows = rows.ravel()[take].reshape(n_feat, idx.size)
+                xs = xs.ravel()[take].reshape(n_feat, idx.size)
+            gain, feat, pos = _best_split(gh, g_sum, h_sum, rows, xs)
         if not gain > 0.0:
+            weight = -eta * g_sum / (h_sum + REG_LAMBDA)
             nodes.append((-1, weight))
-            return
-
+            logits[idx] += weight
+            continue
         lo, hi = xs[feat, pos], xs[feat, pos + 1]
         threshold = 0.5 * lo + 0.5 * hi
         if threshold <= lo:  # adjacent floats: keep "< threshold" == "<= lo"
@@ -423,12 +414,8 @@ def _build_tree(
         goes_left = xt[feat] < threshold
         in_left = goes_left[rows]
         mask = goes_left[idx]
-        grow(idx[mask], rows, xs, in_left, depth + 1)  # the left child, next in preorder
-        grow(idx[~mask], rows, xs, ~in_left, depth + 1)
-
-    grow(np.arange(n, dtype=np.intp), presort, xs, None, 0)
-    del grow  # grow refers to itself: break the cycle so its arrays go now, not at the next GC
-    return row_value
+        stack.append((idx[~mask], rows, xs, ~in_left, depth + 1))
+        stack.append((idx[mask], rows, xs, in_left, depth + 1))
 
 
 def train(
@@ -487,9 +474,7 @@ def train(
             if is_leaf:
                 nodes.append((-1, weight))
             else:
-                logits[c] += _build_tree(
-                    xt, grad[c], hess[c], config, presort, xs, nodes, columns
-                )
+                _build_tree(xt, grad[c], hess[c], config, presort, xs, nodes, columns, logits[c])
 
     return GbtModel(config, x.shape[1], *zip(*nodes), seed=seed)
 

@@ -1,6 +1,7 @@
 """Dataset CSV ingestion, synthetic data generation, and model persistence.
 
-CSV schema (UTF-8, comma separator, dot decimal, header required):
+CSV schema (UTF-8, a leading byte-order mark skipped, comma separator, dot
+decimal, header required):
 
     id,h2,ch4,c2h6,c2h4,c2h2,label
 
@@ -32,6 +33,7 @@ partial output.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import os
@@ -105,7 +107,7 @@ def load_dataset(path) -> list[GasSample]:
     """Read gas samples from a UTF-8 CSV file; raises ValueError naming the
     first bad line, or the line of a decoding or CSV syntax error."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)  # as Excel's "CSV UTF-8" starts
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -32,27 +32,18 @@ def _betacf(a: float, b: float, x: float) -> float:
     frac = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = 1.0 + aa / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
-        frac *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = 1.0 + aa / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
-        delta = d * c
-        frac *= delta
+        # the even step's coefficient, then the odd step's
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < 1e-300:
+                d = 1e-300
+            c = 1.0 + aa / c
+            if abs(c) < 1e-300:
+                c = 1e-300
+            d = 1.0 / d
+            delta = d * c
+            frac *= delta
         if abs(delta - 1.0) < 10.0 * _MACHEP:
             return frac
     return frac  # converged to working precision in practice well before this

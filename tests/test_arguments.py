@@ -116,6 +116,9 @@ def _refusals():
     for bad in ("5", None, True):  # a gas is a real number, as `_real` takes it
         yield pytest.param(lambda v: GasSample(1.0, 2.0, v, 4.0, 5.0), bad,
                            f"gas c2h6 must be a number, got {bad!r}", id=f"GasSample c2h6={bad!r}")
+    for bad in (5, None, b"a", 2.5):  # `write_dataset` raised TypeError on a non-string id
+        yield pytest.param(lambda v: GasSample(1.0, 1.0, 1.0, 1.0, 1.0, id=v), bad,
+                           f"id must be a string, got {bad!r}", id=f"GasSample id={bad!r}")
 
 
 @pytest.mark.parametrize("call, bad, message", _refusals())
@@ -147,6 +150,8 @@ def _huge_refusals():
     yield pytest.param(LABELS["train y"], [*Y[:7], HUGE],
                        f"label a {TOO_LONG} is not a FaultLabel: samples must be labeled",
                        id="train y holding 10**5000")
+    yield pytest.param(lambda v: GasSample(1.0, 1.0, 1.0, 1.0, 1.0, id=v), HUGE,
+                       f"id must be a string, got a {TOO_LONG}", id="GasSample id=10**5000")
 
 
 @pytest.mark.parametrize("call, bad, message", _huge_refusals())
@@ -154,6 +159,12 @@ def test_a_huge_integer_is_refused_without_its_digits(call, bad, message):
     # `repr` of such an int raises Python's own digit-limit ValueError
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(bad)
+
+
+def test_a_string_subclass_is_an_id(tmp_path):
+    sample = GasSample(1.0, 1.0, 1.0, 1.0, 1.0, id=np.str_("a"))
+    write_dataset(tmp_path / "one.csv", [sample])
+    assert (tmp_path / "one.csv").read_text().splitlines()[1] == "a,1.0,1.0,1.0,1.0,1.0,"
 
 
 def _bits(value):

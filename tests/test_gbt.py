@@ -85,8 +85,8 @@ def _one_hot_points(copies):
 
 
 def test_training_leaves_no_reference_cycles():
-    # every tree's grower is freed when the tree is done, not left to the
-    # cyclic garbage collector with the arrays it holds
+    # the arrays a tree is grown with go when it is done, not at the cyclic
+    # garbage collector's next run
     x, y = _one_hot_points(16)
     config = GbtConfig(rounds=3)
     model = train(x, y, config, seed=0)  # first-call set-up (numpy's lazy imports) makes cycles
@@ -351,16 +351,20 @@ def test_root_split_matches_brute_force(seed):
     assert np.array_equal(row_value, np.where(mask, tree.value[left], tree.value[right]))
 
 
-def _grow_presorted(x, g, h, cfg):
+def _grow_presorted(x, g, h, cfg, logits=None):
     """`_build_tree` on `x` with the feature-major presort `train` makes,
     behind the nodes of another tree; returns the grown `Tree` and the
-    per-row leaf values."""
+    logits buffer the leaves added to.  That is -0.0 unless `logits` is
+    given: -0.0 + w is w bit for bit, -0.0 too, so it returns each row's
+    leaf value."""
     xt = np.ascontiguousarray(x.T)
     presort = np.argsort(xt, axis=1, kind="stable")
     xs = np.take_along_axis(xt, presort, axis=1)
     nodes = [(-1, 0.25)]
-    row_value = _build_tree(xt, g, h, cfg, presort, xs, nodes, range(x.shape[1]))
-    return Tree(*map(np.array, zip(*nodes[1:]))), row_value
+    if logits is None:
+        logits = np.full(x.shape[0], -0.0)
+    _build_tree(xt, g, h, cfg, presort, xs, nodes, range(x.shape[1]), logits)
+    return Tree(*map(np.array, zip(*nodes[1:]))), logits
 
 
 def _oracle_build_tree(x, g, h, cfg):
@@ -419,14 +423,14 @@ def _oracle_build_tree(x, g, h, cfg):
 def test_presorted_split_search_matches_per_node_argsort():
     # h_scale sets how many rows carry MIN_CHILD_WEIGHT: at 100 every row
     # does, so every split is admissible
-    split = []
+    split, depths = [], []
 
     @settings(max_examples=120, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 60),
         d=st.integers(1, 6),
-        max_depth=st.integers(1, 6),
+        max_depth=st.integers(1, 12),
         h_scale=st.sampled_from([1.0, 3.0, 20.0, 100.0]),
         levels=st.sampled_from([None, 1, 2, 3, 5]),
         constant=st.sampled_from([None, 0, -1]),
@@ -453,9 +457,59 @@ def test_presorted_split_search_matches_per_node_argsort():
         assert _right(tree).tolist() == oracle_right.tolist()
         assert row_value.tobytes() == oracle_value.tobytes()
         split.append(tree.feature[0] >= 0)
+        depths.append(_depth(tree))
 
     check()
     assert np.mean(split) >= 0.2, np.mean(split)  # 0.33-0.48 in four runs
+    assert max(depths) >= 5, max(depths)  # the deepest tree: 6-12 in 30 runs
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_twelve_deep_spine_matches_per_node_argsort(side):
+    """|g| doubles along the one column, so each split takes the row of
+    largest |g| off the node's upper end and the rest split again: a spine
+    of 12 splits whose other child is a leaf.  On the left, every right
+    child waits on the grower's stack until the spine ends; with the column
+    negated the spine grows on the right."""
+    n = 40
+    x = np.arange(n, dtype=np.float64)[:, None] * (1.0 if side == "left" else -1.0)
+    g = 2.0 ** np.arange(n) * np.where(np.arange(n) % 2, 1.0, -1.0)
+    h = np.full(n, 5.0)
+    cfg = GbtConfig(max_depth=12)
+    tree, row_value = _grow_presorted(x, g, h, cfg)
+    oracle_tree, oracle_right, oracle_value = _oracle_build_tree(x, g, h, cfg)
+    assert [a.tobytes() for a in tree] == [a.tobytes() for a in oracle_tree]
+    assert _right(tree).tolist() == oracle_right.tolist()
+    assert row_value.tobytes() == oracle_value.tobytes()
+    assert _depth(tree) == 12 and tree.feature.size == 25
+
+
+def test_the_grower_adds_each_rows_leaf_to_the_logits_it_is_given():
+    # the buffer is one class's row of a (classes, n) array, as in `train`;
+    # its other rows and the grower's inputs stay as they were
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        d=st.integers(1, 4),
+        max_depth=st.integers(1, 8),
+        c=st.integers(0, len(CLASS_ORDER) - 1),
+    )
+    def check(seed, n, d, max_depth, c):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d))
+        g = rng.normal(size=n)
+        h = rng.uniform(0.01, 1.0, size=n) * 20.0
+        logits = rng.normal(size=(len(CLASS_ORDER), n)) * 10.0 ** rng.integers(-300, 300, size=n)
+        logits[:, rng.random(size=n) < 0.2] = rng.choice([0.0, -0.0])
+        expected = [a.copy() for a in (x, g, h, logits)]
+        cfg = GbtConfig(max_depth=max_depth)
+        _grow_presorted(x, g, h, cfg, logits[c])
+        expected[3][c] += _oracle_build_tree(x, g, h, cfg)[2]
+        for got, want in zip((x, g, h, logits), expected, strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    check()
 
 
 def _assert_train_matches_oracle(x, y, cfg):

@@ -110,6 +110,20 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match=r"latin1\.csv:3: not UTF-8"):
             load_dataset(path)
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with one; it was read as part
+        # of the header's first field, and the header was refused
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_dataset(plain, generate_synthetic(11))
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_dataset(bom) == load_dataset(plain)
+
+    def test_a_bad_byte_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,h2,ch4,c2h6,c2h4,c2h2,label\nb\xff,1,1,1,1,1,\n")
+        with pytest.raises(ValueError, match=r"bom\.csv:2: not UTF-8"):
+            load_dataset(path)
+
 
 VALID_CSV = (
     b"id,h2,ch4,c2h6,c2h4,c2h2,label\n"

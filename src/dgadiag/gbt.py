@@ -101,7 +101,12 @@ Prediction walks all trees at once, the flat-forest idea of
 QuickScorer/Treelite (Lucchese et al., SIGIR 2015): blocks of 128 rows,
 one tree level of every (row, tree) pair per numpy step, then one numpy
 reduction that adds the rounds in order, so every logit gets the
-floating-point additions training made.
+floating-point additions training made.  A single row would spend most
+of that walk in numpy's per-call cost, so it goes down the trees that
+split in Python floats instead, with the same `>=` test.  Its leaves go
+into a copy of the same terms, which the same reduction adds over a
+(terms, 1, classes) view, so its logits have the batch path's bits.  (The
+builtin `sum` would not: from Python 3.12 on it compensates float sums.)
 """
 
 from __future__ import annotations
@@ -112,7 +117,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import CLASS_ORDER, N_CLASSES, FaultLabel, _class_indices, _integer, _real, _seed
+from .core import CLASS_ORDER, N_CLASSES, FaultLabel, _class_indices, _integer, _real, _seed, _shown
 
 BASE_SCORE = 0.5  # initial logit for every class
 REG_LAMBDA = 1.0  # lambda: L2 penalty on leaf weights, > 0 so no gain is NaN
@@ -163,7 +168,8 @@ class _Forest(NamedTuple):
     (ties in round, then class order) from `roots`, and `deeper[l]` of them
     are deeper than l, so level l walks only a prefix of the (row, tree)
     pairs and no step filters out those at a leaf.  A leaf is its own child
-    and reads `column` 0, so a step on it leaves it where it is.
+    and reads `column` 0, so a step on it leaves it where it is.  A single
+    row walks the same trees node by node through `nodes`.
     """
 
     starts: np.ndarray  # intp, first node of each tree, [round][class]
@@ -174,6 +180,7 @@ class _Forest(NamedTuple):
     term: np.ndarray  # intp, the `terms` row of each walked tree
     cls: np.ndarray  # intp, the class of each walked tree
     terms: np.ndarray  # (1 + rounds, N_CLASSES) base score, then root values
+    nodes: list[tuple[int, float, int, int]]  # (feature, value, left, right) of node i
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,9 +189,9 @@ class GbtModel:
     with classes in CLASS_ORDER, each in preorder as in `Tree`.  Keeps a
     read-only copy of each array (or list or tuple) in its `NODE_ARRAYS`
     dtype; raises ValueError on one of a kind that table refuses or that
-    fails the module docstring's checks, or on an `n_features` or seed that
-    `core._integer` or `core._seed` refuses (both are kept as ints).
-    Compares and hashes by identity."""
+    fails the module docstring's checks, on an `n_features` below 1 or that
+    `core._integer` refuses, or on a seed that `core._seed` refuses (both
+    are kept as ints).  Compares and hashes by identity."""
 
     config: GbtConfig
     n_features: int
@@ -195,7 +202,10 @@ class GbtModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", _seed(self.seed))
-        object.__setattr__(self, "n_features", _integer("n_features", self.n_features))
+        n_features = _integer("n_features", self.n_features)
+        if n_features < 1:
+            raise ValueError(f"n_features must be >= 1, got {_shown(n_features)}")
+        object.__setattr__(self, "n_features", n_features)
         for name, (kinds, kind_words, dtype) in NODE_ARRAYS.items():
             given = np.asarray(getattr(self, name))
             if given.size and given.dtype.kind not in kinds:  # an empty list reads as float
@@ -267,6 +277,7 @@ def _flatten(model: GbtModel) -> _Forest:
         term=walked // N_CLASSES + 1,
         cls=walked % N_CLASSES,
         terms=np.concatenate([[BASE_SCORE] * N_CLASSES, value[starts]]).reshape(-1, N_CLASSES),
+        nodes=list(zip(feature.tolist(), value.tolist(), child[::2].tolist(), child[1::2].tolist())),
     )
 
 
@@ -418,6 +429,16 @@ def _build_tree(
         stack.append((idx[mask], rows, xs, in_left, depth + 1))
 
 
+def _feature_matrix(x) -> np.ndarray:
+    """`x` as a contiguous float64 array, once its dtype is of a kind
+    `NODE_ARRAYS` takes for `value` (a complex, string, object or bool array
+    is refused, not converted)."""
+    given = np.asarray(x)
+    if given.dtype.kind not in NODE_ARRAYS["value"][0]:
+        raise ValueError(f"feature values must be real numbers, got {given.dtype} values")
+    return np.ascontiguousarray(given, dtype=np.float64)
+
+
 def train(
     x: np.ndarray,
     y: Sequence[FaultLabel],
@@ -426,12 +447,13 @@ def train(
 ) -> GbtModel:
     """Fit the boosted ensemble to feature rows and their FaultLabel labels.
 
-    Raises ValueError on empty input, non-finite features, a label that is
-    not a FaultLabel (such as None for an unlabeled sample), fewer than
-    two distinct labels, or a seed `core._seed` refuses, all before training.
+    Raises ValueError on empty input, features that `_feature_matrix`
+    refuses or that are not finite, a label that is not a FaultLabel (such
+    as None for an unlabeled sample), fewer than two distinct labels, or a
+    seed `core._seed` refuses, all before training.
     """
     seed = _seed(seed)
-    x = np.asarray(x, dtype=np.float64)
+    x = _feature_matrix(x)
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] == 0:
         raise ValueError("feature matrix must be 2-D and non-empty")
     if not np.all(np.isfinite(x)):
@@ -482,9 +504,10 @@ def train(
 def predict_logits(model: GbtModel, x: np.ndarray) -> np.ndarray:
     """Accumulated per-class logits for each row.
 
-    Raises on a row of the wrong length or with a non-finite value.
+    Raises on values that `_feature_matrix` refuses, or on a row of the
+    wrong length or with a non-finite value.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = _feature_matrix(x)
     if x.ndim != 2:
         raise ValueError("expected a 2-D feature matrix")
     if x.shape[1] != model.n_features:
@@ -495,6 +518,16 @@ def predict_logits(model: GbtModel, x: np.ndarray) -> np.ndarray:
         raise ValueError("feature values must be finite")
     forest = model._forest
     n, k = x.shape
+    if n == 1:  # the module docstring's one-row walk, in Python floats
+        row, nodes, leaves = x.ravel().tolist(), forest.nodes, []
+        for node in forest.roots.tolist():
+            feature, value, left, right = nodes[node]
+            while feature >= 0:  # not below the threshold: the right child, as below
+                feature, value, left, right = nodes[right if row[feature] >= value else left]
+            leaves.append(value)
+        terms = forest.terms.copy()
+        terms[forest.term, forest.cls] = leaves
+        return np.add.reduce(terms[:, None], axis=0)
     n_trees = forest.roots.size
     deeper = forest.deeper.tolist()
     logits = np.empty((n, N_CLASSES), dtype=np.float64)

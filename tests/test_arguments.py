@@ -99,6 +99,9 @@ def _refusals():
         message = f"n must be at most {np.iinfo(np.intp).max}, numpy's largest index"
         yield pytest.param(INTEGERS["train_test_split n"][0], bad, message,
                            id=f"train_test_split n={text}")
+    for bad in (0, -3):  # a row of no features once divided by zero in the walk
+        yield pytest.param(INTEGERS["GbtModel n_features"][0], bad,
+                           f"n_features must be >= 1, got {bad}", id=f"GbtModel n_features={bad}")
     for row, (call, name, _) in REALS.items():
         for bad in ("0.5", None, True):
             yield pytest.param(call, bad, f"{name} must be a number, got {bad!r}", id=f"{row}={bad!r}")
@@ -138,6 +141,9 @@ def _huge_refusals():
             yield pytest.param(call, -HUGE, message, id=f"{row}=-10**5000")
     yield pytest.param(INTEGERS["generate_synthetic counts"][0], -HUGE,
                        f"D2 count must be >= 0, got a negative {TOO_LONG}", id="counts=-10**5000")
+    yield pytest.param(INTEGERS["GbtModel n_features"][0], -HUGE,
+                       f"n_features must be >= 1, got a negative {TOO_LONG}",
+                       id="GbtModel n_features=-10**5000")
     for row in ("kfold_cv k", "build_features k"):
         yield pytest.param(INTEGERS[row][0], HUGE, f"k must be in 2..37, got a {TOO_LONG}",
                            id=f"{row}=10**5000")

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,51 @@ def test_predict_rejects_non_finite_rows(bad):
     rows[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
         predict_logits(model, rows)
+
+
+# kind -> a float matrix of small integers as an array of that kind
+_OTHER_KINDS = {
+    "complex": lambda x: x + 0j,  # np.asarray(..., float64) dropped the imaginary part
+    "numeric strings": lambda x: x.astype(str).astype(object),  # which it parsed
+    "text": lambda x: x.astype(str),
+    "bool": lambda x: x > 0,
+    "huge integers": lambda x: [[10**400] * x.shape[1]] * len(x),  # raised OverflowError
+}
+
+
+@pytest.mark.parametrize("n", [1, 3])  # the one-row walk and the batch walk
+@pytest.mark.parametrize("kind", _OTHER_KINDS)
+def test_feature_values_must_be_integers_or_reals(kind, n):
+    x = np.arange(2.0 * n * 4).reshape(2 * n, 4) % 3
+    bad = _OTHER_KINDS[kind](x)
+    message = f"feature values must be real numbers, got {np.asarray(bad).dtype} values"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        train(bad, _labels(np.arange(2 * n) % 2))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        predict_logits(_base_score_model(4), _OTHER_KINDS[kind](x[:n]))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint64, np.float16, np.float32])
+def test_integer_and_real_features_of_any_width_read_as_float64(dtype, n):
+    x = np.random.default_rng(7).integers(0, 5, size=(12, 3))
+    y = _labels(np.arange(12) % 3)
+    model = train(x.astype(dtype), y, GbtConfig(rounds=3))
+    want = train(x.astype(np.float64), y, GbtConfig(rounds=3))
+    assert model.feature.tobytes() == want.feature.tobytes()
+    assert model.value.tobytes() == want.value.tobytes()
+    got = predict_logits(want, x[:n].astype(dtype))
+    assert got.tobytes() == predict_logits(want, x[:n].astype(np.float64)).tobytes()
+
+
+@pytest.mark.parametrize("row", [[0.0, 1.0, np.nan], [0.0, 1.0]], ids=["non-finite", "short"])
+def test_one_row_is_refused_as_in_a_batch(row):
+    model = _base_score_model(3)
+    with pytest.raises(ValueError) as one:
+        predict_logits(model, [row])
+    with pytest.raises(ValueError) as batch:
+        predict_logits(model, [row, row])
+    assert str(one.value) == str(batch.value)
 
 
 def test_training_log_loss_non_increasing():
@@ -1063,6 +1109,65 @@ def test_flat_forest_matches_per_tree_walk(tmp_path_factory):
     assert np.mean(split) >= 0.8, np.mean(split)  # 1.0 in four runs
 
 
+def _no_split_model(rng, d, rounds, max_depth):
+    """Single leaves of random values only: no tree is walked."""
+    trees = [[_random_tree(rng, d, 0) for _ in CLASS_ORDER] for _ in range(rounds)]
+    return _model_of(trees, GbtConfig(rounds=rounds, max_depth=max_depth), d)
+
+
+def _threshold_rows(rng, model, n):
+    """Rows whose values are the model's thresholds, 0.0 or -0.0, so that
+    many land exactly on the threshold they are tested against."""
+    grid = np.concatenate([model.value[model.feature >= 0], [0.0, -0.0]])
+    return rng.choice(grid, size=(n, model.n_features))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    d=st.integers(1, 6),
+    rounds=st.integers(1, 8),
+    max_depth=st.integers(1, 9),
+    source=st.sampled_from(["trained", "no split", *_MODEL_SOURCES]),
+    kind=st.sampled_from(["normal", "grid", "constant", "thresholds"]),
+)
+def test_one_row_prediction_has_the_batch_bits(seed, n, d, rounds, max_depth, source, kind):
+    # a row alone takes the Python walk, the same row among n >= 2 the
+    # flat-forest walk; both must give every bit of the row's logits
+    rng = np.random.default_rng(seed)
+    if source == "trained":
+        y = rng.integers(0, len(CLASS_ORDER), size=80)
+        y[:2] = [0, 1]
+        cfg = GbtConfig(rounds=rounds, max_depth=max_depth)
+        model = train(_sample_rows(rng, "grid" if kind == "thresholds" else kind, 80, d), _labels(y), cfg)
+    else:
+        sources = {**_MODEL_SOURCES, "no split": _no_split_model}
+        model = sources[source](rng, d, rounds, max_depth)
+    if source == "no split":
+        assert model._forest.roots.size == 0
+    x = _threshold_rows(rng, model, n) if kind == "thresholds" else _sample_rows(rng, kind, n, d)
+    logits, proba, labels = (f(model, x) for f in (predict_logits, predict_proba_many, predict_many))
+    for i in range(n):
+        one = x[i : i + 1]
+        got = predict_logits(model, one)
+        assert got.flags.c_contiguous and got.shape == (1, len(CLASS_ORDER))
+        assert got.tobytes() == logits[i : i + 1].tobytes()
+        assert predict_proba_many(model, one).tobytes() == proba[i : i + 1].tobytes()
+        assert predict_many(model, one) == labels[i : i + 1]
+
+
+def test_the_seed_11_rows_one_at_a_time_get_the_batch_bits():
+    samples = generate_synthetic(11)
+    fm = build_features(samples, rank_params(samples), 24)
+    model = train(fm.x, fm.labels, seed=5)  # the model of `train --k 24 --seed 5`
+    logits, proba, labels = (f(model, fm.x) for f in (predict_logits, predict_proba_many, predict_many))
+    one = [x[None] for x in fm.x]
+    assert b"".join(predict_logits(model, x).tobytes() for x in one) == logits.tobytes()
+    assert b"".join(predict_proba_many(model, x).tobytes() for x in one) == proba.tobytes()
+    assert [predict_many(model, x)[0] for x in one] == labels
+
+
 def _right(tree):
     """Each node's right child in one preorder `Tree` (-1 at a leaf), by a
     recursive-descent parse: a split's left subtree starts right after it,
@@ -1096,7 +1201,7 @@ def _flatten_per_tree(model):
     """Reference: the walk's arrays read node by node from the `trees`
     views, each root value as a numpy scalar, and the trees that split
     sorted by depth, deepest first, ties in round, then class order."""
-    starts, child, column, walked, start = [], [], [], [], 0
+    starts, child, column, walked, nodes, start = [], [], [], [], [], 0
     terms = [[gbt.BASE_SCORE] * len(CLASS_ORDER)]
     for r, round_trees in enumerate(model.trees):
         terms.append([tree.value[0] for tree in round_trees])
@@ -1112,6 +1217,7 @@ def _flatten_per_tree(model):
                 else:  # a leaf is its own child, and reads column 0
                     child += [start + i, start + i]
                     column.append(0)
+                nodes.append((int(tree.feature[i]), float(tree.value[i]), *map(int, child[-2:])))
             start += tree.feature.size
     walked.sort(key=lambda tree: -tree[0])  # a stable sort
     depths = [tree[0] for tree in walked]
@@ -1127,6 +1233,7 @@ def _flatten_per_tree(model):
         term=term,
         cls=cls,
         terms=np.array(terms, dtype=np.float64),
+        nodes=nodes,
     )
 
 
@@ -1153,9 +1260,11 @@ def test_flatten_matches_per_tree_construction(
     got = _flatten(model)
     want = _flatten_per_tree(model)
     assert got.roots.size == np.count_nonzero(model.feature[got.starts] >= 0)  # the trees that split
-    for a, b in zip(got, want, strict=True):
+    for a, b in zip(got[:-1], want[:-1], strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+    # Python ints and floats, -0.0 kept: repr tells the types and the bits
+    assert repr(got.nodes) == repr(want.nodes)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1206,14 +1315,15 @@ def test_trees_are_views_of_the_node_arrays():
     cfg = GbtConfig(rounds=12, max_depth=3)
     model = train(x, y, cfg)
     # no per-tree arrays: the model's arrays are the two node arrays and the
-    # walk's eight derived tables
+    # walk's eight derived tables, beside the one-row walk's node list
     assert tuple(gbt.NODE_ARRAYS) == Tree._fields == ("feature", "value")
     assert [f.name for f in dataclasses.fields(GbtModel) if f.init] == [
         "config", "n_features", "feature", "value", "seed"]
     arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 2 and all(isinstance(v, np.ndarray) for v in model._forest)
+    assert len(arrays) == 2 and all(isinstance(v, np.ndarray) for v in model._forest[:-1])
     assert _Forest._fields == (
-        "starts", "child", "column", "roots", "deeper", "term", "cls", "terms")
+        "starts", "child", "column", "roots", "deeper", "term", "cls", "terms", "nodes")
+    assert len(model._forest.nodes) == model.feature.size
     assert not any(isinstance(v, list) for v in vars(model).values())
     assert model._forest.starts.size == cfg.rounds * len(CLASS_ORDER)
     trees = model.trees

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Run the full diagnosis experiment on a dataset (synthetic by default).
 
-Runs the seeded `dgadiag` subcommands `synth` (only without --data), `searchk`,
+Runs the `dgadiag` subcommands `synth` (only without --data), `searchk`,
 `train --k <searchk's best_k>` and `evaluate --cv FOLDS --smote`, which write
 synthetic.csv, accuracy_curve.tsv and model.json into --out-dir and print the
-CV reports.  The first step that fails ends the run with the CLI's exit code:
-1 for invalid input, 2 for an I/O error.
+CV reports.  --seed seeds `synth`, `searchk` and `evaluate`; `train` draws
+nothing at random and takes no seed.  The first step that fails ends the run
+with the CLI's exit code: 1 for invalid input, 2 for an I/O error.
 
 Usage: python scripts/run_pipeline.py --seed 11 --out-dir runs/demo
 """
@@ -49,7 +50,7 @@ def main(argv=None) -> int:
     if code:
         return code
     best_k = searchk_out.getvalue().split("best_k\t")[1].split()[0]  # searchk's one stdout line
-    for step in (["train", data, f"--k={best_k}", seed, rounds, model],
+    for step in (["train", data, f"--k={best_k}", rounds, model],
                  ["evaluate", data, model, f"--cv={args.folds}", "--smote", seed]):
         if code := dgadiag(step):
             return code

@@ -120,7 +120,7 @@ def cmd_train(args) -> int:
     samples = _load(args.data)
     order = _rank_order_for(args, samples)
     fm = build_features(samples, order, args.k)
-    model = train(fm.x, fm.labels, config=config, seed=args.seed)
+    model = train(fm.x, fm.labels, config=config)
     save_model(args.model, ModelBundle(model=model, rank_order=order, k=args.k))
     sys.stdout.write(f"trained\t{args.model}\tk={args.k}\tn={len(samples)}\n")
     return 0
@@ -158,7 +158,7 @@ def cmd_evaluate(args) -> int:
         raise ValueError("--smote requires --cv")
     if args.seed is not None and args.cv is None and args.holdout is None:
         raise ValueError("--seed requires --holdout or --cv")
-    if args.holdout is not None and not 0.0 < 1.0 - args.holdout < 1.0:
+    if args.holdout is not None and not 0.0 < args.holdout < 1.0:
         raise ValueError(f"--holdout must be in (0, 1), got {args.holdout}")
     seed = args.seed or 0
     samples = _load(args.data)
@@ -181,7 +181,8 @@ def cmd_evaluate(args) -> int:
     else:
         fm = build_features(samples, bundle.rank_order, bundle.k)
         if args.holdout is not None:
-            split = train_test_split(len(samples), 1.0 - args.holdout, seed)
+            # 1 - h rounds to 1 for h <= 2**-54; 1 - 2**-53 leaves no test row either
+            split = train_test_split(len(samples), 1.0 - max(args.holdout, 2**-53), seed)
             matrix = fit_and_score(fm, *split, bundle.model.config)
             doc = {"mode": "holdout", "test_fraction": args.holdout}
             title = f"holdout report (test fraction {args.holdout}):"
@@ -296,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train and save a model")
     p.add_argument("--data", required=True)
     p.add_argument("--k", type=int, default=24)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--model", required=True)
     p.add_argument("--canonical", action="store_true")
     _add_gbt_args(p)

@@ -15,8 +15,8 @@ XGBoost's defaults (1 and 1, with no minimum split loss), as in the paper's
 classifier.  Thresholds are midpoints between adjacent distinct sorted
 values; ties in gain resolve to the lowest feature index, then the lowest
 threshold, so training is fully deterministic.  The seed argument is
-recorded for provenance but unused: with no row/column subsampling there is
-nothing stochastic to drive.
+recorded but drives nothing: with no row/column subsampling there is
+nothing stochastic to drive, so the CLI's `train` takes no seed.
 
 `train` leaves out the feature columns that are constant over its rows
 (PRC positions 1 and k always are): they have no split anywhere, and a
@@ -167,14 +167,13 @@ class _Forest(NamedTuple):
     by the leaf the row reaches.  Those trees are walked deepest first
     (ties in round, then class order) from `roots`, and `deeper[l]` of them
     are deeper than l, so level l walks only a prefix of the (row, tree)
-    pairs and no step filters out those at a leaf.  A leaf is its own child
-    and reads `column` 0, so a step on it leaves it where it is.  A single
+    pairs and no step filters out those at a leaf: a leaf is both its own
+    children, so a step stays on it whatever its feature -1 reads.  A single
     row walks the same trees node by node through `nodes`.
     """
 
     starts: np.ndarray  # intp, first node of each tree, [round][class]
     child: np.ndarray  # intp, [2 * i] left and [2 * i + 1] right child of node i
-    column: np.ndarray  # intp, the feature node i splits on, 0 at a leaf
     roots: np.ndarray  # intp, root node of each walked tree, deepest first
     deeper: np.ndarray  # intp, [l] how many walked trees are deeper than l
     term: np.ndarray  # intp, the `terms` row of each walked tree
@@ -271,7 +270,6 @@ def _flatten(model: GbtModel) -> _Forest:
     return _Forest(
         starts=starts,
         child=child,
-        column=np.where(internal, feature, 0).astype(np.intp),
         roots=starts[walked],
         deeper=(walked.size - np.cumsum(np.bincount(tree_depth[walked])))[:-1],
         term=walked // N_CLASSES + 1,
@@ -546,7 +544,7 @@ def predict_logits(model: GbtModel, x: np.ndarray) -> np.ndarray:
         at = at.ravel()
         for walking in deeper:
             here = node[: walking * rows]
-            index = forest.column[here]
+            index = model.feature[here]  # -1 at a leaf: a value inside the block
             index += at[: here.size]
             # not below the threshold: the right child, as in `Tree`
             right = block[index] >= model.value[here]

@@ -11,7 +11,8 @@ replaced by the file line number.  Every malformed file raises ValueError
 naming the path.
 Model files are versioned JSON documents carrying the boosting config, the
 rank order and k the model was trained with (k is its feature count), the
-train seed, and the full tree ensemble; `config` holds exactly the
+train seed (it drives nothing; the CLI's `train` takes none and writes 0),
+and the full tree ensemble; `config` holds exactly the
 `GbtConfig` fields, and neither the document nor "trees" holds any other
 key.  Format version 6 stores the ensemble as the `GbtModel` node arrays:
 under "trees", the two lists feature and value, every tree's nodes in

@@ -270,8 +270,7 @@ def test_criterion_8_end_to_end(tmp_path):
     assert curve_path.read_bytes() == (tmp_path / "curve2.tsv").read_bytes()
 
     model = tmp_path / "model.json"
-    cli("train", "--data", str(data), "--k", str(best_k), "--seed", "5",
-        "--model", str(model))
+    cli("train", "--data", str(data), "--k", str(best_k), "--model", str(model))
 
     report1 = cli("evaluate", "--data", str(data), "--model", str(model),
                   "--cv", "5", "--smote", "--seed", "5")

@@ -50,11 +50,11 @@ def synth_csv(tmp_path):
 
 @pytest.fixture(scope="module")
 def seed11_model(tmp_path_factory):
-    """`synth --seed 11` then `train --k 24 --seed 5`: (data path, model path)."""
+    """`synth --seed 11` then `train --k 24`: (data path, model path)."""
     tmp = tmp_path_factory.mktemp("seed11")
     data, model = str(tmp / "s11.csv"), str(tmp / "model.json")
     assert main(["synth", "--seed", "11", "--out", data]) == 0
-    assert main(["train", "--data", data, "--k", "24", "--seed", "5", "--model", model]) == 0
+    assert main(["train", "--data", data, "--k", "24", "--model", model]) == 0
     return data, model
 
 
@@ -182,8 +182,7 @@ class TestConventional:
         assert rows[1:] == [["a", "D2", "D2", "UD", "UD"], ["z", "", "UD", "UD", "PD"]]
 
         model = str(tmp_path / "m.json")
-        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
-              "--model", model] + FAST)
+        main(["train", "--data", synth_csv, "--k", "18", "--model", model] + FAST)
         code, out, err = run(capsys, ["diagnose", "--data", str(data), "--model", model,
                                       "--compare"])
         assert (code, err) == (0, "")
@@ -225,7 +224,7 @@ class TestTrainDiagnoseEvaluate:
     def test_full_cycle(self, capsys, tmp_path, synth_csv):
         model = str(tmp_path / "m.json")
         code, out, _ = run(capsys, ["train", "--data", synth_csv, "--k", "20",
-                                    "--seed", "2", "--model", model] + FAST)
+                                    "--model", model] + FAST)
         assert code == 0
         assert "trained" in out
 
@@ -258,6 +257,7 @@ class TestTrainDiagnoseEvaluate:
         assert len(doc["fold_reports"]) == 3
         assert 0.0 <= doc["pooled"]["accuracy"] <= 1.0
 
+    @pytest.mark.seed11
     def test_synth_file_is_byte_identical(self, seed11_model):
         # pins the CSV bytes of `synth --seed 11`, the data behind the model below
         data, _ = seed11_model
@@ -265,16 +265,17 @@ class TestTrainDiagnoseEvaluate:
             "a6a264b1ecb94bd7df7ed473a85c46a56dff4f30cc93707feec527cac895d70f"
         )
 
+    @pytest.mark.seed11
     def test_model_file_is_byte_identical(self, seed11_model):
-        # pins the format-v6 bytes of a seeded training run; the same model
-        # took 23,664 bytes as format v5, 29,213 as v4, 29,358 as v3 and
-        # 62,486 as v2
+        # pins the format-v6 bytes of a training run; the same model took
+        # 23,664 bytes as format v5, 29,213 as v4, 29,358 as v3 and 62,486 as v2
         _, model = seed11_model
         assert hashlib.sha256(Path(model).read_bytes()).hexdigest() == (
-            "55f2a5f7e13e753046c4dbdd76f74335ab7f0f2cd4c65c7984f7f4818e3cde40"
+            "4fa0f4fc12f10ef91aaca38e08b049c18efadcc63b3d22ee99d5e97a4a7ce14e"
         )
         assert Path(model).stat().st_size <= 20_126
 
+    @pytest.mark.seed11
     def test_model_nodes_are_those_of_format_v5(self, seed11_model):
         # format 6 dropped only the lists the leaf marks fix: the feature
         # and value lists are those the format-v5 file of the same run held
@@ -284,10 +285,22 @@ class TestTrainDiagnoseEvaluate:
             "5e1cddae739e3c1699051dc834ad160a175949e05e9e771beb7ff7593d676dbb"
         )
 
+    def test_model_file_of_any_seed_diagnoses_alike(self, capsys, tmp_path, seed11_model):
+        # `train --seed 5` wrote this file: the seed-0 one with seed 5
+        # recorded.  It still loads and labels every row alike
+        data, model = seed11_model
+        text = Path(model).read_text()
+        assert text.count('"seed":0') == 1
+        seed5 = tmp_path / "seed5.json"
+        seed5.write_text(text.replace('"seed":0', '"seed":5'))
+        assert load_model(seed5).model.seed == 5
+        new, old = (run(capsys, ["diagnose", "--data", data, "--model", m])
+                    for m in (model, str(seed5)))
+        assert new[0] == 0 and old == new
+
     def test_evaluate_holdout(self, capsys, tmp_path, synth_csv):
         model = str(tmp_path / "m.json")
-        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
-              "--model", model] + FAST)
+        main(["train", "--data", synth_csv, "--k", "18", "--model", model] + FAST)
         capsys.readouterr()
         code, out, _ = run(capsys, ["evaluate", "--data", synth_csv, "--model", model,
                                     "--holdout", "0.25", "--seed", "6"])
@@ -296,8 +309,7 @@ class TestTrainDiagnoseEvaluate:
 
     def test_evaluate_apply_mode(self, capsys, tmp_path, synth_csv):
         model = str(tmp_path / "m.json")
-        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
-              "--model", model] + FAST)
+        main(["train", "--data", synth_csv, "--k", "18", "--model", model] + FAST)
         capsys.readouterr()
         code, out, _ = run(capsys, ["evaluate", "--data", synth_csv, "--model", model])
         assert code == 0
@@ -305,8 +317,7 @@ class TestTrainDiagnoseEvaluate:
 
     def test_diagnose_needs_gases_or_data(self, capsys, tmp_path, synth_csv):
         model = str(tmp_path / "m.json")
-        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
-              "--model", model] + FAST)
+        main(["train", "--data", synth_csv, "--k", "18", "--model", model] + FAST)
         capsys.readouterr()
         code, _, err = run(capsys, ["diagnose", "--h2", "1", "--model", model])
         assert code == 1
@@ -314,8 +325,7 @@ class TestTrainDiagnoseEvaluate:
 
     def test_diagnose_rejects_data_with_gases(self, capsys, tmp_path, synth_csv):
         model = str(tmp_path / "m.json")
-        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
-              "--model", model] + FAST)
+        main(["train", "--data", synth_csv, "--k", "18", "--model", model] + FAST)
         code, out, err = run(capsys, ["diagnose", "--data", synth_csv, "--h2", "1",
                                       "--model", model])
         assert code == 1
@@ -354,20 +364,29 @@ class TestTrainDiagnoseEvaluate:
                                       "--seed", seed])
         assert (code, out, err) == (1, "", "error: --seed requires --holdout or --cv\n")
 
-    @pytest.mark.parametrize("holdout", ["0", "1", "nan", "-0.1", "1.5", "1e-20"])
+    @pytest.mark.parametrize("holdout", ["0", "1", "nan", "-0.1", "1.5"])
     def test_holdout_outside_0_1_is_refused_by_name(self, capsys, table_model, holdout):
-        # 1 - 1e-20 rounds to 1, which would leave no test rows
         data, model, _ = table_model
         code, out, err = run(capsys, ["evaluate", "--data", data, "--model", model,
                                       "--holdout", holdout])
         message = f"error: --holdout must be in (0, 1), got {float(holdout)}\n"
         assert (code, out, err) == (1, "", message)
 
+    @pytest.mark.parametrize("holdout", ["1e-10", "5e-17", "1e-20", "5e-324"])
+    def test_holdout_of_no_test_row_is_refused_as_such(self, capsys, table_model, holdout):
+        # below 2**-54, 1 - holdout rounds to 1, and the value in (0, 1) was
+        # refused as outside (0, 1)
+        data, model, tmp = table_model
+        report = tmp / "tiny.json"
+        code, out, err = run(capsys, ["evaluate", "--data", data, "--model", model,
+                                      "--holdout", holdout, "--json", str(report)])
+        assert (code, out, err) == (1, "", "error: degenerate split sizes (6, 0) for n=6\n")
+        assert not report.exists()
+
     @pytest.mark.parametrize("mode", [[], ["--holdout", "0.25"]])
     def test_smote_requires_cv(self, capsys, tmp_path, synth_csv, mode):
         model = str(tmp_path / "m.json")
-        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
-              "--model", model] + FAST)
+        main(["train", "--data", synth_csv, "--k", "18", "--model", model] + FAST)
         code, out, err = run(capsys, ["evaluate", "--data", synth_csv, "--model", model,
                                       "--smote"] + mode)
         assert code == 1
@@ -506,7 +525,7 @@ class TestFeaturesCommand:
 
 # the sha256 of every table the CLI writes, on the `synth --seed 11` file and
 # on the bundled Table IV rows; `diagnose` uses the model that
-# `train --k 24 --seed 5` fits to the synth file
+# `train --k 24` fits to the synth file
 TABLE_ARGV = {
     "rank": "rank --data {data}",
     "rank-canonical": "rank --canonical",
@@ -549,6 +568,7 @@ TABLE_DIGESTS = {
 }
 
 
+@pytest.mark.seed11
 @pytest.mark.parametrize("case", sorted(TABLE_DIGESTS))
 def test_table_is_byte_identical(capsys, tmp_path, seed11_model, table_csv, case):
     source, name = case.split("/")
@@ -683,7 +703,6 @@ OPTION_TABLE = {
     "train": ([
         ("--data", "data", None, None, True, None),
         ("--k", "k", int, 24, False, None),
-        ("--seed", "seed", int, 0, False, None),
         ("--model", "model", None, None, True, None),
         ("--canonical", "canonical", None, False, False, None),
         ("--rounds", "rounds", int, 100, False, None),
@@ -746,6 +765,138 @@ def test_option_surface_matches_the_table():
     assert list(surface.items()) == list(OPTION_TABLE.items())
 
 
+# Each mode of each subcommand: its argv, then each option it covers as the
+# argv words that change it, appended (argparse keeps an option's last
+# value).  {data} and {model} are the seed-11 file and model, {data2} and
+# {model2} others of each; output names are relative to the run's
+# directory.  A mode may list an option it does not take: that must be
+# refused, as `train --seed` is, since training draws nothing at random.
+OPTION_MODES = {
+    "rank": ("rank --data {data}", {
+        "--data": "--data {data2}", "--canonical": "--canonical", "--out": "--out r.tsv"}),
+    "rank-canonical": ("rank --canonical", {"--data": "--data {data}", "--out": "--out r.tsv"}),
+    "features": ("features --data {data} --k 20", {
+        "--data": "--data {data2}", "--k": "--k 21", "--canonical": "--canonical",
+        "--out": "--out f.tsv"}),
+    "features-canonical": ("features --data {data} --k 20 --canonical", {
+        "--data": "--data {data2}", "--k": "--k 21", "--out": "--out f.tsv"}),
+    "searchk": ("searchk --data {data} --kmin 18 --kmax 19 --rounds 2 --max-depth 1"
+                " --out c.tsv", {
+        "--data": "--data {data2}", "--kmin": "--kmin 19", "--kmax": "--kmax 20",
+        "--seed": "--seed 1", "--train-frac": "--train-frac 0.7", "--canonical": "--canonical",
+        "--out": "--out d.tsv", "--rounds": "--rounds 5", "--learning-rate": "--learning-rate 0.05",
+        "--max-depth": "--max-depth 2"}),
+    "train": ("train --data {data} --k 20 --model m.json --rounds 3", {
+        "--data": "--data {data2}", "--k": "--k 21", "--model": "--model n.json",
+        "--canonical": "--canonical", "--rounds": "--rounds 4",
+        "--learning-rate": "--learning-rate 0.1", "--max-depth": "--max-depth 1",
+        "--seed": "--seed 5"}),
+    "evaluate-apply": ("evaluate --data {data} --model {model}", {
+        "--data": "--data {data2}", "--model": "--model {model2}", "--holdout": "--holdout 0.2",
+        "--cv": "--cv 3", "--smote": "--smote", "--seed": "--seed 1", "--json": "--json r.json"}),
+    "evaluate-holdout": ("evaluate --data {data} --model {model2} --holdout 0.2", {
+        "--data": "--data {data2}", "--model": "--model {model}", "--holdout": "--holdout 0.3",
+        "--cv": "--cv 3", "--smote": "--smote", "--seed": "--seed 1", "--json": "--json r.json"}),
+    "evaluate-cv": ("evaluate --data {data} --model {model2} --cv 3", {
+        "--data": "--data {data2}", "--model": "--model {model}", "--holdout": "--holdout 0.2",
+        "--cv": "--cv 4", "--smote": "--smote", "--seed": "--seed 1", "--json": "--json r.json"}),
+    "diagnose": ("diagnose --data {data} --model {model}", {
+        "--data": "--data {data2}", "--model": "--model {model2}", "--compare": "--compare",
+        "--out": "--out p.tsv", "--h2": "--h2 292"}),
+    "diagnose-reading": ("diagnose --h2 292 --ch4 346 --c2h6 32 --c2h4 313 --c2h2 196"
+                         " --model {model} --compare", {
+        "--h2": "--h2 30", "--ch4": "--ch4 35", "--c2h6": "--c2h6 3", "--c2h4": "--c2h4 31",
+        "--c2h2": "--c2h2 19", "--model": "--model {model2}", "--out": "--out p.tsv",
+        "--data": "--data {data}"}),
+    "conventional": ("conventional --data {data}", {
+        "--data": "--data {data2}", "--method": "--method duval", "--out": "--out c.tsv"}),
+    "decompose": ("decompose --data {data} --k 20 --out d.tsv", {
+        "--data": "--data {data2}", "--k": "--k 21", "--canonical": "--canonical",
+        "--out": "--out e.tsv"}),
+    "synth": ("synth --seed 1 --out s.csv --counts 2,2,2,2,2,2", {
+        "--seed": "--seed 2", "--out": "--out t.csv", "--counts": "--counts 3,2,2,2,2,2"}),
+}
+
+
+@pytest.fixture(scope="module")
+def option_inputs(seed11_model, tmp_path_factory):
+    """The names OPTION_MODES fills in: the seed-11 file and model, 20 PD
+    and 20 D1 rows of `synth --seed 12`, and a 5-round depth-2 model of
+    them at k = 20, which labels each seed-11 row PD or D1."""
+    tmp = tmp_path_factory.mktemp("options")
+    data, model = seed11_model
+    data2, model2 = str(tmp / "s12.csv"), str(tmp / "model2.json")
+    assert main(["synth", "--seed", "12", "--out", data2, "--counts", "20,20,0,0,0,0"]) == 0
+    assert main(["train", "--data", data2, "--k", "20", "--rounds", "5", "--max-depth", "2",
+                 "--model", model2]) == 0
+    return dict(data=data, model=model, data2=data2, model2=model2)
+
+
+def _run_in(monkeypatch, folder, argv):
+    """`main(argv)` run in a new `folder`: (exit code, stdout, stderr, what
+    it wrote), a model file as prediction reads it (not its seed)."""
+    folder.mkdir()
+    monkeypatch.chdir(folder)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the command line
+            code = exc.code
+    written = {}
+    for path in sorted(folder.iterdir()):
+        written[path.name] = path.read_bytes()
+        if b'"trees"' in written[path.name]:
+            bundle = load_model(path)
+            written[path.name] = (bundle.model.config, bundle.rank_order, bundle.k,
+                                  bundle.model.feature.tolist(), bundle.model.value.tolist())
+    return code, out.getvalue(), err.getvalue(), written
+
+
+@pytest.mark.parametrize("mode, option", [
+    pytest.param(mode, option, id=f"{mode} {option}")
+    for mode, (_, changes) in OPTION_MODES.items() for option in changes
+])
+def test_each_option_of_each_mode_is_read_or_refused(
+    monkeypatch, tmp_path, option_inputs, mode, option
+):
+    """Changing one option in one mode changes stdout or what the command
+    writes, or the command exits 1 or 2 with one error message and writes
+    nothing: no option is taken and then ignored."""
+    argv, changes = OPTION_MODES[mode]
+    base = argv.format(**option_inputs).split()
+    changed = base + changes[option].format(**option_inputs).split()
+    assert changed[len(base)] == option
+    code, out, _, written = _run_in(monkeypatch, tmp_path / "base", base)
+    assert code == 0
+    got = _run_in(monkeypatch, tmp_path / "changed", changed)
+    if got[0] == 0:
+        assert (got[1], got[3]) != (out, written)
+    else:
+        code, out, err, written = got
+        assert (out, written) == ("", {})
+        errors = [line for line in err.splitlines() if "error: " in line]
+        if code == 1:
+            assert errors == err.splitlines() and len(errors) == 1
+        else:
+            assert code == 2 and err.startswith("usage: ") and len(errors) == 1
+
+
+def test_option_modes_cover_every_option():
+    """Each option of each subcommand is changed in at least one mode."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        options = {o for a in p._actions if not isinstance(a, argparse._HelpAction)
+                   for o in a.option_strings}
+        covered = {o for argv, changes in OPTION_MODES.values() if argv.split()[0] == name
+                   for o in changes}
+        assert options <= covered, name
+
+
+@pytest.mark.seed11
 def test_readme_command_line_block_runs_as_written(capsys, tmp_path, monkeypatch):
     """Each `dgadiag` line of the README's "Command line" block exits 0, run
     in order from the block's own `synth`, and its `train` writes a model
@@ -762,17 +913,16 @@ def test_readme_command_line_block_runs_as_written(capsys, tmp_path, monkeypatch
         argv = shlex.split(line)[1:]
         code, _, err = run(capsys, argv)
         assert code == 0, (line, err)
-    stated = re.search(r"The\s+seed-11\s+model\s+\(`synth --seed 11`,\s+`train --k 24 --seed 5`\)"
+    stated = re.search(r"The\s+seed-11\s+model\s+\(`synth --seed 11`,\s+`train --k 24`\)"
                        r"\s+takes\s+([\d,]+)\s+bytes", readme).group(1)
-    assert "train --data data.csv --k 24 --seed 5 --model model.json" in block
+    assert "train --data data.csv --k 24 --model model.json" in block
     assert (tmp_path / "model.json").stat().st_size == int(stated.replace(",", ""))
 
 
 class TestExitCodes:
     def test_invalid_model_is_validation_error(self, capsys, tmp_path, synth_csv):
         path = tmp_path / "model.json"
-        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
-              "--model", str(path)] + FAST)
+        main(["train", "--data", synth_csv, "--k", "18", "--model", str(path)] + FAST)
         doc = json.loads(path.read_text())
         doc["trees"]["feature"][0] = doc["k"]  # out of range
         path.write_text(json.dumps(doc))
@@ -786,8 +936,7 @@ class TestExitCodes:
 
     def test_float_k_in_model_is_validation_error(self, capsys, tmp_path, synth_csv):
         path = tmp_path / "model.json"
-        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
-              "--model", str(path)] + FAST)
+        main(["train", "--data", synth_csv, "--k", "18", "--model", str(path)] + FAST)
         doc = json.loads(path.read_text())
         doc["k"] = 18.9  # `int()` truncated it to n_features and the file loaded
         path.write_text(json.dumps(doc))
@@ -861,8 +1010,7 @@ class TestExitCodes:
         # such a file loaded, and the holdout retrained to all-PD labels; lambda
         # is no longer a setting, so the key itself is refused
         path = tmp_path / "model.json"
-        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
-              "--model", str(path)] + FAST)
+        main(["train", "--data", synth_csv, "--k", "18", "--model", str(path)] + FAST)
         doc = json.loads(path.read_text())
         doc["config"]["reg_lambda"] = float("nan")
         path.write_text(json.dumps(doc))
@@ -876,8 +1024,7 @@ class TestExitCodes:
         # lambda 0 let H + lambda reach 0: a NaN gain or a leaf weight 1/0.
         # lambda is now the constant gbt.REG_LAMBDA, which a file cannot set
         path = tmp_path / "model.json"
-        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
-              "--model", str(path)] + FAST)
+        main(["train", "--data", synth_csv, "--k", "18", "--model", str(path)] + FAST)
         doc = json.loads(path.read_text())
         doc["config"]["reg_lambda"] = 0.0
         path.write_text(json.dumps(doc))
@@ -974,8 +1121,7 @@ class TestExitCodes:
 
     def test_gas_above_ceiling(self, capsys, tmp_path, synth_csv):
         model = str(tmp_path / "m.json")
-        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
-              "--model", model] + FAST)
+        main(["train", "--data", synth_csv, "--k", "18", "--model", model] + FAST)
         code, out, err = run(capsys, [
             "diagnose", "--h2", "1e308", "--ch4", "1e308", "--c2h6", "1",
             "--c2h4", "1", "--c2h2", "1", "--model", model,
@@ -1003,8 +1149,7 @@ class TestExitCodes:
         # the base score is gbt.BASE_SCORE, not file contents: a file that
         # sets one, to any value, is refused by name
         path = tmp_path / "model.json"
-        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
-              "--model", str(path)] + FAST)
+        main(["train", "--data", synth_csv, "--k", "18", "--model", str(path)] + FAST)
         doc = json.loads(path.read_text())
         doc["base_score"] = bad
         path.write_text(json.dumps(doc))
@@ -1021,8 +1166,7 @@ class TestExitCodes:
         # any other list would relabel the argmax columns; the class order is
         # CLASS_ORDER, not file contents, so a file that sets one is refused
         path = tmp_path / "model.json"
-        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
-              "--model", str(path)] + FAST)
+        main(["train", "--data", synth_csv, "--k", "18", "--model", str(path)] + FAST)
         doc = json.loads(path.read_text())
         doc["class_order"] = class_order
         path.write_text(json.dumps(doc))
@@ -1056,8 +1200,7 @@ class TestExitCodes:
 
     def test_non_utf8_model(self, capsys, tmp_path, synth_csv):
         path = tmp_path / "model.json"
-        main(["train", "--data", synth_csv, "--k", "18", "--seed", "1",
-              "--model", str(path)] + FAST)
+        main(["train", "--data", synth_csv, "--k", "18", "--model", str(path)] + FAST)
         path.write_bytes(path.read_bytes().replace(b'"seed"', b'"se\xffed"'))
         code, out, err = run(capsys, [
             "diagnose", "--h2", "100", "--ch4", "10", "--c2h6", "5",
@@ -1122,27 +1265,23 @@ def _seed_argv(command, data, model, tmp):
     return {
         "synth": ["synth", "--out", str(tmp / "s.csv")],
         "searchk": ["searchk", "--data", data, "--out", str(tmp / "c.tsv"), "--rounds", "2"],
-        "train": ["train", "--data", data, "--model", str(tmp / "m.json"), "--rounds", "2"],
         "evaluate-holdout": ["evaluate", "--data", data, "--model", model, "--holdout", "0.5"],
         "evaluate-cv": ["evaluate", "--data", data, "--model", model, "--cv", "2"],
         "evaluate-apply": ["evaluate", "--data", data, "--model", model],
     }[command]
 
 
-@pytest.mark.parametrize("command", ["synth", "searchk", "train", "evaluate-holdout",
-                                     "evaluate-cv", "evaluate-apply"])
+@pytest.mark.parametrize("command", ["synth", "searchk", "evaluate-holdout", "evaluate-cv",
+                                     "evaluate-apply"])
 def test_negative_seed_is_refused_by_name(capsys, table_model, command):
-    # numpy refused it without naming the flag, and `train` stored it; the
-    # seed's one owner refuses it now, `train` once it has trained, and
-    # `evaluate` without --holdout or --cv reads no seed at all
-    (table_model[2] / "m.json").unlink(missing_ok=True)  # `train`'s model file
+    # numpy refused it without naming the flag; the seed's one owner refuses
+    # it now, and `evaluate` without --holdout or --cv reads no seed at all
     code, out, err = run(capsys, _seed_argv(command, *table_model) + ["--seed", "-1"])
     assert (code, out) == (1, "")
     if command == "evaluate-apply":
         assert err == "error: --seed requires --holdout or --cv\n"
     else:
         assert err == "error: seed must be a non-negative integer, got -1\n"
-    assert not (table_model[2] / "m.json").exists()
 
 
 BAD_NUMBER_TEXT = ["", "x", "1e", "0x10", "1_0", " 5 ", "nan", "-inf", "1e400", "2.5", "-0"]
@@ -1168,7 +1307,6 @@ GBT_FLAGS = st.tuples(
     _number(st.integers(0, 4)).map(lambda text: [f"--rounds={text}"]),  # never the default 100
     _optional("learning-rate", st.one_of(FRACTION, st.floats())),
     _optional("max-depth", st.integers(-1, 8)),
-    _optional("seed", SEED),
 ).map(lambda parts: sum(parts, []))
 
 
@@ -1181,7 +1319,8 @@ def _numeric_argv(draw, data, model, tmp):
     elif command == "searchk":
         argv = ["searchk", "--data", data, "--out", str(tmp / "curve.tsv")]
         argv += draw(_optional("kmin", K)) + draw(_optional("kmax", K))
-        argv += draw(_optional("train-frac", FRACTION)) + draw(GBT_FLAGS)
+        argv += draw(_optional("train-frac", FRACTION)) + draw(_optional("seed", SEED))
+        argv += draw(GBT_FLAGS)
     else:
         argv = ["evaluate", "--data", data, "--model", model]
         mode = draw(st.sampled_from(["apply", "holdout", "cv", "both"]))

@@ -824,6 +824,7 @@ def test_a_split_just_above_gamma_is_not_pruned(group):
     assert cases >= 600
 
 
+@pytest.mark.seed11
 def test_default_train_skips_the_nodes_that_cannot_gain(monkeypatch):
     """The default config on the seed-11 survey features at k = 24: of the
     191 nodes the search used to visit, 78 are pruned without one."""
@@ -836,6 +837,7 @@ def test_default_train_skips_the_nodes_that_cannot_gain(monkeypatch):
     assert len(calls) == 113
 
 
+@pytest.mark.seed11
 def test_work_counts_of_the_seed_11_k_search(monkeypatch):
     """Exact work of one `optimal_k_search` with the library defaults on the
     seed-11 survey: unlike a timing, no host noise moves these counts, and
@@ -860,12 +862,13 @@ def test_work_counts_of_the_seed_11_k_search(monkeypatch):
     assert result.best_k == 30
 
 
+@pytest.mark.seed11
 def test_work_counts_of_predicting_the_seed_11_rows():
     """Exact work of predicting the 376 training rows with the seed-11 model
-    of `train --k 24 --seed 5`, counted by a walk on the test side."""
+    of `train --k 24`, counted by a walk on the test side."""
     samples = generate_synthetic(11)
     fm = build_features(samples, rank_params(samples), 24)
-    model = train(fm.x, fm.labels, seed=5)
+    model = train(fm.x, fm.labels)
     # the trees of the rounds with a split, by depth: 21 of them are leaves
     in_split_rounds = [t for r in model.trees if any(t.feature[0] >= 0 for t in r) for t in r]
     assert len(in_split_rounds) == 84
@@ -1160,7 +1163,7 @@ def test_one_row_prediction_has_the_batch_bits(seed, n, d, rounds, max_depth, so
 def test_the_seed_11_rows_one_at_a_time_get_the_batch_bits():
     samples = generate_synthetic(11)
     fm = build_features(samples, rank_params(samples), 24)
-    model = train(fm.x, fm.labels, seed=5)  # the model of `train --k 24 --seed 5`
+    model = train(fm.x, fm.labels)  # the model of `train --k 24`
     logits, proba, labels = (f(model, fm.x) for f in (predict_logits, predict_proba_many, predict_many))
     one = [x[None] for x in fm.x]
     assert b"".join(predict_logits(model, x).tobytes() for x in one) == logits.tobytes()
@@ -1201,7 +1204,7 @@ def _flatten_per_tree(model):
     """Reference: the walk's arrays read node by node from the `trees`
     views, each root value as a numpy scalar, and the trees that split
     sorted by depth, deepest first, ties in round, then class order."""
-    starts, child, column, walked, nodes, start = [], [], [], [], [], 0
+    starts, child, walked, nodes, start = [], [], [], [], 0
     terms = [[gbt.BASE_SCORE] * len(CLASS_ORDER)]
     for r, round_trees in enumerate(model.trees):
         terms.append([tree.value[0] for tree in round_trees])
@@ -1213,23 +1216,20 @@ def _flatten_per_tree(model):
             for i in range(tree.feature.size):
                 if tree.feature[i] >= 0:
                     child += [start + i + 1, start + right[i]]
-                    column.append(tree.feature[i])
-                else:  # a leaf is its own child, and reads column 0
+                else:  # a leaf is its own child
                     child += [start + i, start + i]
-                    column.append(0)
                 nodes.append((int(tree.feature[i]), float(tree.value[i]), *map(int, child[-2:])))
             start += tree.feature.size
     walked.sort(key=lambda tree: -tree[0])  # a stable sort
     depths = [tree[0] for tree in walked]
     deeper = [sum(depth > level for depth in depths) for level in range(max(depths, default=0))]
-    index = [np.array(a, dtype=np.intp) for a in (starts, child, column, deeper)]
+    index = [np.array(a, dtype=np.intp) for a in (starts, child, deeper)]
     roots, term, cls = (np.array([t[i] for t in walked], dtype=np.intp) for i in (1, 2, 3))
     return _Forest(
         starts=index[0],
         child=index[1],
-        column=index[2],
         roots=roots,
-        deeper=index[3],
+        deeper=index[2],
         term=term,
         cls=cls,
         terms=np.array(terms, dtype=np.float64),
@@ -1315,14 +1315,14 @@ def test_trees_are_views_of_the_node_arrays():
     cfg = GbtConfig(rounds=12, max_depth=3)
     model = train(x, y, cfg)
     # no per-tree arrays: the model's arrays are the two node arrays and the
-    # walk's eight derived tables, beside the one-row walk's node list
+    # walk's seven derived tables, beside the one-row walk's node list
     assert tuple(gbt.NODE_ARRAYS) == Tree._fields == ("feature", "value")
     assert [f.name for f in dataclasses.fields(GbtModel) if f.init] == [
         "config", "n_features", "feature", "value", "seed"]
     arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 2 and all(isinstance(v, np.ndarray) for v in model._forest[:-1])
     assert _Forest._fields == (
-        "starts", "child", "column", "roots", "deeper", "term", "cls", "terms", "nodes")
+        "starts", "child", "roots", "deeper", "term", "cls", "terms", "nodes")
     assert len(model._forest.nodes) == model.feature.size
     assert not any(isinstance(v, list) for v in vars(model).values())
     assert model._forest.starts.size == cfg.rounds * len(CLASS_ORDER)
@@ -1352,6 +1352,7 @@ def test_zero_tree_model_predicts_base_score(n, base_score, monkeypatch):
     assert got.tobytes() == _per_tree_logits(model, x).tobytes()
 
 
+@pytest.mark.seed11
 def test_golden_logits_digest():
     samples = generate_synthetic(11)
     fm = build_features(samples, rank_params(samples), 24)

@@ -54,7 +54,7 @@ def test_run_pipeline(tmp_path):
     order = rank_params(samples)
     search = optimal_k_search(samples, order, k_min=18, k_max=19, split_seed=11, config=config)
     fm = build_features(samples, order, search.best_k)
-    model = train(fm.x, fm.labels, config=config, seed=11)
+    model = train(fm.x, fm.labels, config=config)
     save_model(tmp_path / "model.json", ModelBundle(model=model, rank_order=order, k=search.best_k))
     cv = kfold_cv(samples, order, search.best_k, folds=2, seed=11, use_smote=True, config=config)
 

@@ -37,6 +37,7 @@ def synth11():
     return samples, rank_params(samples)
 
 
+@pytest.mark.seed11
 class TestGoldenDigests:
     def test_k_search_curve(self, synth11):
         samples, order = synth11
@@ -61,8 +62,7 @@ class TestGoldenDigests:
         samples, _ = synth11
         data, model, doc = (str(tmp_path / n) for n in ("d.csv", "m.json", "h.json"))
         write_dataset(data, samples)
-        assert main(["train", "--data", data, "--k", "24", "--seed", "5",
-                     "--model", model] + SMALL_ARGS) == 0
+        assert main(["train", "--data", data, "--k", "24", "--model", model] + SMALL_ARGS) == 0
         assert main(["evaluate", "--data", data, "--model", model,
                      "--holdout", "0.15", "--seed", "5", "--json", doc]) == 0
         capsys.readouterr()

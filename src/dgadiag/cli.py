@@ -354,6 +354,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        sys.stderr.write(f"error: {str(exc) or 'out of memory'}\n")
+        return 1
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 2

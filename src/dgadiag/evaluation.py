@@ -75,12 +75,10 @@ def metrics(matrix: ConfusionMatrix) -> EvalReport:
     )
 
     accuracy = float(tp.sum() / total)
-    present = row > 0
-    macro_f1 = float(f1[present].mean()) if present.any() else 0.0
+    macro_f1 = float(f1[row > 0].mean())  # total > 0, so some class is present
 
-    p_o = tp.sum() / total
     p_e = float((row * col).sum() / (total * total))
-    kappa = 1.0 if p_e == 1.0 else float((p_o - p_e) / (1.0 - p_e))
+    kappa = 1.0 if p_e == 1.0 else (accuracy - p_e) / (1.0 - p_e)
 
     return EvalReport(
         matrix=matrix,
@@ -163,13 +161,16 @@ def smote(
 def stratified_folds(
     labels: Sequence[FaultLabel], folds: int, seed: int
 ) -> list[np.ndarray]:
-    """Seeded stratified fold assignment; per-class counts differ by <= 1."""
+    """Seeded stratified fold assignment; per-class counts differ by <= 1.
+    Nothing is sized by `folds` before every class is known to fill it."""
     folds = _integer("folds", folds)
     if folds < 2:
         raise ValueError("folds must be >= 2")
     y = _class_indices(labels)
+    if y.size == 0:
+        raise ValueError("empty label list")
     rng = _rng(seed)
-    assignments = [[] for _ in range(folds)]
+    fold_of = np.empty(y.size, dtype=np.intp)
     for c, label in enumerate(CLASS_ORDER):
         idx = np.flatnonzero(y == c)
         if idx.size == 0:
@@ -179,10 +180,8 @@ def stratified_folds(
                 f"stratification impossible: class {label.value} has "
                 f"{idx.size} samples, fewer than {folds} folds"
             )
-        idx = idx[rng.permutation(idx.size)]
-        for j, i in enumerate(idx):
-            assignments[j % folds].append(int(i))
-    return [np.array(sorted(fold), dtype=np.intp) for fold in assignments]
+        fold_of[idx[rng.permutation(idx.size)]] = np.arange(idx.size) % folds
+    return [np.flatnonzero(fold_of == f) for f in range(folds)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,19 +6,19 @@ proper rotation component of that k-point sequence as the features.  ITD
 works on each row alone, so the rows of a sample do not depend on which
 other samples are built with it.  `_build` is the one builder, behind
 `build_features`, `optimal_k_search` and `evaluation.kfold_cv`; it checks
-and warns of nothing.  Its `FeatureMatrix` holds the ranked prefixes and
-their ITD baselines beside the features, which `decompose` prints.  It
-builds several samples with numpy (`core.param_matrix`, `itd.itd_rows`)
-and one, such as the CLI's one reading, in Python floats
-(`core._param_row`, `itd._itd_list`): both evaluate the one parameter
-listing of `core._params`, and the two ITDs do the same operations in the
-same order, so a sample's row has the same bits either way, without
-numpy's per-call cost on a 24-value row.  Each public call checks the rank
-order, then k, once, and warns of an unusual k as its last step, so a call
-that raises has warned of nothing.  The search sweeps k over a range,
-taking every candidate's rows from one evaluation of the 37 parameters,
-training and scoring the classifier on one fixed holdout split per
-candidate, and keeps the smallest k attaining the best accuracy.
+and warns of nothing.  It builds several samples with numpy
+(`core.param_matrix`, `itd.itd_rows`) and one, such as the CLI's one
+reading, in Python floats (`core._param_row`, `itd._itd_list`): both
+evaluate the one parameter listing of `core._params`, and the two ITDs do
+the same operations in the same order, so a sample's row has the same bits
+either way, without numpy's per-call cost on a 24-value row.  Either ITD
+gives the baselines, and the features, the ranked prefixes minus their
+baselines, are taken in one place; `decompose` prints all three.  Each
+public call checks the rank order, then k, once, and warns of an unusual k
+as its last step, so a call that raises has warned of nothing.  The search
+sweeps k over a range, taking every candidate's rows from one evaluation of
+the 37 parameters, training and scoring the classifier on one fixed holdout
+split per candidate, and keeps the smallest k attaining the best accuracy.
 """
 
 from __future__ import annotations
@@ -94,11 +94,10 @@ def _build(
         if one:
             signal = ranked[:k]
             signals, baseline = np.array([signal]), np.array([_itd_list(signal)])
-            x = signals - baseline
         else:
             signals = ranked[:, :k]
-            _, baseline, x = itd_rows(signals)
-        yield FeatureMatrix(x=x, labels=labels, signals=signals, baseline=baseline)
+            baseline = itd_rows(signals)
+        yield FeatureMatrix(x=signals - baseline, labels=labels, signals=signals, baseline=baseline)
 
 
 def build_features(

@@ -17,21 +17,21 @@ to the next are strictly monotone.  Endpoints are pinned (L = x there), so
 H vanishes at both ends.  A signal with fewer than three knots (constant or
 monotone) has no rotation component: L = x, H = 0.
 
-`itd_rows` decomposes every row of an (n, k) matrix at once, in blocks of
-rows, with the same floating-point operations in the same order as a
-per-knot loop; through it, a single signal is a one-row matrix.  A block
-works on its raveled (C-order) values: position j of row r is flat index
-r * k + j.  The nearest knot before and after every position comes from
-one running maximum and one reversed running minimum over the whole block,
-which stop at row boundaries because every row starts and ends with a
-knot, and the knot and baseline values are gathered at those flat indices.
+`itd_rows` gives the baseline of every row of an (n, k) matrix at once, in
+blocks of rows, with the same floating-point operations in the same order
+as a per-knot loop; through it, a single signal is a one-row matrix.  A
+block works on its raveled (C-order) values: position j of row r is flat
+index r * k + j.  The nearest knot before and after every position comes
+from one running maximum and one reversed running minimum over the whole
+block, which stop at row boundaries because every row starts and ends with
+a knot, and the knot and baseline values are gathered at those flat indices.
 A block costs a fixed few dozen numpy calls, however many rows it has.
 
 For one sample, `features._build` calls `_itd_list` instead: the same
 operations as a loop over one list of Python floats, so the same bits
 without numpy's per-call cost.  It is reached only with the ranked
 parameters of a valid sample, which are finite and whose slopes cannot
-overflow (see `core.MIN_PPM`).
+overflow (see `core.MIN_PPM`).  Both give the baseline L alone.
 """
 
 from __future__ import annotations
@@ -42,15 +42,14 @@ _ALPHA = 0.5  # the baseline's knot-value weight
 _BLOCK_ROWS = 256  # bounds the (rows, k) temporaries of one block
 
 
-def _knot_mask(x: np.ndarray, knot: np.ndarray) -> None:
-    """Fill `knot` with the knots of each row of the (n, k) matrix x, k >= 2:
-    both endpoints plus the first position of every interior run of equal
-    values that lies above or below both neighbouring runs."""
+def _knot_mask(x: np.ndarray) -> np.ndarray:
+    """The knots of each row of the (n, k) matrix x, k >= 2: both endpoints
+    plus the first position of every interior run of equal values that lies
+    above or below both neighbouring runs."""
     n, k = x.shape
-    pos = np.arange(k)
     change = x[:, 1:] != x[:, :-1]  # [:, j - 1]: a run starts at position j
     # nxt[:, j - 1], j = 1..k-2: the first run start after j, k if none
-    starts = np.where(change, pos[1:], k)
+    starts = np.where(change, np.arange(1, k), k)
     nxt = np.minimum.accumulate(starts[:, :0:-1], axis=1)[:, ::-1]
     # the value of the next run, gathered at flat indices; k is the next
     # row's first position (clipped for the last row), read only where
@@ -58,10 +57,11 @@ def _knot_mask(x: np.ndarray, knot: np.ndarray) -> None:
     rows_at = np.arange(0, n * k, k)[:, None]
     next_v = x.ravel().take(nxt + rows_at, mode="clip")
     mid = x[:, 1:-1]
-    knot[:, :: k - 1] = True  # both endpoints
+    knot = np.ones(x.shape, dtype=bool)  # both endpoints stay knots
     # adjacent runs always differ, so this is the opposite-signs test on the
     # flanking differences without an overflow-prone product
     knot[:, 1:-1] = change[:, :-1] & (nxt < k) & ((mid > x[:, :-2]) != (next_v > mid))
+    return knot
 
 
 def _baseline(x: np.ndarray, knot: np.ndarray, baseline: np.ndarray) -> None:
@@ -119,18 +119,16 @@ def _itd_list(x: list[float]) -> list[float]:
     return baseline
 
 
-def itd_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Knot mask, baseline and rotation component of each row of the (n, k)
-    matrix `x`; row i gives what a one-stage decomposition of `x[i]` does."""
+def itd_rows(x: np.ndarray) -> np.ndarray:
+    """The baseline of each row of the (n, k) matrix `x`, as a one-stage
+    decomposition of `x[i]` gives it; the rotation component is x - baseline."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError("need at least 2 points to decompose")
     if not np.isfinite(x).all():
         raise ValueError("input must be finite")
-    knot = np.empty(x.shape, dtype=bool)
     baseline = x.copy()
     for lo in range(0, x.shape[0], _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
-        _knot_mask(x[block], knot[block])
-        _baseline(x[block], knot[block], baseline[block])
-    return knot, baseline, x - baseline
+        _baseline(x[block], _knot_mask(x[block]), baseline[block])
+    return baseline

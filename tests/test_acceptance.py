@@ -89,14 +89,16 @@ def test_criterion_3_itd_properties():
     for seed in range(1000):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=int(rng.integers(2, 201)))
-        _, baseline, prc = itd_rows(x[None, :])
-        assert np.max(np.abs((x - baseline[0]) - prc[0])) == 0.0
+        baseline = itd_rows(x[None, :])[0]
+        prc = x - baseline
+        # the rotation component and the baseline rebuild the signal, to rounding
+        assert np.max(np.abs(baseline + prc - x)) <= 4 * np.finfo(float).eps * np.max(np.abs(x))
 
-    _, _, hand = itd_rows(np.array([[0.0, 1.0, 0.0, 1.0, 0.0]]))
-    assert np.allclose(hand[0], [0, 0.5, -0.5, 0.5, 0], atol=1e-15)
+    hand = np.array([[0.0, 1.0, 0.0, 1.0, 0.0]])
+    assert np.allclose(hand - itd_rows(hand), [0, 0.5, -0.5, 0.5, 0], atol=1e-15)
 
-    assert np.all(itd_rows(np.array([[3.0, 3.0, 3.0]]))[2] == 0.0)
-    assert np.all(itd_rows(np.array([[1.0, 2.0, 7.0, 9.0]]))[2] == 0.0)
+    for flat in ([[3.0, 3.0, 3.0]], [[1.0, 2.0, 7.0, 9.0]]):
+        assert np.all(np.array(flat) - itd_rows(np.array(flat)) == 0.0)
     assert time.perf_counter() - start < 5.0
 
 

@@ -219,6 +219,16 @@ class TestSynth:
         assert run(capsys, argv) == (1, "", "error: --counts 0,0,0,0,0,0 draws no samples\n")
         assert not out.exists()
 
+    def test_count_beyond_any_memory_is_one_error_line(self, tmp_path, capsys):
+        # 1e15 rows of five float64 gases are 35.5 PiB, more than a 64-bit
+        # address space holds, so the allocation fails at once wherever it runs
+        out = tmp_path / "x.csv"
+        argv = ["synth", "--seed", "1", "--out", str(out), "--counts", "1,1,1,1,1,1000000000000000"]
+        code, stdout, err = run(capsys, argv)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
 
 class TestTrainDiagnoseEvaluate:
     def test_full_cycle(self, capsys, tmp_path, synth_csv):
@@ -355,6 +365,15 @@ class TestTrainDiagnoseEvaluate:
                                           "--cv", "2"])
         assert (code, out, caught) == (1, "", [])
         assert err.startswith("error: stratification impossible") and err.count("\n") == 1
+
+    def test_more_folds_than_a_class_has_rows_is_refused_at_once(self, capsys, seed11_model):
+        # no list or array is sized by the fold count before the classes are checked
+        data, model = seed11_model
+        folds = "99999999999999999999999"
+        code, out, err = run(capsys, ["evaluate", "--data", data, "--model", model, "--cv", folds])
+        assert (code, out, err) == (
+            1, "", f"error: stratification impossible: class PD has 42 samples, fewer than {folds} folds\n"
+        )
 
     @pytest.mark.parametrize("seed", ["0", "3"])
     def test_seed_requires_holdout_or_cv(self, capsys, table_model, seed):

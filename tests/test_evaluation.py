@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgadiag.core import CLASS_ORDER, GasSample
+from dgadiag.core import CLASS_ORDER, GasSample, _class_indices, _integer, _rng
 from dgadiag.evaluation import (
     ConfusionMatrix,
     confusion,
@@ -243,6 +243,64 @@ class TestStratifiedFolds:
         a = stratified_folds(labels, 4, seed=2)
         b = stratified_folds(labels, 4, seed=2)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    def test_empty_label_list_is_refused_by_name(self):
+        for folds in (3, 10**23):
+            with pytest.raises(ValueError, match=r"^empty label list$"):
+                stratified_folds([], folds, seed=0)
+
+    def test_fold_count_no_class_fills_is_refused_before_anything_is_sized(self):
+        message = f"stratification impossible: class PD has 7 samples, fewer than {10**23} folds"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            stratified_folds([PD] * 7 + [T3] * 9, 10**23, seed=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 40), min_size=6, max_size=6).filter(any),
+        order_seed=st.integers(0, 2**32 - 1),
+        folds=st.integers(2, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_list_based_reference(self, counts, order_seed, folds, seed):
+        # absent classes (count 0), classes smaller than `folds` and classes
+        # that fill every fold, interleaved in a drawn order
+        labels = [label for label, n in zip(CLASS_ORDER, counts) for _ in range(n)]
+        labels = [labels[i] for i in np.random.default_rng(order_seed).permutation(len(labels))]
+        try:
+            want = _reference_folds(labels, folds, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                stratified_folds(labels, folds, seed)
+            return
+        got = stratified_folds(labels, folds, seed)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def _reference_folds(labels, folds, seed):
+    """The list-based fold assignment that `stratified_folds` replaced: each
+    class's rows, in a seeded order, appended round robin to per-fold
+    lists, each fold then sorted."""
+    folds = _integer("folds", folds)
+    if folds < 2:
+        raise ValueError("folds must be >= 2")
+    y = _class_indices(labels)
+    rng = _rng(seed)
+    assignments = [[] for _ in range(folds)]
+    for c, label in enumerate(CLASS_ORDER):
+        idx = np.flatnonzero(y == c)
+        if idx.size == 0:
+            continue
+        if idx.size < folds:
+            raise ValueError(
+                f"stratification impossible: class {label.value} has "
+                f"{idx.size} samples, fewer than {folds} folds"
+            )
+        idx = idx[rng.permutation(idx.size)]
+        for j, i in enumerate(idx):
+            assignments[j % folds].append(int(i))
+    return [np.array(sorted(fold), dtype=np.intp) for fold in assignments]
 
 
 def _archetype_samples(per_class: int, seed: int) -> list[GasSample]:

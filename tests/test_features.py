@@ -32,7 +32,7 @@ def test_canonical_k24_prefix_drives_the_rows():
     # oracle: compose the stages by hand for this sample
     pv = param_matrix([ROW1])[0]
     signal = np.array([pv[num - 1] for num in CANONICAL_FIRST_24])
-    _, _, expected = itd_rows(signal[None, :])
+    expected = signal[None, :] - itd_rows(signal[None, :])
     assert np.array_equal(fm.x[0], expected[0])
 
 
@@ -58,7 +58,7 @@ def test_row1_k18():
     fm = build_features([ROW1], order, 18)
     pv = param_matrix([ROW1])[0]
     signal = np.array([pv[num - 1] for num in order[:18]])
-    assert np.array_equal(fm.x[0], itd_rows(signal[None, :])[2][0])
+    assert np.array_equal(fm.x[0], signal - itd_rows(signal[None, :])[0])
     assert fm.x.shape == (1, 18)
     assert fm.labels == [FaultLabel.D2]
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dgadiag.core import EPS_PPM, MAX_PPM, MIN_PPM, GasSample, param_matrix
-from dgadiag.itd import _itd_list, itd_rows
+from dgadiag.itd import _itd_list, _knot_mask, itd_rows
 
 signals = hnp.arrays(
     np.float64,
@@ -16,16 +16,23 @@ signals = hnp.arrays(
 )
 
 
+def _decompose(x):
+    """(knot mask, baseline, prc) of each row of the matrix x: `itd_rows`'s
+    baseline, the mask `_knot_mask` gives it, and x minus the baseline."""
+    baseline = itd_rows(x)
+    return _knot_mask(x), baseline, x - baseline
+
+
 def _one_row(x):
     """(knots, baseline, prc) of one signal as a one-row matrix; knots are
     1-based."""
-    knot, baseline, prc = itd_rows(np.asarray(x, dtype=np.float64)[None, :])
+    knot, baseline, prc = _decompose(np.asarray(x, dtype=np.float64)[None, :])
     return (np.flatnonzero(knot[0]) + 1).tolist(), baseline[0], prc[0]
 
 
 def _knots(x):
-    """1-based knots of one signal; the knot mask comes before the baseline,
-    so a floating-point warning from the baseline does not concern it."""
+    """1-based knots of one signal; a floating-point warning from the
+    baseline does not concern them."""
     with np.errstate(all="ignore"):
         return _one_row(x)[0]
 
@@ -233,7 +240,7 @@ def _with_fp_warnings(fn, *args):
 @given(_signal_rows())
 def test_batched_itd_matches_per_row_loops(x):
     # a slope between knot values ~1e-300 apart overflows on both paths
-    (knot, baseline, prc), kinds = _with_fp_warnings(itd_rows, x)
+    (knot, baseline, prc), kinds = _with_fp_warnings(_decompose, x)
     want_kinds = set()
     for i, row in enumerate(x):
         (knots, want_baseline, want_prc), row_kinds = _with_fp_warnings(_oracle_itd, row)
@@ -253,7 +260,7 @@ def test_batched_itd_across_row_blocks():
     rng = np.random.default_rng(3)
     x = rng.integers(0, 3, size=(700, 24)).astype(np.float64)
     x[::7] = rng.normal(size=(100, 24))
-    _, baseline, prc = itd_rows(x)
+    _, baseline, prc = _decompose(x)
     for i, row in enumerate(x):
         _, want_baseline, want_prc = _oracle_itd(row)
         assert baseline[i].tobytes() == want_baseline.tobytes()

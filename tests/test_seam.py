@@ -127,7 +127,7 @@ def test_rows_do_not_depend_on_the_other_samples(samples, order, k, pick):
         for s in samples:
             pv = param_matrix([s])[0]
             signal = np.array([pv[num - 1] for num in order[:k]])
-            reference.append(itd_rows(signal[None, :])[2][0])
+            reference.append(signal - itd_rows(signal[None, :])[0])
         whole = build_features(samples, order, k).x
         sub = [i % len(samples) for i in pick] or [0]
         part = build_features([samples[i] for i in sub], order, k).x

@@ -121,8 +121,9 @@ def rogers(sample: GasSample) -> DiagnosisOutcome:
     return _ROGERS_TABLE.get(_rogers_codes(sample), _UD)
 
 
-def _iec_codes(sample: GasSample) -> tuple[int, int, int]:
-    q2, _, q3, q1 = _ratios(sample)
+def _iec_codes(ratios: tuple[float, float, float, float]) -> tuple[int, int, int]:
+    """The IEC codes of a sample's `_ratios`."""
+    q2, _, q3, q1 = ratios
 
     if q1 < 0.1:
         c1 = 0
@@ -147,7 +148,8 @@ def _iec_codes(sample: GasSample) -> tuple[int, int, int]:
 
 def iec_ratio(sample: GasSample) -> DiagnosisOutcome:
     """IEC ratio-code diagnosis; combinations off the table give UD."""
-    codes = _iec_codes(sample)
+    ratios = _ratios(sample)
+    codes = _iec_codes(ratios)
     if codes == (0, 0, 0):
         return _NF
     if codes == (0, 1, 0):
@@ -156,7 +158,7 @@ def iec_ratio(sample: GasSample) -> DiagnosisOutcome:
     if c1 in (1, 2) and c2 == 0 and c3 in (1, 2):
         # Discharge region; the high-energy sub-band is carved out by the
         # raw C2H2/C2H4 ratio.
-        if c1 == 1 and c3 == 2 and 0.6 <= _ratios(sample)[3] <= 2.5:
+        if c1 == 1 and c3 == 2 and 0.6 <= ratios[3] <= 2.5:
             return _D2
         return _D1
     if c1 == 0 and c2 == 2:

@@ -102,11 +102,15 @@ QuickScorer/Treelite (Lucchese et al., SIGIR 2015): blocks of 128 rows,
 one tree level of every (row, tree) pair per numpy step, then one numpy
 reduction that adds the rounds in order, so every logit gets the
 floating-point additions training made.  A single row would spend most
-of that walk in numpy's per-call cost, so it goes down the trees that
-split in Python floats instead, with the same `>=` test.  Its leaves go
-into a copy of the same terms, which the same reduction adds over a
-(terms, 1, classes) view, so its logits have the batch path's bits.  (The
-builtin `sum` would not: from Python 3.12 on it compensates float sums.)
+of that walk in numpy's per-call cost, so it checks its values with
+`math.isfinite` and goes down the trees that split in Python floats
+instead, with the same `>=` test.  It reads them from the walk table that
+`_flatten` builds once per model: each such tree as nested (feature,
+value, left, right) tuples, a leaf as its float.  One `put` writes its
+leaves at their flat `slot`s of a copy of the same terms, which the same
+reduction adds over a (terms, 1, classes) view, so its logits have the
+batch path's bits.  (The builtin `sum` would not: from Python 3.12 on it
+compensates float sums.)
 """
 
 from __future__ import annotations
@@ -169,7 +173,8 @@ class _Forest(NamedTuple):
     are deeper than l, so level l walks only a prefix of the (row, tree)
     pairs and no step filters out those at a leaf: a leaf is both its own
     children, so a step stays on it whatever its feature -1 reads.  A single
-    row walks the same trees node by node through `nodes`.
+    row walks the same trees, in the same order, through `walk`, and puts
+    its leaves at their `slot`s of a copy of `terms`.
     """
 
     starts: np.ndarray  # intp, first node of each tree, [round][class]
@@ -178,8 +183,9 @@ class _Forest(NamedTuple):
     deeper: np.ndarray  # intp, [l] how many walked trees are deeper than l
     term: np.ndarray  # intp, the `terms` row of each walked tree
     cls: np.ndarray  # intp, the class of each walked tree
+    slot: np.ndarray  # intp, term * N_CLASSES + cls: the flat `terms` index
     terms: np.ndarray  # (1 + rounds, N_CLASSES) base score, then root values
-    nodes: list[tuple[int, float, int, int]]  # (feature, value, left, right) of node i
+    walk: list[tuple]  # each walked tree as nested (feature, value, left, right)
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +272,17 @@ def _flatten(model: GbtModel) -> _Forest:
         depth[level] = d
     tree_depth = np.maximum.reduceat(depth, starts)
     walked = np.flatnonzero(tree_depth)
-    walked = walked[np.argsort(-tree_depth[walked], kind="stable")]
+    order = np.argsort(-tree_depth[walked], kind="stable")
+    walked = walked[order]
+    # The walk table, built without recursion: going back from the last node
+    # of the trees that split, a leaf pushes its float and a split pops its
+    # left subtree (the one built last), then its right one, and pushes
+    # (feature, value, left, right).  The trees end on the stack in reverse.
+    stack: list = []
+    in_walked = np.repeat(tree_depth > 0, ends - starts + 1)
+    for f, v in zip(feature[in_walked][::-1].tolist(), value[in_walked][::-1].tolist()):
+        stack.append(v if f < 0 else (f, v, stack.pop(), stack.pop()))
+    stack.reverse()
     return _Forest(
         starts=starts,
         child=child,
@@ -274,8 +290,9 @@ def _flatten(model: GbtModel) -> _Forest:
         deeper=(walked.size - np.cumsum(np.bincount(tree_depth[walked])))[:-1],
         term=walked // N_CLASSES + 1,
         cls=walked % N_CLASSES,
+        slot=walked + N_CLASSES,
         terms=np.concatenate([[BASE_SCORE] * N_CLASSES, value[starts]]).reshape(-1, N_CLASSES),
-        nodes=list(zip(feature.tolist(), value.tolist(), child[::2].tolist(), child[1::2].tolist())),
+        walk=[stack[t] for t in order.tolist()],
     )
 
 
@@ -512,20 +529,23 @@ def predict_logits(model: GbtModel, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"expected {model.n_features} features per row, got {x.shape[1]}"
         )
-    if not np.isfinite(x).all():
-        raise ValueError("feature values must be finite")
     forest = model._forest
     n, k = x.shape
     if n == 1:  # the module docstring's one-row walk, in Python floats
-        row, nodes, leaves = x.ravel().tolist(), forest.nodes, []
-        for node in forest.roots.tolist():
-            feature, value, left, right = nodes[node]
-            while feature >= 0:  # not below the threshold: the right child, as below
-                feature, value, left, right = nodes[right if row[feature] >= value else left]
-            leaves.append(value)
+        row, leaves = x.ravel().tolist(), []
+        if not all(map(math.isfinite, row)):
+            raise ValueError("feature values must be finite")
+        for tree in forest.walk:
+            while tree.__class__ is tuple:
+                feature, value, left, right = tree
+                # not below the threshold: the right child, as below
+                tree = right if row[feature] >= value else left
+            leaves.append(tree)
         terms = forest.terms.copy()
-        terms[forest.term, forest.cls] = leaves
+        terms.put(forest.slot, leaves)
         return np.add.reduce(terms[:, None], axis=0)
+    if not np.isfinite(x).all():
+        raise ValueError("feature values must be finite")
     n_trees = forest.roots.size
     deeper = forest.deeper.tolist()
     logits = np.empty((n, N_CLASSES), dtype=np.float64)

@@ -8,6 +8,7 @@ from dgadiag.conventional import (
     _duval_pcts,
     _duval_zone,
     _iec_codes,
+    _ratios,
     _rogers_codes,
     duval,
     iec_ratio,
@@ -87,8 +88,8 @@ def test_rogers_no_fault_and_pd():
 
 
 def test_iec_codes_examples():
-    assert _iec_codes(GasSample(34, 8.6, 70.3, 3.1, 0.001)) == (0, 0, 0)
-    assert _iec_codes(GasSample(292, 346, 32, 313, 196)) == (1, 2, 2)
+    assert _iec_codes(_ratios(GasSample(34, 8.6, 70.3, 3.1, 0.001))) == (0, 0, 0)
+    assert _iec_codes(_ratios(GasSample(292, 346, 32, 313, 196))) == (1, 2, 2)
 
 
 def test_iec_named_outcomes():
@@ -99,6 +100,16 @@ def test_iec_named_outcomes():
     assert iec_ratio(GasSample(100, 50, 10, 40, 150)) == DiagnosisOutcome.D1
     # high-energy carve-out: q1 in [0.6, 2.5], q3 > 3
     assert iec_ratio(GasSample(100, 50, 10, 100, 100)) == DiagnosisOutcome.D2
+    # its edges, C2H2/C2H4 exactly and one ulp either side (C2H4 = 4 keeps
+    # the ratio exact): both ends are in the carve-out
+    d1, d2 = DiagnosisOutcome.D1, DiagnosisOutcome.D2
+    for q1, outcome in [
+        (np.nextafter(0.6, 0), d1), (0.6, d2), (np.nextafter(0.6, 1), d2),
+        (np.nextafter(2.5, 0), d2), (2.5, d2), (np.nextafter(2.5, 3), d1),
+    ]:
+        sample = GasSample(10, 5, 1, 4, 4 * float(q1))
+        assert _ratios(sample)[3] == q1
+        assert iec_ratio(sample) == outcome
     # thermal ladder
     assert iec_ratio(GasSample(10, 50, 10, 5, 0.1)) == DiagnosisOutcome.T1
     assert iec_ratio(GasSample(10, 50, 10, 20, 0.1)) == DiagnosisOutcome.T2
@@ -268,7 +279,7 @@ def _assert_rules_match_the_oracle(sample: GasSample) -> None:
     assert duval(sample) is _oracle_duval(sample)
     assert _rogers_codes(sample) == _oracle_rogers_codes(sample)
     assert rogers(sample) is _ROGERS_TABLE.get(_oracle_rogers_codes(sample), DiagnosisOutcome.UD)
-    assert _iec_codes(sample) == _oracle_iec_codes(sample)
+    assert _iec_codes(_ratios(sample)) == _oracle_iec_codes(sample)
     assert iec_ratio(sample) is _oracle_iec_ratio(sample)
     try:
         expected = _oracle_duval_coords(sample)
@@ -295,7 +306,11 @@ def test_rules_match_the_oracle(sample):
     (1, 0, 1, 71, 29),
     (10, 1, 10, 30, 3),  # R1 exactly 0.1; R4 exactly 0.1
     (10, 5, 1, 4, 2.4),  # IEC discharge band, C2H2/C2H4 exactly 0.6
+    (10, 5, 1, 4, 4 * np.nextafter(0.6, 0)),  # ... one ulp below
+    (10, 5, 1, 4, 4 * np.nextafter(0.6, 1)),  # ... one ulp above
     (10, 5, 1, 4, 10),  # ... and exactly 2.5
+    (10, 5, 1, 4, 4 * np.nextafter(2.5, 0)),
+    (10, 5, 1, 4, 4 * np.nextafter(2.5, 3)),
     (EPS_PPM / 2, EPS_PPM / 10, EPS_PPM / 2, EPS_PPM, 3 * EPS_PPM),  # clamped
 ])
 def test_rules_match_the_oracle_on_pinned_edges(gases):

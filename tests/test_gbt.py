@@ -255,7 +255,13 @@ def test_integer_and_real_features_of_any_width_read_as_float64(dtype, n):
     assert got.tobytes() == predict_logits(want, x[:n].astype(np.float64)).tobytes()
 
 
-@pytest.mark.parametrize("row", [[0.0, 1.0, np.nan], [0.0, 1.0]], ids=["non-finite", "short"])
+@pytest.mark.parametrize("row", [
+    [0.0, 1.0, np.nan],
+    [0.0, np.inf, 1.0],
+    [-np.inf, 0.0, 1.0],
+    [0.0, 1.0],
+    [0.0, np.nan],  # refused for its width first, as in a batch
+], ids=["non-finite", "inf", "-inf", "short", "short and nan"])
 def test_one_row_is_refused_as_in_a_batch(row):
     model = _base_score_model(3)
     with pytest.raises(ValueError) as one:
@@ -1171,6 +1177,33 @@ def test_the_seed_11_rows_one_at_a_time_get_the_batch_bits():
     assert [predict_many(model, x)[0] for x in one] == labels
 
 
+def test_a_5000_deep_tree_is_walked_without_recursion(tmp_path):
+    # one round whose class-0 tree is a chain of 5000 splits, each one's
+    # right child a leaf and its left child the next split, thresholds
+    # falling, so a row's first value sets how deep it goes; deeper than
+    # the recursion limit, so a recursive table build or walk would fail
+    depth, d = 5000, 3
+    rng = np.random.default_rng(5000)
+    feature = np.array([0] * depth + [-1] * (depth + 1))
+    thresholds = np.arange(depth, 0, -1, dtype=np.float64)
+    leaves = rng.normal(size=depth + 1) * 10.0 ** rng.integers(-2, 3, size=depth + 1)
+    chain = Tree(feature, np.concatenate([thresholds, leaves]))
+    trees = [[chain] + [Tree(np.array([-1]), np.array([rng.normal()]))] * (len(CLASS_ORDER) - 1)]
+    built = _model_of(trees, GbtConfig(rounds=1, max_depth=depth), d)
+    path = tmp_path / "model.json"
+    save_model(path, ModelBundle(built, CANONICAL_RANK_ORDER, d))
+    loaded = load_model(path).model
+    x = rng.normal(size=(40, d))
+    # every depth band, values on the thresholds and one ulp below them
+    x[:, 0] = rng.choice(np.concatenate([[0.0, -0.0, 0.5, depth + 1.0], thresholds]), size=40)
+    x[::3, 0] = np.nextafter(x[::3, 0], -np.inf)
+    for model in (built, loaded):
+        assert model._forest.deeper.size == depth and model._forest.roots.size == 1
+        logits = predict_logits(model, x)
+        for i in range(x.shape[0]):
+            assert predict_logits(model, x[i : i + 1]).tobytes() == logits[i : i + 1].tobytes()
+
+
 def _right(tree):
     """Each node's right child in one preorder `Tree` (-1 at a leaf), by a
     recursive-descent parse: a split's left subtree starts right after it,
@@ -1200,11 +1233,36 @@ def _split_share(model):
     return np.mean([tree.feature[0] >= 0 for round_trees in model.trees for tree in round_trees])
 
 
+def _nested(tree, i, right):
+    """The subtree of `tree` at node i as the one-row walk reads it: a leaf
+    as its float, a split as (feature, value, left, right), read recursively."""
+    if tree.feature[i] < 0:
+        return float(tree.value[i])
+    children = _nested(tree, i + 1, right), _nested(tree, right[i], right)
+    return int(tree.feature[i]), float(tree.value[i]), *children
+
+
+def _preorder(walked):
+    """The features (-1 at a leaf) and values of a nested walk tree in
+    preorder, read with a stack."""
+    features, values, stack = [], [], [walked]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            features.append(node[0])
+            values.append(node[1])
+            stack += [node[3], node[2]]
+        else:
+            features.append(-1)
+            values.append(node)
+    return features, values
+
+
 def _flatten_per_tree(model):
-    """Reference: the walk's arrays read node by node from the `trees`
+    """Reference: the walk's tables read node by node from the `trees`
     views, each root value as a numpy scalar, and the trees that split
     sorted by depth, deepest first, ties in round, then class order."""
-    starts, child, walked, nodes, start = [], [], [], [], 0
+    starts, child, walked, start = [], [], [], 0
     terms = [[gbt.BASE_SCORE] * len(CLASS_ORDER)]
     for r, round_trees in enumerate(model.trees):
         terms.append([tree.value[0] for tree in round_trees])
@@ -1212,13 +1270,12 @@ def _flatten_per_tree(model):
             starts.append(start)
             right = _right(tree)
             if depth := _depth(tree, 0, right):
-                walked.append((depth, start, r + 1, c))
+                walked.append((depth, start, r + 1, c, _nested(tree, 0, right)))
             for i in range(tree.feature.size):
                 if tree.feature[i] >= 0:
                     child += [start + i + 1, start + right[i]]
                 else:  # a leaf is its own child
                     child += [start + i, start + i]
-                nodes.append((int(tree.feature[i]), float(tree.value[i]), *map(int, child[-2:])))
             start += tree.feature.size
     walked.sort(key=lambda tree: -tree[0])  # a stable sort
     depths = [tree[0] for tree in walked]
@@ -1232,8 +1289,9 @@ def _flatten_per_tree(model):
         deeper=index[2],
         term=term,
         cls=cls,
+        slot=term * len(CLASS_ORDER) + cls,
         terms=np.array(terms, dtype=np.float64),
-        nodes=nodes,
+        walk=[t[4] for t in walked],
     )
 
 
@@ -1263,8 +1321,14 @@ def test_flatten_matches_per_tree_construction(
     for a, b in zip(got[:-1], want[:-1], strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
-    # Python ints and floats, -0.0 kept: repr tells the types and the bits
-    assert repr(got.nodes) == repr(want.nodes)
+    assert got.walk == want.walk
+    # Python ints and floats, -0.0 kept: each walked tree read back in
+    # preorder is its slice of the node arrays, bit for bit
+    for walked, root in zip(got.walk, got.roots.tolist(), strict=True):
+        features, values = _preorder(walked)
+        assert {type(f) for f in features} == {int} and {type(v) for v in values} == {float}
+        assert features == model.feature[root : root + len(features)].tolist()
+        assert np.array(values).tobytes() == model.value[root : root + len(values)].tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -1315,15 +1379,17 @@ def test_trees_are_views_of_the_node_arrays():
     cfg = GbtConfig(rounds=12, max_depth=3)
     model = train(x, y, cfg)
     # no per-tree arrays: the model's arrays are the two node arrays and the
-    # walk's seven derived tables, beside the one-row walk's node list
+    # walk's eight derived tables, beside the one-row walk's nested trees
     assert tuple(gbt.NODE_ARRAYS) == Tree._fields == ("feature", "value")
     assert [f.name for f in dataclasses.fields(GbtModel) if f.init] == [
         "config", "n_features", "feature", "value", "seed"]
     arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 2 and all(isinstance(v, np.ndarray) for v in model._forest[:-1])
     assert _Forest._fields == (
-        "starts", "child", "roots", "deeper", "term", "cls", "terms", "nodes")
-    assert len(model._forest.nodes) == model.feature.size
+        "starts", "child", "roots", "deeper", "term", "cls", "slot", "terms", "walk")
+    # only the trees that split are walked
+    forest = model._forest
+    assert len(forest.walk) == forest.roots.size == np.count_nonzero(model.feature[forest.starts] >= 0)
     assert not any(isinstance(v, list) for v in vars(model).values())
     assert model._forest.starts.size == cfg.rounds * len(CLASS_ORDER)
     trees = model.trees

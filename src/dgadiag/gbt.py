@@ -88,29 +88,31 @@ as XGBoost's `split_conditions`), every tree [round][class].  Every split
 has two children and preorder puts the left one right after it, so the
 leaf marks fix the rest.  Counting +1 per split and -1 per leaf, a tree's
 nodes add up to -1 and no proper prefix of them to less than 0: tree t
-ends where the running count first reaches -(t+1), and a split's left
-subtree ends where the count first falls one below the split's own, with
-the right child next.  `NODE_ARRAYS` names and types the arrays.  However
-it was built, a model keeps its own read-only copies of them and checks
-them (flat arrays of one length, finite values, exactly `config.rounds`
-rounds of whole trees, features below its feature count, leaves that
-cannot add up to a non-finite logit), so no walk can index out of range,
-and derives the walk's tables (`_Forest`) once.
+ends where the running count first reaches -(t+1).  `NODE_ARRAYS` names
+and types the arrays.  However it was built, a model keeps its own
+read-only copies of them and checks them (flat arrays of one length,
+finite values, exactly `config.rounds` rounds of whole trees, features
+below its feature count, leaves that cannot add up to a non-finite
+logit), so no walk can index out of range, and derives the walk's tables
+(`_Forest`) once.  One pass back over the trees that split (every split
+lies in one) parses them without recursion, and gives each split's right
+child, each tree's depth and the one-row walk's table.
 
 Prediction walks all trees at once, the flat-forest idea of
 QuickScorer/Treelite (Lucchese et al., SIGIR 2015): blocks of 128 rows,
-one tree level of every (row, tree) pair per numpy step, then one numpy
-reduction that adds the rounds in order, so every logit gets the
-floating-point additions training made.  A single row would spend most
-of that walk in numpy's per-call cost, so it checks its values with
-`math.isfinite` and goes down the trees that split in Python floats
-instead, with the same `>=` test.  It reads them from the walk table that
-`_flatten` builds once per model: each such tree as nested (feature,
-value, left, right) tuples, a leaf as its float.  One `put` writes its
-leaves at their flat `slot`s of a copy of the same terms, which the same
-reduction adds over a (terms, 1, classes) view, so its logits have the
-batch path's bits.  (The builtin `sum` would not: from Python 3.12 on it
-compensates float sums.)
+one tree level of every (row, tree) pair per numpy step, each tree's
+leaves written at its flat `slot` of the terms, then one numpy reduction
+that adds the rounds in order, so every logit gets the floating-point
+additions training made.  A single row would spend most of that walk in
+numpy's per-call cost, so it checks its values with `math.isfinite` and
+goes down the trees that split in Python floats instead, with the same
+`>=` test.  It reads them from the walk table that `_flatten` builds
+once per model: each such tree as nested (feature, value, left, right)
+tuples, a leaf as its float.  One `put` writes its leaves at their
+`slot`s of a copy of the terms, which the same reduction adds over a
+(terms, 1, classes) view, so its logits have the batch path's bits.
+(The builtin `sum` would not: from Python 3.12 on it compensates float
+sums.)
 """
 
 from __future__ import annotations
@@ -167,23 +169,20 @@ class _Forest(NamedTuple):
 
     The logits of a row are the sum of the `terms` rows in order: the base
     score, then each round's root values.  The walk replaces the root value
-    of each tree that splits, in its `terms` row `term` and class `cls`,
-    by the leaf the row reaches.  Those trees are walked deepest first
-    (ties in round, then class order) from `roots`, and `deeper[l]` of them
-    are deeper than l, so level l walks only a prefix of the (row, tree)
-    pairs and no step filters out those at a leaf: a leaf is both its own
-    children, so a step stays on it whatever its feature -1 reads.  A single
-    row walks the same trees, in the same order, through `walk`, and puts
-    its leaves at their `slot`s of a copy of `terms`.
+    of each tree that splits, at its `slot` of the flat `terms`, by the leaf
+    the row reaches.  Those trees are walked deepest first (ties in round,
+    then class order) from `roots`, and `deeper[l]` of them are deeper than
+    l, so level l walks only a prefix of the (row, tree) pairs and no step
+    filters out those at a leaf: a leaf is both its own children, so a step
+    stays on it whatever its feature -1 reads.  A single row walks the same
+    trees, in the same order, through `walk`.
     """
 
     starts: np.ndarray  # intp, first node of each tree, [round][class]
     child: np.ndarray  # intp, [2 * i] left and [2 * i + 1] right child of node i
     roots: np.ndarray  # intp, root node of each walked tree, deepest first
     deeper: np.ndarray  # intp, [l] how many walked trees are deeper than l
-    term: np.ndarray  # intp, the `terms` row of each walked tree
-    cls: np.ndarray  # intp, the class of each walked tree
-    slot: np.ndarray  # intp, term * N_CLASSES + cls: the flat `terms` index
+    slot: np.ndarray  # intp, (1 + round) * N_CLASSES + class: the flat `terms` index
     terms: np.ndarray  # (1 + rounds, N_CLASSES) base score, then root values
     walk: list[tuple]  # each walked tree as nested (feature, value, left, right)
 
@@ -252,47 +251,37 @@ def _flatten(model: GbtModel) -> _Forest:
         raise ValueError("leaf values can add up to a non-finite logit")
     if np.any((feature[internal] < 0) | (feature[internal] >= model.n_features)):
         raise ValueError(f"feature index out of range 0..{model.n_features - 1}")
-    # The left subtree of split i ends at the first later node whose count
-    # is count[i] - 1: the first key at or past (count[i] - 1, i + 1) in
-    # (count, node) order.  Its right child is the node after that one.
-    node = np.arange(n)
-    key = np.sort(count * (n + 1) + node)
-    split = np.flatnonzero(internal)
-    left_end = key[np.searchsorted(key, (count[split] - 1) * (n + 1) + split + 1)] % (n + 1)
-    child = np.repeat(node, 2)  # a leaf is its own child
-    child[2 * split] += 1
-    child[2 * split + 1] = left_end + 1
-    # Each node's depth, level by level from the roots; a tree's depth is
-    # that of its deepest node, and a tree of depth 0 is a single leaf.
-    depth = np.zeros(n, dtype=np.intp)
-    level, d = starts, 0
-    while level.size:
-        d += 1
-        level = child.reshape(-1, 2)[level[internal[level]]].ravel()
-        depth[level] = d
-    tree_depth = np.maximum.reduceat(depth, starts)
-    walked = np.flatnonzero(tree_depth)
-    order = np.argsort(-tree_depth[walked], kind="stable")
-    walked = walked[order]
-    # The walk table, built without recursion: going back from the last node
-    # of the trees that split, a leaf pushes its float and a split pops its
-    # left subtree (the one built last), then its right one, and pushes
-    # (feature, value, left, right).  The trees end on the stack in reverse.
-    stack: list = []
-    in_walked = np.repeat(tree_depth > 0, ends - starts + 1)
-    for f, v in zip(feature[in_walked][::-1].tolist(), value[in_walked][::-1].tolist()):
-        stack.append(v if f < 0 else (f, v, stack.pop(), stack.pop()))
+    # One parse of the trees that split (every split lies in one), back
+    # from their last node: a leaf pushes (its float, its node, depth 0); a
+    # split pops its left subtree (built last), then its right one, whose
+    # node is its right child, and pushes ((feature, value, left, right),
+    # its node, 1 + the larger depth); trees and right children end reversed.
+    nodes = np.flatnonzero(np.repeat(internal[starts], ends - starts + 1))[::-1]
+    stack, rights = [], []
+    for i, f, v in zip(nodes.tolist(), feature[nodes].tolist(), value[nodes].tolist()):
+        if f < 0:
+            stack.append((v, i, 0))
+            continue
+        left, _, left_depth = stack.pop()
+        right, right_node, right_depth = stack.pop()
+        rights.append(right_node)
+        depth = left_depth if left_depth > right_depth else right_depth  # `max` costs a call
+        stack.append(((f, v, left, right), i, depth + 1))
     stack.reverse()
+    child = np.arange(n).repeat(2)  # a leaf is its own child
+    child[::2][internal] += 1
+    child[1::2][internal] = rights[::-1]
+    depths = np.array([depth for _, _, depth in stack], dtype=np.intp)
+    order = np.argsort(-depths, kind="stable")
+    walked = np.flatnonzero(internal[starts])[order]
     return _Forest(
         starts=starts,
         child=child,
         roots=starts[walked],
-        deeper=(walked.size - np.cumsum(np.bincount(tree_depth[walked])))[:-1],
-        term=walked // N_CLASSES + 1,
-        cls=walked % N_CLASSES,
+        deeper=(walked.size - np.cumsum(np.bincount(depths)))[:-1],
         slot=walked + N_CLASSES,
         terms=np.concatenate([[BASE_SCORE] * N_CLASSES, value[starts]]).reshape(-1, N_CLASSES),
-        walk=[stack[t] for t in order.tolist()],
+        walk=[stack[t][0] for t in order.tolist()],
     )
 
 
@@ -549,9 +538,8 @@ def predict_logits(model: GbtModel, x: np.ndarray) -> np.ndarray:
     n_trees = forest.roots.size
     deeper = forest.deeper.tolist()
     logits = np.empty((n, N_CLASSES), dtype=np.float64)
-    # [term][row][class]; the slots of trees without a split stay as filled
-    stack = np.empty((forest.terms.shape[0], min(n, _BLOCK_ROWS), N_CLASSES), dtype=np.float64)
-    stack[...] = forest.terms[:, None]
+    # [term * N_CLASSES + class][row]; the slots of trees without a split stay as filled
+    stack = forest.terms.reshape(-1, 1).repeat(min(n, _BLOCK_ROWS), axis=1)
     for lo in range(0, n, _BLOCK_ROWS):
         rows = min(_BLOCK_ROWS, n - lo)
         block = x[lo : lo + rows].ravel()
@@ -571,11 +559,11 @@ def predict_logits(model: GbtModel, x: np.ndarray) -> np.ndarray:
             index = here * 2
             index += right
             forest.child.take(index, out=here, mode="clip")  # ids are in range: no check
-        part = stack[:, :rows]
-        part[forest.term, :, forest.cls] = model.value[node].reshape(n_trees, rows)
+        stack[forest.slot, :rows] = model.value[node].reshape(n_trees, rows)
         # the reduction over the term axis adds each round in order, as
         # `logits += term` round by round would
-        np.add.reduce(part, axis=0, out=logits[lo : lo + rows])
+        terms = stack[:, :rows].reshape(-1, N_CLASSES, rows)
+        np.add.reduce(terms, axis=0, out=logits[lo : lo + rows].T)
     return logits
 
 

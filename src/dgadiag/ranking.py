@@ -28,13 +28,20 @@ CANONICAL_RANK_ORDER: tuple[int, ...] = (
 _PARAM_NUMBERS = list(range(1, N_PARAMS + 1))
 
 
+def _scaled(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """`arrays` times the power of two that puts their largest |value| in
+    [0.5, 1): exact for normal values, and no sum or moment overflows."""
+    e = max(math.frexp(float(np.max(np.abs(a))))[1] for a in arrays)
+    return [np.ldexp(a, -e) for a in arrays]
+
+
 def skewness(values: Sequence[float]) -> float:
     """Population Fisher-Pearson moment skewness g1 = m3 / m2^(3/2).
 
     Central moments use the 1/n normalization.  Constant input (m2 == 0)
     returns 0 by convention, and so do two values, which lie symmetric about
     their mean (computed, m3 would be roundoff).  Requires at least two
-    values.
+    finite values, which it first scales by a power of two (see `_scaled`).
     """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size < 2:
@@ -43,6 +50,7 @@ def skewness(values: Sequence[float]) -> float:
         raise ValueError("skewness requires finite values")
     if x.size == 2:
         return 0.0
+    (x,) = _scaled([x])
     d = x - x.mean()
     d -= d.mean()  # the rounded mean's error, which a large offset makes large
     scale = float(np.max(np.abs(d)))
@@ -93,7 +101,7 @@ class AnovaResult:
 
 
 def anova_pvalue(groups: Sequence[Sequence[float]]) -> AnovaResult:
-    """One-way ANOVA F test across the given groups of values.
+    """One-way ANOVA F test across the given groups of finite values.
 
     Degenerate cases: zero within-group variance with nonzero between-group
     variance yields f = inf, p = 0; all values identical yields f = 0, p = 1.
@@ -107,6 +115,9 @@ def anova_pvalue(groups: Sequence[Sequence[float]]) -> AnovaResult:
     k = len(arrays)
     if n <= k:
         raise ValueError("anova needs more observations than groups")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("anova requires finite values")
+    arrays = _scaled(arrays)
     df_between = k - 1
     df_within = n - k
 

@@ -1270,7 +1270,7 @@ def _flatten_per_tree(model):
             starts.append(start)
             right = _right(tree)
             if depth := _depth(tree, 0, right):
-                walked.append((depth, start, r + 1, c, _nested(tree, 0, right)))
+                walked.append((depth, start, (r + 1) * len(CLASS_ORDER) + c, _nested(tree, 0, right)))
             for i in range(tree.feature.size):
                 if tree.feature[i] >= 0:
                     child += [start + i + 1, start + right[i]]
@@ -1281,17 +1281,15 @@ def _flatten_per_tree(model):
     depths = [tree[0] for tree in walked]
     deeper = [sum(depth > level for depth in depths) for level in range(max(depths, default=0))]
     index = [np.array(a, dtype=np.intp) for a in (starts, child, deeper)]
-    roots, term, cls = (np.array([t[i] for t in walked], dtype=np.intp) for i in (1, 2, 3))
+    roots, slot = (np.array([t[i] for t in walked], dtype=np.intp) for i in (1, 2))
     return _Forest(
         starts=index[0],
         child=index[1],
         roots=roots,
         deeper=index[2],
-        term=term,
-        cls=cls,
-        slot=term * len(CLASS_ORDER) + cls,
+        slot=slot,
         terms=np.array(terms, dtype=np.float64),
-        walk=[t[4] for t in walked],
+        walk=[t[3] for t in walked],
     )
 
 
@@ -1379,14 +1377,14 @@ def test_trees_are_views_of_the_node_arrays():
     cfg = GbtConfig(rounds=12, max_depth=3)
     model = train(x, y, cfg)
     # no per-tree arrays: the model's arrays are the two node arrays and the
-    # walk's eight derived tables, beside the one-row walk's nested trees
+    # walk's six derived tables, beside the one-row walk's nested trees
     assert tuple(gbt.NODE_ARRAYS) == Tree._fields == ("feature", "value")
     assert [f.name for f in dataclasses.fields(GbtModel) if f.init] == [
         "config", "n_features", "feature", "value", "seed"]
     arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 2 and all(isinstance(v, np.ndarray) for v in model._forest[:-1])
     assert _Forest._fields == (
-        "starts", "child", "roots", "deeper", "term", "cls", "slot", "terms", "walk")
+        "starts", "child", "roots", "deeper", "slot", "terms", "walk")
     # only the trees that split are walked
     forest = model._forest
     assert len(forest.walk) == forest.roots.size == np.count_nonzero(model.feature[forest.starts] >= 0)

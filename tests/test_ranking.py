@@ -40,6 +40,26 @@ class TestSkewness:
         with pytest.raises(ValueError, match="insufficient data"):
             skewness([1.0])
 
+    @pytest.mark.parametrize("xs, shift", [
+        ([1.5e308, 1.5e308, -1e308], -1000),  # the mean of these overflowed
+        ([1.7e308, -1.7e308, 1e308, 0.0], -600),
+        ([5e-324, 1e-323, 0.0], 1000),  # subnormal: scaled up, exactly
+    ])
+    def test_extreme_values_give_the_bits_of_a_scaled_copy(self, xs, shift):
+        # runs under -W error: no overflow warning either
+        got = skewness(xs)
+        assert math.isfinite(got)
+        assert float.hex(skewness(np.ldexp(np.array(xs), shift))) == float.hex(got)
+
+    def test_values_near_the_float_range(self):
+        assert skewness([1.5, 1.5, -1.0]) == pytest.approx(-0.7071067811865475, abs=1e-15)
+        assert skewness([1.5e308, 1.5e308, -1e308]) == pytest.approx(-0.7071067811865475, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="^skewness requires finite values$"):
+            skewness([1.0, bad, 2.0])
+
     # dyadic values keep a*x + b exact in floating point, so the property is
     # tested without manufacturing catastrophic cancellation
     dyadic = st.integers(min_value=-(2**24), max_value=2**24).map(lambda n: n / 64.0)
@@ -164,6 +184,28 @@ class TestAnova:
             anova_pvalue([[1, 2], []])
         with pytest.raises(ValueError):
             anova_pvalue([[1], [2]])
+
+    @pytest.mark.parametrize("groups", [
+        [[1.0, math.nan], [2.0, 3.0]],  # used to reach betainc with a NaN
+        [[1.0, 2.0], [math.inf, 3.0]],
+        [[-math.inf, 2.0], [1.0, 3.0]],
+    ])
+    def test_non_finite_values(self, groups):
+        with pytest.raises(ValueError, match="^anova requires finite values$"):
+            anova_pvalue(groups)
+
+    @pytest.mark.parametrize("groups, shift", [
+        ([[1e308, -1e308, 5e307], [1.5e308, 1e307]], -1000),  # sums and squares overflowed
+        ([[1.7e308, 1.7e308], [-1.7e308, -1.6e308, -1.7e308]], -600),
+        ([[1e-310, 2e-310], [3e-310, 5e-310, 4e-310]], 1000),  # subnormal: scaled up, exactly
+    ])
+    def test_extreme_values_give_the_bits_of_a_scaled_copy(self, groups, shift):
+        # runs under -W error: no overflow warning either
+        got = anova_pvalue(groups)
+        assert math.isfinite(got.f_statistic) and 0.0 <= got.p_value <= 1.0
+        scaled = anova_pvalue([np.ldexp(np.array(g), shift) for g in groups])
+        assert [float.hex(v) for v in (scaled.f_statistic, scaled.p_value)] == [
+            float.hex(v) for v in (got.f_statistic, got.p_value)]
 
 
 class TestAnovaAgainstScipy:

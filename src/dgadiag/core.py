@@ -12,7 +12,7 @@ gas columns for a batch and `_param_row` on one sample's Python floats.
 Each argument rule has one owner here: `_integer` (any integer type but
 bool), `_real` (any real type but bool, a gas of `GasSample` too), `_seed`
 (a non-negative integer, for `_rng`), `_class_indices` (labels) and
-`GasSample` (a label or None, and a string id).
+`GasSample` (a label or None, and a string id without NUL).
 Their refusals show the value through `_shown`, which stands in for an
 integer too long for `repr` (over Python's 4300-digit default limit).
 """
@@ -135,8 +135,9 @@ class DiagnosisOutcome(Enum):
 @dataclass(frozen=True, slots=True)
 class GasSample:
     """One transformer's five gas concentrations (ppm), its FaultLabel or
-    None and its id, a string; each gas is a real number that `_real`
-    takes, 0 (not detected) or in MIN_PPM..MAX_PPM, and is stored as given."""
+    None and its id, a string with no NUL character; each gas is a real
+    number that `_real` takes, 0 (not detected) or in MIN_PPM..MAX_PPM, and
+    is stored as given."""
 
     h2: float
     ch4: float
@@ -165,6 +166,8 @@ class GasSample:
             raise ValueError(f"label {_shown(label)} is not a FaultLabel or None")
         if not isinstance(id, str):
             raise ValueError(f"id must be a string, got {_shown(id)}")
+        if "\0" in id:  # Python 3.10's csv reader refuses NUL, so no data file could hold it
+            raise ValueError(f"id {id!r} holds a NUL character")
         if not ((MIN_PPM <= h2 <= MAX_PPM or h2 == 0)
                 and (MIN_PPM <= ch4 <= MAX_PPM or ch4 == 0)
                 and (MIN_PPM <= c2h6 <= MAX_PPM or c2h6 == 0)

@@ -143,7 +143,7 @@ def smote(
         diff = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt((diff * diff).sum(axis=2))
         np.fill_diagonal(dist, np.inf)
-        nn_order = np.argsort(dist, axis=1, kind="stable")[:, :-1]
+        nn_order = np.argsort(dist, axis=1, kind="stable")
         k = min(_SMOTE_NEIGHBORS, len(rows) - 1)
         for _ in range(deficit):
             base = int(rng.integers(len(rows)))
@@ -152,10 +152,7 @@ def smote(
             new_rows.append(pts[base] + u * (pts[neighbor] - pts[base]))
             new_labels.append(lbl)
 
-    if not new_rows:
-        return features.copy(), labels
-    out = np.vstack([features, np.stack(new_rows)])
-    return out, labels + new_labels
+    return np.vstack([features, *new_rows]), labels + new_labels
 
 
 def stratified_folds(

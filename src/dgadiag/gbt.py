@@ -149,6 +149,7 @@ class GbtConfig:
 
 # each node array: the numpy dtype kinds it takes, those in words, the dtype a model keeps
 NODE_ARRAYS = {"feature": ("i", "a signed integer", np.int64), "value": ("iuf", "a real", np.float64)}
+_BOOLS = {bool, np.bool_}  # numpy would read one in a node list as a number
 
 
 class Tree(NamedTuple):
@@ -192,10 +193,11 @@ class GbtModel:
     """A trained ensemble: two node arrays holding every tree, [round][class]
     with classes in CLASS_ORDER, each in preorder as in `Tree`.  Keeps a
     read-only copy of each array (or list or tuple) in its `NODE_ARRAYS`
-    dtype; raises ValueError on one of a kind that table refuses or that
-    fails the module docstring's checks, on an `n_features` below 1 or that
-    `core._integer` refuses, or on a seed that `core._seed` refuses (both
-    are kept as ints).  Compares and hashes by identity."""
+    dtype; raises ValueError on one of a kind that table refuses (a list or
+    tuple holding a bool or `np.bool_` too) or that fails the module
+    docstring's checks, on an `n_features` below 1 or that `core._integer`
+    refuses, or on a seed that `core._seed` refuses (both are kept as
+    ints).  Compares and hashes by identity."""
 
     config: GbtConfig
     n_features: int
@@ -211,8 +213,10 @@ class GbtModel:
             raise ValueError(f"n_features must be >= 1, got {_shown(n_features)}")
         object.__setattr__(self, "n_features", n_features)
         for name, (kinds, kind_words, dtype) in NODE_ARRAYS.items():
-            given = np.asarray(getattr(self, name))
-            if given.size and given.dtype.kind not in kinds:  # an empty list reads as float
+            given = getattr(self, name)
+            bools = isinstance(given, (list, tuple)) and not _BOOLS.isdisjoint({*map(type, given)})
+            given = np.asarray(given)  # an empty list reads as float: no kind to check
+            if bools or given.size and given.dtype.kind not in kinds:
                 raise ValueError(f"{name} must be {kind_words} array")
             own = given.astype(dtype)  # a copy, whatever the caller later does to theirs
             own.setflags(write=False)
@@ -502,7 +506,8 @@ def train(
             else:
                 _build_tree(xt, grad[c], hess[c], config, presort, xs, nodes, columns, logits[c])
 
-    return GbtModel(config, x.shape[1], *zip(*nodes), seed=seed)
+    # as arrays, which skip the model's scan of a list for bools
+    return GbtModel(config, x.shape[1], *map(np.array, zip(*nodes)), seed=seed)
 
 
 def predict_logits(model: GbtModel, x: np.ndarray) -> np.ndarray:

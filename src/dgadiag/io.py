@@ -6,9 +6,9 @@ decimal, header required):
     id,h2,ch4,c2h6,c2h4,c2h2,label
 
 Gas fields are decimals, each 0 or in MIN_PPM..MAX_PPM (1e-9..1e6 ppm);
-label is one of PD/D1/D2/T1/T2/T3 or empty for unlabeled rows; a blank id is
-replaced by the file line number.  Every malformed file raises ValueError
-naming the path.
+label is one of PD/D1/D2/T1/T2/T3 or empty for unlabeled rows; an id is
+stripped of surrounding whitespace, and a blank one replaced by the file
+line number.  Every malformed file raises ValueError naming the path.
 Model files are versioned JSON documents carrying the boosting config, the
 rank order and k the model was trained with (k is its feature count), the
 train seed (it drives nothing; the CLI's `train` takes none and writes 0),
@@ -21,13 +21,14 @@ value is a split's threshold or a leaf's weight; the leaf marks fix where
 each tree ends and where each right child is (see `dgadiag.gbt`).  The
 class order, class count and base score are the package's constants
 (CLASS_ORDER, its length and `gbt.BASE_SCORE`), not file contents.
-`load_model` checks the document's keys, its version and that each tree
-list holds JSON numbers and no bools, and passes the plain values to the
-types that own their rules, as in memory: `GbtConfig` checks the config,
-`features._check_k` k, `validate_rank_order` the rank order, and
-`GbtModel` the seed and the trees (each list's kind, per `NODE_ARRAYS`,
-lists of one length that parse into `config.rounds` rounds of whole
-trees, finite values, features below k, and leaves with a finite sum).
+Reading a file checks only its format (CSV syntax, the header, JSON keys
+and the version) and passes each value to the type that owns its rules,
+as in memory: `GasSample` checks a row's gases, label and id,
+`GbtConfig` the config, `features._check_k` k, `validate_rank_order` the
+rank order, and `GbtModel` the seed and the trees (each list's kind, per
+`NODE_ARRAYS`, with no bool in it, lists of one length that parse into
+`config.rounds` rounds of whole trees, finite values, features below k,
+and leaves with a finite sum).
 All writes go through a temp file + rename so readers never observe
 partial output.
 """
@@ -168,18 +169,15 @@ def _csv_field(text: str) -> str:
 
 def write_dataset(path, samples: Sequence[GasSample]) -> None:
     """Write samples as CSV that `load_dataset` reads back equal, floats
-    exactly.  An id holding a NUL character raises ValueError and nothing
-    is written: the csv reader of Python 3.10 rejects NUL."""
+    exactly, but for ids: it strips an id of surrounding whitespace and
+    replaces a blank one with its line number (so `' a '` reads back as
+    `'a'`, and `''` on line 3 as `'3'`)."""
     lines = [",".join(CSV_HEADER)]
     for s in samples:
         label = s.label.value if s.label is not None else ""
         gases = ",".join(repr(float(g)) for g in s.gases())
         lines.append(f"{_csv_field(s.id)},{gases},{label}")
-    text = "\n".join(lines) + "\n"
-    if "\0" in text:  # only an id can hold one
-        bad = next(s.id for s in samples if "\0" in s.id)
-        raise ValueError(f"id {bad!r} holds a NUL character, which cannot be written")
-    atomic_write_text(str(path), text)
+    atomic_write_text(str(path), "\n".join(lines) + "\n")
 
 
 def load_table_iv() -> list[GasSample]:
@@ -195,10 +193,9 @@ def generate_synthetic(
 
     `counts` gives the number of samples per class in canonical class order,
     each an integer >= 0.  Output is deterministic in `seed`, a non-negative
-    integer: each class takes one `Generator.uniform` call over a (count, 5)
-    array of log-gases, filled in C order (sample by sample, gases in
-    `GAS_NAMES` order), the order of the per-gas scalar draws it replaced:
-    a seed's samples are unchanged.
+    integer: each class, in canonical order, takes one `Generator.uniform`
+    call over a (count, 5) array of log-gases, which draws them in C order:
+    sample by sample, and within a sample the gases in `GAS_NAMES` order.
     """
     counts = list(counts)
     if len(counts) != len(CLASS_ORDER):
@@ -284,10 +281,6 @@ def load_model(path) -> ModelBundle:
         config = _exact_keys("config", doc["config"], {f.name for f in fields(GbtConfig)})
         k = _check_k(doc["k"])  # before the trees, whose feature indices k bounds
         trees = _exact_keys("trees", doc["trees"], NODE_ARRAYS.keys())
-        for name, column in trees.items():
-            # numpy would read a bool as a number; GbtModel checks each list's kind
-            if not isinstance(column, list) or not set(map(type, column)) <= {int, float}:
-                raise ValueError(f"trees.{name} is not a list of numbers")
         model = GbtModel(GbtConfig(**config), k, **trees, seed=doc["seed"])
         return ModelBundle(model=model, rank_order=doc["rank_order"], k=k)
     except (KeyError, TypeError, OverflowError) as exc:

@@ -57,9 +57,7 @@ def skewness(values: Sequence[float]) -> float:
     if scale == 0.0:
         return 0.0
     d = d / scale  # unit-normalize so m2**1.5 cannot under/overflow
-    m2 = float(np.mean(d * d))
-    if m2 == 0.0:
-        return 0.0
+    m2 = float(np.mean(d * d))  # >= 1/n: one |d| is exactly 1.0
     m3 = float(np.mean(d * d * d))
     return m3 / m2**1.5
 

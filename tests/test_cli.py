@@ -953,6 +953,31 @@ class TestExitCodes:
         assert err.startswith("error: ") and "model.json" in err
         assert "Traceback" not in err
 
+    def test_bool_in_a_model_tree_list_is_refused_by_kind(self, capsys, tmp_path, seed11_model):
+        # numpy would read `true` as feature 1
+        doc = json.loads(Path(seed11_model[1]).read_text())
+        doc["trees"]["feature"][doc["trees"]["feature"].index(1)] = True
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["diagnose", "--data", seed11_model[0], "--model", str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: feature must be a signed integer array\n"
+
+    @pytest.mark.parametrize("command", ["diagnose", "train"])
+    def test_nul_id_is_refused_by_line(self, capsys, tmp_path, seed11_model, command):
+        # Python 3.11 and later read the line, and GasSample refuses the id;
+        # 3.10's csv reader refuses the line itself
+        data = tmp_path / "nul.csv"
+        data.write_bytes(b"id,h2,ch4,c2h6,c2h4,c2h2,label\nok,1,2,3,4,5,PD\na\0b,1,2,3,4,5,D1\n")
+        extra = {"diagnose": ["--model", seed11_model[1]],
+                 "train": ["--k", "24", "--model", str(tmp_path / "m.json")]}[command]
+        code, out, err = run(capsys, [command, "--data", str(data), *extra])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {data}:3: ")
+        if sys.version_info >= (3, 11):
+            assert err == f"error: {data}:3: id 'a\\x00b' holds a NUL character\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["nul.csv"]
+
     def test_float_k_in_model_is_validation_error(self, capsys, tmp_path, synth_csv):
         path = tmp_path / "model.json"
         main(["train", "--data", synth_csv, "--k", "18", "--model", str(path)] + FAST)

@@ -152,7 +152,7 @@ class TestSmote:
         x = np.arange(12, dtype=float).reshape(6, 2)
         y = [PD] * 3 + [D1] * 3
         x2, y2 = smote(x, y, seed=0)
-        assert np.array_equal(x2, x)
+        assert np.array_equal(x2, x) and not np.shares_memory(x2, x)
         assert y2 == y
 
     def test_two_point_minority_on_segment(self):
@@ -204,6 +204,11 @@ class TestSmote:
                     if -1e-9 <= u <= 1 + 1e-9:
                         best = min(best, np.linalg.norm(row - (minority[i] + u * seg)))
             assert best < 1e-9
+
+    @pytest.mark.parametrize("x", [np.zeros((3, 2)), np.zeros(4), np.zeros((4, 2, 1))])
+    def test_features_must_be_one_row_per_label(self, x):
+        with pytest.raises(ValueError, match="^features must be 2-D with one row per label$"):
+            smote(x, [PD, PD, D1, D1], seed=0)
 
     def test_singleton_class_error(self):
         x = np.zeros((3, 2))

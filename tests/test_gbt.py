@@ -205,6 +205,12 @@ def test_labels_must_be_fault_labels(y):
         train(x, y)
 
 
+def test_label_count_must_match_the_rows():
+    x = np.random.default_rng(0).normal(size=(5, 2))
+    with pytest.raises(ValueError, match="^feature/label length mismatch$"):
+        train(x, [FaultLabel.PD, FaultLabel.D1] * 2)
+
+
 def test_non_finite_features():
     x = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ValueError, match="finite"):
@@ -708,6 +714,17 @@ def test_split_at_the_edge_of_the_hessian_window(edge):
     assert tree.feature[0] == 0 and tree.value[0] == cut - 0.5
 
 
+def test_a_split_between_adjacent_floats_is_at_the_upper_one():
+    # the midpoint of 1.0 and the next float rounds to 1.0, and "< 1.0"
+    # would send no row left: the threshold is the upper value
+    upper = np.nextafter(1.0, 2.0)
+    x = np.repeat([1.0, upper], 20)[:, None]
+    y = [FaultLabel.PD] * 20 + [FaultLabel.D1] * 20
+    model = train(x, y, GbtConfig(rounds=3))
+    assert model.feature[0] == 0 and model.value[0] == upper
+    assert predict_many(model, x) == y
+
+
 def _search_node(x, g, h):
     """`_cannot_gain` and `_best_split`'s gain on one node holding every row
     of `x`, with the sums and presort `_build_tree` would give it."""
@@ -761,6 +778,13 @@ def test_a_node_the_no_gain_test_prunes_has_no_gaining_split():
     # both outcomes are common: nodes are pruned (0.63-0.74 in four runs),
     # and nodes are searched that have a split that gains (0.13-0.22)
     assert pruned >= 0.4 and gains >= 0.05, (pruned, gains)
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_no_gain_test_searches_a_node_whose_bound_overflows():
+    # g/h reaches -1e308, and the bound on sum |g|, that times H = 2.0, is inf
+    g, h = np.array([-0.5, -0.5]), np.array([5e-309, 2.0])
+    assert _cannot_gain(g, h, float(g.sum()), float(h.sum())) is False
 
 
 @pytest.mark.parametrize("ratio", [-2.0, 1.0, 0.5, 1 / 3, -7.0])

@@ -47,6 +47,13 @@ class TestLoadDataset:
         path.write_text("id,h2,ch4,c2h6,c2h4,c2h2,label\n")
         assert load_dataset(path) == []
 
+    @pytest.mark.parametrize("data", [b"", b"\xef\xbb\xbf"], ids=["empty", "bom-only"])
+    def test_no_header_at_all(self, tmp_path, data):
+        path = tmp_path / "none.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=r"none\.csv: empty file, expected header \["):
+            load_dataset(path)
+
     def test_unknown_label_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,h2,ch4,c2h6,c2h4,c2h2,label\na,1,1,1,1,1,X9\n")
@@ -317,26 +324,30 @@ class TestWriteDataset:
         ]
 
     def test_nul_id_is_refused(self, tmp_path):
-        samples = [GasSample(1.0, 2.0, 3.0, 4.0, 5.0, id=i) for i in ("ok", "a\0b")]
+        # no sample holds one, so no file is written with one; Python 3.10's
+        # csv reader refuses the line, later ones pass the id to GasSample
+        with pytest.raises(ValueError, match=r"^id 'a\\x00b' holds a NUL character$"):
+            GasSample(1.0, 2.0, 3.0, 4.0, 5.0, id="a\0b")
         path = tmp_path / "nul.csv"
-        with pytest.raises(ValueError, match=r"^id 'a\\x00b' holds a NUL character"):
-            write_dataset(path, samples)
-        assert not path.exists()
+        path.write_bytes(b"id,h2,ch4,c2h6,c2h4,c2h2,label\nok,1,2,3,4,5,PD\na\0b,1,2,3,4,5,\n")
+        with pytest.raises(ValueError, match=r"nul\.csv:3: "):
+            load_dataset(path)
 
     def test_multi_line_id_keeps_file_line_numbers(self, tmp_path):
-        # the id spans lines 2-3, so the blank id is line 4 and the bad label line 5
+        # the id spans lines 2-3, so the blank id is line 4 and the bad label
+        # line 6; an id reads back stripped
         path = tmp_path / "nl.csv"
-        samples = [GasSample(1.0, 2.0, 3.0, 4.0, 5.0, id=i) for i in ("a\nb", "")]
+        samples = [GasSample(1.0, 2.0, 3.0, 4.0, 5.0, id=i) for i in ("a\nb", "", " c ")]
         write_dataset(path, samples)
-        assert [s.id for s in load_dataset(path)] == ["a\nb", "4"]
+        assert [s.id for s in load_dataset(path)] == ["a\nb", "4", "c"]
         with open(path, "a") as fh:
             fh.write("c,1,1,1,1,1,X9\n")
-        with pytest.raises(ValueError, match=r"nl\.csv:5: unknown label 'X9'"):
+        with pytest.raises(ValueError, match=r"nl\.csv:6: unknown label 'X9'"):
             load_dataset(path)
 
 
 # ids load_dataset keeps as written: non-blank, no surrounding whitespace
-# (it strips ids and numbers blank ones) and no NUL (write_dataset refuses
+# (it strips ids and numbers blank ones) and no NUL (GasSample refuses
 # it); the first alphabet holds every character that needs quoting
 csv_id = st.text(
     st.sampled_from(',"\r\n ab')
@@ -826,16 +837,39 @@ def test_values_must_be_real():
             GbtModel(model.config, model.n_features, model.feature, model.value.astype(dtype))
 
 
-# mutations that give a tree list elements of a kind the model refuses, and
-# the message the loader names each with
+@pytest.mark.parametrize("form", [list, tuple])
+@pytest.mark.parametrize("flag", [True, np.bool_(False)], ids=["bool", "np.bool_"])
+@pytest.mark.parametrize("name, message", [("feature", "a signed integer"), ("value", "a real")])
+def test_a_bool_in_a_node_list_is_refused(form, flag, name, message):
+    # numpy reads a bool among numbers as 1 or 0: True at a split built a
+    # model that split on feature 1
+    doc = json.loads(_toy_model_text())
+    model = _model_of_doc(doc)
+    root, _ = _split_root(doc["trees"])
+    columns = {n: doc["trees"][n] for n in NODE_FIELDS}
+    built = GbtModel(model.config, model.n_features, **{n: form(c) for n, c in columns.items()})
+    assert np.array_equal(built.feature, model.feature) and np.array_equal(built.value, model.value)
+    columns[name][root] = flag
+    with pytest.raises(ValueError, match=f"^{name} must be {message} array$"):
+        GbtModel(model.config, model.n_features, **{n: form(c) for n, c in columns.items()})
+
+
+FLAT_NODES = "feature and value must be flat arrays with one entry per node"
+# mutations that give a tree list elements of a kind or a shape the model
+# refuses, and the message the loader names each with (GbtModel's own)
 NODE_KIND_FAULTS = {
     "feature-float": (_set_root("feature", 2.0), "feature must be a signed integer array"),
     "feature-past-int64": (_set_root("feature", 2**63), "feature must be a signed integer array"),
     "value-past-float": (_set_root("value", 10**400), "value must be a real array"),
-    "feature-bool": (_set_root("feature", True), "trees.feature is not a list of numbers"),
-    "value-bool": (_set_root("value", False), "trees.value is not a list of numbers"),
-    "value-string": (_set_root("value", "0.5"), "trees.value is not a list of numbers"),
-    "value-object": (_set("trees", "value", value={}), "trees.value is not a list of numbers"),
+    "feature-bool": (_set_root("feature", True), "feature must be a signed integer array"),
+    "value-bool": (_set_root("value", False), "value must be a real array"),
+    "value-string": (_set_root("value", "0.5"), "value must be a real array"),
+    "value-object": (_set("trees", "value", value={}), "value must be a real array"),
+    "feature-null": (_set_root("feature", None), "feature must be a signed integer array"),
+    "value-null": (_set_root("value", None), "value must be a real array"),
+    "value-number": (_set("trees", "value", value=0.5), FLAT_NODES),
+    "feature-nested": (lambda doc: doc["trees"].update(feature=[doc["trees"]["feature"]]),
+                       FLAT_NODES),
 }
 
 

@@ -159,6 +159,8 @@ class TestAnova:
         res = anova_pvalue([[1, 2], [1, 2]])
         assert res.f_statistic == 0
         assert res.p_value == 1
+        res = anova_pvalue([[3, 3], [3, 3, 3]])  # no variance at all
+        assert (res.f_statistic, res.p_value) == (0.0, 1.0)
 
     def test_zero_within_group_variance(self):
         res = anova_pvalue([[0, 0], [1, 1]])

@@ -17,7 +17,7 @@ import numpy as np
 from .core import (CLASS_ORDER, N_CLASSES, FaultLabel, GasSample, _class_indices, _integer,
                    _real, _rng)
 from .features import FeatureMatrix, _build, _checked_prefix, _warn_unusual_k
-from .gbt import GbtConfig, predict_many, train
+from .gbt import GbtConfig, _feature_matrix, predict_many, train
 
 _SMOTE_NEIGHBORS = 5  # nearest same-class neighbors a synthetic row can head for
 
@@ -119,8 +119,9 @@ def smote(
     et al. 2002; any other row of a class of fewer than six), and
     u ~ Uniform(0, 1).  The input rows are returned unmodified as a prefix;
     synthetic rows follow, grouped by class in order of first appearance.
+    Features of a kind `train` refuses are refused the same way.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = _feature_matrix(features)
     if features.ndim != 2 or features.shape[0] != len(labels):
         raise ValueError("features must be 2-D with one row per label")
 

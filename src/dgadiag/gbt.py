@@ -150,6 +150,7 @@ class GbtConfig:
 # each node array: the numpy dtype kinds it takes, those in words, the dtype a model keeps
 NODE_ARRAYS = {"feature": ("i", "a signed integer", np.int64), "value": ("iuf", "a real", np.float64)}
 _BOOLS = {bool, np.bool_}  # numpy would read one in a node list as a number
+_NOT_FLAT = "feature and value must be flat arrays with one entry per node"
 
 
 class Tree(NamedTuple):
@@ -215,7 +216,10 @@ class GbtModel:
         for name, (kinds, kind_words, dtype) in NODE_ARRAYS.items():
             given = getattr(self, name)
             bools = isinstance(given, (list, tuple)) and not _BOOLS.isdisjoint({*map(type, given)})
-            given = np.asarray(given)  # an empty list reads as float: no kind to check
+            try:
+                given = np.asarray(given)  # an empty list reads as float: no kind to check
+            except ValueError:  # a ragged list
+                raise ValueError(_NOT_FLAT) from None
             if bools or given.size and given.dtype.kind not in kinds:
                 raise ValueError(f"{name} must be {kind_words} array")
             own = given.astype(dtype)  # a copy, whatever the caller later does to theirs
@@ -235,7 +239,7 @@ def _flatten(model: GbtModel) -> _Forest:
     """The walk's tables for `model`, whose node arrays it checks first."""
     feature, value, rounds = model.feature, model.value, model.config.rounds
     if not feature.ndim == value.ndim == 1 or feature.size != value.size:
-        raise ValueError("feature and value must be flat arrays with one entry per node")
+        raise ValueError(_NOT_FLAT)
     if not np.isfinite(value).all():
         raise ValueError("non-finite threshold or leaf value")
     n = feature.size
@@ -307,9 +311,7 @@ def _cannot_gain(g: np.ndarray, h: np.ndarray, g_sum: float, h_sum: float) -> bo
     lo, hi = float(ratio.min()), float(ratio.max())
     lo -= 4 * math.ulp(lo)  # covers the rounding of each ratio, and keeps hi > lo
     hi += 4 * math.ulp(hi)
-    scale = max(abs(lo), abs(hi)) * h_sum  # bounds the sum of |g|
-    if not math.isfinite(scale):
-        return False
+    scale = max(abs(lo), abs(hi)) * h_sum  # bounds the sum of |g|; if inf, so is tau
     lam = REG_LAMBDA
     m1 = 1.0 + g.size
     delta = 1e-9 * m1 * (1.0 + h_sum)

@@ -30,7 +30,7 @@ from dgadiag.gbt import GbtConfig, predict_many, train
 from dgadiag.io import load_table_iv, save_model, ModelBundle
 from dgadiag.itd import itd_rows
 from dgadiag.ranking import CANONICAL_RANK_ORDER, skewness
-from dgadiag.special import f_sf
+from dgadiag.ranking import _f_sf as f_sf
 from dgadiag import reference
 
 

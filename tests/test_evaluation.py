@@ -177,6 +177,19 @@ class TestSmote:
         for lbl in CLASS_ORDER:
             assert sum(1 for v in y2 if v == lbl) == 113
 
+    @pytest.mark.parametrize("kind, convert", [
+        ("bool", lambda x: x > 1),  # were rows of 0.0 and 1.0
+        ("<U1", lambda x: x.astype("U1")),  # digits were parsed as numbers
+        ("complex128", lambda x: x + 0j),  # lost the imaginary part with a warning
+    ], ids=["bool", "string", "complex"])
+    def test_refuses_the_feature_kinds_train_refuses(self, kind, convert):
+        x = convert(np.arange(12).reshape(6, 2) % 3)
+        message = f"feature values must be real numbers, got {kind} values"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train(x, [PD] * 4 + [D1] * 2)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            smote(x, [PD] * 4 + [D1] * 2)
+
     def test_originals_preserved_as_prefix(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(30, 4))

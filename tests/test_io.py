@@ -870,6 +870,7 @@ NODE_KIND_FAULTS = {
     "value-number": (_set("trees", "value", value=0.5), FLAT_NODES),
     "feature-nested": (lambda doc: doc["trees"].update(feature=[doc["trees"]["feature"]]),
                        FLAT_NODES),
+    "feature-ragged": (_set_root("feature", [0]), FLAT_NODES),  # numpy's own text before
 }
 
 

@@ -167,6 +167,11 @@ class TestAnova:
         assert math.isinf(res.f_statistic)
         assert res.p_value == 0
 
+    def test_a_within_variance_that_underflows_gives_an_infinite_f(self):
+        # scaled, ss_within is subnormal and ss_within / df_within rounds to 0
+        res = anova_pvalue([[1.0] * 5, [0.0, 1e-161]])
+        assert (res.f_statistic, res.p_value, res.df_between, res.df_within) == (math.inf, 0.0, 1, 5)
+
     def test_hand_example(self):
         res = anova_pvalue([[1, 2, 3], [2, 3, 4]])
         assert res.f_statistic == pytest.approx(1.5, abs=1e-12)

@@ -192,9 +192,9 @@ def cmd_evaluate(args) -> int:
             title = "report (model applied to the full file):"
         doc["report"] = _report_json(metrics(matrix))
         lines = _report_lines(doc["report"], title)
-    sys.stdout.write("\n".join(lines) + "\n")
-    if args.json:
+    if args.json:  # before the text: a failed write leaves stdout empty
         atomic_write_text(args.json, json.dumps(doc, indent=1) + "\n")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -127,6 +127,8 @@ def smote(
 
     labels = list(labels)
     y = _class_indices(labels)
+    if y.size == 0:
+        raise ValueError("empty label list")
     target = int(np.bincount(y).max())
 
     rng = _rng(seed)

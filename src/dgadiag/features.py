@@ -93,7 +93,8 @@ def _build(
     for k in ks:
         if one:
             signal = ranked[:k]
-            signals, baseline = np.array([signal]), np.array([_itd_list(signal)])
+            rows = np.array([signal, _itd_list(signal)])  # one numpy call, two (1, k) views
+            signals, baseline = rows[:1], rows[1:]
         else:
             signals = ranked[:, :k]
             baseline = itd_rows(signals)

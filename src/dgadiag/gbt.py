@@ -109,8 +109,9 @@ goes down the trees that split in Python floats instead, with the same
 `>=` test.  It reads them from the walk table that `_flatten` builds
 once per model: each such tree as nested (feature, value, left, right)
 tuples, a leaf as its float.  One `put` writes its leaves at their
-`slot`s of a copy of the terms, which the same reduction adds over a
-(terms, 1, classes) view, so its logits have the batch path's bits.
+`slot`s of a copy of the terms, which the same reduction adds round by
+round over the (terms, classes) table, keeping the reduced axis, so its
+logits have the batch path's bits.
 (The builtin `sum` would not: from Python 3.12 on it compensates float
 sums.)
 """
@@ -539,7 +540,7 @@ def predict_logits(model: GbtModel, x: np.ndarray) -> np.ndarray:
             leaves.append(tree)
         terms = forest.terms.copy()
         terms.put(forest.slot, leaves)
-        return np.add.reduce(terms[:, None], axis=0)
+        return np.add.reduce(terms, axis=0, keepdims=True)
     if not np.isfinite(x).all():
         raise ValueError("feature values must be finite")
     n_trees = forest.roots.size

@@ -1096,15 +1096,18 @@ class TestExitCodes:
         assert code == 2
         assert "i/o error" in err
 
-    def test_io_error_names_the_given_path(self, capsys, tmp_path, table_csv):
+    def test_io_error_names_the_given_path(self, capsys, tmp_path, table_csv, seed11_model):
         # the write goes through a temp file beside the target, which the
         # message must not name and which must not stay behind
         missing = str(tmp_path / "no-such-dir" / "x.csv")
+        missing_json = str(tmp_path / "no-such-dir" / "x.json")
         a_dir = tmp_path / "a-dir"
         a_dir.mkdir()
         for argv, path in [
             (["synth", "--seed", "1", "--out", missing], missing),
             (["features", "--data", table_csv, "--k", "6", "--out", str(a_dir)], str(a_dir)),
+            (["evaluate", "--data", seed11_model[0], "--model", seed11_model[1],
+              "--json", missing_json], missing_json),
         ]:
             code, out, err = run(capsys, argv)
             assert (code, out) == (2, "")

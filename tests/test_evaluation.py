@@ -223,6 +223,10 @@ class TestSmote:
         with pytest.raises(ValueError, match="^features must be 2-D with one row per label$"):
             smote(x, [PD, PD, D1, D1], seed=0)
 
+    def test_empty_label_list_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"^empty label list$"):
+            smote(np.empty((0, 3)), [])
+
     def test_singleton_class_error(self):
         x = np.zeros((3, 2))
         y = [PD, PD, D1]

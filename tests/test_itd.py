@@ -298,3 +298,24 @@ def test_list_itd_matches_the_loop_oracle(x):
     _, want_baseline, _ = _oracle_itd(x)
     got = np.array(_itd_list(x.tolist()))
     assert got.tobytes() == want_baseline.tobytes()
+
+
+@st.composite
+def _tie_heavy_signals(draw):
+    """k in 2..37 dyadic values in runs of one to six equal values drawn
+    from a pool of two to four, so that plateaus sit at both ends, inside
+    the signal, or fill it (about a fifth of the draws are constant)."""
+    k = draw(st.integers(2, 37))
+    pool = draw(st.lists(st.integers(-(2**20), 2**20).map(lambda n: n / 64.0),
+                         min_size=2, max_size=4, unique=True))
+    x = []
+    while len(x) < k:
+        x += [draw(st.sampled_from(pool))] * draw(st.integers(1, 6))
+    return x[:k]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_tie_heavy_signals())
+def test_list_itd_matches_the_batch_itd_on_plateaus(x):
+    want = itd_rows(np.array([x]))[0]
+    assert np.array(_itd_list(x)).tobytes() == want.tobytes()
